@@ -2,6 +2,8 @@
 #
 #   make test         tier-1 test suite (the gate every PR must keep green)
 #   make bench-smoke  fast benchmark smoke run (reduced scale, quick figures)
+#   make perfbench-smoke  two-second serving-benchmark run of the out-of-core
+#                     sharded kNN workload (exits non-zero on a wrong answer)
 #   make bench        full benchmark harness (all paper figures/tables)
 #   make profile      cProfile a standard serve-sim workload (top-20 by cumtime)
 #   make profile-updates  cProfile an update-heavy serve-sim workload with
@@ -18,7 +20,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke bench profile profile-updates lint example examples
+.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates lint example examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -36,6 +38,11 @@ bench-smoke:
 		benchmarks/bench_memory_tiering.py \
 		benchmarks/bench_host_wallclock.py \
 		benchmarks/bench_update_path.py
+
+# The serving benchmark checks every answer after timing and exits 1 on a
+# wrong one, so a tiered block-layout bug that breaks exactness fails here.
+perfbench-smoke:
+	$(PYTHON) perfbench/run.py --workload outofcore-sharded-knn --seconds 2
 
 # bench_*.py does not match pytest's default test-file pattern, so the files
 # must be named explicitly (a bare `pytest benchmarks` collects nothing).

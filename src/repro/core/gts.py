@@ -232,16 +232,31 @@ class GTS:
         return self._build()
 
     def _init_tier(self) -> None:
-        """Wrap the host object list behind the block store + demand pager."""
-        from ..exceptions import TierError
+        """Wrap the host object list behind the block store + demand pager.
+
+        The store starts in the identity layout (slot = id); the first tree
+        install replaces it with the tree's leaf-clustered layout.
+        """
         from ..tier.pager import BlockPager
         from ..tier.store import PagedObjects, TieredObjectStore
 
         store = TieredObjectStore(self._objects, self.tier_config.block_bytes)
-        # Blocks are sized by the *average* payload, so variable-length data
-        # (strings) can produce blocks larger than block_bytes; validate the
-        # real maximum up front instead of surprising a query mid-descent.
-        max_block = max(store.block_nbytes(b) for b in range(store.num_blocks))
+        self._check_block_budget(store)
+        self._pager = BlockPager(self.device, store, self.tier_config)
+        self._objects = PagedObjects(store, self._pager)
+
+    def _check_block_budget(self, store) -> None:
+        """Fail fast when the pool cannot hold the largest block.
+
+        Blocks are sized by the *average* payload, so variable-length data
+        (strings) can produce blocks larger than block_bytes — and a layout
+        change regroups objects into blocks of different payloads.  Checked
+        at every layout install, so the error surfaces at build time instead
+        of mid-descent.
+        """
+        from ..exceptions import TierError
+
+        max_block = store.largest_block_nbytes()
         if max_block > self.tier_config.memory_budget_bytes:
             raise TierError(
                 f"tier memory budget ({self.tier_config.memory_budget_bytes} B) "
@@ -249,8 +264,26 @@ class GTS:
                 f"sized blocks target {self.tier_config.block_bytes} B); raise "
                 "memory_budget_bytes or shrink block_bytes"
             )
-        self._pager = BlockPager(self.device, store, self.tier_config)
-        self._objects = PagedObjects(store, self._pager)
+
+    def _install_layout(self, tree: TreeStructure, warm: bool = True) -> None:
+        """Page the tiered store in ``tree``'s leaf-clustered block layout.
+
+        Resident blocks hold the previous layout's slot ranges, so every one
+        is invalidated; the pivot blocks (the leading blocks of the new
+        layout) are pinned and, when ``warm``, staged again in one coalesced
+        prefetch — every descent starts by touching them.
+        """
+        from ..tier.store import leaf_clustered_order
+
+        store = self._objects.store
+        for block_id in self._pager.resident_blocks:
+            self._pager.invalidate(block_id)
+        store.set_layout(leaf_clustered_order(tree, len(store)))
+        self._check_block_budget(store)
+        pivot_blocks = store.blocks_for(tree.pivot[tree.pivot >= 0])
+        self._pager.set_pins(pivot_blocks)
+        if warm:
+            self._pager.prefetch(pivot_blocks)
 
     def _build(self) -> BuildResult:
         """Build the tree over the currently indexed ids."""
@@ -274,14 +307,13 @@ class GTS:
 
         Shared by :meth:`_build` and the maintenance generation swap: tiered
         indexes allocate the tree storage here (construction faulted object
-        blocks instead of staging the store) and re-pin the pivot blocks.
+        blocks instead of staging the store) and re-page the store in the
+        new tree's layout.
         """
         if self.tier_config is not None:
+            self._install_layout(result.tree)
             result.allocations.append(
                 self.device.allocate(result.tree.storage_bytes(), "gts-index", pool="tree")
-            )
-            self._pager.set_pins(
-                self._objects.store.blocks_for(result.tree.pivot[result.tree.pivot >= 0])
             )
         self._tree = result.tree
         self._build_result = result

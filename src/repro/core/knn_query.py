@@ -142,8 +142,9 @@ def _verify_leaves(
 ) -> None:
     """Verify every object of the surviving leaves against its query.
 
-    Same fused shape as the MRQ verification: per-query id-sorted candidate
-    segments, one gather, one segmented distance call, one bulk pool add.
+    Same fused shape as the MRQ verification: per-query candidate segments
+    (slot-sorted on tiered stores), one gather, one segmented distance call,
+    one bulk pool add.
     """
     if len(leaf_q) == 0:
         return
@@ -156,12 +157,12 @@ def _verify_leaves(
         leaf_q,
         leaf_node,
         tombstones,
-        coalesce=getattr(objects, "coalesced_gather", False),
+        slot_of=getattr(objects, "slot_of", None),
     )
     total_verified = len(obj_ids)
     if total_verified:
-        # sorted gather: order-insensitive (candidates land in the pool) and
-        # block-coalesced for tiered stores (see range_query)
+        # slot-sorted gather on tiered stores: order-insensitive (candidates
+        # land in the pool) and block-coalesced (see range_query)
         query_objects = take_objects(queries, unique_queries)
         dists = segmented_distances(metric, objects, query_objects, boundaries, obj_ids)
         owner = np.repeat(unique_queries, np.diff(boundaries))

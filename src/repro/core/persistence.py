@@ -237,9 +237,9 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
     index._tree = tree
     index._build_result = BuildResult(tree=tree, allocations=index._allocations)
     if index._pager is not None:
-        index._pager.set_pins(
-            index._objects.store.blocks_for(tree.pivot[tree.pivot >= 0])
-        )
+        # the layout is a pure function of the tree and the store length, so
+        # the saved tree re-derives the live one; a load stages nothing
+        index._install_layout(tree, warm=False)
 
     # host-side read: repopulating the cache must not fault tiered blocks
     host_objects = getattr(index._objects, "raw", index._objects)

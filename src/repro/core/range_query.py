@@ -66,9 +66,9 @@ def _verify_leaves(
     """Compute real distances for every object in the surviving leaves.
 
     One fused pass: the surviving leaves' table-list slices are expanded into
-    per-query, id-sorted candidate segments, gathered once, and evaluated
-    with a single segmented distance call; qualifying hits land in the
-    triple-array accumulator.
+    per-query candidate segments (slot-sorted on tiered stores), gathered
+    once, and evaluated with a single segmented distance call; qualifying
+    hits land in the triple-array accumulator.
     """
     if len(leaf_q) == 0:
         return
@@ -83,14 +83,14 @@ def _verify_leaves(
         leaf_q,
         leaf_node,
         tombstones,
-        coalesce=getattr(objects, "coalesced_gather", False),
+        slot_of=getattr(objects, "slot_of", None),
     )
     total_verified = len(obj_ids)
     total_hits = 0
     if total_verified:
-        # gather in id order per query: results are order-insensitive (keyed
-        # by id) and a sorted gather is block-coalesced, which is what a
-        # tiered store's paging behaviour should be measured against
+        # tiered stores get each query's candidates in physical-slot order:
+        # results are order-insensitive (keyed by id) and a slot-sorted
+        # gather touches each leaf-clustered block as one run
         query_objects = take_objects(queries, unique_queries)
         dists = segmented_distances(metric, objects, query_objects, boundaries, obj_ids)
         owner = np.repeat(unique_queries, np.diff(boundaries))

@@ -434,16 +434,17 @@ def leaf_candidate_segments(
     leaf_q: np.ndarray,
     leaf_node: np.ndarray,
     tombstones: Optional[np.ndarray],
-    coalesce: bool = True,
+    slot_of: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query candidate segments of the surviving (query, leaf) pairs.
 
     Expands every pair's leaf slice of the table list and drops tombstoned
-    ids.  With ``coalesce`` (any store whose gathers fault device blocks)
-    each query's candidates are additionally sorted by object id, so the
-    gather is block-coalesced per query — the order tiered paging is
-    measured against.  Resident stores skip that sort: distances are
-    per-row and every consumer (result triples, candidate pools) orders by
+    ids.  With ``slot_of`` — the id→physical-slot map of a store whose
+    gathers fault device blocks — each query's candidates are additionally
+    sorted by slot, so under the tiered store's leaf-clustered layout every
+    block a query touches is one run of its gather (block-coalesced).
+    Resident stores pass None and skip that sort: distances are per-row and
+    every consumer (result triples, candidate pools) orders by
     ``(distance, id)`` at the end, so candidate order cannot influence a
     single output bit.
 
@@ -466,8 +467,8 @@ def leaf_candidate_segments(
     if dead is not None and dead.any():
         live = ~dead
         obj_ids, owner = obj_ids[live], owner[live]
-    if coalesce and len(obj_ids):
-        order = np.lexsort((obj_ids, owner))
+    if slot_of is not None and len(obj_ids):
+        order = np.lexsort((slot_of[obj_ids], owner))
         obj_ids, owner = obj_ids[order], owner[order]
     if len(owner) == 0:
         return (

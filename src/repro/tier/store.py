@@ -1,10 +1,13 @@
 """Host-resident blocked object store and its paged device facade.
 
 :class:`TieredObjectStore` keeps the primary copy of every indexed object in
-(simulated) host memory and partitions the id space into fixed-size blocks —
-contiguous id ranges sized so one block holds roughly
-``TierConfig.block_bytes`` of payload.  Blocks are the unit the
-:class:`~repro.tier.pager.BlockPager` stages into device memory.
+(simulated) host memory and cuts it into fixed-size blocks — ranges of
+*physical slots* sized so one block holds roughly ``TierConfig.block_bytes``
+of payload.  Blocks are the unit the :class:`~repro.tier.pager.BlockPager`
+stages into device memory.  Which object sits in which slot is the store's
+**layout**: the identity until the owning index installs its first tree,
+then the leaf-clustered order :func:`leaf_clustered_order` derives from that
+tree, so one leaf's objects share a few consecutive blocks (DESIGN.md §7).
 
 :class:`PagedObjects` is the sequence facade a tiered
 :class:`~repro.core.gts.GTS` hands to the construction and query algorithms
@@ -27,18 +30,46 @@ from ..core.construction import objects_nbytes
 from ..core.objectstore import gather_rows
 from ..exceptions import TierError
 
-__all__ = ["TieredObjectStore", "PagedObjects"]
+__all__ = ["TieredObjectStore", "PagedObjects", "leaf_clustered_order"]
+
+
+def leaf_clustered_order(tree, num_ids: int) -> np.ndarray:
+    """The physical layout of a tiered store under ``tree``: ids in slot order.
+
+    1. the distinct internal-node pivots, in node-list order — every descent
+       touches them, so they share the leading block(s);
+    2. the rest of the tree's table list, in leaf order — each node's
+       objects are one contiguous slice of the table list (paper §4.2), so a
+       leaf's objects fill a few consecutive blocks;
+    3. the ids below ``num_ids`` the tree does not hold (tombstoned before
+       the build, or appended since), ascending.
+
+    A pure function of the tree and the store length: ids appended after the
+    install take the next tail slots, which is exactly where this function
+    puts them, so persistence can re-derive the live layout from the saved
+    tree alone.
+    """
+    pivots = tree.pivot[tree.pivot >= 0]
+    _, first = np.unique(pivots, return_index=True)
+    pivots = pivots[np.sort(first)]
+    placed = np.zeros(int(num_ids), dtype=bool)
+    placed[pivots] = True
+    table = tree.obj_ids[~placed[tree.obj_ids]]
+    placed[table] = True
+    return np.concatenate((pivots, table, np.flatnonzero(~placed))).astype(np.int64)
 
 
 class TieredObjectStore:
     """Blocked view over a host-memory object list.
 
-    Blocks are contiguous object-id ranges: ``objects_per_block`` is derived
-    from the average payload size of the initial store, so array datasets
-    get exactly ``block_bytes``-sized blocks and variable-length datasets
-    (strings) get blocks of approximately that size.  Appends extend the
-    tail block in place; ids never move between blocks, so the block map
-    survives index rebuilds unchanged.
+    Blocks are contiguous ranges of physical slots: ``objects_per_block`` is
+    derived from the average payload size of the initial store, so array
+    datasets get exactly ``block_bytes``-sized blocks and variable-length
+    datasets (strings) get blocks of approximately that size.  An id→slot
+    map (:attr:`slot_of`) decides which block owns an object; it is the
+    identity until :meth:`set_layout` installs a tree-derived order.  Host
+    rows never move and object ids never change — only the block map does —
+    and appends take the next tail slot.
     """
 
     def __init__(self, objects: Sequence, block_bytes: int):
@@ -52,6 +83,10 @@ class TieredObjectStore:
         per_object = max(1, math.ceil(total / len(objects)))
         self.objects_per_block = max(1, self.block_bytes // per_object)
         self._block_nbytes_cache: dict[int, int] = {}
+        # id -> slot and slot -> id; slots beyond the store length keep the
+        # identity so an append lands in the next tail slot with no work
+        self._slot_of = np.arange(len(objects), dtype=np.int64)
+        self._id_at = np.arange(len(objects), dtype=np.int64)
 
     # ------------------------------------------------------------- geometry
     @property
@@ -64,23 +99,28 @@ class TieredObjectStore:
 
     @property
     def num_blocks(self) -> int:
-        """Number of blocks currently covering the id space."""
+        """Number of blocks currently covering the slots."""
         return (len(self._objects) + self.objects_per_block - 1) // self.objects_per_block
+
+    @property
+    def slot_of(self) -> np.ndarray:
+        """The id→physical-slot map (read-only view, one entry per id)."""
+        return self._slot_of[: len(self._objects)]
 
     def block_of(self, obj_id: int) -> int:
         """Block that owns ``obj_id``."""
         obj_id = int(obj_id)
         if obj_id < 0 or obj_id >= len(self._objects):
             raise TierError(f"object id {obj_id} outside the store (size {len(self._objects)})")
-        return obj_id // self.objects_per_block
+        return int(self._slot_of[obj_id]) // self.objects_per_block
 
-    def block_object_ids(self, block_id: int) -> range:
-        """The contiguous id range a block covers."""
+    def block_object_ids(self, block_id: int) -> np.ndarray:
+        """The ids a block holds, in slot order (read-only view)."""
         block_id = int(block_id)
         if block_id < 0 or block_id >= self.num_blocks:
             raise TierError(f"unknown block id {block_id} (store has {self.num_blocks})")
         start = block_id * self.objects_per_block
-        return range(start, min(start + self.objects_per_block, len(self._objects)))
+        return self._id_at[start : min(start + self.objects_per_block, len(self._objects))]
 
     def block_nbytes(self, block_id: int) -> int:
         """Payload bytes of one block (cached; tail block recomputed on append)."""
@@ -89,31 +129,60 @@ class TieredObjectStore:
         if cached is not None:
             return cached
         ids = self.block_object_ids(block_id)
-        nbytes = max(1, objects_nbytes(self._objects, list(ids)))
+        nbytes = max(1, objects_nbytes(self._objects, ids))
         # the tail block can still grow; only full blocks are safe to cache
         if len(ids) == self.objects_per_block:
             self._block_nbytes_cache[block_id] = nbytes
         return nbytes
+
+    def largest_block_nbytes(self) -> int:
+        """Payload bytes of the largest block under the current layout."""
+        return max(self.block_nbytes(b) for b in range(self.num_blocks))
+
+    def blocks_of(self, obj_ids) -> np.ndarray:
+        """Owning block of every id of a batch (aligned, not deduplicated)."""
+        return self._slot_of[np.asarray(obj_ids, dtype=np.int64)] // self.objects_per_block
 
     def blocks_for(self, obj_ids) -> np.ndarray:
         """Unique owning blocks of a batch of object ids (ascending)."""
         ids = np.asarray(obj_ids, dtype=np.int64)
         if len(ids) == 0:
             return np.zeros(0, dtype=np.int64)
-        return np.unique(ids // self.objects_per_block)
+        return np.unique(self.blocks_of(ids))
 
     # ------------------------------------------------------------- mutation
+    def set_layout(self, order) -> None:
+        """Install a physical layout: ``order[slot]`` is the id at ``slot``.
+
+        ``order`` must be a permutation of every id in the store.  The
+        caller owns the consequences for staged device copies (their block
+        contents changed); block payload sizes are recomputed lazily.
+        """
+        order = np.asarray(order, dtype=np.int64)
+        n = len(self._objects)
+        if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
+            raise TierError(f"a layout must place each of the store's {n} ids exactly once")
+        self._id_at[:n] = order
+        self._slot_of[order] = np.arange(n, dtype=np.int64)
+        self._block_nbytes_cache.clear()
+
     def append(self, obj) -> int:
         """Append one object to the host store; returns the tail block id."""
         if isinstance(self._objects, np.ndarray):
             raise TierError("cannot append to an array-backed store; use a list store")
         row_nbytes_before = getattr(self._objects, "row_nbytes", None)
         self._objects.append(obj)
+        n = len(self._objects)
+        if n > len(self._slot_of):
+            # grow both maps geometrically; the new slots start as identity
+            extra = np.arange(len(self._slot_of), max(n, 2 * len(self._slot_of)), dtype=np.int64)
+            self._slot_of = np.concatenate((self._slot_of, extra))
+            self._id_at = np.concatenate((self._id_at, extra))
         if row_nbytes_before is not None and self._objects.row_nbytes != row_nbytes_before:
             # a columnar store promoted its dtype to hold the new row
             # exactly: every block's payload size changed
             self._block_nbytes_cache.clear()
-        tail = self.block_of(len(self._objects) - 1)
+        tail = self.block_of(n - 1)
         self._block_nbytes_cache.pop(tail, None)
         return tail
 
@@ -129,8 +198,9 @@ class PagedObjects:
     for the staging traffic, it never copies data for real.
     """
 
-    #: Gathers fault device blocks, so callers should present candidate ids
-    #: in per-query sorted order (block-coalesced access).
+    #: Gathers fault device blocks, so callers should present each query's
+    #: candidates in physical-slot order (:attr:`slot_of`): consecutive ids
+    #: of one block then collapse into a single pager access.
     coalesced_gather = True
 
     def __init__(self, store: TieredObjectStore, pager):
@@ -174,7 +244,7 @@ class PagedObjects:
                 f"object id {lo if lo < 0 else hi} outside the store "
                 f"(size {len(self.store)})"
             )
-        blocks = ids // self.store.objects_per_block
+        blocks = self.store.blocks_of(ids)
         change = np.flatnonzero(np.diff(blocks)) + 1
         run_starts = np.concatenate(([0], change))
         run_lengths = np.diff(np.concatenate((run_starts, [len(blocks)])))
@@ -183,6 +253,12 @@ class PagedObjects:
         return gather_rows(self.store.raw, ids)
 
     # ----------------------------------------------------------- host-side
+    @property
+    def slot_of(self) -> np.ndarray:
+        """The store's id→physical-slot map: the gather sort key under which
+        each block's candidates form one run."""
+        return self.store.slot_of
+
     @property
     def raw(self) -> Sequence:
         """Host-memory view (no device faulting) for host-side readers."""

@@ -105,6 +105,34 @@ class TestTieredObjectStore:
         with pytest.raises(TierError):
             store.block_object_ids(99)
 
+    def test_set_layout_regroups_blocks_not_rows(self):
+        store = make_store(n=10, block_objects=4)
+        rows = [row.copy() for row in store.raw]
+        order = np.array([9, 2, 5, 0, 7, 1, 8, 3, 6, 4])
+        store.set_layout(order)
+        assert store.block_object_ids(0).tolist() == [9, 2, 5, 0]
+        assert store.block_object_ids(2).tolist() == [6, 4]
+        assert store.block_of(7) == 1
+        assert store.blocks_for([4, 9, 2]).tolist() == [0, 2]
+        np.testing.assert_array_equal(store.slot_of[order], np.arange(10))
+        for oid, row in enumerate(rows):
+            np.testing.assert_array_equal(store.raw[oid], row)
+
+    def test_set_layout_rejects_non_permutations(self):
+        store = make_store(n=6, block_objects=4)
+        for bad in ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 4], [0, 1, 2, 3, 4, 6]):
+            with pytest.raises(TierError):
+                store.set_layout(bad)
+
+    def test_append_after_a_layout_takes_the_next_tail_slot(self):
+        store = make_store(n=8, block_objects=4)
+        store.set_layout(np.arange(8)[::-1])
+        for expected_id in range(8, 20):
+            tail = store.append(np.zeros(2))
+            assert store.slot_of[expected_id] == expected_id
+            assert tail == store.num_blocks - 1 == store.block_of(expected_id)
+        assert store.block_object_ids(0).tolist() == [7, 6, 5, 4]
+
 
 # ---------------------------------------------------------------------------
 # Eviction policies
@@ -501,6 +529,246 @@ class TestTieredGTS:
         assert loaded.tier_config is None and loaded.pager is None
         index.close()
         loaded.close()
+
+
+# ---------------------------------------------------------------------------
+# Leaf-clustered block layout
+# ---------------------------------------------------------------------------
+def distinct_pivots(tree):
+    pivots = tree.pivot[tree.pivot >= 0]
+    _, first = np.unique(pivots, return_index=True)
+    return pivots[np.sort(first)]
+
+
+def assert_leaf_clustered(index):
+    """The live store layout follows the live tree (DESIGN.md §7)."""
+    store, tree = index.pager.store, index.tree
+    per_block = store.objects_per_block
+    pivots = distinct_pivots(tree)
+    # pivots occupy the leading slots, in node-list order, hence the
+    # leading blocks
+    np.testing.assert_array_equal(store.slot_of[pivots], np.arange(len(pivots)))
+    np.testing.assert_array_equal(
+        store.blocks_for(pivots), np.arange(-(-len(pivots) // per_block))
+    )
+    is_pivot = np.zeros(len(store), dtype=bool)
+    is_pivot[pivots] = True
+    dead = np.zeros(len(store), dtype=bool)
+    dead[list(index._tombstones)] = True
+    for leaf in tree.leaves():
+        ids = tree.node_objects(int(leaf))
+        ids = ids[~is_pivot[ids] & ~dead[ids]]
+        if len(ids) == 0:
+            continue
+        blocks = np.unique(store.blocks_of(ids))
+        assert blocks[-1] - blocks[0] + 1 == len(blocks)  # consecutive
+        assert len(blocks) <= -(-int(tree.size[leaf]) // per_block) + 1
+    # ids the tree does not hold trail the table list, ascending
+    held = np.zeros(len(store), dtype=bool)
+    held[tree.obj_ids] = True
+    outside = np.flatnonzero(~held)
+    np.testing.assert_array_equal(
+        store.slot_of[outside], np.arange(len(store) - len(outside), len(store))
+    )
+
+
+class TestLeafClusteredLayout:
+    TIER = TierConfig(memory_budget_bytes=2048, block_bytes=256)
+
+    def build_pair(self, points, **kwargs):
+        options = dict(node_capacity=8, seed=11, **kwargs)
+        resident = GTS.build(points, EuclideanDistance(), **options)
+        tiered = GTS.build(points, EuclideanDistance(), tier=self.TIER, **options)
+        return resident, tiered
+
+    @staticmethod
+    def assert_same_answers(resident, tiered, queries):
+        assert tiered.knn_query_batch(queries, 6) == resident.knn_query_batch(queries, 6)
+        assert tiered.range_query_batch(queries, 0.7) == resident.range_query_batch(queries, 0.7)
+
+    def test_build_installs_the_tree_layout(self, points_2d):
+        resident, tiered = self.build_pair(points_2d[:500])
+        assert_leaf_clustered(tiered)
+        store = tiered.pager.store
+        assert not np.array_equal(store.slot_of, np.arange(len(store)))
+        # the warm-up staged exactly the (pinned) pivot blocks
+        assert tiered.pager.resident_blocks == sorted(tiered.pager.pinned_blocks)
+        self.assert_same_answers(resident, tiered, [points_2d[i] for i in range(10)])
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_layout_follows_inserts_and_a_forced_rebuild(self, points_2d):
+        points, holdout = points_2d[:450], points_2d[450:]
+        resident, tiered = self.build_pair(points, cache_capacity_bytes=4096)
+        queries = [points[i] for i in range(10)] + [holdout[i] for i in range(5)]
+        for obj in holdout[:30]:
+            assert tiered.insert(obj) == resident.insert(obj)
+        tiered.delete(4)
+        resident.delete(4)
+        assert tiered.cache_size == 30  # no automatic rebuild yet
+        assert_leaf_clustered(tiered)  # appends took the tail slots
+        self.assert_same_answers(resident, tiered, queries)
+        tiered.rebuild()
+        resident.rebuild()
+        assert_leaf_clustered(tiered)
+        self.assert_same_answers(resident, tiered, queries)
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_layout_follows_a_generation_swap(self, points_2d):
+        points, holdout = points_2d[:450], points_2d[450:]
+        resident, tiered = self.build_pair(points, cache_capacity_bytes=128)
+        for index in (resident, tiered):
+            index.enable_incremental_maintenance()
+        queries = [points[i] for i in range(10)] + [holdout[i] for i in range(5)]
+        for step, obj in enumerate(holdout[:24]):
+            assert tiered.insert(obj) == resident.insert(obj)
+            if step == 3:
+                tiered.delete(7)
+                resident.delete(7)
+            tiered.run_maintenance_slice()
+            resident.run_maintenance_slice()
+            self.assert_same_answers(resident, tiered, queries)
+        assert tiered.maintenance.swaps_completed >= 1
+        tiered.maintenance.run_to_completion()
+        resident.maintenance.run_to_completion()
+        assert_leaf_clustered(tiered)
+        self.assert_same_answers(resident, tiered, queries)
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_int_store_promotion_after_relayout_invalidates_every_block(self, points_2d):
+        data = np.round(points_2d[:400] * 10).astype(np.int32)
+        resident = GTS.build(data, EuclideanDistance(), node_capacity=8, seed=3)
+        tiered = GTS.build(
+            data, EuclideanDistance(), node_capacity=8, seed=3,
+            tier=TierConfig(memory_budget_bytes=1024, block_bytes=128),
+        )
+        store, pager = tiered.pager.store, tiered.pager
+        assert pager.resident_bytes > 0  # the pivot-block warm-up
+        narrow = store.block_nbytes(0)
+        invalidations = pager.stats.invalidations
+        new_id = tiered.insert(np.array([0.5, 0.5]))  # int32 -> float64
+        assert resident.insert(np.array([0.5, 0.5])) == new_id
+        assert pager.resident_bytes == 0
+        assert tiered.device.pool_used_bytes("pager") == 0
+        assert pager.stats.invalidations > invalidations
+        assert store.block_nbytes(0) == 2 * narrow
+        assert_leaf_clustered(tiered)
+        queries = [np.array([0.5, 0.5])] + [data[i] for i in range(8)]
+        self.assert_same_answers(resident, tiered, queries)
+        assert tiered.range_query(np.array([0.5, 0.5]), 0.01) == [(new_id, 0.0)]
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_persistence_rederives_the_layout(self, points_2d, tmp_path):
+        points = points_2d[:400]
+        index = GTS.build(
+            points, EuclideanDistance(), node_capacity=8, seed=5, tier=self.TIER
+        )
+        for obj in points_2d[400:403]:
+            index.insert(obj)  # appended ids: tail slots, cached
+        index.delete(11)
+        loaded = GTS.load(index.save(tmp_path / "layout.npz"))
+        np.testing.assert_array_equal(loaded.pager.store.slot_of, index.pager.store.slot_of)
+        assert loaded.pager.pinned_blocks == index.pager.pinned_blocks
+        queries = [points[i] for i in range(12)] + [points_2d[401]]
+        for copy in (index, loaded):
+            copy.pager.release()  # both start from a cold pool
+            copy.pager.stats.reset()
+        answers = [
+            (copy.knn_query_batch(queries, 5), copy.range_query_batch(queries, 0.6))
+            for copy in (index, loaded)
+        ]
+        assert answers[0] == answers[1]
+        assert loaded.pager.stats.as_dict() == index.pager.stats.as_dict()
+        assert index.pager.stats.misses > 0
+        index.close()
+        loaded.close()
+
+    def test_every_string_block_fits_the_budget_after_build(self, word_list, edit_metric):
+        budget = max(64, objects_nbytes(word_list) // 5)
+        index = GTS.build(
+            word_list, edit_metric, node_capacity=6,
+            tier=TierConfig(memory_budget_bytes=budget, block_bytes=64),
+        )
+        store = index.pager.store
+        assert not np.array_equal(store.slot_of, np.arange(len(store)))
+        assert all(store.block_nbytes(b) <= budget for b in range(store.num_blocks))
+        index.close()
+
+    def test_budget_that_only_fits_id_range_blocks_fails_at_build(self, word_list, edit_metric):
+        # the leaf-clustered layout groups similar (here: similarly long)
+        # words, so its largest block can outgrow every id-range block; the
+        # install re-checks the budget instead of failing mid-query
+        budget = TieredObjectStore(word_list, 64).largest_block_nbytes()
+        with pytest.raises(TierError, match="largest object block"):
+            GTS.build(
+                word_list, edit_metric, node_capacity=6,
+                tier=TierConfig(memory_budget_bytes=budget, block_bytes=64),
+            )
+
+
+class TestBlockCoalescedGathers:
+    def test_leaf_candidates_come_in_block_order(self, points_2d, rng):
+        from repro.core.searchcommon import leaf_candidate_segments
+
+        index = GTS.build(
+            points_2d, EuclideanDistance(), node_capacity=6, seed=2,
+            tier=TierConfig(memory_budget_bytes=2048, block_bytes=256),
+        )
+        tree, store = index.tree, index.pager.store
+        leaves = tree.leaves()
+        leaf_q = np.repeat(np.arange(8, dtype=np.int64), 5)
+        leaf_node = rng.choice(leaves, size=len(leaf_q))
+        unique_queries, boundaries, obj_ids = leaf_candidate_segments(
+            tree, leaf_q, leaf_node, None, slot_of=index._objects.slot_of
+        )
+        assert len(unique_queries) == 8
+        for start, end in zip(boundaries[:-1], boundaries[1:]):
+            assert np.all(np.diff(store.blocks_of(obj_ids[start:end])) >= 0)
+        index.close()
+
+    def test_single_query_verification_faults_each_block_once(
+        self, points_2d, monkeypatch
+    ):
+        from repro.core import knn_query
+
+        index = GTS.build(
+            points_2d, EuclideanDistance(), node_capacity=6, seed=2,
+            tier=TierConfig(memory_budget_bytes=2 * 256, block_bytes=256),
+        )
+        pager = index.pager
+        faults: list[list[int]] = []
+        real_access, real_segmented = pager.access, knn_query.segmented_distances
+
+        def recording_segmented(*args, **kwargs):
+            faults.append([])
+
+            def access(block_id):
+                hit = real_access(block_id)
+                if not hit:
+                    faults[-1].append(int(block_id))
+                return hit
+
+            monkeypatch.setattr(pager, "access", access)
+            try:
+                return real_segmented(*args, **kwargs)
+            finally:
+                monkeypatch.setattr(pager, "access", real_access)
+
+        monkeypatch.setattr(knn_query, "segmented_distances", recording_segmented)
+        for qi in range(0, 600, 60):
+            faults.clear()
+            index.knn_query(points_2d[qi], 8)
+            assert len(faults) == 1  # one leaf-verification gather
+            assert faults[0], "the verification gather faulted no block"
+            assert len(faults[0]) == len(set(faults[0]))
+        index.close()
 
 
 # ---------------------------------------------------------------------------
