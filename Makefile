@@ -2,8 +2,9 @@
 #
 #   make test         tier-1 test suite (the gate every PR must keep green)
 #   make bench-smoke  fast benchmark smoke run (reduced scale, quick figures)
-#   make perfbench-smoke  two-second serving-benchmark run of the out-of-core
-#                     sharded kNN workload (exits non-zero on a wrong answer)
+#   make perfbench-smoke  two-second serving-benchmark runs of the out-of-core
+#                     sharded kNN and the hot-key mixed workloads (exits
+#                     non-zero on a wrong answer)
 #   make bench        full benchmark harness (all paper figures/tables)
 #   make profile      cProfile a standard serve-sim workload (top-20 by cumtime)
 #   make profile-updates  cProfile an update-heavy serve-sim workload with
@@ -40,9 +41,12 @@ bench-smoke:
 		benchmarks/bench_update_path.py
 
 # The serving benchmark checks every answer after timing and exits 1 on a
-# wrong one, so a tiered block-layout bug that breaks exactness fails here.
+# wrong one, so a tiered block-layout bug that breaks exactness fails here,
+# and so does a query coalescing or deduplication bug (the hot-key workload
+# interleaves range and kNN queries and repeats them within a batch).
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload outofcore-sharded-knn --seconds 2
+	$(PYTHON) perfbench/run.py --workload hotkey-vector-mixed --seconds 2
 
 # bench_*.py does not match pytest's default test-file pattern, so the files
 # must be named explicitly (a bare `pytest benchmarks` collects nothing).

@@ -61,43 +61,106 @@ DEFAULT_CACHE_BYTES = 5 * 1024
 _MISSING = object()
 
 
+#: Operation kinds :func:`execute_operation_batch` accepts, each with the
+#: conversion of its scalar parameter (radius, ``k``, delete id).
+_CONVERT = {
+    "range": lambda op: float(op[2]),
+    "knn": lambda op: int(op[2]),
+    "insert": lambda op: None,
+    "delete": lambda op: int(op[1]),
+}
+
+
+def _payload_key(payload):
+    """Hashable identity of a query payload, or ``None`` if it is never merged.
+
+    An ndarray is keyed on its exact bytes (with dtype and shape), so arrays
+    that differ in any bit — ``0.0`` vs ``-0.0``, ``int64`` vs ``float64`` —
+    stay apart; ``str``/``bytes``/``frozenset`` payloads are keyed on their
+    value.  Every other payload (lists, object arrays, ...) gets no key.
+    """
+    if isinstance(payload, np.ndarray):
+        if payload.dtype.hasobject:
+            return None
+        return (type(payload), payload.dtype, payload.shape, payload.tobytes())
+    if isinstance(payload, (str, bytes, frozenset)):
+        return (type(payload), payload)
+    return None
+
+
+def _answer_distinct(batch_call, queries: list, params: list, dtype) -> list:
+    """One ``batch_call`` over the distinct ``(query, param)`` pairs.
+
+    Queries with equal payload keys and equal radius/``k`` must get
+    identical answers, so each is searched once; every duplicate receives its
+    own copy of the answer list, so no two results alias.
+    """
+    slot_of: dict = {}
+    slots: list[int] = []
+    distinct: list[int] = []
+    for i, (query, param) in enumerate(zip(queries, params)):
+        key = _payload_key(query)
+        slot = len(distinct) if key is None else slot_of.setdefault((key, param), len(distinct))
+        if slot == len(distinct):
+            distinct.append(i)
+        slots.append(slot)
+    answers = batch_call(
+        [queries[i] for i in distinct], np.asarray([params[i] for i in distinct], dtype=dtype)
+    )
+    served = [False] * len(distinct)
+    out = []
+    for slot in slots:
+        out.append(list(answers[slot]) if served[slot] else answers[slot])
+        served[slot] = True
+    return out
+
+
 def execute_operation_batch(index, ops: Sequence[tuple]) -> list:
     """Run a mixed operation batch against any index exposing the GTS API.
 
     The shared implementation behind :meth:`GTS.execute_batch` and
     :meth:`repro.shard.ShardedGTS.execute_batch` — ``index`` only needs
     ``range_query_batch`` / ``knn_query_batch`` / ``insert`` / ``delete``.
-    Maximal runs of consecutive same-kind queries are coalesced into one
-    batch call; updates act as barriers; results come back in submission
-    order, one entry per operation.
+
+    Inserts and deletes are barriers, applied in submission order.  Each
+    update-free segment between them runs as at most one
+    ``range_query_batch`` and one ``knn_query_batch`` call: queries do not
+    change index state, so reordering them inside a segment cannot change an
+    answer.  Inside each call, queries with the same payload and the same
+    radius/``k`` are searched once (see :func:`_payload_key`).  Every op kind
+    is checked and every parameter converted before anything runs, so a
+    malformed batch is rejected with the index and its stats untouched.
+    Results come back in submission order, one entry per operation.
     """
+    for op in ops:
+        if op[0] not in _CONVERT:
+            raise QueryError(f"unknown batch operation kind {op[0]!r}")
+    params = [_CONVERT[op[0]](op) for op in ops]
     results: list = [None] * len(ops)
-    start = 0
-    while start < len(ops):
-        kind = ops[start][0]
-        end = start
-        while end < len(ops) and ops[end][0] == kind and kind in ("range", "knn"):
-            end += 1
-        if kind == "range":
-            queries = [op[1] for op in ops[start:end]]
-            radii = np.asarray([float(op[2]) for op in ops[start:end]], dtype=np.float64)
-            for offset, answer in enumerate(index.range_query_batch(queries, radii)):
-                results[start + offset] = answer
-            start = end
-        elif kind == "knn":
-            queries = [op[1] for op in ops[start:end]]
-            ks = np.asarray([int(op[2]) for op in ops[start:end]], dtype=np.int64)
-            for offset, answer in enumerate(index.knn_query_batch(queries, ks)):
-                results[start + offset] = answer
-            start = end
-        elif kind == "insert":
-            results[start] = index.insert(ops[start][1])
-            start += 1
-        elif kind == "delete":
-            results[start] = index.delete(int(ops[start][1]))
-            start += 1
-        else:
-            raise QueryError(f"unknown batch operation kind {kind!r}")
+    segment: dict[str, list[int]] = {"range": [], "knn": []}
+
+    def run_segment() -> None:
+        for kind, batch_call, dtype in (
+            ("range", index.range_query_batch, np.float64),
+            ("knn", index.knn_query_batch, np.int64),
+        ):
+            positions = segment[kind]
+            if not positions:
+                continue
+            answers = _answer_distinct(
+                batch_call, [ops[p][1] for p in positions], [params[p] for p in positions], dtype
+            )
+            for pos, answer in zip(positions, answers):
+                results[pos] = answer
+            positions.clear()
+
+    for pos, op in enumerate(ops):
+        if op[0] in segment:
+            segment[op[0]].append(pos)
+            continue
+        run_segment()
+        results[pos] = index.insert(op[1]) if op[0] == "insert" else index.delete(params[pos])
+    run_segment()
     return results
 
 
@@ -594,14 +657,17 @@ class GTS:
         ``("delete", obj_id)``
             A streaming delete; the result is ``None``.
 
-        Maximal runs of consecutive query operations of the same kind are
-        coalesced into one call of the paper's batch algorithms
-        (Algorithms 4-5) — with per-query radii/``k`` — so a homogeneous batch
-        of ``n`` queries costs exactly one ``range_query_batch`` /
-        ``knn_query_batch`` invocation.  Updates act as barriers: a query
-        submitted after an insert/delete observes it, one submitted before
-        does not, exactly as if every operation had been issued sequentially.
-        Results come back in submission order, one entry per operation.
+        Inserts and deletes act as barriers: a query submitted after an
+        insert/delete observes it, one submitted before does not, exactly as
+        if every operation had been issued sequentially.  Between two
+        barriers, all range queries ride one call of the paper's batch
+        algorithm (Algorithm 4) and all kNN queries one more (Algorithm 5),
+        with per-query radii/``k``, however the two kinds interleave.
+        Queries with the same payload and the same radius/``k`` are searched
+        once and each receives its own copy of the answer.  An unknown op
+        kind rejects the whole batch before any of it runs.  Results come
+        back in submission order, one entry per operation; see
+        :func:`execute_operation_batch`.
         """
         self._require_built()
         return execute_operation_batch(self, ops)

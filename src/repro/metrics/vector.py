@@ -123,6 +123,9 @@ class MinkowskiDistance(_VectorMetric):
     """General Lp norm distance ``(sum |x_i - y_i|^p)^(1/p)`` for ``p >= 1``."""
 
     is_lp_norm = True
+    #: Element budget of one row chunk of the non-L2 ``matrix`` temporary
+    #: (2**21 float64 values = 16 MiB).
+    matrix_chunk_elements = 1 << 21
 
     def __init__(self, p: float):
         if p < 1:
@@ -177,10 +180,20 @@ class MinkowskiDistance(_VectorMetric):
                 - 2.0 * a @ b.T
             )
             return np.sqrt(np.clip(sq, 0.0, None))
-        diff = np.abs(a[:, None, :] - b[None, :, :])
-        if np.isinf(self.p):
-            return diff.max(axis=2)
-        return np.sum(diff ** self.p, axis=2) ** (1.0 / self.p)
+        # Rows of ``xs`` go in chunks so the (rows, |ys|, d) difference tensor
+        # stays near ``matrix_chunk_elements``; each row reduces exactly as
+        # in _pairwise, so chunking never changes a bit of the result.
+        out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+        step = max(1, self.matrix_chunk_elements // max(1, b.size))
+        for start in range(0, a.shape[0], step):
+            diff = a[start : start + step, None, :] - b[None, :, :]
+            np.abs(diff, out=diff)
+            if np.isinf(self.p):
+                out[start : start + step] = diff.max(axis=2)
+            else:
+                np.power(diff, self.p, out=diff)
+                out[start : start + step] = np.sum(diff, axis=2) ** (1.0 / self.p)
+        return out
 
 
 class EuclideanDistance(MinkowskiDistance):

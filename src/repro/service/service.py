@@ -5,9 +5,10 @@ users" scenario looks like on the simulated GPU: many clients submit
 interleaved range/kNN/insert/delete requests with open-loop arrival times, a
 :class:`~repro.service.scheduler.SchedulingPolicy` coalesces them into
 micro-batches, and each micro-batch is dispatched through the index's
-mixed-batch entry point (:meth:`GTS.execute_batch`) so homogeneous runs of
-queries ride the paper's batch algorithms (Algorithms 4-5) with their
-memory-aware two-stage grouping.
+mixed-batch entry point (:meth:`GTS.execute_batch`).  There, the queries
+between two updates ride the paper's batch algorithms (Algorithms 4-5), with
+their memory-aware two-stage grouping, as one call per query kind, and a
+query repeated within the batch is searched once.
 
 Time model.  The service runs an event-driven loop over *simulated* seconds —
 the same clock the :mod:`repro.gpusim` device charges kernel time against.
@@ -32,10 +33,12 @@ deep, slices are deferred (up to ``max_deferrals`` consecutive times) so
 queries keep priority; idle time is always spent on maintenance first — the
 serving-layer realisation of the paper's "peak-valley" strategy.
 
-Correctness.  Policies dispatch arrival-ordered prefixes of the queue and
-:meth:`GTS.execute_batch` treats updates as barriers, so the answers are
-identical to replaying the same request stream sequentially against the bare
-index — the property ``tests/test_service.py`` locks in.
+Correctness.  Policies dispatch arrival-ordered prefixes of the queue, and
+:meth:`GTS.execute_batch` applies updates in submission order as barriers.
+It reorders and deduplicates only queries between two barriers, and queries
+do not change index state, so the answers are identical to replaying the same
+request stream sequentially against the bare index — the property
+``tests/test_service.py`` locks in.
 """
 
 from __future__ import annotations

@@ -374,9 +374,9 @@ class ShardedGTS:
         """Execute a heterogeneous operation batch in submission order.
 
         Identical contract to :meth:`GTS.execute_batch` (the serving layer's
-        entry point): maximal homogeneous runs of range/kNN queries ride one
-        scatter-gather batch each, updates act as barriers, results come back
-        in submission order.
+        entry point): updates act as barriers, the range and the kNN queries
+        between two barriers ride one scatter-gather batch per kind, repeated
+        queries are searched once, and results come back in submission order.
         """
         self._require_built()
         return execute_operation_batch(self, ops)

@@ -106,3 +106,70 @@ def brute_force_knn(objects, metric, query, k):
 def oracles():
     """Expose the brute-force reference implementations to tests."""
     return brute_force_range, brute_force_knn
+
+
+@pytest.fixture
+def spy_batch_calls(monkeypatch):
+    """Record the query-batch calls an index receives.
+
+    ``spy_batch_calls(index)`` wraps the instance's ``range_query_batch`` and
+    ``knn_query_batch`` and returns a list that gets one
+    ``(method name, number of queries)`` entry per call.
+    """
+
+    def install(index):
+        calls = []
+        for name in ("range_query_batch", "knn_query_batch"):
+
+            def spy(queries, params, _real=getattr(index, name), _name=name):
+                calls.append((_name, len(queries)))
+                return _real(queries, params)
+
+            monkeypatch.setattr(index, name, spy)
+        return calls
+
+    return install
+
+
+def replay_ops(index, ops) -> list:
+    """Run a mixed op batch one operation at a time (the sequential reference)."""
+    calls = {
+        "range": index.range_query,
+        "knn": index.knn_query,
+        "insert": index.insert,
+        "delete": index.delete,
+    }
+    return [calls[kind](*args) for kind, *args in ops]
+
+
+def random_op_batch(index, points, insertable, seed, size=40) -> list:
+    """A seeded random interleaving of range, kNN, insert and delete ops.
+
+    Query payloads come from six points, so queries repeat.  The first op is
+    a 1-NN query; its answer is deleted later in the same batch and queried
+    again right after the delete.
+    """
+    rng = np.random.default_rng(seed)
+    hot = list(points[rng.choice(len(points), 6, replace=False)])
+    target = index.knn_query(hot[0], 1)[0][0]
+    victims = iter(int(i) for i in rng.permutation(len(points)) if i != target)
+    fresh = iter(insertable)
+    ops = [("knn", hot[0], 1)]
+    for kind in rng.choice(["range", "knn", "insert", "delete"], size=size, p=[0.35, 0.35, 0.15, 0.15]):
+        if kind == "range":
+            ops.append(("range", hot[rng.integers(6)], float(rng.choice([0.5, 0.9]))))
+        elif kind == "knn":
+            ops.append(("knn", hot[rng.integers(6)], int(rng.choice([1, 4, 6]))))
+        elif kind == "insert":
+            ops.append(("insert", next(fresh)))
+        else:
+            ops.append(("delete", next(victims)))
+    at = int(rng.integers(2, len(ops)))
+    ops[at:at] = [("delete", target), ("knn", hot[0], 1)]
+    return ops
+
+
+@pytest.fixture
+def mixed_batches():
+    """Expose the sequential replay and the random mixed-batch builder."""
+    return replay_ops, random_op_batch

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,28 @@ class TestVectorMetrics:
         mat = m.matrix(xs, ys)
         for i in range(10):
             np.testing.assert_allclose(mat[i], m.pairwise(xs[i], ys), atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+    def test_matrix_row_chunks_equal_pairwise_exactly(self, rng, p):
+        m = MinkowskiDistance(p=p)
+        m.matrix_chunk_elements = 7 * 20 * 6  # force several row chunks
+        xs = rng.normal(size=(30, 6))
+        ys = rng.normal(size=(20, 6))
+        expected = np.vstack([m.pairwise(x, ys) for x in xs])
+        assert np.array_equal(m.matrix(xs, ys), expected)
+
+    def test_lp_matrix_memory_is_bounded(self, rng):
+        m = ManhattanDistance()
+        xs = rng.normal(size=(512, 64))
+        ys = rng.normal(size=(2000, 64))
+        tracemalloc.start()
+        try:
+            m.matrix(xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the unchunked difference tensor alone would be 512*2000*64*8 B = 500 MiB
+        assert peak < 64 * 2**20
 
     def test_euclidean_matrix_uses_stable_formula(self, rng):
         m = EuclideanDistance()

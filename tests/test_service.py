@@ -108,6 +108,131 @@ class TestExecuteBatch:
         got = index.execute_batch(ops)
         assert len(got[0]) == 2 and len(got[1]) == 7
 
+    def test_malformed_batch_rejected_before_anything_runs(self, pool):
+        index = build_index(pool)
+        stats = index.device.stats.copy()
+        size, cached = len(index), index.cache_size
+        with pytest.raises(QueryError):
+            index.execute_batch([("insert", pool[NUM_INDEXED]), ("frobnicate", pool[0], 1)])
+        assert (len(index), index.cache_size) == (size, cached)
+        assert index.device.stats == stats
+
+
+# ---------------------------------------------------------------------------
+# Coalescing: one batch call per query kind between update barriers
+# ---------------------------------------------------------------------------
+class TestCoalescing:
+    def test_update_free_batch_makes_one_call_per_kind(self, pool, spy_batch_calls):
+        index = build_index(pool)
+        calls = spy_batch_calls(index)
+        ops = [("range", pool[i], 0.8) if i % 2 else ("knn", pool[i], 5) for i in range(9)]
+        got = index.execute_batch(ops)
+        assert calls == [("range_query_batch", 4), ("knn_query_batch", 5)]
+        for (kind, query, param), answer in zip(ops, got):
+            method = index.range_query if kind == "range" else index.knn_query
+            assert answer == method(query, param)
+
+    def test_one_call_per_kind_per_segment(self, pool, spy_batch_calls, mixed_batches):
+        replay, _ = mixed_batches
+        index = build_index(pool)
+        calls = spy_batch_calls(index)
+        ops = [
+            ("range", pool[0], 0.8),
+            ("knn", pool[1], 4),
+            ("insert", pool[NUM_INDEXED]),
+            ("knn", pool[NUM_INDEXED], 2),
+            ("range", pool[2], 0.8),
+            ("delete", 3),
+            ("range", pool[3], 0.8),
+        ]
+        got = index.execute_batch(ops)
+        assert [name for name, _ in calls] == [
+            "range_query_batch",
+            "knn_query_batch",
+            "range_query_batch",
+            "knn_query_batch",
+            "range_query_batch",
+        ]
+        assert got == replay(build_index(pool), ops)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_interleaving_matches_sequential_replay(self, pool, seed, mixed_batches):
+        replay, random_batch = mixed_batches
+        index = build_index(pool)
+        ops = random_batch(index, pool[:NUM_INDEXED], pool[NUM_INDEXED:], seed)
+        target = ops[0][1]
+        expected = replay(build_index(pool), ops)
+        got = index.execute_batch(ops)
+        assert got == expected
+        # the batch deletes the first query's answer, and a later query in
+        # the same batch no longer sees it
+        deleted = expected[0][0][0]
+        at = ops.index(("delete", deleted))
+        assert ops[at + 1][1] is target and expected[at + 1][0][0] != deleted
+
+
+# ---------------------------------------------------------------------------
+# Deduplication: queries that must get identical answers are searched once
+# ---------------------------------------------------------------------------
+class TestDeduplication:
+    def test_duplicates_get_distinct_lists(self, pool):
+        index = build_index(pool)
+        first, second = index.execute_batch([("knn", pool[0], 5), ("knn", pool[0].copy(), 5)])
+        assert first == second and first is not second
+        second.clear()
+        assert first == index.knn_query(pool[0], 5)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [("range", np.array([0.5, 1.0]), 0.8), ("range", np.array([0.5, 1.0]), 0.9)],
+            [("knn", np.array([0.5, 1.0]), 3), ("knn", np.array([0.5, 1.0]), 4)],
+            [("knn", np.array([1, 2]), 3), ("knn", np.array([1.0, 2.0]), 3)],
+            [("knn", np.array([0.0, 1.0]), 3), ("knn", np.array([-0.0, 1.0]), 3)],
+            [("knn", [0.5, 1.0], 3), ("knn", [0.5, 1.0], 3)],
+        ],
+        ids=["radius", "k", "dtype", "signed-zero", "list"],
+    )
+    def test_not_merged(self, pool, ops, spy_batch_calls, mixed_batches):
+        replay, _ = mixed_batches
+        index = build_index(pool)
+        calls = spy_batch_calls(index)
+        got = index.execute_batch(ops)
+        assert [count for _, count in calls] == [2]
+        assert got == replay(build_index(pool), ops)
+
+    def test_equal_arrays_merged(self, pool, spy_batch_calls):
+        index = build_index(pool)
+        calls = spy_batch_calls(index)
+        index.execute_batch([("range", pool[0], 0.8), ("range", pool[0].copy(), 0.8)])
+        assert calls == [("range_query_batch", 1)]
+
+    def test_string_payloads_merged(self, word_list, edit_metric, spy_batch_calls):
+        index = GTS.build(word_list, edit_metric, node_capacity=8, seed=5)
+        calls = spy_batch_calls(index)
+        ops = [("knn", "metric", 3), ("range", "tree", 1.0), ("knn", "metric", 3)]
+        got = index.execute_batch(ops)
+        assert calls == [("range_query_batch", 1), ("knn_query_batch", 1)]
+        assert got[0] == got[2] == index.knn_query("metric", 3)
+
+    def test_pair_count_drops_only_with_repeats(self, pool):
+        index = build_index(pool)
+        metric = index.metric
+
+        def pairs(run) -> int:
+            metric.reset_counter()
+            run()
+            return metric.pair_count
+
+        queries = [pool[0], pool[1], pool[0], pool[0]]
+        searched_each = pairs(lambda: index.range_query_batch(queries, 0.8))
+        searched_once = pairs(lambda: index.range_query_batch(queries[:2], 0.8))
+        repeated = pairs(lambda: index.execute_batch([("range", q, 0.8) for q in queries]))
+        assert repeated == searched_once < searched_each
+        distinct = pool[:4]
+        plain = pairs(lambda: index.range_query_batch(distinct, 0.8))
+        assert pairs(lambda: index.execute_batch([("range", q, 0.8) for q in distinct])) == plain
+
 
 # ---------------------------------------------------------------------------
 # Sequential equivalence — the serving contract

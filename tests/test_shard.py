@@ -260,6 +260,50 @@ class TestServiceIntegration:
         with pytest.raises(QueryError):
             sharded.execute_batch([("upsert", np.zeros(2))])
 
+    def test_malformed_batch_rejected_before_anything_runs(self, sharded):
+        stats = sharded.device.stats.copy()
+        size, cached = len(sharded), sharded.cache_size
+        with pytest.raises(QueryError):
+            sharded.execute_batch([("insert", np.zeros(2)), ("frobnicate", np.zeros(2), 1)])
+        assert (len(sharded), sharded.cache_size) == (size, cached)
+        assert sharded.device.stats == stats
+
+    def test_update_free_batch_makes_one_call_per_kind(
+        self, single, sharded, queries, spy_batch_calls
+    ):
+        calls = spy_batch_calls(sharded)
+        ops = [("range", q, 0.6) if i % 2 else ("knn", q, 4) for i, q in enumerate(queries)]
+        got = sharded.execute_batch(ops)
+        assert calls == [("range_query_batch", 2), ("knn_query_batch", 3)]
+        assert got == single.execute_batch(ops)
+
+    def test_one_call_per_kind_per_segment(self, points_2d, sharded, spy_batch_calls, mixed_batches):
+        replay, _ = mixed_batches
+        calls = spy_batch_calls(sharded)
+        ops = [
+            ("range", points_2d[0], 0.6),
+            ("knn", points_2d[1], 4),
+            ("insert", np.array([4.0, 4.0])),
+            ("knn", np.array([4.0, 4.0]), 2),
+            ("range", points_2d[2], 0.6),
+            ("delete", 3),
+            ("range", points_2d[3], 0.6),
+        ]
+        got = sharded.execute_batch(ops)
+        assert [name for name, _ in calls] == ["range_query_batch", "knn_query_batch"] * 2 + [
+            "range_query_batch"
+        ]
+        fresh = ShardedGTS.build(points_2d, EuclideanDistance(), num_shards=3, node_capacity=8, seed=5)
+        assert got == replay(fresh, ops)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_interleaving_matches_sequential_replay(self, points_2d, sharded, seed, mixed_batches):
+        replay, random_batch = mixed_batches
+        insertable = np.random.default_rng(seed).normal(scale=10.0, size=(40, 2))
+        ops = random_batch(sharded, points_2d, insertable, seed)
+        fresh = ShardedGTS.build(points_2d, EuclideanDistance(), num_shards=3, node_capacity=8, seed=5)
+        assert sharded.execute_batch(ops) == replay(fresh, ops)
+
     def test_service_serves_sharded_index_unchanged(self, points_2d):
         num_indexed = 500
         sharded = ShardedGTS.build(
