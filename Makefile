@@ -2,9 +2,9 @@
 #
 #   make test         tier-1 test suite (the gate every PR must keep green)
 #   make bench-smoke  fast benchmark smoke run (reduced scale, quick figures)
-#   make perfbench-smoke  two-second serving-benchmark runs of the out-of-core
-#                     sharded kNN and the hot-key mixed workloads (exits
-#                     non-zero on a wrong answer)
+#   make perfbench-smoke  two-second serving-benchmark runs of all three
+#                     workloads: out-of-core sharded kNN, hot-key mixed and
+#                     update churn (exits non-zero on a wrong answer)
 #   make bench        full benchmark harness (all paper figures/tables)
 #   make profile      cProfile a standard serve-sim workload (top-20 by cumtime)
 #   make profile-updates  cProfile an update-heavy serve-sim workload with
@@ -43,10 +43,13 @@ bench-smoke:
 # The serving benchmark checks every answer after timing and exits 1 on a
 # wrong one, so a tiered block-layout bug that breaks exactness fails here,
 # and so does a query coalescing or deduplication bug (the hot-key workload
-# interleaves range and kNN queries and repeats them within a batch).
+# interleaves range and kNN queries and repeats them within a batch), and so
+# does a bug in merging tree answers with cache-table answers (the churn
+# workload is the only one whose cache table is ever non-empty).
 perfbench-smoke:
 	$(PYTHON) perfbench/run.py --workload outofcore-sharded-knn --seconds 2
 	$(PYTHON) perfbench/run.py --workload hotkey-vector-mixed --seconds 2
+	$(PYTHON) perfbench/run.py --workload churn-tloc-updates --seconds 2
 
 # bench_*.py does not match pytest's default test-file pattern, so the files
 # must be named explicitly (a bare `pytest benchmarks` collects nothing).

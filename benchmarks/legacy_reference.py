@@ -7,9 +7,8 @@ per-query evaluation strategy:
   every dataset), so every candidate gather walked object-by-object;
 * pivot distances and leaf verification issued one ``metric.pairwise`` call
   per unique query;
-* qualifying results were inserted **per hit** into Python dicts, and the
-  MkNNQ candidate pools computed every k-th bound with ``sorted()`` over a
-  per-query dict.
+* qualifying results were inserted **per hit** into per-query Python dicts,
+  and MkNNQ computed every k-th bound with ``sorted()`` over such a dict.
 
 This module preserves that strategy, adapted to the current internal
 interfaces, so ``bench_host_wallclock.py`` can measure the refactor's host
@@ -30,8 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 import repro.core.gts as gts_module
-import repro.core.knn_query as knn_module
-import repro.core.range_query as range_module
+import repro.core.search as search_module
 from repro.core.construction import take_objects
 from repro.core.searchcommon import RESULT_BYTES
 from repro.metrics.base import Metric
@@ -72,10 +70,68 @@ def _legacy_pivot_distances(device, metric, objects, queries, cand_query, pivot_
     return out
 
 
-def _legacy_mrq_verify(
-    tree, objects, metric, device, queries, radii, leaf_q, leaf_node, tombstones, results
+class _LegacyBoundedTriples:
+    """Historical per-query dict pools (per-item adds, ``sorted()`` k-th bounds).
+
+    Same interface as ``search.BoundedTriples``.  Range offers keep the hits
+    within the radius; kNN offers keep every candidate, as the historical
+    pools did, so the equality checks also cover the engine's culling of
+    candidates beyond the current k-th bound.
+    """
+
+    def __init__(self, num_queries: int, tombstones: Optional[np.ndarray], radii=None, k=None):
+        self._pools: list[dict[int, float]] = [dict() for _ in range(num_queries)]
+        self._radii = radii
+        self.k = k
+        self.label = "mrq" if k is None else "mknn"
+        self._exclude = _exclude_set(tombstones)
+
+    def _add_one(self, query_index: int, obj_id: int, dist: float) -> None:
+        if self._exclude and obj_id in self._exclude:
+            return
+        pool = self._pools[query_index]
+        prev = pool.get(obj_id)
+        if prev is None or dist < prev:
+            pool[obj_id] = dist
+
+    def bound(self, query_index: int) -> float:
+        if self.k is None:
+            return float(self._radii[query_index])
+        pool = self._pools[query_index]
+        k = int(self.k[query_index])
+        if len(pool) < k:
+            return np.inf
+        dists = sorted(pool.values())
+        return float(dists[k - 1])
+
+    def bounds(self, query_indices) -> np.ndarray:
+        return np.array([self.bound(int(q)) for q in query_indices], dtype=np.float64)
+
+    def offer(self, query_indices, obj_ids, dists) -> int:
+        kept = 0
+        for qi, oid, dist in zip(
+            np.asarray(query_indices), np.asarray(obj_ids), np.asarray(dists)
+        ):
+            if self.k is None and dist > self._radii[int(qi)]:
+                continue
+            self._add_one(int(qi), int(oid), float(dist))
+            kept += 1
+        return kept
+
+    def answers(self) -> list[list[tuple[int, float]]]:
+        out = []
+        for qi, pool in enumerate(self._pools):
+            ranked = sorted(pool.items(), key=lambda item: (item[1], item[0]))
+            if self.k is not None:
+                ranked = ranked[: int(self.k[qi])]
+            out.append([(int(oid), float(dist)) for oid, dist in ranked])
+        return out
+
+
+def _legacy_verify(
+    tree, objects, metric, device, queries, leaf_q, leaf_node, tombstones, results
 ) -> None:
-    """Historical MRQ leaf verification: per-query pairwise + per-hit inserts."""
+    """Historical leaf verification: per-query pairwise + per-hit dict inserts."""
     if len(leaf_q) == 0:
         return
     exclude = _exclude_set(tombstones)
@@ -88,116 +144,11 @@ def _legacy_mrq_verify(
     unique_queries, starts = np.unique(sorted_q, return_index=True)
     boundaries = list(starts) + [len(order)]
     total_verified = 0
-    host_start = time.perf_counter()
     total_hits = 0
-    buckets: dict[int, dict[int, float]] = {}
-    for qi, query_index in enumerate(unique_queries):
-        idx = order[boundaries[qi] : boundaries[qi + 1]]
-        obj_ids = np.concatenate([tree.node_objects(int(n)) for n in leaf_node[idx]])
-        if exclude:
-            obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
-        if len(obj_ids) == 0:
-            continue
-        obj_ids = np.sort(obj_ids)
-        candidates = take_objects(objects, obj_ids)
-        dists = metric.pairwise(queries[int(query_index)], candidates)
-        total_verified += len(obj_ids)
-        r = radii[int(query_index)]
-        hit = dists <= r
-        total_hits += int(hit.sum())
-        bucket = buckets.setdefault(int(query_index), {})
-        for oid, dist in zip(obj_ids[hit], dists[hit]):
-            bucket[int(oid)] = float(dist)
-    host = time.perf_counter() - host_start
-    device.launch_kernel(
-        work_items=total_verified,
-        op_cost=metric.unit_cost,
-        label="mrq-verify",
-        host_time=host,
-    )
-    if total_hits:
-        buffer_bytes = min(total_hits * RESULT_BYTES, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, "mrq-results", pool="workspace")
-        device.transfer_to_host(total_hits * RESULT_BYTES, label="results-d2h")
-        device.free(alloc)
-    # integration shim: hand the dict buckets to the triple accumulator
-    for query_index, bucket in buckets.items():
-        if bucket:
-            ids = np.fromiter(bucket.keys(), dtype=np.int64, count=len(bucket))
-            ds = np.fromiter(bucket.values(), dtype=np.float64, count=len(bucket))
-            results.add(np.full(len(bucket), query_index, dtype=np.int64), ids, ds)
-
-
-class _LegacyCandidatePools:
-    """Historical per-query dict pools (sorted() k-th bounds, per-item adds)."""
-
-    def __init__(self, num_queries: int, k: np.ndarray, tombstones: Optional[np.ndarray]):
-        self._pools: list[dict[int, float]] = [dict() for _ in range(num_queries)]
-        self._k = k
-        self._exclude = _exclude_set(tombstones)
-
-    def _add_one(self, query_index: int, obj_id: int, dist: float) -> None:
-        if self._exclude and obj_id in self._exclude:
-            return
-        pool = self._pools[query_index]
-        prev = pool.get(obj_id)
-        if prev is None or dist < prev:
-            pool[obj_id] = dist
-
-    def add(self, query_indices, obj_ids, dists) -> None:
-        for qi, oid, dist in zip(
-            np.asarray(query_indices), np.asarray(obj_ids), np.asarray(dists)
-        ):
-            self._add_one(int(qi), int(oid), float(dist))
-
-    def add_many(self, query_index: int, obj_ids, dists) -> None:
-        for oid, dist in zip(obj_ids, dists):
-            self._add_one(query_index, int(oid), float(dist))
-
-    def bound(self, query_index: int) -> float:
-        pool = self._pools[query_index]
-        k = int(self._k[query_index])
-        if len(pool) < k:
-            return np.inf
-        dists = sorted(pool.values())
-        return float(dists[k - 1])
-
-    def bounds(self, query_indices) -> np.ndarray:
-        return np.array([self.bound(int(q)) for q in query_indices], dtype=np.float64)
-
-    def k_of(self, query_indices) -> np.ndarray:
-        return self._k[np.asarray(query_indices, dtype=np.int64)]
-
-    def topk(self, query_index: int) -> list[tuple[int, float]]:
-        pool = self._pools[query_index]
-        k = int(self._k[query_index])
-        ranked = sorted(pool.items(), key=lambda item: (item[1], item[0]))
-        return [(int(oid), float(dist)) for oid, dist in ranked[:k]]
-
-    def topk_all(self) -> list[list[tuple[int, float]]]:
-        return [self.topk(qi) for qi in range(len(self._pools))]
-
-
-def _legacy_knn_verify(
-    tree, objects, metric, device, queries, leaf_q, leaf_node, tombstones, pools
-) -> None:
-    """Historical MkNNQ leaf verification: per-query pairwise + dict pools."""
-    if len(leaf_q) == 0:
-        return
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(
-            np.concatenate([tree.node_objects(int(n)) for n in np.unique(leaf_node)])
-        )
-    order = np.argsort(leaf_q, kind="stable")
-    sorted_q = leaf_q[order]
-    unique_queries, starts = np.unique(sorted_q, return_index=True)
-    boundaries = list(starts) + [len(order)]
-    total_verified = 0
     host_start = time.perf_counter()
     for qi, query_index in enumerate(unique_queries):
         idx = order[boundaries[qi] : boundaries[qi + 1]]
         obj_ids = np.concatenate([tree.node_objects(int(n)) for n in leaf_node[idx]])
-        exclude = pools._exclude
         if exclude:
             obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
         if len(obj_ids) == 0:
@@ -206,19 +157,23 @@ def _legacy_knn_verify(
         candidates = take_objects(objects, obj_ids)
         dists = metric.pairwise(queries[int(query_index)], candidates)
         total_verified += len(obj_ids)
-        pools.add_many(int(query_index), obj_ids, dists)
+        total_hits += results.offer(np.full(len(obj_ids), query_index), obj_ids, dists)
     host = time.perf_counter() - host_start
     device.launch_kernel(
         work_items=total_verified,
         op_cost=metric.unit_cost,
-        label="mknn-verify",
+        label=f"{results.label}-verify",
         host_time=host,
     )
-    if total_verified:
-        answers = int(sum(pools._k[int(q)] for q in unique_queries))
-        needed = max(answers, 1) * RESULT_BYTES
+    if results.k is None:
+        needed = total_hits * RESULT_BYTES
+    elif total_verified:
+        needed = max(int(sum(results.k[int(q)] for q in unique_queries)), 1) * RESULT_BYTES
+    else:
+        needed = 0
+    if needed:
         buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, "mknn-results", pool="workspace")
+        alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
         device.transfer_to_host(needed, label="results-d2h")
         device.free(alloc)
 
@@ -227,27 +182,23 @@ def _legacy_knn_verify(
 def legacy_engine():
     """Swap the engine's hot paths for the pre-refactor implementations.
 
-    Patches the list-backed object store, per-query pivot distances, dict
-    result buckets, dict candidate pools, and the generic per-query
+    Patches the list-backed object store, per-query pivot distances, the
+    dict answer pools of both query kinds, and the generic per-query
     ``pairwise_segmented`` fallback (no fused passes, no store digest).
     Restores everything on exit.
     """
     saved = (
         gts_module.make_object_store,
-        range_module.pivot_distances_per_query,
-        range_module._verify_leaves,
-        knn_module.pivot_distances_per_query,
-        knn_module._verify_leaves,
-        knn_module._CandidatePools,
+        search_module.pivot_distances_per_query,
+        search_module._verify_leaves,
+        search_module.BoundedTriples,
         _VectorMetric._pairwise_segmented,
         Metric.store_digest,
     )
     gts_module.make_object_store = lambda objs: [objs[i] for i in range(len(objs))]
-    range_module.pivot_distances_per_query = _legacy_pivot_distances
-    range_module._verify_leaves = _legacy_mrq_verify
-    knn_module.pivot_distances_per_query = _legacy_pivot_distances
-    knn_module._verify_leaves = _legacy_knn_verify
-    knn_module._CandidatePools = _LegacyCandidatePools
+    search_module.pivot_distances_per_query = _legacy_pivot_distances
+    search_module._verify_leaves = _legacy_verify
+    search_module.BoundedTriples = _LegacyBoundedTriples
     _VectorMetric._pairwise_segmented = Metric._pairwise_segmented
     Metric.store_digest = lambda self, matrix: None
     try:
@@ -255,11 +206,9 @@ def legacy_engine():
     finally:
         (
             gts_module.make_object_store,
-            range_module.pivot_distances_per_query,
-            range_module._verify_leaves,
-            knn_module.pivot_distances_per_query,
-            knn_module._verify_leaves,
-            knn_module._CandidatePools,
+            search_module.pivot_distances_per_query,
+            search_module._verify_leaves,
+            search_module.BoundedTriples,
             _VectorMetric._pairwise_segmented,
             Metric.store_digest,
         ) = saved

@@ -12,14 +12,13 @@ from .cost_model import (
 )
 from .encoding import decode_distances, encode_distances
 from .gts import GTS
-from .knn_query import batch_knn_query
 from .maintenance import IncrementalMaintenance, MaintenanceConfig, SliceReport
 from .multimetric import MultiColumnGTS
 from .nodes import TreeStructure, level_size, level_start, total_nodes, tree_height
 from .objectstore import ColumnarStore, make_object_store
 from .persistence import INDEX_FORMAT_VERSION, load_index, save_index
 from .pivots import available_pivot_strategies, get_pivot_selector
-from .range_query import batch_range_query
+from .search import batch_knn_query, batch_range_query
 from .searchcommon import PruneMode
 
 __all__ = [

@@ -46,11 +46,10 @@ from .cost_model import (
     estimate_distance_distribution,
     recommend_node_capacity,
 )
-from .knn_query import batch_knn_query
 from .nodes import TreeStructure
 from .objectstore import make_object_store
-from .range_query import batch_range_query
-from .searchcommon import PruneMode, broadcast_query_param
+from .search import batch_knn_query, batch_range_query
+from .searchcommon import PruneMode, merge_answer_lists, query_ks, query_radii
 
 __all__ = ["GTS", "execute_operation_batch"]
 
@@ -61,14 +60,36 @@ DEFAULT_CACHE_BYTES = 5 * 1024
 _MISSING = object()
 
 
-#: Operation kinds :func:`execute_operation_batch` accepts, each with the
-#: conversion of its scalar parameter (radius, ``k``, delete id).
+#: Operation kinds :func:`execute_operation_batch` accepts, each with its
+#: field count and the conversion of its scalar parameter (radius, ``k``,
+#: delete id).
 _CONVERT = {
-    "range": lambda op: float(op[2]),
-    "knn": lambda op: int(op[2]),
-    "insert": lambda op: None,
-    "delete": lambda op: int(op[1]),
+    "range": (3, lambda op: float(query_radii(op[2], 1)[0])),
+    "knn": (3, lambda op: int(query_ks(op[2], 1)[0])),
+    "insert": (2, lambda op: None),
+    "delete": (2, lambda op: int(op[1])),
 }
+
+
+def _convert_op(pos: int, op) -> object:
+    """Check one batch operation's shape and convert its scalar parameter.
+
+    Every malformed operation — unknown kind, too few fields, a parameter
+    that is not a valid radius, ``k`` or id — raises
+    :class:`~repro.exceptions.QueryError` naming the operation's position.
+    """
+    kind = op[0] if len(op) else None
+    if kind not in _CONVERT:
+        raise QueryError(f"batch operation {pos}: unknown kind {kind!r}")
+    fields, convert = _CONVERT[kind]
+    if len(op) < fields:
+        raise QueryError(
+            f"batch operation {pos} ({kind!r}) needs {fields} fields, got {len(op)}"
+        )
+    try:
+        return convert(op)
+    except (QueryError, TypeError, ValueError) as exc:
+        raise QueryError(f"batch operation {pos} ({kind!r}): {exc}") from exc
 
 
 def _payload_key(payload):
@@ -127,15 +148,13 @@ def execute_operation_batch(index, ops: Sequence[tuple]) -> list:
     ``range_query_batch`` and one ``knn_query_batch`` call: queries do not
     change index state, so reordering them inside a segment cannot change an
     answer.  Inside each call, queries with the same payload and the same
-    radius/``k`` are searched once (see :func:`_payload_key`).  Every op kind
-    is checked and every parameter converted before anything runs, so a
-    malformed batch is rejected with the index and its stats untouched.
+    radius/``k`` are searched once (see :func:`_payload_key`).  Every
+    operation's kind, field count and parameter are checked before anything
+    runs (:func:`_convert_op`), so a malformed batch is rejected with the
+    index and its stats untouched.
     Results come back in submission order, one entry per operation.
     """
-    for op in ops:
-        if op[0] not in _CONVERT:
-            raise QueryError(f"unknown batch operation kind {op[0]!r}")
-    params = [_CONVERT[op[0]](op) for op in ops]
+    params = [_convert_op(pos, op) for pos, op in enumerate(ops)]
     results: list = [None] * len(ops)
     segment: dict[str, list[int]] = {"range": [], "knn": []}
 
@@ -556,7 +575,7 @@ class GTS:
         self._require_built()
         # Validate up front so malformed radii fail identically on every
         # path (including the cache-empty fast return below).
-        radii_arr = broadcast_query_param(radii, len(queries), "radii", np.float64)
+        radii_arr = query_radii(radii, len(queries))
         tree_results = batch_range_query(
             self._tree,
             self._objects,
@@ -572,12 +591,7 @@ class GTS:
         # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
         # answers are identical to scanning the cache once per query.
         extras = self._cache.range_scan_batch(self.metric, queries, radii_arr, self.device)
-        merged = []
-        for qi in range(len(queries)):
-            combined = {oid: dist for oid, dist in tree_results[qi]}
-            combined.update({oid: dist for oid, dist in extras[qi]})
-            merged.append(sorted(combined.items(), key=lambda item: (item[1], item[0])))
-        return merged
+        return [merge_answer_lists((tree, cached)) for tree, cached in zip(tree_results, extras)]
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer a single metric k-nearest-neighbour query ``MkNNQ(query, k)``.
@@ -591,16 +605,20 @@ class GTS:
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
         """Answer a batch of metric kNN queries concurrently (Algorithm 5).
 
-        Same level-synchronous, memory-aware descent as
-        :meth:`range_query_batch`, with the fixed radius replaced by each
-        query's running k-th-candidate bound and Lemma 5.2 pruning.
+        The very descent of :meth:`range_query_batch`, with each query's
+        fixed radius replaced by a bound that only shrinks: the distance of
+        its current k-th candidate (Lemma 5.2 pruning).  The tree's top-k
+        lists are then merged with the cache table's top-k lists and cut
+        back to ``k``.
 
         Parameters
         ----------
         queries:
             Query objects from the same metric space as the indexed objects.
         k:
-            A scalar shared by all queries or one positive value per query.
+            A scalar shared by all queries or one value per query; each
+            must be a positive integer (``8.0`` and NumPy integers are
+            fine, ``2.7`` raises :class:`~repro.exceptions.QueryError`).
 
         Returns
         -------
@@ -612,9 +630,7 @@ class GTS:
         tied objects completes the answer.
         """
         self._require_built()
-        k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
-        if np.any(k_arr <= 0):
-            raise QueryError("k must be positive")
+        k_arr = query_ks(k, len(queries))
         tree_results = batch_knn_query(
             self._tree,
             self._objects,
@@ -630,15 +646,10 @@ class GTS:
         # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
         # answers are identical to scanning the cache once per query.
         extras = self._cache.knn_scan_batch(self.metric, queries, k_arr, self.device)
-        merged = []
-        for qi in range(len(queries)):
-            combined = {oid: dist for oid, dist in tree_results[qi]}
-            for oid, dist in extras[qi]:
-                if oid not in combined or dist < combined[oid]:
-                    combined[oid] = dist
-            ranked = sorted(combined.items(), key=lambda item: (item[1], item[0]))
-            merged.append([(int(o), float(d)) for o, d in ranked[: int(k_arr[qi])]])
-        return merged
+        return [
+            merge_answer_lists((tree, cached), int(k_q))
+            for tree, cached, k_q in zip(tree_results, extras, k_arr)
+        ]
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.
@@ -664,8 +675,9 @@ class GTS:
         algorithm (Algorithm 4) and all kNN queries one more (Algorithm 5),
         with per-query radii/``k``, however the two kinds interleave.
         Queries with the same payload and the same radius/``k`` are searched
-        once and each receives its own copy of the answer.  An unknown op
-        kind rejects the whole batch before any of it runs.  Results come
+        once and each receives its own copy of the answer.  A malformed
+        operation (unknown kind, missing field, invalid radius, ``k`` or id)
+        rejects the whole batch before any of it runs.  Results come
         back in submission order, one entry per operation; see
         :func:`execute_operation_batch`.
         """

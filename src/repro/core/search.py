@@ -1,0 +1,426 @@
+"""Batch metric range (MRQ) and k-nearest-neighbour (MkNNQ) search over a GTS
+tree — Algorithms 4 and 5.
+
+Both algorithms are one level-synchronous, memory-aware descent that differs
+only in each query's distance bound: a range query keeps its fixed radius,
+a kNN query uses the distance of its current k-th candidate, which only
+shrinks as candidates arrive.  Given a batch of queries the descent walks the
+tree one level at a time for *all* queries simultaneously:
+
+1. each live (query, node) pair knows ``d(q, N.pivot)``;
+2. every child of every candidate node is tested against Lemma 5.1 / 5.2 in
+   one kernel — a child survives when the query ball
+   ``[d(q,p) - bound, d(q,p) + bound]`` intersects the child's
+   ``[min_dis, max_dis]`` interval of distances to the parent pivot;
+3. surviving internal children get their own pivot distance computed (one
+   kernel, grouped per query) and become the next level's candidates; every
+   pivot is a real indexed object, so it is offered as an answer too;
+   surviving leaves go to verification;
+4. before expanding a level, the projected intermediate-table size is checked
+   against the per-level memory limit; if it does not fit the query batch is
+   split into groups processed sequentially (the two-stage strategy).
+
+Verification computes the real distances of every object in the surviving
+leaves and offers them to the :class:`BoundedTriples` accumulator, which
+keeps the triples within each query's bound.  Range answers are exact; kNN
+answers are exact in the usual tie-tolerant sense: the returned distances are
+the true k smallest, and when several objects tie at the k-th distance an
+arbitrary subset of the tied objects completes the answer.
+"""
+
+from __future__ import annotations
+
+import time
+from typing import Optional, Sequence
+
+import numpy as np
+
+from ..gpusim.device import Device
+from ..metrics.base import Metric
+from .construction import take_objects
+from .nodes import TreeStructure
+from .searchcommon import (
+    ENTRY_BYTES,
+    RESULT_BYTES,
+    IntermediateTable,
+    PruneMode,
+    dedupe_min_triples,
+    leaf_candidate_segments,
+    leaf_prefetch_ids,
+    level_pair_limit,
+    pivot_distances_per_query,
+    prune_children,
+    query_ks,
+    query_radii,
+    segmented_distances,
+    split_into_groups,
+    tombstone_array,
+    tombstoned_mask,
+    triples_to_answer_lists,
+)
+
+__all__ = ["BoundedTriples", "batch_range_query", "batch_knn_query"]
+
+
+class BoundedTriples:
+    """Per-query answers as flat ``(query, id, distance)`` arrays under a bound.
+
+    Give ``radii`` for a range batch (each query's bound is its fixed
+    radius) or ``k`` for a kNN batch (the bound is the k-th smallest distance
+    offered so far, ``inf`` until ``k`` distinct candidates are known).
+    :meth:`offer` keeps the triples within their query's bound and drops
+    tombstoned objects; adds are O(1) array appends.  Compaction — one
+    ``np.lexsort`` keeping the minimum distance per (query, id) pair — runs
+    lazily when a kNN bound or the answers are read, and the k-th bounds are
+    one ``np.partition`` per query over the compacted pool (DESIGN.md §8).
+    """
+
+    def __init__(
+        self,
+        num_queries: int,
+        tombstones: Optional[np.ndarray],
+        radii: Optional[np.ndarray] = None,
+        k: Optional[np.ndarray] = None,
+    ):
+        self._num_queries = int(num_queries)
+        self._tombstones = tombstones
+        self._radii = radii
+        #: per-query ``k`` of a kNN batch, None for a range batch
+        self.k = k
+        #: kernel-label prefix of the query kind
+        self.label = "mrq" if k is None else "mknn"
+        # compacted pool: sorted by (query, id), unique per (query, id)
+        self._cq = np.zeros(0, dtype=np.int64)
+        self._cid = np.zeros(0, dtype=np.int64)
+        self._cd = np.zeros(0, dtype=np.float64)
+        self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._kth: Optional[np.ndarray] = None
+
+    def _compact(self) -> None:
+        if not self._pending:
+            return
+        qs = np.concatenate([self._cq] + [p[0] for p in self._pending])
+        ids = np.concatenate([self._cid] + [p[1] for p in self._pending])
+        dists = np.concatenate([self._cd] + [p[2] for p in self._pending])
+        self._pending = []
+        self._cq, self._cid, self._cd = dedupe_min_triples(qs, ids, dists)
+
+    def _kth_bounds(self) -> np.ndarray:
+        if self._kth is None:
+            self._compact()
+            bounds = np.full(self._num_queries, np.inf, dtype=np.float64)
+            edges = np.searchsorted(self._cq, np.arange(self._num_queries + 1, dtype=np.int64))
+            for qi in range(self._num_queries):
+                start, end = int(edges[qi]), int(edges[qi + 1])
+                k = int(self.k[qi])
+                if end - start >= k:
+                    bounds[qi] = np.partition(self._cd[start:end], k - 1)[k - 1]
+            self._kth = bounds
+        return self._kth
+
+    def bounds(self, query_indices: np.ndarray) -> np.ndarray:
+        """Current bound of each listed query (radius, or k-th distance)."""
+        if self.k is None:
+            return self._radii[query_indices]
+        return self._kth_bounds()[query_indices]
+
+    def offer(self, query_indices, obj_ids, dists) -> int:
+        """Keep the live triples with ``dist <= bound``; returns how many.
+
+        For kNN this is exact culling: a candidate strictly beyond the
+        query's current k-th bound can never enter the final top-k (the
+        bound only shrinks, and ties at the bound are kept), and it cannot
+        move the k-th distance either.
+        """
+        query_indices = np.asarray(query_indices, dtype=np.int64)
+        obj_ids = np.asarray(obj_ids, dtype=np.int64)
+        dists = np.asarray(dists, dtype=np.float64)
+        if len(obj_ids) == 0:
+            return 0
+        keep = dists <= self.bounds(query_indices)
+        dead = tombstoned_mask(obj_ids, self._tombstones)
+        if dead is not None:
+            keep &= ~dead
+        if not keep.all():
+            query_indices, obj_ids, dists = query_indices[keep], obj_ids[keep], dists[keep]
+        if len(obj_ids):
+            self._pending.append((query_indices, obj_ids, dists))
+            self._kth = None
+        return len(obj_ids)
+
+    def answers(self) -> list[list[tuple[int, float]]]:
+        """Per-query ``(object_id, distance)`` lists sorted by (distance, id).
+
+        kNN lists are truncated to each query's ``k``.
+        """
+        self._compact()
+        return triples_to_answer_lists(self._cq, self._cid, self._cd, self._num_queries, k=self.k)
+
+
+def _verify_leaves(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    leaf_q: np.ndarray,
+    leaf_node: np.ndarray,
+    tombstones: Optional[np.ndarray],
+    results: BoundedTriples,
+) -> None:
+    """Compute real distances for every object in the surviving leaves.
+
+    One fused pass: the surviving leaves' table-list slices are expanded into
+    per-query candidate segments (slot-sorted on tiered stores), gathered
+    once, evaluated with a single segmented distance call, and offered to
+    the accumulator in one bulk add.
+    """
+    if len(leaf_q) == 0:
+        return
+    # Lookahead for tiered stores: the surviving leaves are the first stage's
+    # candidate list, so their object blocks can be staged in one coalesced
+    # prefetch before verification gathers them.
+    if getattr(objects, "prefetch_enabled", False):
+        objects.prefetch_ids(leaf_prefetch_ids(tree, leaf_node))
+    host_start = time.perf_counter()
+    unique_queries, boundaries, obj_ids = leaf_candidate_segments(
+        tree,
+        leaf_q,
+        leaf_node,
+        tombstones,
+        slot_of=getattr(objects, "slot_of", None),
+    )
+    total_verified = len(obj_ids)
+    total_hits = 0
+    if total_verified:
+        # tiered stores get each query's candidates in physical-slot order:
+        # answers are order-insensitive (keyed by id) and a slot-sorted
+        # gather touches each leaf-clustered block as one run
+        query_objects = take_objects(queries, unique_queries)
+        dists = segmented_distances(metric, objects, query_objects, boundaries, obj_ids)
+        owner = np.repeat(unique_queries, np.diff(boundaries))
+        total_hits = results.offer(owner, obj_ids, dists)
+    host = time.perf_counter() - host_start
+    device.launch_kernel(
+        work_items=total_verified,
+        op_cost=metric.unit_cost,
+        label=f"{results.label}-verify",
+        host_time=host,
+    )
+    # Result buffer: a range batch ships its hits, a kNN batch k slots for
+    # every query that reached a leaf (``np.unique(leaf_q)`` also counts the
+    # queries whose leaves were all tombstoned).  Results are streamed back
+    # to the host in chunks, so the buffer never needs to exceed the memory
+    # that is still available on the device.
+    if results.k is None:
+        slots = total_hits
+    else:
+        slots = max(int(results.k[np.unique(leaf_q)].sum()), 1) if total_verified else 0
+    if slots:
+        needed = slots * RESULT_BYTES
+        buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
+        alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
+        device.transfer_to_host(needed, label="results-d2h")
+        device.free(alloc)
+
+
+def _descend(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    layer: int,
+    cand_q: np.ndarray,
+    cand_node: np.ndarray,
+    pivot_dist: np.ndarray,
+    tombstones: Optional[np.ndarray],
+    mode: PruneMode,
+    results: BoundedTriples,
+) -> None:
+    """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5)."""
+    if len(cand_q) == 0:
+        return
+    if tree.is_leaf_level(layer):
+        _verify_leaves(
+            tree, objects, metric, device, queries, cand_q, cand_node, tombstones, results
+        )
+        return
+
+    # Two-stage memory strategy: split the batch when the projected
+    # intermediate table would exceed the per-level limit.
+    limit_pairs = level_pair_limit(device, tree.height, layer, tree.node_capacity)
+    if len(cand_q) > limit_pairs:
+        for group in split_into_groups(cand_q, limit_pairs):
+            _descend(
+                tree,
+                objects,
+                metric,
+                device,
+                queries,
+                layer,
+                cand_q[group],
+                cand_node[group],
+                pivot_dist[group],
+                tombstones,
+                mode,
+                results,
+            )
+        return
+
+    projected = len(cand_q) * tree.node_capacity
+    with IntermediateTable(device, projected, label=f"{results.label}-level-{layer + 1}"):
+        # Per-pair bound: the radius, or the current k-th distance d(q, k_cur).
+        bounds = results.bounds(cand_q)
+        if results.k is not None:
+            # The device sorts the candidate distances per query to locate
+            # the k-th bound (Algorithm 5 lines 11-12); charge that selection.
+            device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
+        pair_index, child_ids = prune_children(
+            tree, cand_node, pivot_dist, bounds, bounds, mode, device
+        )
+        next_q = cand_q[pair_index]
+
+        if tree.is_leaf_level(layer + 1):
+            next_pivot_dist = np.zeros(len(child_ids), dtype=np.float64)
+        else:
+            pivots = tree.pivot[child_ids]
+            next_pivot_dist = pivot_distances_per_query(
+                device, metric, objects, queries, next_q, pivots
+            )
+            # A pivot is itself an indexed object: offer it as an answer.
+            # Nothing was offered since ``bounds`` was read, so a kNN offer
+            # reuses the cached k-th bounds.
+            results.offer(next_q, pivots, next_pivot_dist)
+
+        _descend(
+            tree,
+            objects,
+            metric,
+            device,
+            queries,
+            layer + 1,
+            next_q,
+            child_ids,
+            next_pivot_dist,
+            tombstones,
+            mode,
+            results,
+        )
+
+
+def _search(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    exclude: Optional[set],
+    prune_mode: str | PruneMode,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> list[list[tuple[int, float]]]:
+    """The shared body of both entry points (validated ``radii`` or ``k``)."""
+    num_queries = len(queries)
+    mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
+    if num_queries == 0 or tree.num_objects == 0:
+        return [[] for _ in range(num_queries)]
+    tombstones = tombstone_array(exclude)
+    results = BoundedTriples(num_queries, tombstones, radii=radii, k=k)
+
+    # Load the queries onto the device (Section 5.1: queries are copied from
+    # the CPU to the GPU before processing).
+    device.transfer_to_device(num_queries * ENTRY_BYTES)
+
+    cand_q = np.arange(num_queries, dtype=np.int64)
+    cand_node = np.zeros(num_queries, dtype=np.int64)
+
+    if tree.height == 0:
+        # Degenerate tree: the root is the single (over-full) leaf.
+        pivot_dist = np.zeros(num_queries, dtype=np.float64)
+    else:
+        root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
+        pivot_dist = pivot_distances_per_query(
+            device, metric, objects, queries, cand_q, root_pivots
+        )
+        results.offer(cand_q, root_pivots, pivot_dist)
+
+    _descend(
+        tree,
+        objects,
+        metric,
+        device,
+        queries,
+        0,
+        cand_q,
+        cand_node,
+        pivot_dist,
+        tombstones,
+        mode,
+        results,
+    )
+    return results.answers()
+
+
+def batch_range_query(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    radii,
+    exclude: Optional[set] = None,
+    prune_mode: str | PruneMode = "two-sided",
+) -> list[list[tuple[int, float]]]:
+    """Answer a batch of metric range queries exactly.
+
+    Parameters
+    ----------
+    queries:
+        The query objects (same domain as the indexed objects).
+    radii:
+        A scalar radius shared by all queries or one radius per query.
+    exclude:
+        Object ids to ignore (tombstoned deletions).
+    prune_mode:
+        ``"two-sided"`` (default) or ``"one-sided"`` (paper-literal ablation).
+
+    Returns
+    -------
+    One result list per query: ``(object_id, distance)`` pairs sorted by
+    distance then id, all within the query's radius.
+    """
+    radii_arr = query_radii(radii, len(queries))
+    return _search(tree, objects, metric, device, queries, exclude, prune_mode, radii=radii_arr)
+
+
+def batch_knn_query(
+    tree: TreeStructure,
+    objects: Sequence,
+    metric: Metric,
+    device: Device,
+    queries: Sequence,
+    k,
+    exclude: Optional[set] = None,
+    prune_mode: str | PruneMode = "two-sided",
+) -> list[list[tuple[int, float]]]:
+    """Answer a batch of metric k-nearest-neighbour queries exactly.
+
+    Parameters
+    ----------
+    queries:
+        The query objects.
+    k:
+        A single ``k`` shared by all queries or one per query.
+    exclude:
+        Object ids to ignore (tombstoned deletions).
+    prune_mode:
+        ``"two-sided"`` (default) or ``"one-sided"`` (ablation).
+
+    Returns
+    -------
+    One list per query of ``(object_id, distance)`` pairs, sorted by distance
+    then id, of length ``min(k, number of visible objects)``.
+    """
+    k_arr = query_ks(k, len(queries))
+    return _search(tree, objects, metric, device, queries, exclude, prune_mode, k=k_arr)

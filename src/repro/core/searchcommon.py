@@ -1,7 +1,9 @@
-"""Shared machinery of the batch MRQ / MkNNQ algorithms.
+"""Shared machinery of the batch MRQ / MkNNQ search (:mod:`repro.core.search`).
 
-Both query algorithms (Sections 5.1 and 5.2) share four ingredients:
+Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
 
+* validating the per-query parameters (:func:`query_radii`,
+  :func:`query_ks`) — the one place every entry point checks them;
 * computing the distances from each query to the pivots of its candidate
   nodes — evaluated as **one fused segmented pass** over all (query, pivot)
   pairs of the level (:func:`pivot_distances_per_query` builds per-query
@@ -12,16 +14,18 @@ Both query algorithms (Sections 5.1 and 5.2) share four ingredients:
   batch is divided into groups processed sequentially;
 * tracking intermediate-result allocations on the simulated device so that
   memory pressure has observable consequences;
-* **triple-array result accumulation** (:class:`ResultTriples`): qualifying
-  ``(query, object, distance)`` hits are appended as flat arrays and turned
-  into the per-query sorted answer lists by one final ``np.lexsort``, instead
-  of per-hit Python dict inserts.
+* **triple-array answers**: qualifying ``(query, object, distance)`` triples
+  are deduplicated (:func:`dedupe_min_triples`) and turned into the
+  per-query sorted answer lists by one global ``np.lexsort``
+  (:func:`triples_to_answer_lists`), instead of per-hit Python dict inserts;
+  :func:`merge_answer_lists` merges finished answer lists from several
+  sources (tree and cache table, or shards).
 
-The helpers here are pure functions over NumPy arrays, which keeps the two
-query modules small and the behaviour property-testable.  Only the *host*
-evaluation strategy lives here — the simulated device-time accounting
-(kernel launches, work item counts, transfer flows) is byte-for-byte the
-same as the historical per-query implementation (DESIGN.md §8).
+The helpers here are pure functions over NumPy arrays, which keeps the
+behaviour property-testable.  Only the *host* evaluation strategy lives
+here — the simulated device-time accounting (kernel launches, work item
+counts, transfer flows) is byte-for-byte the same as the historical
+per-query implementation (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -42,13 +46,14 @@ from .objectstore import GATHER_CHUNK_ELEMENTS, object_dimension, store_metric_d
 __all__ = [
     "ENTRY_BYTES",
     "PruneMode",
-    "ResultTriples",
     "broadcast_query_param",
+    "query_radii",
+    "query_ks",
     "tombstone_array",
     "tombstoned_mask",
-    "filter_live_triples",
     "dedupe_min_triples",
     "triples_to_answer_lists",
+    "merge_answer_lists",
     "topk_by_distance",
     "level_pair_limit",
     "split_into_groups",
@@ -90,6 +95,34 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
     return np.broadcast_to(arr, (num_queries,)).copy()
 
 
+def query_radii(radii, num_queries: int) -> np.ndarray:
+    """Range-query radii broadcast to the batch: non-negative, never NaN.
+
+    ``+inf`` is a legal radius (it matches every object).  A NaN compares
+    false against everything, so it would silently answer nothing after a
+    full search; it raises :class:`~repro.exceptions.QueryError` instead.
+    """
+    arr = broadcast_query_param(radii, num_queries, "radii", np.float64)
+    # one pass: NaN fails ``>= 0`` just like a negative radius does
+    if not (arr >= 0).all():
+        raise QueryError(f"range query radii must be non-negative numbers, got {radii!r}")
+    return arr
+
+
+def query_ks(k, num_queries: int) -> np.ndarray:
+    """kNN ``k`` values broadcast to the batch: positive integers.
+
+    Integral floats (``8.0``) and NumPy integers are accepted; a fractional,
+    infinite or NaN ``k`` raises :class:`~repro.exceptions.QueryError`
+    rather than being truncated.
+    """
+    arr = broadcast_query_param(k, num_queries, "k", np.float64)
+    # NaN fails every comparison, so it is rejected with the fractions
+    if not ((arr > 0) & (arr < np.inf) & (arr == np.floor(arr))).all():
+        raise QueryError(f"k must be a positive integer, got {k!r}")
+    return arr.astype(np.int64)
+
+
 def tombstone_array(exclude: Optional[set]) -> Optional[np.ndarray]:
     """Sorted int64 array of tombstoned ids, precomputed once per batch.
 
@@ -113,24 +146,6 @@ def tombstoned_mask(obj_ids: np.ndarray, tombstones: Optional[np.ndarray]) -> Op
     pos = np.searchsorted(tombstones, obj_ids)
     pos = np.minimum(pos, len(tombstones) - 1)
     return tombstones[pos] == obj_ids
-
-
-def filter_live_triples(query_indices, obj_ids, dists, tombstones):
-    """Normalise (query, id, dist) triples and drop tombstoned objects.
-
-    Returns the three aligned arrays, possibly empty — the shared add()
-    prologue of :class:`ResultTriples` and the MkNNQ candidate pools.
-    """
-    obj_ids = np.asarray(obj_ids, dtype=np.int64)
-    query_indices = np.asarray(query_indices, dtype=np.int64)
-    dists = np.asarray(dists, dtype=np.float64)
-    if len(obj_ids) == 0:
-        return query_indices, obj_ids, dists
-    dead = tombstoned_mask(obj_ids, tombstones)
-    if dead is not None and dead.any():
-        live = ~dead
-        query_indices, obj_ids, dists = query_indices[live], obj_ids[live], dists[live]
-    return query_indices, obj_ids, dists
 
 
 def triples_to_answer_lists(
@@ -188,8 +203,8 @@ def dedupe_min_triples(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate (query, id) pairs to their minimum distance.
 
-    Returns the surviving triples sorted by (query, id).  Both query answer
-    finalisation and the MkNNQ pools use this; the engine only ever produces
+    Returns the surviving triples sorted by (query, id).  The search
+    accumulator compacts with this; the engine only ever produces
     equal distances for duplicates, so min matches the historical
     last-write-wins dict semantics.
     """
@@ -202,47 +217,22 @@ def dedupe_min_triples(
     return qs[keep], ids[keep], dists[keep]
 
 
-class ResultTriples:
-    """Batch result accumulation as flat ``(query, object, distance)`` arrays.
+def merge_answer_lists(sources, k: Optional[int] = None) -> list[tuple[int, float]]:
+    """Merge one query's ``(object_id, distance)`` lists from several sources.
 
-    Every qualifying hit — leaf verification survivors, pivot self-reports —
-    is appended as aligned arrays; :meth:`finalize` produces the per-query
-    answer lists with one global ``np.lexsort``: duplicates of the same
-    (query, object) pair collapse to their minimum distance (the engine only
-    ever produces equal distances for duplicates, so this matches the
-    historical last-write-wins dict), and each query's survivors come out
-    sorted by ``(distance, object_id)``.
+    The lists are concatenated, each id keeps its minimum distance, and the
+    result is sorted by ``(distance, object_id)`` and, given ``k``, truncated
+    to ``k`` entries.  Merges tree answers with cache-table answers and
+    per-shard answers alike.
     """
-
-    __slots__ = ("_num_queries", "_tombstones", "_qs", "_ids", "_dists")
-
-    def __init__(self, num_queries: int, tombstones: Optional[np.ndarray] = None):
-        self._num_queries = int(num_queries)
-        self._tombstones = tombstones
-        self._qs: list[np.ndarray] = []
-        self._ids: list[np.ndarray] = []
-        self._dists: list[np.ndarray] = []
-
-    def add(self, query_indices, obj_ids, dists) -> None:
-        """Append hit triples; tombstoned objects are filtered out here."""
-        query_indices, obj_ids, dists = filter_live_triples(
-            query_indices, obj_ids, dists, self._tombstones
-        )
-        if len(obj_ids) == 0:
-            return
-        self._qs.append(query_indices)
-        self._ids.append(obj_ids)
-        self._dists.append(dists)
-
-    def finalize(self) -> list[list[tuple[int, float]]]:
-        """Per-query ``(object_id, distance)`` lists sorted by (distance, id)."""
-        out: list[list[tuple[int, float]]] = [[] for _ in range(self._num_queries)]
-        if not self._qs:
-            return out
-        qs, ids, dists = dedupe_min_triples(
-            np.concatenate(self._qs), np.concatenate(self._ids), np.concatenate(self._dists)
-        )
-        return triples_to_answer_lists(qs, ids, dists, self._num_queries)
+    best: dict = {}
+    for answers in sources:
+        for oid, dist in answers:
+            prev = best.get(oid)
+            if prev is None or dist < prev:
+                best[oid] = dist
+    ranked = sorted(best.items(), key=lambda item: (item[1], item[0]))
+    return ranked if k is None else ranked[:k]
 
 
 @dataclass(frozen=True)
@@ -444,9 +434,8 @@ def leaf_candidate_segments(
     sorted by slot, so under the tiered store's leaf-clustered layout every
     block a query touches is one run of its gather (block-coalesced).
     Resident stores pass None and skip that sort: distances are per-row and
-    every consumer (result triples, candidate pools) orders by
-    ``(distance, id)`` at the end, so candidate order cannot influence a
-    single output bit.
+    the search accumulator orders by ``(distance, id)`` at the end, so
+    candidate order cannot influence a single output bit.
 
     Returns ``(unique_queries, boundaries, obj_ids)``: segment ``i`` of the
     flat ``obj_ids`` — rows ``boundaries[i]:boundaries[i + 1]`` — holds the

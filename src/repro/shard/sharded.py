@@ -43,8 +43,8 @@ import numpy as np
 
 from ..core.construction import objects_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.searchcommon import RESULT_BYTES, broadcast_query_param
-from ..exceptions import IndexError_, QueryError, UpdateError
+from ..core.searchcommon import RESULT_BYTES, merge_answer_lists, query_ks, query_radii
+from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
 from ..gpusim.device import Device
 from ..gpusim.specs import CPUSpec, DeviceSpec
@@ -288,6 +288,16 @@ class ShardedGTS:
         """Per-item comparison cost of a ``K``-way merge (heap of ``K`` heads)."""
         return max(1.0, math.log2(max(2, self.num_shards)))
 
+    def _gather(self, per_shard: list, qi: int, k: Optional[int] = None) -> list:
+        """Query ``qi``'s per-shard answers under global ids, merged (top-``k``)."""
+        return merge_answer_lists(
+            (
+                [(to_global[oid], dist) for oid, dist in answers[qi]]
+                for to_global, answers in zip(self._shard_to_global, per_shard)
+            ),
+            k,
+        )
+
     # -------------------------------------------------------------- queries
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Answer one metric range query (scatter-gather over the shards)."""
@@ -301,7 +311,7 @@ class ShardedGTS:
         with *global* object ids.
         """
         self._require_built()
-        radii_arr = broadcast_query_param(radii, len(queries), "radii", np.float64)
+        radii_arr = query_radii(radii, len(queries))
 
         def run(sid: int, shard: GTS):
             answers = shard.range_query_batch(queries, radii_arr)
@@ -312,15 +322,8 @@ class ShardedGTS:
             return answers
 
         per_shard = self._shard_round(run)
-        merged: list[list[tuple[int, float]]] = []
-        total = 0
-        for qi in range(len(queries)):
-            combined: list[tuple[int, float]] = []
-            for sid, answers in enumerate(per_shard):
-                to_global = self._shard_to_global[sid]
-                combined.extend((to_global[oid], dist) for oid, dist in answers[qi])
-            total += len(combined)
-            merged.append(sorted(combined, key=lambda pair: (pair[1], pair[0])))
+        merged = [self._gather(per_shard, qi) for qi in range(len(queries))]
+        total = sum(len(a) for answers in per_shard for a in answers)
         # The union keeps every gathered hit (partitions are disjoint, so the
         # union size equals the single-device answer size): a K-way merge of
         # the per-shard sorted lists costs log2(K) comparisons per hit.
@@ -340,9 +343,7 @@ class ShardedGTS:
         nearest has fewer than ``k`` objects ahead of it in its own shard.
         """
         self._require_built()
-        k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
-        if np.any(k_arr <= 0):
-            raise QueryError("k must be positive")
+        k_arr = query_ks(k, len(queries))
 
         def run(sid: int, shard: GTS):
             answers = shard.knn_query_batch(queries, k_arr)
@@ -352,14 +353,7 @@ class ShardedGTS:
             return answers
 
         per_shard = self._shard_round(run)
-        merged: list[list[tuple[int, float]]] = []
-        for qi in range(len(queries)):
-            combined: list[tuple[int, float]] = []
-            for sid, answers in enumerate(per_shard):
-                to_global = self._shard_to_global[sid]
-                combined.extend((to_global[oid], dist) for oid, dist in answers[qi])
-            combined.sort(key=lambda pair: (pair[1], pair[0]))
-            merged.append(combined[: int(k_arr[qi])])
+        merged = [self._gather(per_shard, qi, int(k_arr[qi])) for qi in range(len(queries))]
         # Selecting the global top-k from K sorted per-shard lists needs only
         # k pops from a K-element heap per query — the merge never has to
         # consume all K*k gathered candidates.

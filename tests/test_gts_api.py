@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GTS, EditDistance, EuclideanDistance
+from repro import GTS, EditDistance, EuclideanDistance, ShardedGTS
 from repro.exceptions import IndexError_, QueryError, UpdateError
 from repro.gpusim import Device, DeviceSpec
 from tests.conftest import brute_force_knn, brute_force_range
@@ -316,3 +316,48 @@ class TestQueryParamValidation:
         assert len(index.range_query_batch(queries, [0.5, 0.7])) == 2
         assert len(index.knn_query_batch(queries, 3)) == 2
         assert len(index.knn_query_batch(queries, [3, 5])) == 2
+        # +inf is a radius; integral floats and NumPy integers are a k
+        assert len(index.range_query(points_2d[0], float("inf"))) == len(points_2d)
+        by_int = index.knn_query(points_2d[0], 3)
+        assert index.knn_query(points_2d[0], 3.0) == index.knn_query(points_2d[0], np.int32(3)) == by_int
+
+
+def _gts_or_sharded(kind, points):
+    if kind == "gts":
+        return GTS.build(points, EuclideanDistance(), node_capacity=8, seed=5)
+    return ShardedGTS.build(points, EuclideanDistance(), num_shards=2, node_capacity=8, seed=5)
+
+
+def _all_stats(index):
+    devices = [index.device] + [shard.device for shard in getattr(index, "shards", [])]
+    return [device.stats.copy() for device in devices]
+
+
+@pytest.mark.parametrize("kind", ["gts", "sharded"])
+@pytest.mark.parametrize("via_batch", [False, True], ids=["direct", "execute_batch"])
+class TestInvalidScalarParams:
+    """NaN radii and fractional ``k`` are rejected before any device charge."""
+
+    def _rejects(self, index, op, via_batch):
+        before = _all_stats(index)
+        size = len(index)
+        with pytest.raises(QueryError):
+            if via_batch:
+                # an insert ahead of the bad query must not run either
+                index.execute_batch([("insert", np.zeros(2)), op])
+            elif op[0] == "range":
+                index.range_query(op[1], op[2])
+            else:
+                index.knn_query(op[1], op[2])
+        assert len(index) == size
+        assert _all_stats(index) == before
+
+    def test_nan_radius_rejected(self, kind, via_batch, points_2d):
+        index = _gts_or_sharded(kind, points_2d)
+        self._rejects(index, ("range", points_2d[0], float("nan")), via_batch)
+        self._rejects(index, ("range", points_2d[0], np.float32("nan")), via_batch)
+
+    def test_non_integral_k_rejected(self, kind, via_batch, points_2d):
+        index = _gts_or_sharded(kind, points_2d)
+        for bad_k in (2.7, 0.5, float("inf"), float("nan")):
+            self._rejects(index, ("knn", points_2d[0], bad_k), via_batch)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.construction import build_tree
-from repro.core.knn_query import batch_knn_query
-from repro.core.range_query import batch_range_query
+from repro.core.search import batch_knn_query, batch_range_query
 from repro.core.searchcommon import PruneMode
 from repro.exceptions import QueryError
 from repro.gpusim import Device, DeviceSpec

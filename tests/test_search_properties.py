@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.construction import build_tree
-from repro.core.knn_query import batch_knn_query
-from repro.core.range_query import batch_range_query
+from repro.core.search import batch_knn_query, batch_range_query
 from repro.gpusim import Device, DeviceSpec
 from repro.metrics import EditDistance, EuclideanDistance, ManhattanDistance
 from tests.conftest import brute_force_knn, brute_force_range

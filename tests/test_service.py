@@ -112,8 +112,20 @@ class TestExecuteBatch:
         index = build_index(pool)
         stats = index.device.stats.copy()
         size, cached = len(index), index.cache_size
-        with pytest.raises(QueryError):
-            index.execute_batch([("insert", pool[NUM_INDEXED]), ("frobnicate", pool[0], 1)])
+        for bad_op in (
+            ("frobnicate", pool[0], 1),
+            ("range", pool[0]),
+            ("knn", pool[0]),
+            ("insert",),
+            ("delete",),
+            (),
+            ("knn", pool[0], "x"),
+            ("range", pool[0], "wide"),
+            ("delete", "x"),
+        ):
+            # the error names the bad operation's position in the batch
+            with pytest.raises(QueryError, match="operation 1"):
+                index.execute_batch([("insert", pool[NUM_INDEXED]), bad_op])
         assert (len(index), index.cache_size) == (size, cached)
         assert index.device.stats == stats
 

@@ -736,7 +736,7 @@ class TestBlockCoalescedGathers:
     def test_single_query_verification_faults_each_block_once(
         self, points_2d, monkeypatch
     ):
-        from repro.core import knn_query
+        from repro.core import search
 
         index = GTS.build(
             points_2d, EuclideanDistance(), node_capacity=6, seed=2,
@@ -744,7 +744,7 @@ class TestBlockCoalescedGathers:
         )
         pager = index.pager
         faults: list[list[int]] = []
-        real_access, real_segmented = pager.access, knn_query.segmented_distances
+        real_access, real_segmented = pager.access, search.segmented_distances
 
         def recording_segmented(*args, **kwargs):
             faults.append([])
@@ -761,7 +761,7 @@ class TestBlockCoalescedGathers:
             finally:
                 monkeypatch.setattr(pager, "access", real_access)
 
-        monkeypatch.setattr(knn_query, "segmented_distances", recording_segmented)
+        monkeypatch.setattr(search, "segmented_distances", recording_segmented)
         for qi in range(0, 600, 60):
             faults.clear()
             index.knn_query(points_2d[qi], 8)

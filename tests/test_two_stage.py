@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.construction import build_tree
-from repro.core.range_query import batch_range_query
+from repro.core.search import batch_knn_query, batch_range_query
 from repro.core.searchcommon import (
     ENTRY_BYTES,
     IntermediateTable,
@@ -115,7 +115,17 @@ class TestIntermediateTable:
         assert device.used_bytes == used
 
 
+#: Both batch searches share the two-stage descent; each runs with its own
+#: parameter (radius or ``k``), a wide and a narrow one.
+SEARCHES = {
+    "range": (batch_range_query, 0.5, 0.3),
+    "knn": (batch_knn_query, 8, 4),
+}
+
+
 class TestTwoStageBehaviour:
+    """Every check runs over both query kinds: the group split is shared."""
+
     def _tree(self, n=800, nc=8, seed=0):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(n, 2))
@@ -127,35 +137,40 @@ class TestTwoStageBehaviour:
     def test_constrained_memory_gives_same_answers_with_more_kernels(self):
         pts, metric, tree = self._tree()
         queries = [pts[i] for i in range(64)]
-        roomy = Device(DeviceSpec())
-        tight = Device(DeviceSpec(memory_bytes=96 * 1024))
-        res_roomy = batch_range_query(tree, pts, metric, roomy, queries, 0.5)
-        res_tight = batch_range_query(tree, pts, metric, tight, queries, 0.5)
-        for a, b in zip(res_roomy, res_tight):
-            assert {o for o, _ in a} == {o for o, _ in b}
-        # grouping means strictly more kernel launches under memory pressure
-        assert tight.stats.kernel_launches > roomy.stats.kernel_launches
+        for kind, (search, param, _) in SEARCHES.items():
+            roomy = Device(DeviceSpec())
+            tight = Device(DeviceSpec(memory_bytes=96 * 1024))
+            res_roomy = search(tree, pts, metric, roomy, queries, param)
+            res_tight = search(tree, pts, metric, tight, queries, param)
+            for a, b in zip(res_roomy, res_tight):
+                assert {o for o, _ in a} == {o for o, _ in b}, kind
+                assert [d for _, d in a] == [d for _, d in b], kind
+            # grouping means strictly more kernel launches under memory pressure
+            assert tight.stats.kernel_launches > roomy.stats.kernel_launches, kind
 
     def test_constrained_memory_costs_more_simulated_time(self):
         pts, metric, tree = self._tree()
         queries = [pts[i] for i in range(64)]
-        roomy = Device(DeviceSpec())
-        tight = Device(DeviceSpec(memory_bytes=96 * 1024))
-        batch_range_query(tree, pts, metric, roomy, queries, 0.5)
-        batch_range_query(tree, pts, metric, tight, queries, 0.5)
-        assert tight.stats.sim_time > roomy.stats.sim_time
+        for kind, (search, param, _) in SEARCHES.items():
+            roomy = Device(DeviceSpec())
+            tight = Device(DeviceSpec(memory_bytes=96 * 1024))
+            search(tree, pts, metric, roomy, queries, param)
+            search(tree, pts, metric, tight, queries, param)
+            assert tight.stats.sim_time > roomy.stats.sim_time, kind
 
     def test_peak_memory_stays_below_capacity(self):
         pts, metric, tree = self._tree()
         queries = [pts[i] for i in range(64)]
-        tight = Device(DeviceSpec(memory_bytes=96 * 1024))
-        batch_range_query(tree, pts, metric, tight, queries, 0.5)
-        assert tight.stats.peak_memory_bytes <= tight.capacity_bytes
+        for kind, (search, param, _) in SEARCHES.items():
+            tight = Device(DeviceSpec(memory_bytes=96 * 1024))
+            search(tree, pts, metric, tight, queries, param)
+            assert tight.stats.peak_memory_bytes <= tight.capacity_bytes, kind
 
     def test_extremely_small_memory_still_completes(self):
         """Even a few-KB device completes thanks to per-query chunking."""
         pts, metric, tree = self._tree(n=300)
         queries = [pts[i] for i in range(8)]
-        tiny = Device(DeviceSpec(memory_bytes=8 * 1024))
-        res = batch_range_query(tree, pts, metric, tiny, queries, 0.3)
-        assert len(res) == 8
+        for kind, (search, _, param) in SEARCHES.items():
+            tiny = Device(DeviceSpec(memory_bytes=8 * 1024))
+            res = search(tree, pts, metric, tiny, queries, param)
+            assert len(res) == 8, kind
