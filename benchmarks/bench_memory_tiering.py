@@ -7,7 +7,10 @@ index's range and kNN answers are identical to the fully-resident GTS.
 What degrades is the cost: the pager's hit rate falls and the attributed
 host→device transfer time (``ExecutionStats.transfer_seconds["pager-h2d"]``)
 rises monotonically as the cap shrinks, which is exactly the memory-
-hierarchy behaviour Faiss documents for billion-scale GPU search.
+hierarchy behaviour Faiss documents for billion-scale GPU search.  The
+misses of one gather share H2D transactions, so every demand-fault cell
+charges at most one transaction per miss, and the tightest cap strictly
+fewer.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ def test_memory_tiering(benchmark):
         assert all(
             row["pager_peak_bytes"] <= row["budget_bytes"] for row in by_cap.values()
         )
+        # demand faults are charged in co-resident waves: never more H2D
+        # transactions than misses, and strictly fewer once the pool is
+        # tight enough that gathers miss several blocks
+        assert all(row["h2d_transactions"] <= row["misses"] for row in by_cap.values())
+        tight = by_cap[min(CAPS)]
+        assert tight["h2d_transactions"] < tight["misses"], tight
 
     # the pin-aware policy never force-evicts while unpinned victims exist:
     # at comfortable caps the pivot-block set fits and stays untouched; only

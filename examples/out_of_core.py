@@ -59,7 +59,8 @@ def main() -> None:
     print(f"pager          : hit rate {pager.hit_rate:.3f} "
           f"({pager.hits} hits, {pager.misses} misses, {pager.evictions} evictions, "
           f"{pager.prefetched_blocks} prefetched)")
-    print(f"paging traffic : {pager.bytes_h2d / 1024:.1f} KB staged host→device, "
+    print(f"paging traffic : {pager.bytes_h2d / 1024:.1f} KB staged host→device in "
+          f"{pager.transactions} transactions, "
           f"{delta.transfer_seconds.get('pager-h2d', 0.0) * 1e3:.3f} ms attributed")
     print(f"time           : resident {resident_time * 1e6:.1f} us vs "
           f"tiered {delta.sim_time * 1e6:.1f} us (simulated)")

@@ -161,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--prefetch", action="store_true",
-        help="coalesce block faults via candidate-list lookahead prefetch",
+        help="stage each kernel's candidate blocks in one lookahead transfer before "
+        "its gather (demand faults already share one transfer per wave)",
     )
     p_serve.add_argument(
         "--maintenance", action="store_true",

@@ -151,8 +151,9 @@ def _map_level(
     Evaluated as fused segmented passes: every node of the level is a
     segment of the (contiguous) table list, its pivot the segment's query.
     Nodes are processed in cache-sized chunks (the same host-side blocking
-    as the query engine's ``segmented_distances``); the device time is
-    charged as one level-wide kernel, exactly as before.  Returns the number
+    as the query engine's ``segmented_distances``; a tiered store faults
+    the whole level once, so the chunking never reaches the pager); the
+    device time is charged as one level-wide kernel.  Returns the number
     of distance computations performed (for statistics).
     """
     host_start = time.perf_counter()
@@ -161,6 +162,19 @@ def _map_level(
     sizes = tree.size[active]
     total = int(sizes.sum())
     if total:
+        if getattr(objects, "coalesced_gather", False):
+            # Tiered store: fault the level's reads as one kernel, in the
+            # historical per-node order (each node's pivot, then its slice),
+            # then gather the chunks' host rows without faulting.
+            counts = sizes + 1
+            seq = np.empty(int(counts.sum()), dtype=np.int64)
+            pivot_pos = np.cumsum(counts) - counts
+            obj_mask = np.ones(len(seq), dtype=bool)
+            obj_mask[pivot_pos] = False
+            seq[pivot_pos] = tree.pivot[active]
+            seq[obj_mask] = tree.obj_ids[concatenated_ranges(tree.pos[active], sizes)]
+            objects.fault(seq)
+            objects = objects.raw
         digest = store_metric_digest(objects, metric)
         dim = object_dimension(objects)
         budget_rows = (
@@ -179,34 +193,10 @@ def _map_level(
             chunk_sizes = sizes[start:end]
             flat = concatenated_ranges(tree.pos[chunk_nodes], chunk_sizes)
             obj_ids = tree.obj_ids[flat]
-            if getattr(objects, "coalesced_gather", False):
-                # Tiered store: interleave each node's pivot id ahead of its
-                # object ids so the pager sees the same per-node block access
-                # order as the historical per-node loop (pivot fault, then
-                # the node's slice).
-                counts = chunk_sizes + 1
-                seq = np.empty(int(counts.sum()), dtype=np.int64)
-                pivot_pos = np.cumsum(counts) - counts
-                obj_mask = np.ones(len(seq), dtype=bool)
-                obj_mask[pivot_pos] = False
-                seq[pivot_pos] = tree.pivot[chunk_nodes]
-                seq[obj_mask] = obj_ids
-                rows = take_objects(objects, seq)
-                if isinstance(rows, np.ndarray):
-                    pivots, candidates = rows[pivot_pos], rows[obj_mask]
-                else:
-                    obj_pos = np.flatnonzero(obj_mask)
-                    pivots = [rows[int(i)] for i in pivot_pos]
-                    candidates = [rows[int(i)] for i in obj_pos]
-            else:
-                # Resident store: no access-order bookkeeping, two straight
-                # gathers
-                pivots = take_objects(objects, tree.pivot[chunk_nodes])
-                candidates = take_objects(objects, obj_ids)
             boundaries = np.concatenate(([0], np.cumsum(chunk_sizes)))
             tree.obj_dis[flat] = metric.pairwise_segmented(
-                pivots,
-                candidates,
+                take_objects(objects, tree.pivot[chunk_nodes]),
+                take_objects(objects, obj_ids),
                 boundaries,
                 object_digest=None if digest is None else digest[obj_ids],
             )

@@ -373,17 +373,21 @@ def segmented_distances(
 
     The flat candidate list is processed in cache-sized chunks of whole
     segments: each chunk is gathered (``take_objects`` — one columnar fancy
-    index, with tiered stores charging their block faults in the identical
-    order) and handed to ``Metric.pairwise_segmented`` while the gathered
+    index) and handed to ``Metric.pairwise_segmented`` while the gathered
     rows are still cache-resident.  Segments larger than the chunk budget
     are evaluated alone, which is exactly the cache-blocked shape of
-    per-query evaluation.  Chunking is invisible to the results and the
+    per-query evaluation.  A tiered store faults the kernel's whole
+    candidate list once, up front, and the chunks read host rows without
+    faulting, so chunking is invisible to the results, the pager and the
     simulated device: only the host wall-clock changes.
     """
     n = len(obj_ids)
     out = np.empty(n, dtype=np.float64)
     if n == 0:
         return out
+    if getattr(objects, "coalesced_gather", False):
+        objects.fault(obj_ids)
+        objects = objects.raw
     num_segments = len(boundaries) - 1
     dim = object_dimension(objects)
     if dim is None:

@@ -20,9 +20,9 @@ __all__ = ["TierConfig", "DEFAULT_BLOCK_BYTES", "DEFAULT_FAULT_LATENCY"]
 #: dozens of blocks, large enough that per-block transfer latency amortises.
 DEFAULT_BLOCK_BYTES = 16 * 1024
 
-#: Fixed per-fault transaction cost in simulated seconds (PCIe round-trip
-#: plus driver overhead).  This is what makes hit rates — and coalesced
-#: prefetch transfers — matter beyond raw bytes/bandwidth.
+#: Fixed per-transaction cost in simulated seconds (PCIe round-trip plus
+#: driver overhead).  This is what makes hit rates — and charging a
+#: gather's misses in coalesced waves — matter beyond raw bytes/bandwidth.
 DEFAULT_FAULT_LATENCY = 15e-6
 
 
@@ -43,11 +43,15 @@ class TierConfig:
         tree's pivot objects while any other victim exists).
     prefetch:
         When True, the query engine's first-stage candidate lists drive a
-        lookahead prefetch: all blocks a leaf-verification (or pivot) pass
-        will touch are staged in one coalesced transfer before the kernel
-        runs, paying the fault latency once instead of per miss.
+        lookahead prefetch: the blocks a leaf-verification (or pivot) pass
+        will touch are staged in one transaction before the kernel's
+        gather runs.  Demand faults already share one transaction per
+        co-resident wave of a gather, so this only hoists the staging
+        ahead of the gather; it saves no latency charges on its own.
     fault_latency:
-        Simulated seconds of fixed cost per fault/prefetch transaction.
+        Simulated seconds of fixed cost per H2D transaction: one demand-
+        fault wave (every missed block of one gather that is resident
+        together) or one prefetch.
     """
 
     memory_budget_bytes: int

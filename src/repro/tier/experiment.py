@@ -9,9 +9,11 @@ prefetch on/off pair, and for every cell:
 * verifies the tiered answers (range **and** kNN) are identical to a
   fully-resident single-device GTS over the same data — tiering must be a
   pure performance trade, never a correctness one;
-* reports the pager's hit rate, eviction counts, and the H2D/D2H transfer
-  seconds attributed in ``ExecutionStats.transfer_seconds`` (``pager-h2d``
-  / ``pager-d2h`` / ``results-d2h``);
+* reports the pager's hit rate, miss and eviction counts, the number of
+  H2D transactions the misses were charged as (a gather's co-resident
+  misses share one), and the H2D/D2H transfer seconds attributed in
+  ``ExecutionStats.transfer_seconds`` (``pager-h2d`` / ``pager-d2h`` /
+  ``results-d2h``);
 * reports the per-pool memory high-water marks (tree vs. paged blocks) so
   the row shows what actually pinned device memory.
 
@@ -109,7 +111,9 @@ def experiment_memory_tiering(
         mknn_throughput=throughput_per_minute(num_queries, ref_knn_time),
         knn_slowdown=1.0,
         hit_rate=1.0,
+        misses=0,
         evictions=0,
+        h2d_transactions=0,
         h2d_seconds=0.0,
         d2h_seconds=ref_delta.transfer_seconds.get("results-d2h", 0.0),
         tree_peak_bytes=ref_pools.get("tree", 0),
@@ -152,7 +156,9 @@ def experiment_memory_tiering(
             mknn_throughput=throughput_per_minute(num_queries, knn_time),
             knn_slowdown=knn_time / ref_knn_time if ref_knn_time > 0 else float("inf"),
             hit_rate=pager.hit_rate,
+            misses=pager.misses,
             evictions=pager.evictions,
+            h2d_transactions=pager.transactions,
             h2d_seconds=delta.transfer_seconds.get(H2D_LABEL, 0.0),
             d2h_seconds=delta.transfer_seconds.get(D2H_LABEL, 0.0)
             + delta.transfer_seconds.get("results-d2h", 0.0),

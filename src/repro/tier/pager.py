@@ -6,12 +6,20 @@ blocks on demand:
 
 * an **access** to a resident block is a hit — no device traffic, the
   eviction policy is touched;
-* a **miss** evicts victims until the block fits, then charges one H2D
-  transfer (``TierConfig.fault_latency`` + bytes/bandwidth) and allocates
-  the block in the pool;
-* a **prefetch** stages a whole candidate set in one coalesced transaction
-  (one latency for all blocks), which is where the lookahead driven by the
-  two-stage search's first-stage candidate lists earns its keep;
+* a **miss** evicts victims until the block fits and allocates it in the
+  pool.  The misses of one gather (:meth:`BlockPager.fault_runs` — every
+  block a level-synchronous kernel reads is known before it launches) are
+  charged as **waves**: one H2D transaction (``TierConfig.fault_latency``
+  plus bytes/bandwidth) covers all missed blocks that are resident
+  together.  A wave closes just before the eviction policy picks one of
+  its own blocks as a victim, and at the end of the gather, so hits,
+  misses, evictions and the resident set are exactly those of faulting
+  the blocks one access at a time — only the number of latency charges
+  falls.  A single :meth:`BlockPager.access` is the one-block case;
+* a **prefetch** stages a candidate set in one transaction before the
+  kernel runs and never evicts its own blocks to make room, so it is
+  always a single wave; what it adds over coalesced demand faults is
+  hoisting the staging ahead of the gather (see DESIGN.md §7);
 * an **invalidation** (a host-side append made a resident copy stale) drops
   the block without writeback — the host copy is the newer one.  A block a
   device kernel wrote back (none today; the object store is read-only on
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Sequence, Set
 
 from ..exceptions import DeviceMemoryError, TierError
 from ..gpusim.device import Allocation, Device
@@ -75,6 +83,9 @@ class PagerStats:
     prefetch_hits: int = 0
     bytes_h2d: int = 0
     bytes_d2h: int = 0
+    #: H2D transactions charged (demand-fault waves plus prefetches); each
+    #: pays ``fault_latency`` once
+    transactions: int = 0
     h2d_seconds: float = 0.0
     d2h_seconds: float = 0.0
 
@@ -101,6 +112,7 @@ class PagerStats:
             "prefetch_hits": self.prefetch_hits,
             "bytes_h2d": self.bytes_h2d,
             "bytes_d2h": self.bytes_d2h,
+            "transactions": self.transactions,
             "h2d_seconds": self.h2d_seconds,
             "d2h_seconds": self.d2h_seconds,
         }
@@ -133,9 +145,8 @@ class EvictionPolicy:
         """Pick the next block to evict.
 
         ``pinned`` is advisory (only pin-aware policies consult it);
-        ``avoid`` is mandatory — blocks mid-admission during a coalesced
-        prefetch must not be chosen.  Returns None when no block is
-        evictable.
+        ``avoid`` is mandatory — blocks a prefetch is staging must not be
+        chosen.  Returns None when no block is evictable.
         """
         raise NotImplementedError
 
@@ -266,6 +277,9 @@ class BlockPager:
         self._dirty: Set[int] = set()
         self._prefetched: Set[int] = set()
         self._pins: Set[int] = set()
+        #: blocks admitted by the gather in flight but not yet charged
+        self._wave: Set[int] = set()
+        self._wave_bytes = 0
 
     # ------------------------------------------------------------ inspection
     @property
@@ -305,88 +319,96 @@ class BlockPager:
     # ---------------------------------------------------------------- faults
     def access(self, block_id: int) -> bool:
         """Fault ``block_id`` resident if needed; returns True on a hit."""
-        block_id = int(block_id)
-        if block_id in self._resident:
-            self.stats.hits += 1
-            if block_id in self._prefetched:
-                self.stats.prefetch_hits += 1
-                self._prefetched.discard(block_id)
-            self.policy.touch(block_id)
-            return True
-        self.stats.misses += 1
-        nbytes = self.store.block_nbytes(block_id)
-        self._make_room(nbytes, avoid=set())
-        # allocate before charging the copy: a device-level OOM (other pools
-        # squeezing the pager) must not leave a phantom transfer in the stats
-        self._admit(block_id, nbytes)
-        elapsed = self.device.transfer_to_device(
-            nbytes, label=H2D_LABEL, latency=self.config.fault_latency
-        )
-        self.stats.bytes_h2d += nbytes
-        self.stats.h2d_seconds += elapsed
-        return False
+        return self.fault_runs((int(block_id),), (1,)) == 0
 
-    def access_counted(self, block_id: int, count: int) -> bool:
-        """Fault once for a run of ``count`` consecutive same-block accesses.
+    def fault_runs(self, blocks: Sequence[int], counts: Sequence[int]) -> int:
+        """Fault one gather's block runs, charging the misses in waves.
 
-        Behaviourally identical to calling :meth:`access` ``count`` times in
-        a row: after the first access the block is resident and nothing else
-        intervenes, so the remaining ``count - 1`` accesses would each be
-        plain hits whose policy touches are no-ops.  They are credited to the
-        hit counter in bulk, which is what lets a columnar gather replace the
-        per-object access loop without changing any pager statistic.
+        Run ``i`` stands for ``counts[i]`` consecutive accesses to block
+        ``blocks[i]``: the first is a hit or a miss, the rest are hits whose
+        policy touches would be no-ops, so they are credited in bulk.  A
+        block a run faulted earlier in the gather is a hit while it stays
+        resident.  Misses are admitted into the pending wave, which is
+        charged as one H2D transaction when the policy picks one of its
+        blocks as a victim and when the gather ends (also when it ends in an
+        error).  Returns the number of misses.
         """
-        hit = self.access(block_id)
-        if count > 1:
-            self.stats.hits += count - 1
-        return hit
+        misses = 0
+        try:
+            for block_id, count in zip(blocks, counts):
+                block_id = int(block_id)
+                if block_id in self._resident:
+                    self.stats.hits += 1
+                    if block_id in self._prefetched:
+                        self.stats.prefetch_hits += 1
+                        self._prefetched.discard(block_id)
+                    self.policy.touch(block_id)
+                else:
+                    self.stats.misses += 1
+                    misses += 1
+                    nbytes = self.store.block_nbytes(block_id)
+                    self._make_room(nbytes, avoid=set())
+                    self._stage(block_id, nbytes)
+                self.stats.hits += int(count) - 1
+        finally:
+            self._charge_wave()
+        return misses
 
     def prefetch(self, block_ids: Iterable[int]) -> int:
         """Stage the missing blocks of a candidate set in one transaction.
 
-        All staged bytes share a single ``fault_latency`` charge.  Blocks
+        Repeated ids are staged once.  The set never evicts its own blocks,
+        so all staged bytes share a single ``fault_latency`` charge; blocks
         that cannot fit (the rest of the set already fills the pool) are
         skipped — they will fault on demand.  Returns how many blocks were
         staged.
         """
-        missing = [int(b) for b in block_ids if int(b) not in self._resident]
-        if not missing:
-            return 0
-        staged: list[tuple[int, int]] = []
-        protected: Set[int] = set()
-        total = 0
+        unique = dict.fromkeys(int(b) for b in block_ids)  # first-seen order
+        missing = [b for b in unique if b not in self._resident]
+        staged = 0
         for block_id in missing:
             nbytes = self.store.block_nbytes(block_id)
-            if not self._make_room(nbytes, avoid=protected, best_effort=True):
+            if not self._make_room(nbytes, avoid=self._wave, best_effort=True):
                 continue
             try:
-                self._admit(block_id, nbytes)
+                self._stage(block_id, nbytes)
             except DeviceMemoryError:
                 # other pools squeezed the device below our budget: prefetch
                 # is best-effort, the block will fault on demand instead
                 continue
-            protected.add(block_id)
-            staged.append((block_id, nbytes))
-            total += nbytes
-        if not staged:
-            return 0
-        elapsed = self.device.transfer_to_device(
-            total, label=H2D_LABEL, latency=self.config.fault_latency
-        )
-        self.stats.bytes_h2d += total
-        self.stats.h2d_seconds += elapsed
-        self.stats.prefetched_blocks += len(staged)
-        self._prefetched.update(block_id for block_id, _ in staged)
-        return len(staged)
+            self._prefetched.add(block_id)
+            staged += 1
+        self._charge_wave()
+        self.stats.prefetched_blocks += staged
+        return staged
 
-    # -------------------------------------------------------------- eviction
-    def _admit(self, block_id: int, nbytes: int) -> None:
+    # ----------------------------------------------------------------- waves
+    def _stage(self, block_id: int, nbytes: int) -> None:
+        """Admit a missing block into the pending (not yet charged) wave."""
+        # allocate before charging the copy: a device-level OOM (other pools
+        # squeezing the pager) must not leave a phantom transfer in the stats
         self._resident[block_id] = self.device.allocate(
             nbytes, label=f"tier-block-{block_id}", pool=PAGER_POOL
         )
         self._resident_bytes += nbytes
         self.policy.admit(block_id)
+        self._wave.add(block_id)
+        self._wave_bytes += nbytes
 
+    def _charge_wave(self) -> None:
+        """Charge the pending wave as one H2D transaction (no-op when empty)."""
+        if not self._wave:
+            return
+        elapsed = self.device.transfer_to_device(
+            self._wave_bytes, label=H2D_LABEL, latency=self.config.fault_latency
+        )
+        self.stats.bytes_h2d += self._wave_bytes
+        self.stats.h2d_seconds += elapsed
+        self.stats.transactions += 1
+        self._wave.clear()
+        self._wave_bytes = 0
+
+    # -------------------------------------------------------------- eviction
     def _make_room(self, nbytes: int, avoid: Set[int], best_effort: bool = False) -> bool:
         """Evict until ``nbytes`` fit inside the budget; True when they do."""
         if nbytes > self.budget_bytes:
@@ -412,6 +434,9 @@ class BlockPager:
         return True
 
     def _evict(self, block_id: int) -> None:
+        if block_id in self._wave:
+            # the wave's blocks are all resident together up to here
+            self._charge_wave()
         allocation = self._resident.pop(block_id)
         self._resident_bytes -= allocation.nbytes
         if block_id in self._dirty:

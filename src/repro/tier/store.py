@@ -12,11 +12,12 @@ tree, so one leaf's objects share a few consecutive blocks (DESIGN.md §7).
 :class:`PagedObjects` is the sequence facade a tiered
 :class:`~repro.core.gts.GTS` hands to the construction and query algorithms
 in place of the raw object list.  Every object access faults the owning
-block through the pager (charging transfer time on a miss), which is what
-lets the existing level-synchronous kernels run unmodified over a dataset
-that does not fit on the device.  Host-side consumers (``get_object``,
-persistence, cost-model sampling) read :attr:`PagedObjects.raw` instead —
-the data lives in host RAM, so those reads cost no device traffic.
+block through the pager (charging transfer time on a miss; the misses of
+one gather share H2D transactions), which is what lets the existing
+level-synchronous kernels run unmodified over a dataset that does not fit
+on the device.  Host-side consumers (``get_object``, persistence,
+cost-model sampling) read :attr:`PagedObjects.raw` instead — the data
+lives in host RAM, so those reads cost no device traffic.
 """
 
 from __future__ import annotations
@@ -190,17 +191,19 @@ class TieredObjectStore:
 class PagedObjects:
     """Sequence facade that faults object blocks through a block pager.
 
-    Integer indexing (the access pattern of ``take_objects`` and the
-    construction mapping phase) routes through
-    :meth:`~repro.tier.pager.BlockPager.access`, so hits cost nothing and
-    misses charge the H2D transfer on the simulated device.  The returned
+    Integer indexing routes through
+    :meth:`~repro.tier.pager.BlockPager.access` and gathers (the access
+    pattern of ``take_objects``) through
+    :meth:`~repro.tier.pager.BlockPager.fault_runs`, so hits cost nothing
+    and misses charge the H2D transfer on the simulated device.  The returned
     objects are the host objects themselves — the simulation only accounts
     for the staging traffic, it never copies data for real.
     """
 
     #: Gathers fault device blocks, so callers should present each query's
     #: candidates in physical-slot order (:attr:`slot_of`): consecutive ids
-    #: of one block then collapse into a single pager access.
+    #: of one block then collapse into a single pager run.  Callers that
+    #: gather in host chunks fault the whole id list first (:meth:`fault`).
     coalesced_gather = True
 
     def __init__(self, store: TieredObjectStore, pager):
@@ -227,17 +230,29 @@ class PagedObjects:
     def gather(self, obj_ids) -> Sequence:
         """Columnar block gather: fault the owning blocks, then gather rows.
 
-        The device-side accounting is identical to indexing the facade once
-        per id — one logical pager access per object — but consecutive
-        accesses to the same block collapse into a single policy touch with
-        the remaining accesses credited as hits in bulk, and the host-side
-        row materialisation is one columnar gather instead of a per-object
+        The device-side accounting is :meth:`fault`'s; the host-side row
+        materialisation is one columnar gather instead of a per-object
         Python loop.  This is the fast path ``take_objects`` rides for every
         level-wide candidate gather of a tiered index.
         """
         ids = np.asarray(obj_ids, dtype=np.int64)
+        self.fault(ids)
+        return gather_rows(self.store.raw, ids)
+
+    def fault(self, obj_ids) -> None:
+        """Fault the owning blocks of one kernel's reads, in order.
+
+        Hits and misses are those of indexing the facade once per id — one
+        logical pager access per object — but consecutive ids of one block
+        collapse into a single run, and the misses of the whole call are
+        charged in co-resident waves (:meth:`BlockPager.fault_runs`).  A
+        kernel whose host side gathers rows in chunks faults its whole id
+        list here once and reads the chunks from :attr:`raw`, so the chunking
+        stays invisible to the pager and the simulated clock.
+        """
+        ids = np.asarray(obj_ids, dtype=np.int64)
         if len(ids) == 0:
-            return gather_rows(self.store.raw, ids)
+            return
         lo, hi = int(ids.min()), int(ids.max())
         if lo < 0 or hi >= len(self.store):
             raise TierError(
@@ -245,12 +260,9 @@ class PagedObjects:
                 f"(size {len(self.store)})"
             )
         blocks = self.store.blocks_of(ids)
-        change = np.flatnonzero(np.diff(blocks)) + 1
-        run_starts = np.concatenate(([0], change))
-        run_lengths = np.diff(np.concatenate((run_starts, [len(blocks)])))
-        for start, length in zip(run_starts.tolist(), run_lengths.tolist()):
-            self.pager.access_counted(int(blocks[start]), length)
-        return gather_rows(self.store.raw, ids)
+        run_starts = np.concatenate(([0], np.flatnonzero(np.diff(blocks)) + 1))
+        run_lengths = np.diff(np.append(run_starts, len(blocks)))
+        self.pager.fault_runs(blocks[run_starts].tolist(), run_lengths.tolist())
 
     # ----------------------------------------------------------- host-side
     @property

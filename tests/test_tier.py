@@ -218,7 +218,9 @@ class TestBlockPager:
         assert stats.transfer_seconds["pager-h2d"] == pytest.approx(
             pager.stats.h2d_seconds
         )
-        # two fault transactions → two latency charges on top of the bytes
+        # two single-block gathers → two transactions, two latency charges
+        # on top of the bytes
+        assert pager.stats.transactions == 2
         expected = 2 * pager.config.fault_latency + (
             pager.stats.bytes_h2d / guarded_device.spec.transfer_bandwidth
         )
@@ -294,6 +296,103 @@ class TestBlockPager:
         pager.release()
         assert pager.resident_bytes == 0
         # guarded_device teardown asserts no leaks
+
+    def test_prefetch_stages_repeated_ids_once(self, guarded_device):
+        store, pager = self.make_pager(guarded_device, budget_blocks=4, prefetch=True)
+        assert pager.prefetch([0, 0, 1]) == 2
+        assert pager.resident_blocks == [0, 1]
+        assert pager.resident_bytes == store.block_nbytes(0) + store.block_nbytes(1)
+        assert guarded_device.pool_used_bytes("pager") == pager.resident_bytes
+        assert pager.stats.bytes_h2d == pager.resident_bytes
+        assert pager.stats.transactions == 1
+        pager.release()
+        assert guarded_device.pool_used_bytes("pager") == 0
+        # guarded_device teardown asserts no leaks
+
+    def test_a_gathers_misses_share_one_transaction(self, guarded_device):
+        store, pager = self.make_pager(guarded_device, budget_blocks=3)
+        # block 0 again is a hit while it is still resident
+        assert pager.fault_runs([0, 1, 0, 2], [2, 1, 1, 3]) == 3
+        assert pager.stats.misses == 3 and pager.stats.hits == 4
+        assert pager.stats.transactions == 1
+        assert pager.stats.bytes_h2d == sum(store.block_nbytes(b) for b in range(3))
+        expected = pager.config.fault_latency + (
+            pager.stats.bytes_h2d / guarded_device.spec.transfer_bandwidth
+        )
+        assert pager.stats.h2d_seconds == pytest.approx(expected)
+        assert guarded_device.stats.transfer_seconds["pager-h2d"] == pytest.approx(expected)
+        pager.release()
+
+    def test_a_wave_closes_before_its_own_block_is_evicted(self, guarded_device):
+        store, pager = self.make_pager(guarded_device, budget_blocks=2)
+        # 0 and 1 fill the pool; block 2's victim is 0, a block of the
+        # pending wave, so {0, 1} is charged first; block 3 evicts the
+        # already charged 1 and joins 2 in the second wave
+        assert pager.fault_runs([0, 1, 2, 3], [1, 1, 1, 1]) == 4
+        assert pager.stats.evictions == 2
+        assert pager.stats.transactions == 2
+        assert pager.resident_blocks == [2, 3]
+        pager.release()
+
+    def test_device_oom_mid_gather_charges_the_staged_wave(self, guarded_device):
+        from repro.exceptions import DeviceMemoryError
+
+        store, pager = self.make_pager(guarded_device, budget_blocks=4)
+        block = store.block_nbytes(0)
+        # other pools leave room for two blocks only
+        filler = guarded_device.allocate(
+            guarded_device.available_bytes - 2 * block, pool="workspace"
+        )
+        with pytest.raises(DeviceMemoryError):
+            pager.fault_runs([0, 1, 2], [1, 1, 1])
+        assert pager.resident_blocks == [0, 1]
+        assert pager.stats.misses == 3
+        assert pager.stats.transactions == 1
+        assert pager.stats.bytes_h2d == 2 * block
+        assert guarded_device.stats.transfer_seconds["pager-h2d"] == pytest.approx(
+            pager.stats.h2d_seconds
+        )
+        guarded_device.free(filler)
+        pager.release()
+
+    @pytest.mark.parametrize("budget_blocks", [2, 3, 4])
+    @pytest.mark.parametrize("eviction", ["lru", "clock", "pinned-lru"])
+    def test_waves_match_one_access_per_object(self, eviction, budget_blocks):
+        """Waves change latency charges only, never what the pager holds."""
+        rng = np.random.default_rng(100 * budget_blocks + len(eviction))
+        counters = ("hits", "misses", "evictions", "forced_evictions", "bytes_h2d")
+        for _ in range(20):
+            wave_device, reference_device = Device(DeviceSpec()), Device(DeviceSpec())
+            store, waves = self.make_pager(wave_device, budget_blocks, eviction)
+            _, reference = self.make_pager(reference_device, budget_blocks, eviction)
+            if eviction == "pinned-lru":
+                pins = rng.choice(store.num_blocks, size=2, replace=False).tolist()
+                waves.set_pins(pins)
+                reference.set_pins(pins)
+            for _ in range(4):  # several gathers on the same pool
+                blocks = rng.integers(0, store.num_blocks, size=rng.integers(1, 13)).tolist()
+                counts = rng.integers(1, 4, size=len(blocks)).tolist()
+                before = (waves.stats.transactions, waves.stats.bytes_h2d)
+                waves.fault_runs(blocks, counts)
+                # a wave's blocks are resident together: it fits the budget
+                charged = waves.stats.transactions - before[0]
+                assert charged * waves.budget_bytes >= waves.stats.bytes_h2d - before[1]
+                for block_id, count in zip(blocks, counts):
+                    for _ in range(count):
+                        reference.access(block_id)
+                for name in counters:
+                    assert getattr(waves.stats, name) == getattr(reference.stats, name), name
+                assert waves.resident_blocks == reference.resident_blocks
+            assert reference.stats.transactions == reference.stats.misses
+            assert waves.stats.transactions <= waves.stats.misses
+            assert waves.stats.h2d_seconds == pytest.approx(
+                waves.stats.transactions * waves.config.fault_latency
+                + waves.stats.bytes_h2d / wave_device.spec.transfer_bandwidth
+            )
+            assert wave_device.stats.peak_memory_bytes == reference_device.stats.peak_memory_bytes
+            waves.release()
+            reference.release()
+            wave_device.assert_no_leaks()
 
 
 # ---------------------------------------------------------------------------
@@ -744,31 +843,70 @@ class TestBlockCoalescedGathers:
         )
         pager = index.pager
         faults: list[list[int]] = []
-        real_access, real_segmented = pager.access, search.segmented_distances
+        # (transactions, misses) the verification gather charged
+        charged: list[tuple[int, int]] = []
+        real_stage, real_segmented = pager._stage, search.segmented_distances
 
         def recording_segmented(*args, **kwargs):
             faults.append([])
 
-            def access(block_id):
-                hit = real_access(block_id)
-                if not hit:
-                    faults[-1].append(int(block_id))
-                return hit
+            def stage(block_id, nbytes):
+                faults[-1].append(int(block_id))
+                return real_stage(block_id, nbytes)
 
-            monkeypatch.setattr(pager, "access", access)
+            before = (pager.stats.transactions, pager.stats.misses)
+            monkeypatch.setattr(pager, "_stage", stage)
             try:
                 return real_segmented(*args, **kwargs)
             finally:
-                monkeypatch.setattr(pager, "access", real_access)
+                monkeypatch.setattr(pager, "_stage", real_stage)
+                charged.append(
+                    (pager.stats.transactions - before[0], pager.stats.misses - before[1])
+                )
 
         monkeypatch.setattr(search, "segmented_distances", recording_segmented)
         for qi in range(0, 600, 60):
             faults.clear()
+            charged.clear()
             index.knn_query(points_2d[qi], 8)
             assert len(faults) == 1  # one leaf-verification gather
             assert faults[0], "the verification gather faulted no block"
             assert len(faults[0]) == len(set(faults[0]))
+            transactions, misses = charged[0]
+            assert misses == len(faults[0])
+            assert 1 <= transactions <= misses
         index.close()
+
+
+    def test_host_chunking_is_invisible_to_the_pager(self, monkeypatch):
+        from repro.core import construction, searchcommon
+        from repro.datasets import get_dataset
+
+        data = get_dataset("vector", cardinality=400, seed=3)  # 300-d angular
+        queries = [data.objects[i] for i in range(0, 400, 25)]
+        tier = TierConfig(
+            memory_budget_bytes=objects_nbytes(data.objects) // 4, block_bytes=4096
+        )
+
+        def run():
+            index = GTS.build(
+                data.objects, data.metric, node_capacity=10, seed=4,
+                device=Device(DeviceSpec()), tier=tier,
+            )
+            answers = (index.range_query_batch(queries, 0.6), index.knn_query_batch(queries, 6))
+            stats = index.device.stats.as_dict()
+            del stats["host_time"]  # wall clock
+            pager = index.pager.stats.as_dict()
+            index.close()
+            return answers, stats, pager
+
+        default = run()
+        for module in (construction, searchcommon):
+            # a few 300-d rows per host chunk
+            monkeypatch.setattr(module, "GATHER_CHUNK_ELEMENTS", 1000)
+        tiny = run()
+        assert default[2]["misses"] > default[2]["transactions"] > 0
+        assert tiny == default
 
 
 # ---------------------------------------------------------------------------
@@ -814,6 +952,8 @@ class TestTieredServing:
         assert tiered.range_query_batch(queries, 0.6) == resident.range_query_batch(queries, 0.6)
         stats = tiered.pager_stats()
         assert stats["misses"] > 0 and 0.0 <= stats["hit_rate"] <= 1.0
+        assert stats["transactions"] == sum(s.pager.stats.transactions for s in tiered.shards)
+        assert 0 < stats["transactions"] <= stats["misses"]
         # the coordinating timeline absorbed the shards' attributed traffic
         assert tiered.device.stats.transfer_seconds.get("pager-h2d", 0.0) > 0
         resident.close()
