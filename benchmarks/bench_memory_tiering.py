@@ -2,15 +2,14 @@
 
 Reproduced shape: serving a dataset from a device pool smaller than the
 dataset is a pure *performance* trade — at every cap (100% down to 10% of
-the dataset's payload bytes) and under every eviction policy the tiered
-index's range and kNN answers are identical to the fully-resident GTS.
+the dataset's payload bytes) the tiered index's range and kNN answers are
+identical to the fully-resident GTS.
 What degrades is the cost: the pager's hit rate falls and the attributed
 host→device transfer time (``ExecutionStats.transfer_seconds["pager-h2d"]``)
 rises monotonically as the cap shrinks, which is exactly the memory-
 hierarchy behaviour Faiss documents for billion-scale GPU search.  The
-misses of one gather share H2D transactions, so every demand-fault cell
-charges at most one transaction per miss, and the tightest cap strictly
-fewer.
+misses of one gather share H2D transactions, so every cap charges at most
+one transaction per miss, and the tightest cap strictly fewer.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.tier.experiment import experiment_memory_tiering
 from .conftest import BENCH_SCALE, attach, ok_rows, run_once
 
 CAPS = (1.0, 0.5, 0.25, 0.1)
-EVICTIONS = ("lru", "clock", "pinned-lru")
 
 
 def test_memory_tiering(benchmark):
@@ -28,7 +26,6 @@ def test_memory_tiering(benchmark):
         benchmark,
         experiment_memory_tiering,
         cap_fractions=CAPS,
-        evictions=EVICTIONS,
         scale=BENCH_SCALE,
     )
     attach(benchmark, result)
@@ -36,50 +33,27 @@ def test_memory_tiering(benchmark):
     rows = ok_rows(result)
     assert len(rows) == len(result.rows), "some tiering cells failed"
 
-    # exactness at every cap and policy — tiering never changes answers
+    # exactness at every cap — tiering never changes answers
     assert all(row["correct"] for row in rows)
     # the acceptance cell: 25% cap, answers identical to fully resident
     quarter = [row for row in rows if row["cap_fraction"] == 0.25]
     assert quarter and all(row["correct"] for row in quarter)
 
-    for eviction in EVICTIONS:
-        by_cap = {
-            row["cap_fraction"]: row
-            for row in rows
-            if row["eviction"] == eviction and not row["prefetch"]
-        }
-        assert set(by_cap) == set(CAPS)
-        # hit rate decays and attributed H2D transfer time grows as the
-        # device pool shrinks
-        hit_rates = [by_cap[c]["hit_rate"] for c in sorted(CAPS, reverse=True)]
-        assert hit_rates == sorted(hit_rates, reverse=True), hit_rates
-        h2d = [by_cap[c]["h2d_seconds"] for c in sorted(CAPS, reverse=True)]
-        assert h2d == sorted(h2d), h2d
-        # paying for the paging: tight caps are slower than resident
-        assert by_cap[min(CAPS)]["knn_slowdown"] > 1.0
-        # the pool budget is respected (per-pool high-water mark)
-        assert all(
-            row["pager_peak_bytes"] <= row["budget_bytes"] for row in by_cap.values()
-        )
-        # demand faults are charged in co-resident waves: never more H2D
-        # transactions than misses, and strictly fewer once the pool is
-        # tight enough that gathers miss several blocks
-        assert all(row["h2d_transactions"] <= row["misses"] for row in by_cap.values())
-        tight = by_cap[min(CAPS)]
-        assert tight["h2d_transactions"] < tight["misses"], tight
-
-    # the pin-aware policy never force-evicts while unpinned victims exist:
-    # at comfortable caps the pivot-block set fits and stays untouched; only
-    # when the budget drops below the pinned working set (the 10% cap) does
-    # the policy fall back to sacrificing pinned blocks instead of wedging
-    pinned = {
-        row["cap_fraction"]: row
-        for row in rows
-        if row["eviction"] == "pinned-lru" and not row["prefetch"]
-    }
-    assert all(pinned[c]["forced_evictions"] == 0 for c in (1.0, 0.5, 0.25))
-
-    # prefetch ablation: same answers, fewer/coalesced fault transactions
-    prefetch_rows = [row for row in rows if row["prefetch"]]
-    assert prefetch_rows and all(row["correct"] for row in prefetch_rows)
-    assert all(row["prefetched_blocks"] > 0 for row in prefetch_rows)
+    by_cap = {row["cap_fraction"]: row for row in rows if row["tiered"]}
+    assert set(by_cap) == set(CAPS)
+    # hit rate decays and attributed H2D transfer time grows as the
+    # device pool shrinks
+    hit_rates = [by_cap[c]["hit_rate"] for c in sorted(CAPS, reverse=True)]
+    assert hit_rates == sorted(hit_rates, reverse=True), hit_rates
+    h2d = [by_cap[c]["h2d_seconds"] for c in sorted(CAPS, reverse=True)]
+    assert h2d == sorted(h2d), h2d
+    # paying for the paging: tight caps are slower than resident
+    assert by_cap[min(CAPS)]["knn_slowdown"] > 1.0
+    # the pool budget is respected (per-pool high-water mark)
+    assert all(row["pager_peak_bytes"] <= row["budget_bytes"] for row in by_cap.values())
+    # demand faults are charged in co-resident waves: never more H2D
+    # transactions than misses, and strictly fewer once the pool is
+    # tight enough that gathers miss several blocks
+    assert all(row["h2d_transactions"] <= row["misses"] for row in by_cap.values())
+    tight = by_cap[min(CAPS)]
+    assert tight["h2d_transactions"] < tight["misses"], tight

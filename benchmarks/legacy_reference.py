@@ -49,8 +49,6 @@ def _legacy_pivot_distances(device, metric, objects, queries, cand_query, pivot_
     out = np.empty(len(cand_query), dtype=np.float64)
     if len(cand_query) == 0:
         return out
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(pivot_ids)
     order = np.argsort(cand_query, kind="stable")
     sorted_q = cand_query[order]
     unique_queries, starts = np.unique(sorted_q, return_index=True)
@@ -135,10 +133,6 @@ def _legacy_verify(
     if len(leaf_q) == 0:
         return
     exclude = _exclude_set(tombstones)
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(
-            np.concatenate([tree.node_objects(int(n)) for n in np.unique(leaf_node)])
-        )
     order = np.argsort(leaf_q, kind="stable")
     sorted_q = leaf_q[order]
     unique_queries, starts = np.unique(sorted_q, return_index=True)

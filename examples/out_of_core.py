@@ -8,8 +8,7 @@ The script builds a fully-resident GTS index and a *tiered* one whose
 device-resident object pool is capped at 25% of the dataset's payload
 bytes (DESIGN.md §7): the object store stays in simulated host memory,
 split into fixed-size blocks, and a demand pager stages blocks onto the
-device, evicting with a pin-aware LRU that protects the blocks holding the
-tree's pivots.  It then shows the tiered answers are identical while the
+device, evicting the least recently used block.  It then shows the tiered answers are identical while the
 pager's hit rate, eviction traffic and attributed host↔device transfer
 time tell you what the smaller memory footprint costs.
 """
@@ -41,13 +40,11 @@ def main() -> None:
     tier = TierConfig(
         memory_budget_bytes=dataset_bytes // 4,
         block_bytes=max(64, dataset_bytes // 200),
-        eviction="pinned-lru",
-        prefetch=True,
     )
     tiered = GTS.build(points, metric, node_capacity=20, seed=7, tier=tier)
     print(f"device pool    : {tier.memory_budget_bytes / 1024:.1f} KB "
           f"({tiered.pager.store.num_blocks} blocks of "
-          f"{tier.block_bytes} B, {tier.eviction} eviction, prefetch on)")
+          f"{tier.block_bytes} B, LRU eviction)")
 
     tiered.pager.stats.reset()
     snapshot = tiered.device.snapshot()
@@ -57,8 +54,7 @@ def main() -> None:
     print(f"identical      : {answers == expected}")
     pager = tiered.pager.stats
     print(f"pager          : hit rate {pager.hit_rate:.3f} "
-          f"({pager.hits} hits, {pager.misses} misses, {pager.evictions} evictions, "
-          f"{pager.prefetched_blocks} prefetched)")
+          f"({pager.hits} hits, {pager.misses} misses, {pager.evictions} evictions)")
     print(f"paging traffic : {pager.bytes_h2d / 1024:.1f} KB staged host→device in "
           f"{pager.transactions} transactions, "
           f"{delta.transfer_seconds.get('pager-h2d', 0.0) * 1e3:.3f} ms attributed")

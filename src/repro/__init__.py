@@ -53,7 +53,7 @@ from .exceptions import (
 from .exceptions import MemoryLeakError, TierError
 from .gpusim import CPUExecutor, CPUSpec, Device, DeviceSpec
 from .shard import ShardedGTS, make_assignment_policy
-from .tier import BlockPager, TierConfig, TieredObjectStore, make_eviction_policy
+from .tier import BlockPager, TierConfig, TieredObjectStore
 from .service import (
     DeadlineAwarePolicy,
     GreedyBatchPolicy,
@@ -83,7 +83,6 @@ __all__ = [
     "TierConfig",
     "TieredObjectStore",
     "BlockPager",
-    "make_eviction_policy",
     "ApproximateGTS",
     "LearnedLeafRouter",
     "PruneMode",

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -53,7 +54,7 @@ from .service import experiment as _service_experiment
 from .service.scheduler import POLICY_REGISTRY, make_policy
 from .shard import ASSIGNMENT_POLICIES, ShardedGTS
 from .shard import experiment as _shard_experiment
-from .tier import EVICTION_POLICIES, TierConfig
+from .tier import TierConfig
 from .tier import experiment as _tier_experiment
 
 __all__ = ["main", "build_parser", "EXPERIMENT_REGISTRY"]
@@ -88,6 +89,13 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
     return number
 
 
@@ -147,22 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-assignment policy when --shards > 1 (default round-robin)",
     )
     p_serve.add_argument(
-        "--device-memory", type=float, default=None, metavar="MB",
+        "--device-memory", type=_positive_float, default=None, metavar="MB",
         help="serve out-of-core: cap the device-resident object pool at this many "
         "MB and page blocks from host memory on demand (default: fully resident)",
     )
     p_serve.add_argument(
-        "--eviction", choices=sorted(EVICTION_POLICIES), default="lru",
-        help="block-pager eviction policy when --device-memory is set (default lru)",
-    )
-    p_serve.add_argument(
-        "--block-kb", type=float, default=16.0,
+        "--block-kb", type=_positive_float, default=16.0,
         help="object-block size in KB for the tiered pool (default 16)",
-    )
-    p_serve.add_argument(
-        "--prefetch", action="store_true",
-        help="stage each kernel's candidate blocks in one lookahead transfer before "
-        "its gather (demand faults already share one transfer per wave)",
     )
     p_serve.add_argument(
         "--maintenance", action="store_true",
@@ -345,12 +344,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         tier = TierConfig(
             memory_budget_bytes=max(1, int(args.device_memory * MiB)),
             block_bytes=max(1, int(args.block_kb * 1024)),
-            eviction=args.eviction,
-            prefetch=args.prefetch,
         )
         print(f"tiering    : {args.device_memory} MB device pool, "
-              f"{args.eviction} eviction, blocks {args.block_kb} KB"
-              f"{', prefetch' if args.prefetch else ''}")
+              f"LRU eviction, blocks {args.block_kb} KB")
 
     cache_bytes = (
         DEFAULT_CACHE_BYTES if args.cache_kb is None else max(1, int(args.cache_kb * 1024))
@@ -425,9 +421,9 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         print(f"pager      : hit rate {pager['hit_rate']:.3f} "
               f"({pager['hits']} hits / {pager['misses']} misses, "
               f"{pager['evictions']} evictions) while serving")
-        print(f"transfers  : h2d {delta.transfer_seconds.get('pager-h2d', 0.0) * 1e3:.3f} ms, "
-              f"d2h {delta.transfer_seconds.get('pager-d2h', 0.0) * 1e3:.3f} ms (paging), "
-              f"{delta.transfer_seconds.get('results-d2h', 0.0) * 1e3:.3f} ms (results)")
+        print(f"transfers  : h2d {delta.transfer_seconds.get('pager-h2d', 0.0) * 1e3:.3f} ms "
+              f"(paging), d2h {delta.transfer_seconds.get('results-d2h', 0.0) * 1e3:.3f} ms "
+              "(results)")
 
     if args.verify:
         oracle = GTS.build(

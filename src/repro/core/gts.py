@@ -211,8 +211,8 @@ class GTS:
         identical to the fully-resident index; only the charged transfer
         time (and the device-memory footprint) changes.
     tier:
-        Full :class:`~repro.tier.TierConfig` (block size, eviction policy,
-        prefetch) for tiered mode; ``memory_budget_bytes``, when also
+        Full :class:`~repro.tier.TierConfig` (budget, block size, fault
+        latency) for tiered mode; ``memory_budget_bytes``, when also
         given, overrides the config's budget.
     """
 
@@ -351,9 +351,9 @@ class GTS:
         """Page the tiered store in ``tree``'s leaf-clustered block layout.
 
         Resident blocks hold the previous layout's slot ranges, so every one
-        is invalidated; the pivot blocks (the leading blocks of the new
-        layout) are pinned and, when ``warm``, staged again in one coalesced
-        prefetch — every descent starts by touching them.
+        is invalidated; when ``warm``, the pivot blocks (the leading blocks
+        of the new layout) are faulted back in as one gather — every descent
+        starts by touching them.
         """
         from ..tier.store import leaf_clustered_order
 
@@ -362,10 +362,9 @@ class GTS:
             self._pager.invalidate(block_id)
         store.set_layout(leaf_clustered_order(tree, len(store)))
         self._check_block_budget(store)
-        pivot_blocks = store.blocks_for(tree.pivot[tree.pivot >= 0])
-        self._pager.set_pins(pivot_blocks)
         if warm:
-            self._pager.prefetch(pivot_blocks)
+            pivot_blocks = store.blocks_for(tree.pivot[tree.pivot >= 0]).tolist()
+            self._pager.fault_runs(pivot_blocks, [1] * len(pivot_blocks))
 
     def _build(self) -> BuildResult:
         """Build the tree over the currently indexed ids."""
@@ -379,7 +378,7 @@ class GTS:
             pivot_strategy=self.pivot_strategy,
             # Tiered mode never materialises the full object store on the
             # device: construction faults blocks through the pager instead,
-            # and only the tree storage is allocated (pinned) below.
+            # and only the tree storage is allocated below.
             allocate_storage=self.tier_config is None,
         )
         return self._finalize_build(result)

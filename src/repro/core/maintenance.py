@@ -33,10 +33,8 @@ re-applied to the new tree at swap time), deletes of snapshot-cached objects
 leave the cache immediately and are detected at swap time by their absence.
 
 Tiered indexes build the replacement tree by paging the snapshot through the
-existing :class:`~repro.tier.BlockPager`; the pin set is widened to the union
-of both generations' pivot blocks while a rebuild is in flight
-(:meth:`BlockPager.add_pins`) and narrowed back to the new tree's pivots at
-swap time.
+existing :class:`~repro.tier.BlockPager`, and re-page the store in the new
+tree's layout at swap time.
 
 The controller is deliberately passive: *someone* must call
 :meth:`IncrementalMaintenance.run_slice` for progress to happen.  The
@@ -57,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .construction import BuildResult, build_level, objects_nbytes
-from .nodes import TreeStructure, level_size, level_start
+from .nodes import TreeStructure
 from .pivots import PivotSelector, get_pivot_selector
 
 __all__ = [
@@ -200,18 +198,6 @@ class GenerationBuild:
                 self._selector,
                 index._rng,
             )
-            if index.tiered:
-                # protect both generations' pivot blocks while the rebuild is
-                # in flight: descents still walk the old tree, construction
-                # re-touches the new pivots every level.  Only this level's
-                # freshly chosen pivots are new; earlier levels are pinned.
-                start = level_start(self.next_layer, self.tree.node_capacity)
-                level_pivots = self.tree.pivot[
-                    start : start + level_size(self.next_layer, self.tree.node_capacity)
-                ]
-                index.pager.add_pins(
-                    index._objects.store.blocks_for(level_pivots[level_pivots >= 0])
-                )
             self.next_layer += 1
             levels += 1
         self.sim_time += device.stats.sim_time - sim_start

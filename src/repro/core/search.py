@@ -46,7 +46,6 @@ from .searchcommon import (
     PruneMode,
     dedupe_min_triples,
     leaf_candidate_segments,
-    leaf_prefetch_ids,
     level_pair_limit,
     pivot_distances_per_query,
     prune_children,
@@ -177,11 +176,6 @@ def _verify_leaves(
     """
     if len(leaf_q) == 0:
         return
-    # Lookahead for tiered stores: the surviving leaves are the first stage's
-    # candidate list, so their object blocks can be staged in one coalesced
-    # prefetch before verification gathers them.
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(leaf_prefetch_ids(tree, leaf_node))
     host_start = time.perf_counter()
     unique_queries, boundaries, obj_ids = leaf_candidate_segments(
         tree,

@@ -60,7 +60,6 @@ __all__ = [
     "pivot_distances_per_query",
     "segmented_distances",
     "leaf_candidate_segments",
-    "leaf_prefetch_ids",
     "prune_children",
     "IntermediateTable",
 ]
@@ -340,10 +339,6 @@ def pivot_distances_per_query(
     out = np.empty(len(cand_query), dtype=np.float64)
     if len(cand_query) == 0:
         return out
-    # Tiered stores: stage the level's pivot blocks in one coalesced prefetch
-    # before the segmented gather touches them.
-    if getattr(objects, "prefetch_enabled", False):
-        objects.prefetch_ids(pivot_ids)
     order = np.argsort(cand_query, kind="stable")
     unique_queries, starts = np.unique(cand_query[order], return_index=True)
     boundaries = np.append(starts, len(order))
@@ -473,12 +468,6 @@ def leaf_candidate_segments(
     unique_queries = owner[starts]
     boundaries = np.append(starts, len(owner))
     return unique_queries, boundaries, obj_ids
-
-
-def leaf_prefetch_ids(tree: TreeStructure, leaf_node: np.ndarray) -> np.ndarray:
-    """Candidate ids of the distinct surviving leaves (prefetch lookahead)."""
-    nodes = np.unique(leaf_node)
-    return tree.obj_ids[concatenated_ranges(tree.pos[nodes], tree.size[nodes])]
 
 
 def prune_children(

@@ -50,7 +50,7 @@ class ExecutionStats:
     #: ``peak_memory_bytes`` remains the device-wide mark across all pools
     pool_peak_bytes: Dict[str, int] = field(default_factory=dict)
     #: simulated transfer seconds attributed to named flows (e.g. "pager-h2d",
-    #: "pager-d2h", "results-d2h"); a subset of ``sim_time``
+    #: "results-d2h"); a subset of ``sim_time``
     transfer_seconds: Dict[str, float] = field(default_factory=dict)
     #: simulated seconds spent inside incremental-maintenance slices
     #: (generation-swap rebuild work, DESIGN.md §9); a subset of ``sim_time``

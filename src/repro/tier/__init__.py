@@ -3,8 +3,9 @@
 Serves datasets larger than (simulated) device memory from a single device:
 the object store stays host-resident, partitioned into fixed-size blocks
 (:class:`TieredObjectStore`), and a demand pager (:class:`BlockPager`)
-stages blocks into a bounded device-memory pool, charging H2D/D2H transfer
-time through the :mod:`repro.gpusim` timing model.  This is the memory
+stages blocks into a bounded device-memory pool, evicting the least
+recently used block and charging each gather's misses as co-resident H2D
+waves through the :mod:`repro.gpusim` timing model.  This is the memory
 hierarchy Faiss uses to push GPU similarity search past device capacity
 (Johnson et al., "Billion-scale similarity search with GPUs") applied to
 the GTS tree: the tree and pivots stay hot on device, cold object blocks
@@ -13,23 +14,11 @@ page in on demand.
 Enable it by passing ``memory_budget_bytes=...`` (or a full
 :class:`TierConfig`) to :class:`~repro.core.gts.GTS` /
 :class:`~repro.shard.ShardedGTS`; the ``"memory-tiering"`` experiment
-sweeps budgets and eviction policies.
+sweeps device-memory budgets.
 """
 
 from .config import DEFAULT_BLOCK_BYTES, DEFAULT_FAULT_LATENCY, TierConfig
-from .pager import (
-    D2H_LABEL,
-    EVICTION_POLICIES,
-    H2D_LABEL,
-    PAGER_POOL,
-    BlockPager,
-    ClockPolicy,
-    EvictionPolicy,
-    LRUPolicy,
-    PagerStats,
-    PinnedLRUPolicy,
-    make_eviction_policy,
-)
+from .pager import H2D_LABEL, PAGER_POOL, BlockPager, PagerStats
 from .store import PagedObjects, TieredObjectStore
 
 __all__ = [
@@ -40,13 +29,6 @@ __all__ = [
     "PagedObjects",
     "BlockPager",
     "PagerStats",
-    "EvictionPolicy",
-    "LRUPolicy",
-    "ClockPolicy",
-    "PinnedLRUPolicy",
-    "EVICTION_POLICIES",
-    "make_eviction_policy",
     "PAGER_POOL",
     "H2D_LABEL",
-    "D2H_LABEL",
 ]

@@ -10,7 +10,9 @@ how they were tiered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import numbers
+from dataclasses import dataclass, replace
 
 from ..exceptions import TierError
 
@@ -37,43 +39,33 @@ class TierConfig:
         one block.
     block_bytes:
         Target size of one host-memory object block.
-    eviction:
-        Eviction policy name: ``"lru"``, ``"clock"`` or ``"pinned-lru"``
-        (the pin-aware policy that refuses to evict blocks holding the
-        tree's pivot objects while any other victim exists).
-    prefetch:
-        When True, the query engine's first-stage candidate lists drive a
-        lookahead prefetch: the blocks a leaf-verification (or pivot) pass
-        will touch are staged in one transaction before the kernel's
-        gather runs.  Demand faults already share one transaction per
-        co-resident wave of a gather, so this only hoists the staging
-        ahead of the gather; it saves no latency charges on its own.
     fault_latency:
         Simulated seconds of fixed cost per H2D transaction: one demand-
         fault wave (every missed block of one gather that is resident
-        together) or one prefetch.
+        together).
     """
 
     memory_budget_bytes: int
     block_bytes: int = DEFAULT_BLOCK_BYTES
-    eviction: str = "lru"
-    prefetch: bool = False
     fault_latency: float = DEFAULT_FAULT_LATENCY
 
     def __post_init__(self) -> None:
-        if self.memory_budget_bytes <= 0:
-            raise TierError(
-                f"tier memory budget must be positive, got {self.memory_budget_bytes}"
-            )
-        if self.block_bytes <= 0:
-            raise TierError(f"tier block size must be positive, got {self.block_bytes}")
+        for name, label in (("memory_budget_bytes", "memory budget"), ("block_bytes", "block size")):
+            value = getattr(self, name)
+            if not _is_positive_integral(value):
+                raise TierError(
+                    f"tier {label} must be a positive whole number of bytes, got {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
         if self.memory_budget_bytes < self.block_bytes:
             raise TierError(
                 f"tier memory budget ({self.memory_budget_bytes} B) must hold at "
                 f"least one block ({self.block_bytes} B)"
             )
-        if self.fault_latency < 0:
-            raise TierError(f"fault latency must be non-negative, got {self.fault_latency}")
+        if not (math.isfinite(self.fault_latency) and self.fault_latency >= 0):
+            raise TierError(
+                f"fault latency must be finite and non-negative, got {self.fault_latency!r}"
+            )
 
     def with_budget(self, memory_budget_bytes: int) -> "TierConfig":
         """Return a copy with a different device-pool budget."""
@@ -82,20 +74,30 @@ class TierConfig:
     def as_dict(self) -> dict:
         """Plain-dict form (persisted inside index archives)."""
         return {
-            "memory_budget_bytes": int(self.memory_budget_bytes),
-            "block_bytes": int(self.block_bytes),
-            "eviction": self.eviction,
-            "prefetch": bool(self.prefetch),
+            "memory_budget_bytes": self.memory_budget_bytes,
+            "block_bytes": self.block_bytes,
             "fault_latency": float(self.fault_latency),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TierConfig":
-        """Rebuild a config from :meth:`as_dict` output."""
+        """Rebuild a config from :meth:`as_dict` output.
+
+        Unknown keys are ignored, so archives that recorded since-removed
+        knobs (an eviction policy name, a prefetch flag) still load.
+        """
         return cls(
             memory_budget_bytes=int(data["memory_budget_bytes"]),
             block_bytes=int(data.get("block_bytes", DEFAULT_BLOCK_BYTES)),
-            eviction=str(data.get("eviction", "lru")),
-            prefetch=bool(data.get("prefetch", False)),
             fault_latency=float(data.get("fault_latency", DEFAULT_FAULT_LATENCY)),
         )
+
+
+def _is_positive_integral(value) -> bool:
+    """True for a finite, positive, whole number (an int or an integral float)."""
+    return (
+        isinstance(value, numbers.Real)
+        and math.isfinite(value)
+        and value > 0
+        and value == int(value)
+    )

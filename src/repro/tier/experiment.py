@@ -3,24 +3,22 @@
 :func:`experiment_memory_tiering` answers the question the tier subsystem
 exists for: *what does it cost to serve a dataset from a device pool smaller
 than the dataset?*  It sweeps the device-memory cap (as a fraction of the
-dataset's payload bytes, 100% → 10%) × the eviction policies, plus a
-prefetch on/off pair, and for every cell:
+dataset's payload bytes, 100% → 10%) of the LRU demand pager, and for every
+cap:
 
 * verifies the tiered answers (range **and** kNN) are identical to a
   fully-resident single-device GTS over the same data — tiering must be a
   pure performance trade, never a correctness one;
 * reports the pager's hit rate, miss and eviction counts, the number of
   H2D transactions the misses were charged as (a gather's co-resident
-  misses share one), and the H2D/D2H transfer seconds attributed in
-  ``ExecutionStats.transfer_seconds`` (``pager-h2d`` / ``pager-d2h`` /
-  ``results-d2h``);
+  misses share one), and the transfer seconds attributed in
+  ``ExecutionStats.transfer_seconds`` (``pager-h2d`` H2D paging,
+  ``results-d2h`` result gathering);
 * reports the per-pool memory high-water marks (tree vs. paged blocks) so
-  the row shows what actually pinned device memory.
+  the row shows what actually occupied device memory.
 
-The block size is chosen so the dataset spans ~a few dozen blocks with only
-a handful of objects per block, which keeps the pin-aware policy's
-pivot-block set a strict subset of all blocks (pivots are ~1/Nc of the
-objects).
+The block size is chosen so the dataset spans many blocks with only a
+handful of objects per block, so even the 10% cap holds several blocks.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from ..gpusim.device import Device
 from ..gpusim.specs import DeviceSpec
 from ..gpusim.timing import throughput_per_minute
 from .config import TierConfig
-from .pager import D2H_LABEL, H2D_LABEL, PAGER_POOL
+from .pager import H2D_LABEL, PAGER_POOL
 
 __all__ = ["experiment_memory_tiering"]
 
@@ -55,7 +53,6 @@ def _measure_queries(index: GTS, queries, radius, k):
 def experiment_memory_tiering(
     dataset_name: str = "tloc",
     cap_fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.1),
-    evictions: Sequence[str] = ("lru", "clock", "pinned-lru"),
     num_queries: int = 64,
     k: int = 10,
     node_capacity: int = 20,
@@ -63,20 +60,17 @@ def experiment_memory_tiering(
     cardinality: Optional[int] = None,
     seed: int = 7,
 ) -> ExperimentResult:
-    """Sweep device-memory caps × eviction policies; verify exactness.
+    """Sweep device-memory caps; verify exactness.
 
     Every tiered row is checked against the fully-resident reference
-    (``correct`` column); the prefetch pair at the tightest cap shows what
-    coalescing the first-stage candidate lists' faults buys.
+    (``correct`` column).
     """
     if cardinality is None:
         cardinality = max(256, int(DEFAULT_CARDINALITIES[dataset_name] * scale))
     dataset = get_dataset(dataset_name, cardinality=cardinality, seed=seed)
     workload = make_workload(dataset, num_queries=num_queries, k=k, seed=seed)
     dataset_bytes = max(1, objects_nbytes(dataset.objects))
-    # a handful of objects per block: with pivots ~1/Nc of the objects, small
-    # blocks keep the pin-aware policy's pivot-block set a strict subset of
-    # all blocks (big blocks would each contain some pivot, pinning all)
+    # a handful of objects per block, so even the tightest cap holds several
     per_object = max(1, dataset_bytes // max(1, len(dataset.objects)))
     block_bytes = max(64, per_object * max(2, node_capacity // 4))
 
@@ -103,10 +97,9 @@ def experiment_memory_tiering(
     ref_pools = dict(reference.device.stats.pool_peak_bytes)
     reference.close()
     result.add_row(
-        eviction="resident",
+        tiered=False,
         cap_fraction=1.0,
         budget_bytes=dataset_bytes,
-        prefetch=False,
         mrq_throughput=throughput_per_minute(num_queries, ref_mrq_time),
         mknn_throughput=throughput_per_minute(num_queries, ref_knn_time),
         knn_slowdown=1.0,
@@ -122,14 +115,9 @@ def experiment_memory_tiering(
         status="ok",
     )
 
-    def run_cell(eviction: str, frac: float, prefetch: bool) -> None:
+    for frac in map(float, cap_fractions):
         budget = max(block_bytes, int(dataset_bytes * frac))
-        tier = TierConfig(
-            memory_budget_bytes=budget,
-            block_bytes=block_bytes,
-            eviction=eviction,
-            prefetch=prefetch,
-        )
+        tier = TierConfig(memory_budget_bytes=budget, block_bytes=block_bytes)
         index = GTS.build(
             dataset.objects,
             dataset.metric,
@@ -148,10 +136,9 @@ def experiment_memory_tiering(
         pager = index.pager.stats
         correct = range_answers == ref_range and knn_answers == ref_knn
         result.add_row(
-            eviction=eviction,
+            tiered=True,
             cap_fraction=frac,
             budget_bytes=budget,
-            prefetch=prefetch,
             mrq_throughput=throughput_per_minute(num_queries, mrq_time),
             mknn_throughput=throughput_per_minute(num_queries, knn_time),
             knn_slowdown=knn_time / ref_knn_time if ref_knn_time > 0 else float("inf"),
@@ -160,28 +147,18 @@ def experiment_memory_tiering(
             evictions=pager.evictions,
             h2d_transactions=pager.transactions,
             h2d_seconds=delta.transfer_seconds.get(H2D_LABEL, 0.0),
-            d2h_seconds=delta.transfer_seconds.get(D2H_LABEL, 0.0)
-            + delta.transfer_seconds.get("results-d2h", 0.0),
+            d2h_seconds=delta.transfer_seconds.get("results-d2h", 0.0),
             tree_peak_bytes=index.device.stats.pool_peak_bytes.get("tree", 0),
             pager_peak_bytes=index.device.stats.pool_peak_bytes.get(PAGER_POOL, 0),
-            prefetched_blocks=pager.prefetched_blocks,
-            forced_evictions=pager.forced_evictions,
             correct=correct,
             status="ok" if correct else "mismatch",
         )
         index.close()
 
-    for eviction in evictions:
-        for frac in cap_fractions:
-            run_cell(eviction, float(frac), prefetch=False)
-    # prefetch ablation at the tightest cap: coalesced staging vs. demand faults
-    tightest = float(min(cap_fractions))
-    run_cell("lru", tightest, prefetch=True)
-
     result.notes = (
         "every tiered row's answers are verified against the fully-resident "
         "reference; h2d/d2h seconds come from ExecutionStats.transfer_seconds "
-        "(pager traffic + result gathering), tree/pager peaks from the "
+        "(pager traffic / result gathering), tree/pager peaks from the "
         "per-pool high-water marks"
     )
     return result

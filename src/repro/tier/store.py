@@ -294,21 +294,3 @@ class PagedObjects:
                 self.pager.invalidate(block_id)
         else:
             self.pager.invalidate(tail)
-
-    # ------------------------------------------------------------ prefetch
-    @property
-    def prefetch_enabled(self) -> bool:
-        """Whether lookahead prefetch is on (callers can skip building the
-        candidate-id argument when it is not)."""
-        return self.pager.prefetch_enabled
-
-    def prefetch_ids(self, obj_ids) -> None:
-        """Stage the owning blocks of ``obj_ids`` in one coalesced transfer.
-
-        Called by the query engine with its first-stage candidate lists
-        (surviving leaves / next-level pivots); a no-op unless the tier
-        config enabled prefetching.
-        """
-        if not self.pager.prefetch_enabled:
-            return
-        self.pager.prefetch(self.store.blocks_for(obj_ids))

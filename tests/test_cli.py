@@ -176,3 +176,31 @@ class TestServeSimCommand:
     def test_rejects_unknown_shard_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-sim", "--shard-policy", "hash-ring"])
+
+    @pytest.mark.parametrize("flag", ["--device-memory", "--block-kb"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-2", "many"])
+    def test_rejects_invalid_tier_sizes(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve-sim", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("removed", [["--eviction", "lru"], ["--prefetch"]])
+    def test_removed_tier_flags_are_rejected(self, removed):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve-sim", "--device-memory", "1", *removed])
+        assert exc.value.code == 2
+
+    def test_serves_tiered_sharded_index_and_verifies(self, capsys):
+        code = main([
+            "serve-sim", "--dataset", "tloc", "--cardinality", "600",
+            "--clients", "3", "--rate", "60000", "--duration", "0.001",
+            "--shards", "2", "--device-memory", "0.002", "--block-kb", "0.25",
+            "--max-batch", "16", "--verify",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "LRU eviction" in out
+        assert "2 shards (round-robin)" in out
+        assert "pager      : hit rate" in out
+        assert "identical to sequential replay" in out

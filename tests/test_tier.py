@@ -1,8 +1,7 @@
 """Tests for the out-of-core tiered memory subsystem (repro.tier).
 
-The load-bearing property: a tiered GTS — at any device-pool budget, under
-any eviction policy, with or without prefetch — returns **byte-identical**
-answers and id assignments to a fully-resident GTS across mixed
+The load-bearing property: a tiered GTS — at any device-pool budget —
+returns **byte-identical** answers and id assignments to a fully-resident GTS across mixed
 query/insert/delete batches.  Tiering is a performance trade, never a
 correctness one.
 """
@@ -16,15 +15,7 @@ from repro import GTS, EditDistance, EuclideanDistance, ShardedGTS
 from repro.exceptions import MemoryLeakError, TierError
 from repro.gpusim import Device, DeviceSpec
 from repro.core.construction import objects_nbytes
-from repro.tier import (
-    BlockPager,
-    ClockPolicy,
-    LRUPolicy,
-    PinnedLRUPolicy,
-    TierConfig,
-    TieredObjectStore,
-    make_eviction_policy,
-)
+from repro.tier import BlockPager, TierConfig, TieredObjectStore
 from repro.tier.experiment import experiment_memory_tiering
 
 
@@ -40,10 +31,41 @@ def make_store(n=64, dim=2, block_objects=4, seed=0):
 # ---------------------------------------------------------------------------
 class TestTierConfig:
     def test_round_trips_through_dict(self):
-        config = TierConfig(
-            memory_budget_bytes=4096, block_bytes=512, eviction="clock", prefetch=True
-        )
+        config = TierConfig(memory_budget_bytes=4096, block_bytes=512, fault_latency=2e-5)
         assert TierConfig.from_dict(config.as_dict()) == config
+
+    def test_from_dict_ignores_legacy_keys(self):
+        legacy = {"memory_budget_bytes": 4096, "block_bytes": 512,
+                  "eviction": "pinned-lru", "prefetch": True}
+        assert TierConfig.from_dict(legacy) == TierConfig(4096, block_bytes=512)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("memory_budget_bytes", float("nan"), "memory budget"),
+            ("memory_budget_bytes", float("inf"), "memory budget"),
+            ("memory_budget_bytes", -4096, "memory budget"),
+            ("memory_budget_bytes", 4096.5, "memory budget"),
+            ("memory_budget_bytes", "4096", "memory budget"),
+            ("block_bytes", float("nan"), "block size"),
+            ("block_bytes", float("inf"), "block size"),
+            ("block_bytes", -1, "block size"),
+            ("block_bytes", 256.25, "block size"),
+            ("fault_latency", float("nan"), "fault latency"),
+            ("fault_latency", float("inf"), "fault latency"),
+            ("fault_latency", -1e-6, "fault latency"),
+        ],
+    )
+    def test_rejects_invalid_values(self, field, value, message):
+        kwargs = {"memory_budget_bytes": 4096, "block_bytes": 512, field: value}
+        with pytest.raises(TierError, match=message):
+            TierConfig(**kwargs)
+
+    def test_integral_float_sizes_are_normalised_to_int(self):
+        config = TierConfig(memory_budget_bytes=4096.0, block_bytes=512.0)
+        assert config == TierConfig(4096, block_bytes=512)
+        assert isinstance(config.memory_budget_bytes, int)
+        assert isinstance(config.block_bytes, int)
 
     def test_rejects_budget_smaller_than_a_block(self):
         with pytest.raises(TierError):
@@ -135,58 +157,35 @@ class TestTieredObjectStore:
 
 
 # ---------------------------------------------------------------------------
-# Eviction policies
+# Eviction order (LRU)
 # ---------------------------------------------------------------------------
 class TestEvictionPolicies:
-    def test_lru_evicts_least_recently_used(self):
-        policy = LRUPolicy()
+    def test_lru_evicts_least_recently_used(self, guarded_device):
+        store = make_store(n=32, block_objects=4)
+        config = TierConfig(
+            memory_budget_bytes=3 * store.block_nbytes(0), block_bytes=store.block_bytes
+        )
+        pager = BlockPager(guarded_device, store, config)
         for bid in (1, 2, 3):
-            policy.admit(bid)
-        policy.touch(1)
-        assert policy.victim(pinned=set(), avoid=set()) == 2
-
-    def test_lru_respects_avoid_set(self):
-        policy = LRUPolicy()
-        for bid in (1, 2):
-            policy.admit(bid)
-        assert policy.victim(pinned=set(), avoid={1}) == 2
-        assert policy.victim(pinned=set(), avoid={1, 2}) is None
-
-    def test_clock_gives_referenced_blocks_a_second_chance(self):
-        policy = ClockPolicy()
-        for bid in (1, 2, 3):
-            policy.admit(bid)
-        # first sweep clears all reference bits, second finds block 1
-        assert policy.victim(pinned=set(), avoid=set()) == 1
-        policy.forget(1)
-        policy.touch(3)
-        assert policy.victim(pinned=set(), avoid=set()) == 2
-
-    def test_pinned_lru_skips_pinned_until_forced(self):
-        policy = PinnedLRUPolicy()
-        for bid in (1, 2, 3):
-            policy.admit(bid)
-        assert policy.victim(pinned={1}, avoid=set()) == 2
-        assert policy.victim(pinned={1, 2, 3}, avoid=set()) == 1  # forced: plain LRU
-
-    def test_registry_rejects_unknown_policy(self):
-        with pytest.raises(TierError):
-            make_eviction_policy("belady")
-        assert make_eviction_policy("pinned_lru").name == "pinned-lru"
+            pager.access(bid)
+        pager.access(1)  # a hit makes block 1 the most recently used
+        pager.access(4)  # evicts block 2, the least recently used
+        assert pager.resident_blocks == [1, 3, 4]
+        pager.access(5)  # then block 3
+        assert pager.resident_blocks == [1, 4, 5]
+        assert pager.stats.evictions == 2
+        pager.release()
 
 
 # ---------------------------------------------------------------------------
 # BlockPager
 # ---------------------------------------------------------------------------
 class TestBlockPager:
-    def make_pager(self, device, budget_blocks=2, eviction="lru", prefetch=False, n=32):
+    def make_pager(self, device, budget_blocks=2, n=32):
         store = make_store(n=n, block_objects=4)
         block = store.block_nbytes(0)
         config = TierConfig(
-            memory_budget_bytes=block * budget_blocks,
-            block_bytes=store.block_bytes,
-            eviction=eviction,
-            prefetch=prefetch,
+            memory_budget_bytes=block * budget_blocks, block_bytes=store.block_bytes
         )
         return store, BlockPager(device, store, config)
 
@@ -227,54 +226,14 @@ class TestBlockPager:
         assert pager.stats.h2d_seconds == pytest.approx(expected)
         pager.release()
 
-    def test_prefetch_coalesces_the_fault_latency(self, guarded_device):
-        store, pager = self.make_pager(guarded_device, budget_blocks=4, prefetch=True)
-        staged = pager.prefetch([0, 1, 2, 3])
-        assert staged == 4
-        # one transaction: a single latency for all four blocks
-        expected = pager.config.fault_latency + (
-            pager.stats.bytes_h2d / guarded_device.spec.transfer_bandwidth
-        )
-        assert pager.stats.h2d_seconds == pytest.approx(expected)
-        assert pager.access(2) is True
-        assert pager.stats.prefetch_hits == 1
-        pager.release()
-
-    def test_prefetch_overflow_is_best_effort(self, guarded_device):
-        store, pager = self.make_pager(guarded_device, budget_blocks=2, prefetch=True)
-        staged = pager.prefetch([0, 1, 2, 3])
-        assert staged == 2  # the rest is skipped, not an error
-        assert pager.resident_bytes <= pager.budget_bytes
-        pager.release()
-
-    def test_pinned_blocks_survive_under_pinned_lru(self, guarded_device):
-        store, pager = self.make_pager(guarded_device, budget_blocks=2, eviction="pinned-lru")
-        pager.set_pins({0})
-        pager.access(0)
-        pager.access(1)
-        pager.access(2)  # must evict 1, not the pinned 0
-        assert pager.is_resident(0)
-        assert not pager.is_resident(1)
-        assert pager.stats.forced_evictions == 0
-        pager.release()
-
     def test_invalidate_drops_without_writeback(self, guarded_device):
         store, pager = self.make_pager(guarded_device, budget_blocks=2)
         pager.access(0)
-        pager.mark_dirty(0)
         pager.invalidate(0)
         assert pager.stats.invalidations == 1
-        assert pager.stats.writebacks == 0
+        assert not pager.is_resident(0) and pager.resident_bytes == 0
+        assert guarded_device.pool_used_bytes("pager") == 0
         assert guarded_device.stats.bytes_to_host == 0
-        pager.release()
-
-    def test_dirty_eviction_writes_back(self, guarded_device):
-        store, pager = self.make_pager(guarded_device, budget_blocks=1)
-        pager.access(0)
-        pager.mark_dirty(0)
-        pager.access(1)  # evicts the dirty block
-        assert pager.stats.writebacks == 1
-        assert guarded_device.stats.transfer_seconds["pager-d2h"] > 0
         pager.release()
 
     def test_block_larger_than_budget_raises(self, guarded_device):
@@ -295,18 +254,6 @@ class TestBlockPager:
             pager.access(bid)
         pager.release()
         assert pager.resident_bytes == 0
-        # guarded_device teardown asserts no leaks
-
-    def test_prefetch_stages_repeated_ids_once(self, guarded_device):
-        store, pager = self.make_pager(guarded_device, budget_blocks=4, prefetch=True)
-        assert pager.prefetch([0, 0, 1]) == 2
-        assert pager.resident_blocks == [0, 1]
-        assert pager.resident_bytes == store.block_nbytes(0) + store.block_nbytes(1)
-        assert guarded_device.pool_used_bytes("pager") == pager.resident_bytes
-        assert pager.stats.bytes_h2d == pager.resident_bytes
-        assert pager.stats.transactions == 1
-        pager.release()
-        assert guarded_device.pool_used_bytes("pager") == 0
         # guarded_device teardown asserts no leaks
 
     def test_a_gathers_misses_share_one_transaction(self, guarded_device):
@@ -355,20 +302,16 @@ class TestBlockPager:
         guarded_device.free(filler)
         pager.release()
 
-    @pytest.mark.parametrize("budget_blocks", [2, 3, 4])
-    @pytest.mark.parametrize("eviction", ["lru", "clock", "pinned-lru"])
-    def test_waves_match_one_access_per_object(self, eviction, budget_blocks):
+    # ids name the eviction order under test (the pager's only one: LRU)
+    @pytest.mark.parametrize("budget_blocks", [2, 3, 4], ids=lambda b: f"lru-{b}")
+    def test_waves_match_one_access_per_object(self, budget_blocks):
         """Waves change latency charges only, never what the pager holds."""
-        rng = np.random.default_rng(100 * budget_blocks + len(eviction))
-        counters = ("hits", "misses", "evictions", "forced_evictions", "bytes_h2d")
+        rng = np.random.default_rng(100 * budget_blocks + 3)
+        counters = ("hits", "misses", "evictions", "bytes_h2d")
         for _ in range(20):
             wave_device, reference_device = Device(DeviceSpec()), Device(DeviceSpec())
-            store, waves = self.make_pager(wave_device, budget_blocks, eviction)
-            _, reference = self.make_pager(reference_device, budget_blocks, eviction)
-            if eviction == "pinned-lru":
-                pins = rng.choice(store.num_blocks, size=2, replace=False).tolist()
-                waves.set_pins(pins)
-                reference.set_pins(pins)
+            store, waves = self.make_pager(wave_device, budget_blocks)
+            _, reference = self.make_pager(reference_device, budget_blocks)
             for _ in range(4):  # several gathers on the same pool
                 blocks = rng.integers(0, store.num_blocks, size=rng.integers(1, 13)).tolist()
                 counts = rng.integers(1, 4, size=len(blocks)).tolist()
@@ -470,7 +413,6 @@ def mixed_batches(points, holdout, num_queries=12):
 
 class TestTieredGTS:
     CAPS = (0.5, 0.25, 0.1)
-    POLICIES = ("lru", "clock", "pinned-lru")
 
     def build_pair(self, objects, metric, tier, node_capacity=8, seed=11):
         resident = GTS.build(objects, metric, node_capacity=node_capacity, seed=seed)
@@ -480,16 +422,12 @@ class TestTieredGTS:
         assert tiered.tiered and not resident.tiered
         return resident, tiered
 
-    @pytest.mark.parametrize("eviction", POLICIES)
-    @pytest.mark.parametrize("cap", CAPS)
-    def test_mixed_batches_identical_at_every_cap(self, points_2d, eviction, cap):
+    # ids name the eviction order under test (the pager's only one: LRU)
+    @pytest.mark.parametrize("cap", CAPS, ids=lambda cap: f"{cap}-lru")
+    def test_mixed_batches_identical_at_every_cap(self, points_2d, cap):
         points, holdout = points_2d[:500], points_2d[500:]
         nbytes = objects_nbytes(points)
-        tier = TierConfig(
-            memory_budget_bytes=max(256, int(nbytes * cap)),
-            block_bytes=256,
-            eviction=eviction,
-        )
+        tier = TierConfig(memory_budget_bytes=max(256, int(nbytes * cap)), block_bytes=256)
         resident, tiered = self.build_pair(points, EuclideanDistance(), tier)
         for batch in mixed_batches(points, holdout):
             expected = resident.execute_batch(batch)
@@ -500,22 +438,23 @@ class TestTieredGTS:
         tiered.close()
         tiered.device.assert_no_leaks()
 
-    def test_prefetch_changes_timing_not_answers(self, points_2d):
-        points = points_2d[:400]
-        nbytes = objects_nbytes(points)
-        base = TierConfig(memory_budget_bytes=nbytes // 4, block_bytes=256)
-        resident, tiered = self.build_pair(points, EuclideanDistance(), base)
-        prefetching = GTS.build(
-            points, EuclideanDistance(), node_capacity=8, seed=11,
-            tier=TierConfig(memory_budget_bytes=nbytes // 4, block_bytes=256, prefetch=True),
-        )
-        queries = [points[i] for i in range(16)]
-        expected = resident.knn_query_batch(queries, 6)
-        assert tiered.knn_query_batch(queries, 6) == expected
-        assert prefetching.knn_query_batch(queries, 6) == expected
-        assert prefetching.pager.stats.prefetched_blocks > 0
-        for index in (resident, tiered, prefetching):
-            index.close()
+    def test_lru_pager_counters_match_recorded_values(self, points_2d):
+        """Lock the pager's LRU order: the counters and the resident set of
+        one fixed tiered mixed workload, as recorded when eviction was a
+        pluggable ``LRUPolicy`` (build warm-up excluded)."""
+        points, holdout = points_2d[:500], points_2d[500:]
+        tier = TierConfig(memory_budget_bytes=objects_nbytes(points) // 4, block_bytes=256)
+        index = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=11, tier=tier)
+        assert index.pager.resident_blocks == [0]  # the warmed pivot block
+        index.pager.stats.reset()
+        for batch in mixed_batches(points, holdout):
+            index.execute_batch(batch)
+        stats = index.pager.stats
+        assert (stats.hits, stats.misses, stats.evictions) == (5903, 441, 434)
+        assert (stats.transactions, stats.bytes_h2d) == (70, 112752)
+        assert index.pager.resident_blocks == [0, 25, 26, 27, 28, 29, 30, 31]
+        index.close()
+        index.device.assert_no_leaks()
 
     def test_budget_below_largest_real_block_fails_at_build(self, word_list, edit_metric):
         # blocks are sized by the *average* payload, so variable-length data
@@ -556,7 +495,7 @@ class TestTieredGTS:
 
     def test_batch_update_and_rebuild_stay_identical(self, points_2d, rng):
         points = points_2d[:450]
-        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256, eviction="pinned-lru")
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256)
         resident, tiered = self.build_pair(points, EuclideanDistance(), tier)
         inserts = [rng.normal(size=2) for _ in range(20)]
         resident.batch_update(inserts=inserts, deletes=[1, 5, 9])
@@ -591,9 +530,7 @@ class TestTieredGTS:
 
     def test_persistence_round_trips_tier_config(self, points_2d, tmp_path):
         points = points_2d[:300]
-        tier = TierConfig(
-            memory_budget_bytes=2048, block_bytes=256, eviction="pinned-lru", prefetch=True
-        )
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256, fault_latency=2e-5)
         index = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=5, tier=tier)
         queries = [points[i] for i in range(8)]
         expected = index.knn_query_batch(queries, 5)
@@ -601,10 +538,37 @@ class TestTieredGTS:
         loaded = GTS.load(path)
         assert loaded.tier_config == tier
         assert loaded.tiered and loaded.pager is not None
-        assert loaded.pager.policy.name == "pinned-lru"
         assert loaded.knn_query_batch(queries, 5) == expected
         index.close()
         loaded.close()
+
+    def test_archives_with_legacy_tier_keys_still_load(self, points_2d, tmp_path):
+        import json
+
+        points = points_2d[:300]
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256)
+        index = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=5, tier=tier)
+        queries = [points[i] for i in range(8)]
+        path = index.save(tmp_path / "current.npz")
+        # an archive written when the tier config still carried an eviction
+        # policy name and a prefetch flag
+        with np.load(path, allow_pickle=True) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["tier"].update(eviction="pinned-lru", prefetch=True)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        legacy_path = tmp_path / "legacy.npz"
+        np.savez(legacy_path, **arrays)
+        loaded, current = GTS.load(legacy_path), GTS.load(path)
+        assert loaded.tier_config == tier
+        answers = [
+            (copy.knn_query_batch(queries, 5), copy.range_query_batch(queries, 0.6))
+            for copy in (index, current, loaded)
+        ]
+        assert answers[2] == answers[1] == answers[0]
+        assert loaded.pager.stats.as_dict() == current.pager.stats.as_dict()
+        for copy in (index, current, loaded):
+            copy.close()
 
     def test_loading_never_faults_device_blocks(self, points_2d, tmp_path):
         points = points_2d[:300]
@@ -690,8 +654,9 @@ class TestLeafClusteredLayout:
         assert_leaf_clustered(tiered)
         store = tiered.pager.store
         assert not np.array_equal(store.slot_of, np.arange(len(store)))
-        # the warm-up staged exactly the (pinned) pivot blocks
-        assert tiered.pager.resident_blocks == sorted(tiered.pager.pinned_blocks)
+        # the warm-up staged exactly the pivot blocks
+        pivot_blocks = store.blocks_for(tiered.tree.pivot[tiered.tree.pivot >= 0])
+        assert tiered.pager.resident_blocks == pivot_blocks.tolist()
         self.assert_same_answers(resident, tiered, [points_2d[i] for i in range(10)])
         resident.close()
         tiered.close()
@@ -774,7 +739,6 @@ class TestLeafClusteredLayout:
         index.delete(11)
         loaded = GTS.load(index.save(tmp_path / "layout.npz"))
         np.testing.assert_array_equal(loaded.pager.store.slot_of, index.pager.store.slot_of)
-        assert loaded.pager.pinned_blocks == index.pager.pinned_blocks
         queries = [points[i] for i in range(12)] + [points_2d[401]]
         for copy in (index, loaded):
             copy.pager.release()  # both start from a cold pool
@@ -976,16 +940,15 @@ class TestMemoryTieringExperiment:
             num_queries=12,
             k=5,
             cap_fractions=(1.0, 0.25),
-            evictions=("lru", "pinned-lru"),
         )
 
     def test_every_cell_is_exact(self, result):
-        assert len(result.rows) == 6  # resident + 2x2 sweep + prefetch ablation
+        assert len(result.rows) == 3  # resident + one row per cap
         assert all(row["status"] == "ok" and row["correct"] for row in result.rows)
 
     def test_tight_caps_pay_attributed_transfer_time(self, result):
-        full = next(r for r in result.rows if r["eviction"] == "lru" and r["cap_fraction"] == 1.0)
-        tight = next(r for r in result.rows if r["eviction"] == "lru" and r["cap_fraction"] == 0.25)
+        full = next(r for r in result.rows if r["tiered"] and r["cap_fraction"] == 1.0)
+        tight = next(r for r in result.rows if r["tiered"] and r["cap_fraction"] == 0.25)
         assert tight["hit_rate"] < full["hit_rate"]
         assert tight["h2d_seconds"] > full["h2d_seconds"]
         assert tight["knn_slowdown"] > 1.0
@@ -1006,7 +969,7 @@ class TestServeSimTiered:
             "serve-sim", "--dataset", "tloc", "--cardinality", "400",
             "--clients", "2", "--rate", "30000", "--duration", "0.001",
             "--device-memory", "0.002", "--block-kb", "0.25",
-            "--eviction", "pinned-lru", "--max-batch", "16", "--verify",
+            "--max-batch", "16", "--verify",
         ])
         assert code == 0
         out = capsys.readouterr().out
