@@ -1,7 +1,7 @@
 """Core GTS index: structure, construction, queries, updates, cost model."""
 
 from .cache_table import CacheTable
-from .construction import BuildResult, build_tree
+from .construction import BuildResult, TreeBuild, build_tree
 from .cost_model import (
     DistanceDistribution,
     estimate_construction_cost,
@@ -31,6 +31,7 @@ __all__ = [
     "load_index",
     "INDEX_FORMAT_VERSION",
     "BuildResult",
+    "TreeBuild",
     "build_tree",
     "batch_range_query",
     "batch_knn_query",

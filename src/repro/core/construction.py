@@ -22,6 +22,7 @@ the last level may be over-full, exactly as in the paper.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -43,6 +44,7 @@ from .objectstore import (
 from .pivots import PivotSelector, get_pivot_selector
 
 __all__ = [
+    "TreeBuild",
     "build_tree",
     "build_level",
     "BuildResult",
@@ -274,8 +276,7 @@ def build_level(
 ) -> int:
     """Run one level of the level-synchronous construction (Algorithms 2-3).
 
-    The unit of work both :func:`build_tree` and the incremental maintenance
-    subsystem (:mod:`repro.core.maintenance`) advance by: pivot selection,
+    The unit of work :class:`TreeBuild` advances by: pivot selection,
     the mapping kernel and the partitioning kernels of ``layer``'s active
     nodes.  Returns the number of distance computations the level performed.
     """
@@ -288,17 +289,17 @@ def build_level(
     return distances
 
 
-def build_tree(
-    objects: Sequence,
-    object_ids: np.ndarray,
-    metric: Metric,
-    node_capacity: int,
-    device: Device,
-    rng: Optional[np.random.Generator] = None,
-    pivot_strategy: str | PivotSelector = "fft",
-    allocate_storage: bool = True,
-) -> BuildResult:
-    """Build a GTS tree over ``object_ids`` drawn from ``objects``.
+class TreeBuild:
+    """One GTS construction, advanced level by level (Algorithms 1-3).
+
+    The single construction driver: :func:`build_tree` runs it to the end
+    in one call, and incremental maintenance (:mod:`repro.core.maintenance`)
+    advances it a bounded number of levels per slice.  :meth:`stage` runs
+    once and charges the device storage (the indexed objects and the tree,
+    when ``allocate_storage``); every :meth:`run` builds more levels.  The
+    simulated time, wall time and distance computations of those calls add
+    up in :meth:`result` — work run between the calls (queries served while
+    a rebuild is in flight) is not counted.
 
     Parameters
     ----------
@@ -324,44 +325,136 @@ def build_tree(
         charged against the device's memory; the allocations are returned in
         the result so the caller can free them when the index is dropped.
     """
-    object_ids = np.asarray(object_ids, dtype=np.int64)
-    n = len(object_ids)
-    if n == 0:
-        raise ConstructionError("cannot build an index over an empty object set")
-    if node_capacity < 2:
-        raise ConstructionError(f"node capacity must be at least 2, got {node_capacity}")
-    if rng is None:
-        rng = np.random.default_rng(17)
-    if isinstance(pivot_strategy, PivotSelector):
-        selector = pivot_strategy
-    else:
-        selector = get_pivot_selector(pivot_strategy)
 
-    wall_start = time.perf_counter()
-    sim_start = device.stats.sim_time
-    dist_start = metric.pair_count
-
-    tree = TreeStructure.empty(n, node_capacity)
-    tree.obj_ids[:] = object_ids
-    tree.pos[0] = 0
-    tree.size[0] = n
-
-    allocations: list[Allocation] = []
-    if allocate_storage:
-        device.transfer_to_device(objects_nbytes(objects, object_ids))
-        allocations.append(
-            device.allocate(objects_nbytes(objects, object_ids), "gts-objects", pool="objects")
+    def __init__(
+        self,
+        objects: Sequence,
+        object_ids: np.ndarray,
+        metric: Metric,
+        node_capacity: int,
+        device: Device,
+        rng: Optional[np.random.Generator] = None,
+        pivot_strategy: str | PivotSelector = "fft",
+        allocate_storage: bool = True,
+    ) -> None:
+        object_ids = np.asarray(object_ids, dtype=np.int64)
+        n = len(object_ids)
+        if n == 0:
+            raise ConstructionError("cannot build an index over an empty object set")
+        if node_capacity < 2:
+            raise ConstructionError(f"node capacity must be at least 2, got {node_capacity}")
+        self.objects = objects
+        self.metric = metric
+        self.device = device
+        self.rng = np.random.default_rng(17) if rng is None else rng
+        self.selector = (
+            pivot_strategy
+            if isinstance(pivot_strategy, PivotSelector)
+            else get_pivot_selector(pivot_strategy)
         )
-        allocations.append(device.allocate(tree.storage_bytes(), "gts-index", pool="tree"))
+        self.allocate_storage = allocate_storage
+        self.tree = TreeStructure.empty(n, node_capacity)
+        self.tree.obj_ids[:] = object_ids
+        self.tree.pos[0] = 0
+        self.tree.size[0] = n
+        self.allocations: list[Allocation] = []
+        self.next_layer = 0
+        self.staged = False
+        self.sim_time = 0.0
+        self.wall_time = 0.0
+        self.distance_computations = 0
 
-    for layer in range(tree.height):
-        build_level(tree, layer, objects, metric, device, selector, rng)
+    @property
+    def finished(self) -> bool:
+        """True once storage is staged and every level is built."""
+        return self.staged and self.next_layer >= self.tree.height
 
-    result = BuildResult(
-        tree=tree,
-        allocations=allocations,
-        sim_time=device.stats.sim_time - sim_start,
-        wall_time=time.perf_counter() - wall_start,
-        distance_computations=metric.pair_count - dist_start,
+    def stage(self) -> None:
+        """Charge the device storage of the build; runs once."""
+        if self.staged:
+            return
+        with self._accounting():
+            if self.allocate_storage:
+                nbytes = objects_nbytes(self.objects, self.tree.obj_ids)
+                self.device.transfer_to_device(nbytes)
+                self.allocations.append(
+                    self.device.allocate(nbytes, "gts-objects", pool="objects")
+                )
+                self.allocations.append(
+                    self.device.allocate(self.tree.storage_bytes(), "gts-index", pool="tree")
+                )
+        self.staged = True
+
+    def run(self, max_levels: Optional[int] = None) -> int:
+        """Stage if needed, then build up to ``max_levels`` more levels (all
+        remaining when None); returns the number of levels built."""
+        self.stage()
+        start = self.next_layer
+        end = self.tree.height if max_levels is None else min(self.tree.height, start + max_levels)
+        # one accounting interval per level, so a build's totals do not
+        # depend on how its levels were split across calls
+        while self.next_layer < end:
+            with self._accounting():
+                build_level(
+                    self.tree,
+                    self.next_layer,
+                    self.objects,
+                    self.metric,
+                    self.device,
+                    self.selector,
+                    self.rng,
+                )
+            self.next_layer += 1
+        return self.next_layer - start
+
+    def result(self) -> BuildResult:
+        """The finished construction (its timing summed over every call)."""
+        if not self.finished:
+            raise ConstructionError(
+                f"the build has finished {self.next_layer} of {self.tree.height} levels"
+            )
+        return BuildResult(
+            tree=self.tree,
+            allocations=self.allocations,
+            sim_time=self.sim_time,
+            wall_time=self.wall_time,
+            distance_computations=self.distance_computations,
+        )
+
+    def abort(self) -> None:
+        """Discard the build, freeing the device storage it staged."""
+        for allocation in self.allocations:
+            self.device.free(allocation)
+        self.allocations = []
+
+    @contextmanager
+    def _accounting(self):
+        """Add the enclosed work to the build's time and distance totals."""
+        wall_start = time.perf_counter()
+        sim_start = self.device.stats.sim_time
+        dist_start = self.metric.pair_count
+        yield
+        self.sim_time += self.device.stats.sim_time - sim_start
+        self.wall_time += time.perf_counter() - wall_start
+        self.distance_computations += self.metric.pair_count - dist_start
+
+
+def build_tree(
+    objects: Sequence,
+    object_ids: np.ndarray,
+    metric: Metric,
+    node_capacity: int,
+    device: Device,
+    rng: Optional[np.random.Generator] = None,
+    pivot_strategy: str | PivotSelector = "fft",
+    allocate_storage: bool = True,
+) -> BuildResult:
+    """Build a GTS tree over ``object_ids`` drawn from ``objects`` in one go.
+
+    Runs a :class:`TreeBuild` (which documents the parameters) to the end.
+    """
+    build = TreeBuild(
+        objects, object_ids, metric, node_capacity, device, rng, pivot_strategy, allocate_storage
     )
-    return result
+    build.run()
+    return build.result()

@@ -40,7 +40,7 @@ from ..gpusim.specs import DeviceSpec
 from ..metrics.base import Metric
 from ..tier.config import TierConfig
 from .cache_table import CacheTable
-from .construction import BuildResult, build_tree
+from .construction import BuildResult, TreeBuild
 from .cost_model import (
     DistanceDistribution,
     estimate_distance_distribution,
@@ -203,17 +203,13 @@ class GTS:
         ``"two-sided"`` (default) or ``"one-sided"`` pruning (ablation).
     seed:
         Seed of the construction RNG (root pivot choice), for reproducibility.
-    memory_budget_bytes:
+    tier:
         When given, the index runs in **tiered mode** (DESIGN.md §7): the
         object store stays in simulated host memory, split into blocks, and
         a :class:`~repro.tier.BlockPager` stages blocks into a device pool
-        of at most this many bytes on demand.  Query/update answers are
-        identical to the fully-resident index; only the charged transfer
-        time (and the device-memory footprint) changes.
-    tier:
-        Full :class:`~repro.tier.TierConfig` (budget, block size, fault
-        latency) for tiered mode; ``memory_budget_bytes``, when also
-        given, overrides the config's budget.
+        bounded by the :class:`~repro.tier.TierConfig`'s budget on demand.
+        Query/update answers are identical to the fully-resident index; only
+        the charged transfer time (and the device-memory footprint) changes.
     """
 
     def __init__(
@@ -225,7 +221,6 @@ class GTS:
         pivot_strategy: str = "fft",
         prune_mode: str = "two-sided",
         seed: int = 17,
-        memory_budget_bytes: Optional[int] = None,
         tier: Optional[TierConfig] = None,
     ):
         if node_capacity < 2:
@@ -237,10 +232,6 @@ class GTS:
         self.prune_mode = PruneMode.from_name(prune_mode)
         self.seed = int(seed)
         self._rng = np.random.default_rng(self.seed)
-        if tier is not None and memory_budget_bytes is not None:
-            tier = tier.with_budget(memory_budget_bytes)
-        elif tier is None and memory_budget_bytes is not None:
-            tier = TierConfig(memory_budget_bytes=int(memory_budget_bytes))
         self.tier_config: Optional[TierConfig] = tier
         self._pager = None
 
@@ -257,31 +248,12 @@ class GTS:
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
-    def build(
-        cls,
-        objects: Sequence,
-        metric: Metric,
-        node_capacity: int = 20,
-        device: Optional[Device] = None,
-        cache_capacity_bytes: int = DEFAULT_CACHE_BYTES,
-        pivot_strategy: str = "fft",
-        prune_mode: str = "two-sided",
-        seed: int = 17,
-        memory_budget_bytes: Optional[int] = None,
-        tier: Optional[TierConfig] = None,
-    ) -> "GTS":
-        """Build a GTS index over ``objects`` and return it."""
-        index = cls(
-            metric=metric,
-            node_capacity=node_capacity,
-            device=device,
-            cache_capacity_bytes=cache_capacity_bytes,
-            pivot_strategy=pivot_strategy,
-            prune_mode=prune_mode,
-            seed=seed,
-            memory_budget_bytes=memory_budget_bytes,
-            tier=tier,
-        )
+    def build(cls, objects: Sequence, metric: Metric, **options) -> "GTS":
+        """Build a GTS index over ``objects`` and return it.
+
+        ``options`` are the constructor's keyword parameters.
+        """
+        index = cls(metric, **options)
         index.bulk_load(objects)
         return index
 
@@ -308,10 +280,7 @@ class GTS:
         self._objects = make_object_store(objects)
         if self.tier_config is not None:
             self._init_tier()
-        self._tombstones = set()
-        self._cache.clear()
-        self._indexed_ids = np.arange(len(self._objects), dtype=np.int64)
-        return self._build()
+        return self._rebuild_over(np.arange(len(self._objects), dtype=np.int64))
 
     def _init_tier(self) -> None:
         """Wrap the host object list behind the block store + demand pager.
@@ -366,11 +335,11 @@ class GTS:
             pivot_blocks = store.blocks_for(tree.pivot[tree.pivot >= 0]).tolist()
             self._pager.fault_runs(pivot_blocks, [1] * len(pivot_blocks))
 
-    def _build(self) -> BuildResult:
-        """Build the tree over the currently indexed ids."""
-        result = build_tree(
+    def _tree_build(self, ids: np.ndarray) -> TreeBuild:
+        """A construction of a tree over ``ids`` with this index's settings."""
+        return TreeBuild(
             self._objects,
-            self._indexed_ids,
+            ids,
             self.metric,
             self.node_capacity,
             self.device,
@@ -378,28 +347,45 @@ class GTS:
             pivot_strategy=self.pivot_strategy,
             # Tiered mode never materialises the full object store on the
             # device: construction faults blocks through the pager instead,
-            # and only the tree storage is allocated below.
+            # and only the tree storage is allocated, by _install.
             allocate_storage=self.tier_config is None,
         )
-        return self._finalize_build(result)
 
-    def _finalize_build(self, result: BuildResult) -> BuildResult:
-        """Install a finished construction as the live tree.
+    def _install(
+        self, result: BuildResult, ids: np.ndarray, tombstones: set, warm: bool = True
+    ) -> BuildResult:
+        """Make ``result``'s tree the live tree over ``ids`` and ``tombstones``.
 
-        Shared by :meth:`_build` and the maintenance generation swap: tiered
-        indexes allocate the tree storage here (construction faulted object
-        blocks instead of staging the store) and re-page the store in the
-        new tree's layout.
+        The one place the live tree changes — builds, rebuilds, generation
+        swaps and index loads all end here.  The previous tree's device
+        storage is freed first.  Tiered indexes then re-page the store in the
+        new tree's layout (faulting the pivot blocks back in when ``warm``)
+        and allocate the tree storage, which their construction did not stage.
         """
+        self._release_index()
         if self.tier_config is not None:
-            self._install_layout(result.tree)
+            self._install_layout(result.tree, warm)
             result.allocations.append(
                 self.device.allocate(result.tree.storage_bytes(), "gts-index", pool="tree")
             )
         self._tree = result.tree
         self._build_result = result
         self._allocations = result.allocations
+        self._indexed_ids = ids
+        self._tombstones = tombstones
         return result
+
+    def _rebuild_over(self, ids: np.ndarray) -> BuildResult:
+        """Stop-the-world: replace the tree with a fresh one over ``ids``.
+
+        The cache is emptied and the old tree freed *before* the build, so a
+        blocking rebuild never holds two trees on the device.
+        """
+        self._cache.clear()
+        self._release_index()
+        build = self._tree_build(ids)
+        build.run()
+        return self._install(build.result(), ids, set())
 
     def _release_index(self) -> None:
         for alloc in self._allocations:
@@ -727,7 +713,7 @@ class GTS:
                 self._maintenance.notify_overflow()
             else:
                 self._automatic_rebuild_count += 1
-                self._fold_and_rebuild()
+                self._rebuild_over(self._fold_ids()[0])
         return obj_id
 
     def delete(self, obj_id: int) -> None:
@@ -786,7 +772,7 @@ class GTS:
         if self._maintenance is not None:
             self._maintenance.abort()
         self._forced_rebuild_count += 1
-        return self._fold_and_rebuild()
+        return self._rebuild_over(self._fold_ids()[0])
 
     def _fold_ids(self) -> tuple[np.ndarray, list[int]]:
         """The rebuild fold set: live indexed ids then cached ids, in order.
@@ -798,14 +784,6 @@ class GTS:
         live = [int(i) for i in self._indexed_ids if int(i) not in self._tombstones]
         cached = [int(oid) for oid, _ in self._cache.items()]
         return np.asarray(live + cached, dtype=np.int64), cached
-
-    def _fold_and_rebuild(self) -> BuildResult:
-        """Fold (live indexed ∪ cached) into a fresh tree, stop-the-world."""
-        self._indexed_ids, _ = self._fold_ids()
-        self._tombstones = set()
-        self._cache.clear()
-        self._release_index()
-        return self._build()
 
     def batch_update(self, inserts: Sequence = (), deletes: Sequence[int] = ()) -> BuildResult:
         """Apply a bulk update (Section 4.4, "Batch Updates").
@@ -836,19 +814,16 @@ class GTS:
             self._maintenance.abort()
         for obj_id in delete_set:
             self._cache.remove(obj_id)
-        live = [int(i) for i in self._indexed_ids if int(i) not in delete_set and int(i) not in self._tombstones]
-        live += [oid for oid, _ in self._cache.items()]
-        new_ids = []
+        # tombstone the deletes so the fold skips them; the rebuild then
+        # drops every tombstone
+        self._tombstones |= delete_set
+        live, _ = self._fold_ids()
+        first_new = len(self._objects)
         for obj in inserts:
-            obj_id = len(self._objects)
             self._objects.append(obj)
-            new_ids.append(obj_id)
-        self._indexed_ids = np.asarray(live + new_ids, dtype=np.int64)
-        self._tombstones = set()
-        self._cache.clear()
-        self._release_index()
+        new_ids = np.arange(first_new, len(self._objects), dtype=np.int64)
         self._forced_rebuild_count += 1
-        return self._build()
+        return self._rebuild_over(np.concatenate([live, new_ids]))
 
     # ---------------------------------------------------------- maintenance
     def enable_incremental_maintenance(self, config=None):

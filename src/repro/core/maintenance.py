@@ -48,15 +48,8 @@ multiple of its budget, the next insert finishes the rebuild synchronously.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
-
-from .construction import BuildResult, build_level, objects_nbytes
-from .nodes import TreeStructure
-from .pivots import PivotSelector, get_pivot_selector
 
 __all__ = [
     "MaintenanceConfig",
@@ -109,28 +102,22 @@ class SliceReport:
     sim_time: float
     #: construction levels advanced by this slice
     levels: int
-    #: levels finished so far, including this slice
-    completed_levels: int
-    #: levels the in-flight generation needs in total
-    total_levels: int
     #: True when this slice completed the build and swapped the generation in
     swapped: bool
 
 
 class GenerationBuild:
-    """An in-progress replacement tree, constructed level by level.
+    """An in-progress replacement tree and the snapshot it was taken from.
 
     Captures the fold set (live indexed ∪ cached ids — the identical set and
     order :meth:`GTS.rebuild` uses) plus the bookkeeping needed to reconcile
-    updates that arrive while the build is in flight.  The build consumes
-    the index's construction RNG and produces the same
-    :class:`~repro.core.construction.BuildResult` a monolithic
-    :func:`build_tree` over the snapshot would, with per-slice accumulated
-    timing.
+    updates that arrive while the build is in flight.  The construction
+    itself is one :class:`~repro.core.construction.TreeBuild` with the
+    index's settings, consuming the index's construction RNG, so the
+    finished tree is the one a blocking rebuild over the snapshot builds.
     """
 
     def __init__(self, index) -> None:
-        self._index = index
         #: ids the new tree indexes, in rebuild fold order (live, then
         #: cached) — produced by the same helper the blocking path uses
         self.snapshot_ids, cached = index._fold_ids()
@@ -138,88 +125,8 @@ class GenerationBuild:
         self.snapshot_cached = set(cached)
         #: tombstones existing at snapshot time (already excluded from the fold)
         self.baseline_tombstones = set(index._tombstones)
-        n = len(self.snapshot_ids)
-        self.tree = TreeStructure.empty(n, index.node_capacity)
-        self.tree.obj_ids[:] = self.snapshot_ids
-        self.tree.pos[0] = 0
-        self.tree.size[0] = n
-        strategy = index.pivot_strategy
-        self._selector: PivotSelector = (
-            strategy if isinstance(strategy, PivotSelector) else get_pivot_selector(strategy)
-        )
-        self.allocations: list = []
-        self._staged = False
-        self.next_layer = 0
-        self.sim_time = 0.0
-        self.wall_time = 0.0
-        self.distance_computations = 0
-
-    @property
-    def total_layers(self) -> int:
-        """Construction levels the build needs (the tree height)."""
-        return int(self.tree.height)
-
-    @property
-    def finished(self) -> bool:
-        """True once every level is built (the generation is swappable)."""
-        return self._staged and self.next_layer >= self.total_layers
-
-    def run_slice(self, max_levels: int = 1) -> int:
-        """Advance the build by up to ``max_levels`` levels; returns levels run.
-
-        The first slice additionally stages the snapshot's device storage
-        (resident mode) — tiered indexes fault object blocks through their
-        pager instead, exactly like :meth:`GTS._build`.
-        """
-        index = self._index
-        device = index.device
-        sim_start = device.stats.sim_time
-        wall_start = time.perf_counter()
-        dist_start = index.metric.pair_count
-        if not self._staged:
-            if index.tier_config is None:
-                nbytes = objects_nbytes(index._objects, self.snapshot_ids)
-                device.transfer_to_device(nbytes)
-                self.allocations.append(
-                    device.allocate(nbytes, "gts-objects", pool="objects")
-                )
-                self.allocations.append(
-                    device.allocate(self.tree.storage_bytes(), "gts-index", pool="tree")
-                )
-            self._staged = True
-        levels = 0
-        while levels < max(1, int(max_levels)) and self.next_layer < self.total_layers:
-            build_level(
-                self.tree,
-                self.next_layer,
-                index._objects,
-                index.metric,
-                device,
-                self._selector,
-                index._rng,
-            )
-            self.next_layer += 1
-            levels += 1
-        self.sim_time += device.stats.sim_time - sim_start
-        self.wall_time += time.perf_counter() - wall_start
-        self.distance_computations += index.metric.pair_count - dist_start
-        return levels
-
-    def result(self) -> BuildResult:
-        """The finished build as a :class:`BuildResult` (per-slice sums)."""
-        return BuildResult(
-            tree=self.tree,
-            allocations=self.allocations,
-            sim_time=self.sim_time,
-            wall_time=self.wall_time,
-            distance_computations=self.distance_computations,
-        )
-
-    def abort(self) -> None:
-        """Discard the partial build, freeing its staged device storage."""
-        for allocation in self.allocations:
-            self._index.device.free(allocation)
-        self.allocations = []
+        #: the replacement tree's construction, advanced slice by slice
+        self.build = index._tree_build(self.snapshot_ids)
 
 
 class IncrementalMaintenance:
@@ -236,11 +143,8 @@ class IncrementalMaintenance:
         self.config = config or MaintenanceConfig()
         self.generation: Optional[GenerationBuild] = None
         self._due = False
-        #: lifetime counters (reports / tests)
-        self.slices_run = 0
+        #: generations swapped in so far
         self.swaps_completed = 0
-        self.total_slice_time = 0.0
-        self.max_slice_time = 0.0
 
     # ------------------------------------------------------------------ state
     @property
@@ -283,25 +187,13 @@ class IncrementalMaintenance:
             self.generation = GenerationBuild(index)
         generation = self.generation
         sim_start = device.stats.sim_time
-        levels = generation.run_slice(self.config.levels_per_slice)
-        completed = generation.next_layer
-        total = generation.total_layers
-        swapped = False
-        if generation.finished:
+        levels = generation.build.run(self.config.levels_per_slice)
+        swapped = generation.build.finished
+        if swapped:
             self._swap(generation)
-            swapped = True
         elapsed = device.stats.sim_time - sim_start
         device.stats.maintenance_seconds += elapsed
-        self.slices_run += 1
-        self.total_slice_time += elapsed
-        self.max_slice_time = max(self.max_slice_time, elapsed)
-        return SliceReport(
-            sim_time=elapsed,
-            levels=levels,
-            completed_levels=completed,
-            total_levels=total,
-            swapped=swapped,
-        )
+        return SliceReport(sim_time=elapsed, levels=levels, swapped=swapped)
 
     def run_to_completion(self) -> int:
         """Run slices until no maintenance is due; returns slices run."""
@@ -315,7 +207,7 @@ class IncrementalMaintenance:
     def abort(self) -> None:
         """Discard any in-flight generation (forced rebuilds fold everything)."""
         if self.generation is not None:
-            self.generation.abort()
+            self.generation.build.abort()
             self.generation = None
         self._due = False
 
@@ -339,10 +231,8 @@ class IncrementalMaintenance:
         index.device.launch_kernel(work_items=1, op_cost=1.0, label="generation-swap")
         for oid in generation.snapshot_cached:
             index._cache.remove(oid)
-        index._release_index()
-        index._indexed_ids = generation.snapshot_ids
-        index._tombstones = carried
-        index._finalize_build(generation.result())
+        # the old tree stayed live through the build; _install frees it
+        index._install(generation.build.result(), generation.snapshot_ids, carried)
         index._automatic_rebuild_count += 1
         self.generation = None
         self.swaps_completed += 1
@@ -351,7 +241,7 @@ class IncrementalMaintenance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
-            f"building {self.generation.next_layer}/{self.generation.total_layers}"
+            f"building {self.generation.build.next_layer}/{self.generation.build.tree.height}"
             if self.generation is not None
             else ("due" if self._due else "idle")
         )

@@ -20,8 +20,9 @@ re-created through :func:`repro.metrics.get_metric` at load time; passing an
 explicit ``metric=`` to :func:`load_index` overrides that lookup (and is the
 only option for unregistered custom metrics).
 
-Loading re-registers the index storage on the target simulated device, so
-memory accounting behaves exactly as if the index had been built there.
+Loading registers the index storage and the indexed objects on the target
+simulated device through the same staging a build uses, so memory accounting
+behaves exactly as if the index had been built there.
 """
 
 from __future__ import annotations
@@ -218,8 +219,6 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
     index._objects = objects
     if index.tier_config is not None:
         index._init_tier()
-    index._indexed_ids = indexed_ids
-    index._tombstones = tombstones
     # Older archives carry only the summed count; treat it as automatic (the
     # historical docstring's semantics) so the sum round-trips either way.
     index._forced_rebuild_count = int(meta.get("forced_rebuild_count", 0))
@@ -230,16 +229,15 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
         )
     )
 
-    # register the index storage on the device, as a fresh build would
-    allocation = index.device.allocate(tree.storage_bytes(), "gts-index-loaded", pool="tree")
+    # register the storage on the device exactly as a build over the same
+    # ids would, upload the saved tree in place of constructing it, and
+    # install it cold: the tiered layout is a pure function of the tree and
+    # the store length, so a load stages no object block
+    build = index._tree_build(indexed_ids)
+    build.stage()
     index.device.transfer_to_device(tree.storage_bytes())
-    index._allocations = [allocation]
-    index._tree = tree
-    index._build_result = BuildResult(tree=tree, allocations=index._allocations)
-    if index._pager is not None:
-        # the layout is a pure function of the tree and the store length, so
-        # the saved tree re-derives the live one; a load stages nothing
-        index._install_layout(tree, warm=False)
+    result = BuildResult(tree=tree, allocations=build.allocations)
+    index._install(result, indexed_ids, tombstones, warm=False)
 
     # host-side read: repopulating the cache must not fault tiered blocks
     host_objects = getattr(index._objects, "raw", index._objects)

@@ -101,10 +101,10 @@ class ShardedGTS:
     seed:
         Base construction seed; shard ``s`` uses ``seed + s`` so shards draw
         independent pivot choices while staying reproducible.
-    memory_budget_bytes / tier:
+    tier:
         Tiered-memory configuration (DESIGN.md §7) applied to **every
         shard**: each shard keeps its partition host-resident and pages
-        object blocks into a per-device pool of ``memory_budget_bytes``.
+        object blocks into a per-device pool of the config's budget.
         The ``execute_batch`` contract is unchanged, so the serving layer
         works over a tiered sharded index as-is.
     """
@@ -121,7 +121,6 @@ class ShardedGTS:
         pivot_strategy: str = "fft",
         prune_mode: str = "two-sided",
         seed: int = 17,
-        memory_budget_bytes: Optional[int] = None,
         tier: Optional[TierConfig] = None,
     ):
         if num_shards < 1:
@@ -149,7 +148,6 @@ class ShardedGTS:
                 pivot_strategy=pivot_strategy,
                 prune_mode=prune_mode,
                 seed=self.seed + s,
-                memory_budget_bytes=memory_budget_bytes,
                 tier=tier,
             )
             for s in range(self.num_shards)
@@ -164,37 +162,12 @@ class ShardedGTS:
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
-    def build(
-        cls,
-        objects: Sequence,
-        metric: Metric,
-        num_shards: int = 2,
-        assignment: str | AssignmentPolicy = "round-robin",
-        node_capacity: int = 20,
-        device_spec: Optional[DeviceSpec] = None,
-        host_spec: Optional[CPUSpec] = None,
-        cache_capacity_bytes: int = DEFAULT_CACHE_BYTES,
-        pivot_strategy: str = "fft",
-        prune_mode: str = "two-sided",
-        seed: int = 17,
-        memory_budget_bytes: Optional[int] = None,
-        tier: Optional[TierConfig] = None,
-    ) -> "ShardedGTS":
-        """Build a sharded index over ``objects`` and return it."""
-        index = cls(
-            metric=metric,
-            num_shards=num_shards,
-            assignment=assignment,
-            node_capacity=node_capacity,
-            device_spec=device_spec,
-            host_spec=host_spec,
-            cache_capacity_bytes=cache_capacity_bytes,
-            pivot_strategy=pivot_strategy,
-            prune_mode=prune_mode,
-            seed=seed,
-            memory_budget_bytes=memory_budget_bytes,
-            tier=tier,
-        )
+    def build(cls, objects: Sequence, metric: Metric, **options) -> "ShardedGTS":
+        """Build a sharded index over ``objects`` and return it.
+
+        ``options`` are the constructor's keyword parameters.
+        """
+        index = cls(metric, **options)
         index.bulk_load(objects)
         return index
 

@@ -11,10 +11,9 @@ hierarchy Faiss uses to push GPU similarity search past device capacity
 the GTS tree: the tree and pivots stay hot on device, cold object blocks
 page in on demand.
 
-Enable it by passing ``memory_budget_bytes=...`` (or a full
-:class:`TierConfig`) to :class:`~repro.core.gts.GTS` /
-:class:`~repro.shard.ShardedGTS`; the ``"memory-tiering"`` experiment
-sweeps device-memory budgets.
+Enable it by passing ``tier=TierConfig(memory_budget_bytes=...)`` to
+:class:`~repro.core.gts.GTS` / :class:`~repro.shard.ShardedGTS`; the
+``"memory-tiering"`` experiment sweeps device-memory budgets.
 """
 
 from .config import DEFAULT_BLOCK_BYTES, DEFAULT_FAULT_LATENCY, TierConfig

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..exceptions import TierError
 
@@ -66,10 +66,6 @@ class TierConfig:
             raise TierError(
                 f"fault latency must be finite and non-negative, got {self.fault_latency!r}"
             )
-
-    def with_budget(self, memory_budget_bytes: int) -> "TierConfig":
-        """Return a copy with a different device-pool budget."""
-        return replace(self, memory_budget_bytes=int(memory_budget_bytes))
 
     def as_dict(self) -> dict:
         """Plain-dict form (persisted inside index archives)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.baselines import available_methods
@@ -167,6 +169,22 @@ class TestServeSimCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "3 shards (round-robin)" in out
+        assert "identical to sequential replay" in out
+
+    @pytest.mark.parametrize(
+        "tier", [[], ["--device-memory", "0.004", "--block-kb", "0.25"]], ids=["resident", "tiered"]
+    )
+    def test_generation_swap_serving_verifies(self, tier, capsys):
+        code = main([
+            "serve-sim", "--dataset", "tloc", "--cardinality", "600",
+            "--clients", "3", "--rate", "60000", "--duration", "0.001",
+            "--max-batch", "16", "--update-heavy", "--cache-kb", "0.25",
+            "--maintenance", "--verify", *tier,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        swaps = re.search(r"(\d+) generation swaps", out)
+        assert swaps is not None and int(swaps.group(1)) >= 1
         assert "identical to sequential replay" in out
 
     def test_rejects_non_positive_shards(self):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.construction import build_tree, objects_nbytes, take_objects
+from repro.core.construction import TreeBuild, build_tree, objects_nbytes, take_objects
 from repro.core.nodes import NO_PIVOT, tree_height
+from repro.core.objectstore import make_object_store
 from repro.exceptions import ConstructionError
 from repro.gpusim import Device, DeviceSpec
 from repro.metrics import EditDistance, EuclideanDistance
+from repro.tier import BlockPager, PagedObjects, TierConfig, TieredObjectStore
 
 
 def _build(objects, metric, nc=8, device=None, **kwargs):
@@ -178,6 +180,60 @@ class TestBuildAccounting:
         build_tree(rng.normal(size=(4000, 2)), np.arange(4000), EuclideanDistance(), 8, d2)
         # one extra level at most => launch counts stay within a small factor
         assert d2.stats.kernel_launches <= d1.stats.kernel_launches * 3
+
+
+def _build_store(points, tiered, device):
+    """The objects a build reads: resident rows, or a view paged through ``device``."""
+    objects = make_object_store(points)
+    if not tiered:
+        return objects
+    store = TieredObjectStore(objects, block_bytes=256)
+    pager = BlockPager(device, store, TierConfig(memory_budget_bytes=1024, block_bytes=256))
+    return PagedObjects(store, pager)
+
+
+class TestTreeBuild:
+    @pytest.mark.parametrize("tiered", [False, True], ids=["resident", "tiered"])
+    def test_one_level_per_run_matches_build_tree(self, points_2d, tiered):
+        ids = np.arange(0, len(points_2d), 2)  # a subset, as a rebuild after deletes folds
+        outcomes = []
+        for stepped in (False, True):
+            device = Device(DeviceSpec())
+            args = (_build_store(points_2d, tiered, device), ids, EuclideanDistance(), 4, device)
+            options = dict(rng=np.random.default_rng(3), allocate_storage=not tiered)
+            if stepped:
+                build = TreeBuild(*args, **options)
+                levels = []
+                while not build.finished:
+                    levels.append(build.run(1))
+                assert levels == [1] * build.tree.height
+                result = build.result()
+            else:
+                result = build_tree(*args, **options)
+            outcomes.append((result, device))
+        (whole, whole_device), (stepped, stepped_device) = outcomes
+        for name in ("pivot", "pos", "size", "min_dis", "max_dis", "obj_ids", "obj_dis"):
+            np.testing.assert_array_equal(getattr(stepped.tree, name), getattr(whole.tree, name))
+        assert stepped.sim_time == whole.sim_time
+        assert stepped.distance_computations == whole.distance_computations
+        assert stepped_device.stats.pool_peak_bytes == whole_device.stats.pool_peak_bytes
+        for pool in whole_device.stats.pool_peak_bytes:
+            assert stepped_device.pool_used_bytes(pool) == whole_device.pool_used_bytes(pool)
+
+    def test_result_requires_every_level(self, points_2d, l2_metric, device):
+        build = TreeBuild(points_2d, np.arange(len(points_2d)), l2_metric, 4, device)
+        assert build.run(1) == 1 and not build.finished
+        with pytest.raises(ConstructionError):
+            build.result()
+
+    def test_stage_runs_once_and_abort_frees_it(self, points_2d, l2_metric, device):
+        build = TreeBuild(points_2d, np.arange(len(points_2d)), l2_metric, 4, device)
+        build.stage()
+        used = device.used_bytes
+        build.stage()
+        assert device.used_bytes == used > 0
+        build.abort()
+        assert device.used_bytes == 0
 
 
 class TestHelpers:

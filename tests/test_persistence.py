@@ -150,6 +150,18 @@ class TestDeviceAccounting:
         loaded.close()
         assert device.available_bytes == before
 
+    def test_loaded_index_registers_the_pools_a_build_does(self, points_2d, tmp_path):
+        built = GTS.build(
+            points_2d, EuclideanDistance(), node_capacity=8, seed=5, device=Device(DeviceSpec())
+        )
+        path = built.save(tmp_path / "index.npz")
+        loaded = GTS.load(path, device=Device(DeviceSpec()))
+        # the indexed objects are device-resident too, not only the tree;
+        # available_bytes sizes the query engine's level-pair groups
+        assert set(built.device.stats.pool_peak_bytes) >= {"objects", "tree"}
+        assert loaded.device.stats.pool_peak_bytes == built.device.stats.pool_peak_bytes
+        assert loaded.device.available_bytes == built.device.available_bytes
+
     def test_explicit_metric_is_used(self, points_2d, tmp_path):
         index = GTS.build(points_2d, ManhattanDistance(), node_capacity=8)
         path = index.save(tmp_path / "index.npz")

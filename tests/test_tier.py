@@ -77,12 +77,6 @@ class TestTierConfig:
         with pytest.raises(TierError):
             TierConfig(memory_budget_bytes=1024, block_bytes=0)
 
-    def test_memory_budget_kwarg_overrides_config_budget(self):
-        tier = TierConfig(memory_budget_bytes=1024, block_bytes=256)
-        index = GTS(EuclideanDistance(), tier=tier, memory_budget_bytes=2048)
-        assert index.tier_config.memory_budget_bytes == 2048
-        assert index.tier_config.block_bytes == 256
-
 
 # ---------------------------------------------------------------------------
 # TieredObjectStore
