@@ -35,7 +35,7 @@ import numpy as np
 from ..core.construction import take_objects
 from ..core.gts import GTS
 from ..core.nodes import TreeStructure
-from ..core.searchcommon import broadcast_query_param
+from ..core.searchcommon import query_ks, query_radii
 from ..exceptions import QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
@@ -83,9 +83,7 @@ class ApproximateGTS:
 
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
         """Approximate batch kNN: per query, the best k candidates the beam saw."""
-        k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
-        if np.any(k_arr <= 0):
-            raise QueryError("k must be positive")
+        k_arr = query_ks(k, len(queries))
         pools = self._descend(queries, radii=None)
         results = []
         for qi in range(len(queries)):
@@ -99,9 +97,7 @@ class ApproximateGTS:
 
     def range_query_batch(self, queries: Sequence, radii) -> list[list[tuple[int, float]]]:
         """Approximate batch range query: verified hits within the beam only."""
-        radii_arr = broadcast_query_param(radii, len(queries), "radii", np.float64)
-        if np.any(radii_arr < 0):
-            raise QueryError("range query radius must be non-negative")
+        radii_arr = query_radii(radii, len(queries))
         pools = self._descend(queries, radii=radii_arr)
         results = []
         for qi in range(len(queries)):

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.construction import take_objects
 from ..core.gts import GTS
-from ..core.searchcommon import broadcast_query_param
+from ..core.searchcommon import query_ks, query_radii
 from ..exceptions import QueryError
 from ..metrics.base import Metric
 
@@ -235,29 +235,32 @@ class LearnedLeafRouter:
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Approximate kNN: verify the ``leaf_budget`` best-ranked leaves."""
-        if k <= 0:
-            raise QueryError("k must be positive")
-        pool = self._verify(query, self.rank_leaves(query)[: self.leaf_budget])
-        ranked = sorted(pool.items(), key=lambda item: (item[1], item[0]))
-        return [(int(o), float(d)) for o, d in ranked[: int(k)]]
+        return self.knn_query_batch([query], k)[0]
 
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
-        """Batch wrapper around :meth:`knn_query`."""
-        k_arr = broadcast_query_param(k, len(queries), "k", np.int64)
-        return [self.knn_query(q, int(kk)) for q, kk in zip(queries, k_arr)]
+        """Approximate kNN for each query of the batch, one after another."""
+        k_arr = query_ks(k, len(queries))
+        out = []
+        for query, kk in zip(queries, k_arr):
+            ranked = sorted(self._pool(query).items(), key=lambda item: (item[1], item[0]))
+            out.append([(int(o), float(d)) for o, d in ranked[: int(kk)]])
+        return out
 
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Approximate range query over the ``leaf_budget`` best-ranked leaves."""
-        if radius < 0:
-            raise QueryError("range query radius must be non-negative")
-        pool = self._verify(query, self.rank_leaves(query)[: self.leaf_budget])
-        hits = [(int(o), float(d)) for o, d in pool.items() if d <= radius]
-        return sorted(hits, key=lambda p: (p[1], p[0]))
+        return self.range_query_batch([query], radius)[0]
 
     def range_query_batch(self, queries: Sequence, radii) -> list[list[tuple[int, float]]]:
-        """Batch wrapper around :meth:`range_query`."""
-        radii_arr = broadcast_query_param(radii, len(queries), "radii", np.float64)
-        return [self.range_query(q, float(r)) for q, r in zip(queries, radii_arr)]
+        """Approximate range query for each query of the batch, one after another."""
+        radii_arr = query_radii(radii, len(queries))
+        out = []
+        for query, radius in zip(queries, radii_arr):
+            hits = [(int(o), float(d)) for o, d in self._pool(query).items() if d <= radius]
+            out.append(sorted(hits, key=lambda p: (p[1], p[0])))
+        return out
+
+    def _pool(self, query) -> dict[int, float]:
+        return self._verify(query, self.rank_leaves(query)[: self.leaf_budget])
 
     def _verify(self, query, leaf_ids: np.ndarray) -> dict[int, float]:
         tree = self.index.tree

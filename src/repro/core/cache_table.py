@@ -17,13 +17,13 @@ This module implements the cache table and its brute-force query path; the
 rebuild policy lives in :class:`repro.core.gts.GTS` (blocking) and
 :mod:`repro.core.maintenance` (generation-swap).
 
-The scan path comes in two shapes.  The per-query :meth:`CacheTable.range_scan`
-/ :meth:`CacheTable.knn_scan` launch one ``cache-scan`` kernel each; the
-batched :meth:`CacheTable.range_scan_batch` / :meth:`CacheTable.knn_scan_batch`
-evaluate a whole query batch against the cache with **one** fused kernel via
+A query batch scans the cache with **one** fused ``cache-scan`` kernel
+(:meth:`CacheTable.range_scan_batch`, alias ``knn_scan_batch``) via
 ``Metric.pairwise_segmented`` over a columnar snapshot of the cached payload
-(rebuilt lazily after mutations), returning per-query answers identical to
-the per-query scans.
+(rebuilt lazily after mutations).  The scan runs after the tree descent and
+offers every (query, cached object) distance to the batch's
+:class:`~repro.core.search.BoundedTriples`, so tree and cache candidates are
+ranked, deduplicated and cut to ``k`` by one accumulator.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from ..exceptions import UpdateError
 from ..gpusim.device import Allocation, Device
 from ..metrics.base import Metric
 from .construction import objects_nbytes
-from .searchcommon import topk_by_distance
 
 __all__ = ["CacheTable"]
 
@@ -153,57 +152,6 @@ class CacheTable:
             self._device.free(self._allocation)
             self._allocation = None
 
-    # --------------------------------------------------------------- queries
-    def range_scan(
-        self,
-        metric: Metric,
-        query,
-        radius: float,
-        device: Optional[Device] = None,
-    ) -> list[tuple[int, float]]:
-        """Brute-force range scan of the cache table (parallel on the device)."""
-        if not self._objects:
-            return []
-        ids = list(self._objects)
-        start = time.perf_counter()
-        dists = metric.pairwise(query, [self._objects[i] for i in ids])
-        host = time.perf_counter() - start
-        dev = device or self._device
-        if dev is not None:
-            dev.launch_kernel(
-                work_items=len(ids), op_cost=metric.unit_cost, label="cache-scan", host_time=host
-            )
-        return [
-            (int(oid), float(d)) for oid, d in zip(ids, dists) if d <= radius
-        ]
-
-    def knn_scan(
-        self,
-        metric: Metric,
-        query,
-        k: int,
-        device: Optional[Device] = None,
-    ) -> list[tuple[int, float]]:
-        """Brute-force kNN scan of the cache table (parallel on the device).
-
-        The top-k extraction partitions on the k-th distance instead of
-        fully sorting the cache (``np.argpartition`` + a sort of the
-        survivors only), with ties broken by object id exactly as before.
-        """
-        if not self._objects or k <= 0:
-            return []
-        ids = np.fromiter(self._objects, count=len(self._objects), dtype=np.int64)
-        start = time.perf_counter()
-        dists = metric.pairwise(query, list(self._objects.values()))
-        host = time.perf_counter() - start
-        dev = device or self._device
-        if dev is not None:
-            dev.launch_kernel(
-                work_items=len(ids), op_cost=metric.unit_cost, label="cache-scan", host_time=host
-            )
-        top = topk_by_distance(ids, dists, int(k))
-        return [(int(ids[i]), float(dists[i])) for i in top]
-
     # --------------------------------------------------------- batched queries
     def _tiled_payload(self, num_queries: int) -> tuple:
         """The cached payload tiled to ``num_queries`` segments.
@@ -233,10 +181,23 @@ class CacheTable:
             flat = values * num_queries
         return ids, flat, boundaries
 
-    def _scan_batch_distances(
-        self, metric: Metric, queries: Sequence, device: Optional[Device]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distances of every (query, cached object) pair via one fused kernel."""
+    def range_scan_batch(
+        self,
+        metric: Metric,
+        queries: Sequence,
+        results,
+        device: Optional[Device] = None,
+    ) -> None:
+        """Scan the cache for a whole query batch and offer every pair to ``results``.
+
+        One fused ``cache-scan`` kernel covers all ``len(queries) * len(cache)``
+        (query, cached object) pairs; ``results`` is the batch's
+        :class:`~repro.core.search.BoundedTriples` after the tree descent, so
+        it applies each query's radius or running k-th bound exactly as it
+        does to tree candidates.
+        """
+        if not self._objects or len(queries) == 0:
+            return
         ids, flat, boundaries = self._tiled_payload(len(queries))
         start = time.perf_counter()
         dists = metric.pairwise_segmented(queries, flat, boundaries)
@@ -249,58 +210,11 @@ class CacheTable:
                 label="cache-scan",
                 host_time=host,
             )
-        return ids, dists
+        owner = np.repeat(np.arange(len(queries), dtype=np.int64), len(ids))
+        results.offer(owner, np.tile(ids, len(queries)), dists)
 
-    def range_scan_batch(
-        self,
-        metric: Metric,
-        queries: Sequence,
-        radii,
-        device: Optional[Device] = None,
-    ) -> list[list[tuple[int, float]]]:
-        """Range-scan the cache for a whole query batch with one kernel.
-
-        Per-query answers are identical to calling :meth:`range_scan` once
-        per query (same distances, same insertion-order enumeration); only
-        the kernel granularity changes — one ``cache-scan`` launch covering
-        ``len(queries) * len(cache)`` pairs instead of one per query.
-        """
-        if not self._objects or len(queries) == 0:
-            return [[] for _ in range(len(queries))]
-        radii = np.asarray(radii, dtype=np.float64)
-        ids, dists = self._scan_batch_distances(metric, queries, device)
-        count = len(ids)
-        out = []
-        for qi in range(len(queries)):
-            segment = dists[qi * count : (qi + 1) * count]
-            hits = np.flatnonzero(segment <= radii[qi])
-            out.append([(int(ids[i]), float(segment[i])) for i in hits])
-        return out
-
-    def knn_scan_batch(
-        self,
-        metric: Metric,
-        queries: Sequence,
-        ks,
-        device: Optional[Device] = None,
-    ) -> list[list[tuple[int, float]]]:
-        """kNN-scan the cache for a whole query batch with one kernel.
-
-        Per-query answers are identical to calling :meth:`knn_scan` once per
-        query; the top-k of each segment is extracted with the same
-        partition-then-sort-survivors strategy.
-        """
-        if not self._objects or len(queries) == 0:
-            return [[] for _ in range(len(queries))]
-        ks = np.asarray(ks, dtype=np.int64)
-        ids, dists = self._scan_batch_distances(metric, queries, device)
-        count = len(ids)
-        out = []
-        for qi in range(len(queries)):
-            segment = dists[qi * count : (qi + 1) * count]
-            top = topk_by_distance(ids, segment, int(ks[qi]))
-            out.append([(int(ids[i]), float(segment[i])) for i in top])
-        return out
+    #: the scan is the same for both query kinds: the accumulator holds the bound
+    knn_scan_batch = range_scan_batch
 
     def items(self) -> list[tuple[int, object]]:
         """Return ``(object_id, object)`` pairs currently buffered."""

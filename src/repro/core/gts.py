@@ -48,8 +48,8 @@ from .cost_model import (
 )
 from .nodes import TreeStructure
 from .objectstore import make_object_store
-from .search import batch_knn_query, batch_range_query
-from .searchcommon import PruneMode, merge_answer_lists, query_ks, query_radii
+from .search import search
+from .searchcommon import PruneMode, query_ks, query_radii
 
 __all__ = ["GTS", "execute_operation_batch"]
 
@@ -558,25 +558,7 @@ class GTS:
         cache-table's (Section 4.4) and never contain deleted objects.
         """
         self._require_built()
-        # Validate up front so malformed radii fail identically on every
-        # path (including the cache-empty fast return below).
-        radii_arr = query_radii(radii, len(queries))
-        tree_results = batch_range_query(
-            self._tree,
-            self._objects,
-            self.metric,
-            self.device,
-            queries,
-            radii_arr,
-            exclude=self._tombstones or None,
-            prune_mode=self.prune_mode,
-        )
-        if len(self._cache) == 0:
-            return tree_results
-        # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
-        # answers are identical to scanning the cache once per query.
-        extras = self._cache.range_scan_batch(self.metric, queries, radii_arr, self.device)
-        return [merge_answer_lists((tree, cached)) for tree, cached in zip(tree_results, extras)]
+        return self._answer(queries, radii=query_radii(radii, len(queries)))
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer a single metric k-nearest-neighbour query ``MkNNQ(query, k)``.
@@ -592,9 +574,9 @@ class GTS:
 
         The very descent of :meth:`range_query_batch`, with each query's
         fixed radius replaced by a bound that only shrinks: the distance of
-        its current k-th candidate (Lemma 5.2 pruning).  The tree's top-k
-        lists are then merged with the cache table's top-k lists and cut
-        back to ``k``.
+        its current k-th candidate (Lemma 5.2 pruning).  The cache table's
+        objects are then offered to the same per-query candidate pool, and
+        each query keeps its ``k`` smallest by ``(distance, object_id)``.
 
         Parameters
         ----------
@@ -615,26 +597,33 @@ class GTS:
         tied objects completes the answer.
         """
         self._require_built()
-        k_arr = query_ks(k, len(queries))
-        tree_results = batch_knn_query(
+        return self._answer(queries, k=query_ks(k, len(queries)))
+
+    def _answer(
+        self,
+        queries: Sequence,
+        radii: Optional[np.ndarray] = None,
+        k: Optional[np.ndarray] = None,
+    ) -> list[list[tuple[int, float]]]:
+        """Search the tree, then scan the cache table into the same accumulator.
+
+        The cache scan is one fused ``cache-scan`` kernel over the whole
+        batch (DESIGN.md §9), launched after the descent; its candidates meet
+        the tree's under each query's radius or running k-th bound.
+        """
+        results = search(
             self._tree,
             self._objects,
             self.metric,
             self.device,
             queries,
-            k_arr,
-            exclude=self._tombstones or None,
-            prune_mode=self.prune_mode,
+            self._tombstones or None,
+            self.prune_mode,
+            radii=radii,
+            k=k,
         )
-        if len(self._cache) == 0:
-            return tree_results
-        # One fused cache-scan kernel covers the whole batch (DESIGN.md §9);
-        # answers are identical to scanning the cache once per query.
-        extras = self._cache.knn_scan_batch(self.metric, queries, k_arr, self.device)
-        return [
-            merge_answer_lists((tree, cached), int(k_q))
-            for tree, cached, k_q in zip(tree_results, extras, k_arr)
-        ]
+        self._cache.range_scan_batch(self.metric, queries, results, self.device)
+        return results.answers()
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.

@@ -58,7 +58,7 @@ from .searchcommon import (
     triples_to_answer_lists,
 )
 
-__all__ = ["BoundedTriples", "batch_range_query", "batch_knn_query"]
+__all__ = ["BoundedTriples", "search", "batch_range_query", "batch_knn_query"]
 
 
 class BoundedTriples:
@@ -303,7 +303,7 @@ def _descend(
         )
 
 
-def _search(
+def search(
     tree: TreeStructure,
     objects: Sequence,
     metric: Metric,
@@ -313,14 +313,19 @@ def _search(
     prune_mode: str | PruneMode,
     radii: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
-) -> list[list[tuple[int, float]]]:
-    """The shared body of both entry points (validated ``radii`` or ``k``)."""
+) -> BoundedTriples:
+    """Search the tree for a batch under validated ``radii`` or ``k``.
+
+    Returns the batch's accumulator before :meth:`BoundedTriples.answers` is
+    read, so further candidate sources (the cache table) can still offer
+    to it; an empty batch or tree returns an empty accumulator.
+    """
     num_queries = len(queries)
     mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
-    if num_queries == 0 or tree.num_objects == 0:
-        return [[] for _ in range(num_queries)]
     tombstones = tombstone_array(exclude)
     results = BoundedTriples(num_queries, tombstones, radii=radii, k=k)
+    if num_queries == 0 or tree.num_objects == 0:
+        return results
 
     # Load the queries onto the device (Section 5.1: queries are copied from
     # the CPU to the GPU before processing).
@@ -353,7 +358,7 @@ def _search(
         mode,
         results,
     )
-    return results.answers()
+    return results
 
 
 def batch_range_query(
@@ -385,7 +390,9 @@ def batch_range_query(
     distance then id, all within the query's radius.
     """
     radii_arr = query_radii(radii, len(queries))
-    return _search(tree, objects, metric, device, queries, exclude, prune_mode, radii=radii_arr)
+    return search(
+        tree, objects, metric, device, queries, exclude, prune_mode, radii=radii_arr
+    ).answers()
 
 
 def batch_knn_query(
@@ -417,4 +424,4 @@ def batch_knn_query(
     then id, of length ``min(k, number of visible objects)``.
     """
     k_arr = query_ks(k, len(queries))
-    return _search(tree, objects, metric, device, queries, exclude, prune_mode, k=k_arr)
+    return search(tree, objects, metric, device, queries, exclude, prune_mode, k=k_arr).answers()

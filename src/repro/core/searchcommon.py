@@ -18,8 +18,7 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
   are deduplicated (:func:`dedupe_min_triples`) and turned into the
   per-query sorted answer lists by one global ``np.lexsort``
   (:func:`triples_to_answer_lists`), instead of per-hit Python dict inserts;
-  :func:`merge_answer_lists` merges finished answer lists from several
-  sources (tree and cache table, or shards).
+  the sharded index ranks its gathered per-shard answers the same way.
 
 The helpers here are pure functions over NumPy arrays, which keeps the
 behaviour property-testable.  Only the *host* evaluation strategy lives
@@ -53,8 +52,6 @@ __all__ = [
     "tombstoned_mask",
     "dedupe_min_triples",
     "triples_to_answer_lists",
-    "merge_answer_lists",
-    "topk_by_distance",
     "level_pair_limit",
     "split_into_groups",
     "pivot_distances_per_query",
@@ -176,27 +173,6 @@ def triples_to_answer_lists(
     return out
 
 
-def topk_by_distance(ids: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest ``(distance, id)`` pairs, in that order.
-
-    ``np.argpartition`` isolates the candidates at or below the k-th
-    distance (plus any ties straddling the cut), then only that candidate
-    set is sorted — exactly the top-k a full ``sorted()`` of all pairs would
-    yield, without the full sort.  The cache-table kNN scans use this.
-    """
-    n = len(ids)
-    k = int(k)
-    if k <= 0 or n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if k < n:
-        kth = np.partition(dists, k - 1)[k - 1]
-        candidates = np.flatnonzero(dists <= kth)
-    else:
-        candidates = np.arange(n, dtype=np.int64)
-    order = np.lexsort((ids[candidates], dists[candidates]))
-    return candidates[order][:k]
-
-
 def dedupe_min_triples(
     qs: np.ndarray, ids: np.ndarray, dists: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,24 +190,6 @@ def dedupe_min_triples(
     # already in key order, i.e. sorted by (query, id)
     keep = order[np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))]
     return qs[keep], ids[keep], dists[keep]
-
-
-def merge_answer_lists(sources, k: Optional[int] = None) -> list[tuple[int, float]]:
-    """Merge one query's ``(object_id, distance)`` lists from several sources.
-
-    The lists are concatenated, each id keeps its minimum distance, and the
-    result is sorted by ``(distance, object_id)`` and, given ``k``, truncated
-    to ``k`` entries.  Merges tree answers with cache-table answers and
-    per-shard answers alike.
-    """
-    best: dict = {}
-    for answers in sources:
-        for oid, dist in answers:
-            prev = best.get(oid)
-            if prev is None or dist < prev:
-                best[oid] = dist
-    ranked = sorted(best.items(), key=lambda item: (item[1], item[0]))
-    return ranked if k is None else ranked[:k]
 
 
 @dataclass(frozen=True)

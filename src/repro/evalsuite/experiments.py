@@ -28,6 +28,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..baselines import METHOD_REGISTRY
+from ..core.construction import objects_nbytes
 from ..core.cost_model import estimate_query_cost
 from ..datasets import DEFAULT_CARDINALITIES, get_dataset, make_duplicates
 from ..gpusim.specs import CPUSpec, DeviceSpec, GiB, KiB, MiB
@@ -159,10 +160,13 @@ def experiment_table5_cache_size(
     for ds_name in datasets:
         dataset = get_dataset(ds_name, _scaled_cardinality(ds_name, scale, cardinalities), seed=seed)
         workload = make_workload(dataset, num_queries=max(4, num_updates // 10), seed=seed)
+        # the smallest cache still holds one object: a budget below the
+        # largest object would refuse the re-insert outright
+        largest = max(objects_nbytes([obj]) for obj in dataset.objects)
         for cache_kb in cache_sizes_kb:
             runner = _build_runner(
                 "GTS", dataset, device_spec,
-                method_kwargs={"cache_capacity_bytes": max(16, int(cache_kb * KiB))},
+                method_kwargs={"cache_capacity_bytes": max(largest, int(cache_kb * KiB))},
             )
             build = runner.build()
             if build.failed:

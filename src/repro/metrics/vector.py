@@ -238,12 +238,18 @@ class AngularDistance(_VectorMetric):
         self.unit_cost = 1.5
 
     @staticmethod
-    def _cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        na = np.linalg.norm(a, axis=-1)
-        nb = np.linalg.norm(b, axis=-1)
+    def _cosine(dot, na, nb):
+        """``dot / (na * nb)`` clipped to ``[-1, 1]`` — every call shape's cosine.
+
+        A zero vector has cosine 0 (distance 1/2) against any non-zero
+        vector, and cosine 1 against another zero vector, so ``d(0, 0) = 0``
+        on every path.
+        """
         denom = na * nb
-        denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.sum(a * b, axis=-1) / denom
+        zero = denom == 0.0
+        cos = dot / np.where(zero, 1.0, denom)
+        if zero.any():
+            cos = np.where((na == 0.0) & (nb == 0.0), 1.0, cos)
         return np.clip(cos, -1.0, 1.0)
 
     def _distance(self, a, b) -> float:
@@ -251,18 +257,13 @@ class AngularDistance(_VectorMetric):
         if x.shape != y.shape:
             raise MetricError(f"dimension mismatch: {x.shape} vs {y.shape}")
         self._observe_dimension(x.shape[0])
-        if not x.any() and not y.any():
-            return 0.0
-        return float(np.arccos(self._cosine(x, y)) / np.pi)
+        cos = self._cosine(
+            np.sum(x * y, axis=-1), np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+        )
+        return float(np.arccos(cos) / np.pi)
 
     def _pairwise(self, query, objects) -> np.ndarray:
-        q = _as_vector(query)
-        mat = _as_matrix(objects)
-        if mat.shape[1] != q.shape[0]:
-            raise MetricError(f"dimension mismatch: {q.shape[0]} vs {mat.shape[1]}")
-        self._observe_dimension(q.shape[0])
-        cos = self._cosine(mat, q[None, :])
-        return np.arccos(cos) / np.pi
+        return self._segment_pairwise(query, objects, None)
 
     def store_digest(self, matrix: np.ndarray) -> np.ndarray:
         """Per-row L2 norms — the ``na`` term of every cosine, cached once.
@@ -273,24 +274,15 @@ class AngularDistance(_VectorMetric):
         """
         return np.linalg.norm(np.asarray(matrix, dtype=np.float64), axis=-1)
 
-    @staticmethod
-    def _cosine_with_norms(a: np.ndarray, b: np.ndarray, na: np.ndarray) -> np.ndarray:
-        # _cosine with the object norms supplied (same ops, same bits)
-        nb = np.linalg.norm(b, axis=-1)
-        denom = na * nb
-        denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.sum(a * b, axis=-1) / denom
-        return np.clip(cos, -1.0, 1.0)
-
     def _segment_pairwise(self, query, objects, digest) -> np.ndarray:
-        if digest is None:
-            return self._pairwise(query, objects)
-        q = _as_vector(query)
+        # the object norms come from the store digest when one is given
+        q = _as_vector(query)[None, :]
         mat = _as_matrix(objects)
-        if mat.shape[1] != q.shape[0]:
-            raise MetricError(f"dimension mismatch: {q.shape[0]} vs {mat.shape[1]}")
-        self._observe_dimension(q.shape[0])
-        cos = self._cosine_with_norms(mat, q[None, :], digest)
+        if mat.shape[1] != q.shape[1]:
+            raise MetricError(f"dimension mismatch: {q.shape[1]} vs {mat.shape[1]}")
+        self._observe_dimension(q.shape[1])
+        na = np.linalg.norm(mat, axis=-1) if digest is None else digest
+        cos = self._cosine(np.sum(mat * q, axis=-1), na, np.linalg.norm(q, axis=-1))
         return np.arccos(cos) / np.pi
 
     def _fused_segmented(self, queries, objects, boundaries, object_digest=None) -> np.ndarray:
@@ -303,18 +295,13 @@ class AngularDistance(_VectorMetric):
         counts = np.diff(boundaries)
         na = object_digest if object_digest is not None else np.linalg.norm(mat, axis=-1)
         nb = np.repeat(np.linalg.norm(_as_matrix(queries), axis=-1), counts)
-        denom = na * nb
-        denom = np.where(denom == 0.0, 1.0, denom)
-        cos = np.clip(np.sum(mat * qrep, axis=-1) / denom, -1.0, 1.0)
+        cos = self._cosine(np.sum(mat * qrep, axis=-1), na, nb)
         return np.arccos(cos) / np.pi
 
     def _matrix(self, xs, ys) -> np.ndarray:
         a = _as_matrix(xs)
         b = _as_matrix(ys)
         self._observe_dimension(a.shape[1])
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        na = np.where(na == 0.0, 1.0, na)
-        nb = np.where(nb == 0.0, 1.0, nb)
-        cos = np.clip((a @ b.T) / np.outer(na, nb), -1.0, 1.0)
-        return np.arccos(cos) / np.pi
+        na = np.linalg.norm(a, axis=1)[:, None]
+        nb = np.linalg.norm(b, axis=1)[None, :]
+        return np.arccos(self._cosine(a @ b.T, na, nb)) / np.pi

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.construction import objects_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.searchcommon import RESULT_BYTES, merge_answer_lists, query_ks, query_radii
+from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
 from ..gpusim.device import Device
@@ -261,16 +261,6 @@ class ShardedGTS:
         """Per-item comparison cost of a ``K``-way merge (heap of ``K`` heads)."""
         return max(1.0, math.log2(max(2, self.num_shards)))
 
-    def _gather(self, per_shard: list, qi: int, k: Optional[int] = None) -> list:
-        """Query ``qi``'s per-shard answers under global ids, merged (top-``k``)."""
-        return merge_answer_lists(
-            (
-                [(to_global[oid], dist) for oid, dist in answers[qi]]
-                for to_global, answers in zip(self._shard_to_global, per_shard)
-            ),
-            k,
-        )
-
     # -------------------------------------------------------------- queries
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Answer one metric range query (scatter-gather over the shards)."""
@@ -284,24 +274,7 @@ class ShardedGTS:
         with *global* object ids.
         """
         self._require_built()
-        radii_arr = query_radii(radii, len(queries))
-
-        def run(sid: int, shard: GTS):
-            answers = shard.range_query_batch(queries, radii_arr)
-            # each shard gathers its surviving results back to the host
-            shard.device.transfer_to_host(
-                sum(len(a) for a in answers) * RESULT_BYTES, label="results-d2h"
-            )
-            return answers
-
-        per_shard = self._shard_round(run)
-        merged = [self._gather(per_shard, qi) for qi in range(len(queries))]
-        total = sum(len(a) for answers in per_shard for a in answers)
-        # The union keeps every gathered hit (partitions are disjoint, so the
-        # union size equals the single-device answer size): a K-way merge of
-        # the per-shard sorted lists costs log2(K) comparisons per hit.
-        self._charge_host(total * self._log_shards(), "shard-merge-range")
-        return merged
+        return self._scatter(queries, radii=query_radii(radii, len(queries)))
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer one metric kNN query (scatter-gather over the shards)."""
@@ -311,30 +284,67 @@ class ShardedGTS:
         """Answer a batch of kNN queries: broadcast, per-shard Algorithm 5, merge-top-k.
 
         Every shard answers the full batch with the full ``k`` over its
-        partition; the host merges the ``K`` per-shard top-k lists and keeps
-        the global top-k.  Exact, because any object among the global k
-        nearest has fewer than ``k`` objects ahead of it in its own shard.
+        partition; the host keeps the global top-k of the ``K`` per-shard
+        top-k lists.  Exact, because any object among the global k nearest
+        has fewer than ``k`` objects ahead of it in its own shard.
         """
         self._require_built()
-        k_arr = query_ks(k, len(queries))
+        return self._scatter(queries, k=query_ks(k, len(queries)))
+
+    def _scatter(
+        self,
+        queries: Sequence,
+        radii: Optional[np.ndarray] = None,
+        k: Optional[np.ndarray] = None,
+    ) -> list[list[tuple[int, float]]]:
+        """Broadcast the batch to every shard and rank the gathered answers.
+
+        Each shard's answers are mapped to global-id ``(query, id, distance)``
+        triples and all shards' triples are ranked by one
+        :func:`triples_to_answer_lists` call (cut to ``k`` for kNN).  The
+        partitions are disjoint, so no id appears twice.
+        """
 
         def run(sid: int, shard: GTS):
-            answers = shard.knn_query_batch(queries, k_arr)
+            if k is None:
+                answers = shard.range_query_batch(queries, radii)
+            else:
+                answers = shard.knn_query_batch(queries, k)
+            # each shard gathers its surviving results back to the host
             shard.device.transfer_to_host(
                 sum(len(a) for a in answers) * RESULT_BYTES, label="results-d2h"
             )
             return answers
 
         per_shard = self._shard_round(run)
-        merged = [self._gather(per_shard, qi, int(k_arr[qi])) for qi in range(len(queries))]
-        # Selecting the global top-k from K sorted per-shard lists needs only
-        # k pops from a K-element heap per query — the merge never has to
-        # consume all K*k gathered candidates.
-        self._charge_host(
-            len(queries) * self.num_shards
-            + float(np.sum(k_arr)) * self._log_shards(),
-            "shard-merge-knn",
+        qs, ids, dists = [], [], []
+        for to_global, answers in zip(self._shard_to_global, per_shard):
+            for qi, answer in enumerate(answers):
+                for oid, dist in answer:
+                    qs.append(qi)
+                    ids.append(to_global[oid])
+                    dists.append(dist)
+        merged = triples_to_answer_lists(
+            np.asarray(qs, dtype=np.int64),
+            np.asarray(ids, dtype=np.int64),
+            np.asarray(dists, dtype=np.float64),
+            len(queries),
+            k=k,
         )
+        if k is None:
+            # The union keeps every gathered hit (partitions are disjoint, so
+            # the union size equals the single-device answer size): a K-way
+            # merge of the per-shard sorted lists costs log2(K) comparisons
+            # per hit.
+            self._charge_host(len(qs) * self._log_shards(), "shard-merge-range")
+        else:
+            # Selecting the global top-k from K sorted per-shard lists needs
+            # only k pops from a K-element heap per query — the merge never
+            # has to consume all K*k gathered candidates.
+            self._charge_host(
+                len(queries) * self.num_shards + float(np.sum(k)) * self._log_shards(),
+                "shard-merge-knn",
+            )
         return merged
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:

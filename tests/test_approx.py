@@ -205,6 +205,42 @@ class TestLearnedLeafRouter:
             router.range_query(points_2d[0], -0.5)
 
 
+def _beam(index, points):
+    return ApproximateGTS(index, beam_width=2)
+
+
+def _learned(index, points):
+    return LearnedLeafRouter(index, leaf_budget=2, training_queries=points[:8])
+
+
+@pytest.mark.parametrize("make", [_beam, _learned], ids=["beam", "learned"])
+class TestApproximateValidation:
+    """Both approximate engines validate radii and ``k`` like the exact one."""
+
+    @pytest.mark.parametrize("radius", [float("nan"), -0.5, [0.5, float("nan")]])
+    def test_invalid_radius_rejected(self, make, built_index, points_2d, radius):
+        engine = make(built_index, points_2d)
+        with pytest.raises(QueryError):
+            engine.range_query_batch([points_2d[0], points_2d[1]], radius)
+        if np.ndim(radius) == 0:
+            with pytest.raises(QueryError):
+                engine.range_query(points_2d[0], radius)
+
+    @pytest.mark.parametrize("k", [2.7, 0, -1, float("nan"), float("inf")])
+    def test_invalid_k_rejected(self, make, built_index, points_2d, k):
+        engine = make(built_index, points_2d)
+        with pytest.raises(QueryError):
+            engine.knn_query_batch([points_2d[0]], k)
+        with pytest.raises(QueryError):
+            engine.knn_query(points_2d[0], k)
+
+    def test_integral_float_k_accepted(self, make, built_index, points_2d):
+        engine = make(built_index, points_2d)
+        expected = engine.knn_query(points_2d[0], 3)
+        assert engine.knn_query(points_2d[0], 3.0) == expected
+        assert engine.knn_query_batch([points_2d[0]], np.int64(3)) == [expected]
+
+
 class TestRecallUtilities:
     def test_perfect_recall(self):
         exact = [(1, 0.1), (2, 0.2), (3, 0.3)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache_table import CacheTable
+from repro.core.search import BoundedTriples
 from repro.core.cost_model import (
     DistanceDistribution,
     estimate_construction_cost,
@@ -71,30 +72,42 @@ class TestCacheTable:
         cache.release()
         assert device.used_bytes == 0
 
+    @staticmethod
+    def _scan(cache, query, device=None, radius=None, k=None):
+        """Scan ``cache`` for one query into a fresh accumulator."""
+        results = BoundedTriples(
+            1,
+            None,
+            radii=None if radius is None else np.array([radius], dtype=np.float64),
+            k=None if k is None else np.array([k], dtype=np.int64),
+        )
+        cache.range_scan_batch(EuclideanDistance(), [query], results, device)
+        return results.answers()[0]
+
     def test_range_scan_matches_brute_force(self, rng):
-        metric = EuclideanDistance()
         cache = CacheTable(1 << 20)
         pts = rng.normal(size=(20, 2))
         for i, p in enumerate(pts):
             cache.insert(100 + i, p)
-        hits = cache.range_scan(metric, pts[0], 0.5)
-        expected = {100 + i for i, p in enumerate(pts) if np.linalg.norm(p - pts[0]) <= 0.5}
-        assert {o for o, _ in hits} == expected
+        hits = self._scan(cache, pts[0], radius=0.5)
+        dists = EuclideanDistance().pairwise(pts[0], list(pts))
+        expected = sorted((float(d), 100 + i) for i, d in enumerate(dists) if d <= 0.5)
+        assert hits == [(i, d) for d, i in expected]
 
     def test_knn_scan_returns_k_smallest(self, rng):
-        metric = EuclideanDistance()
         cache = CacheTable(1 << 20)
         pts = rng.normal(size=(20, 2))
         for i, p in enumerate(pts):
             cache.insert(i, p)
-        got = cache.knn_scan(metric, pts[0], 3)
-        dists = sorted(np.linalg.norm(pts - pts[0], axis=1))[:3]
-        np.testing.assert_allclose(sorted(d for _, d in got), dists, atol=1e-9)
+        got = self._scan(cache, pts[0], k=3)
+        dists = EuclideanDistance().pairwise(pts[0], list(pts))
+        expected = sorted((float(d), i) for i, d in enumerate(dists))[:3]
+        assert got == [(i, d) for d, i in expected]
 
     def test_scans_on_empty_cache(self):
         cache = CacheTable(100)
-        assert cache.range_scan(EuclideanDistance(), np.zeros(2), 1.0) == []
-        assert cache.knn_scan(EuclideanDistance(), np.zeros(2), 3) == []
+        assert self._scan(cache, np.zeros(2), radius=1.0) == []
+        assert self._scan(cache, np.zeros(2), k=3) == []
 
     def test_scan_charges_device_time(self, rng):
         device = Device(DeviceSpec())
@@ -102,7 +115,7 @@ class TestCacheTable:
         for i in range(10):
             cache.insert(i, rng.normal(size=2))
         before = device.stats.kernel_launches
-        cache.range_scan(EuclideanDistance(), np.zeros(2), 1.0)
+        self._scan(cache, np.zeros(2), radius=1.0)
         assert device.stats.kernel_launches == before + 1
 
 

@@ -29,6 +29,7 @@ from repro.evalsuite.experiments import (
     experiment_fig9_batch_size,
     experiment_fig10_identical_objects,
     experiment_table4_construction,
+    experiment_table5_cache_size,
 )
 from repro.exceptions import BaselineError, QueryError
 from repro.gpusim import DeviceSpec, MiB
@@ -175,6 +176,17 @@ class TestExperimentsSmallScale:
         assert len(res.rows) == 2
         gts = res.filter(dataset="tloc", method="GTS")[0]
         assert gts["status"] == STATUS_OK and gts["time_s"] > 0
+
+    def test_table5_smallest_cache_holds_one_word(self):
+        # words reach 17+ bytes: a 0.01 KB (10 B) budget must still take the
+        # re-insert of any of them
+        res = experiment_table5_cache_size(
+            datasets=("words",), cache_sizes_kb=(0.01,), num_updates=6,
+            cardinalities={"words": 300},
+        )
+        (row,) = res.rows
+        assert row["status"] == STATUS_OK and row["time_per_op_s"] > 0
+        assert row["rebuilds"] >= 1
 
     def test_fig6_small(self):
         res = experiment_fig6_node_capacity(

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from repro import GTS, EditDistance, EuclideanDistance
+from repro.baselines import LinearScan
 from repro.core import MaintenanceConfig
 from repro.core.cache_table import CacheTable
+from repro.core.search import BoundedTriples
 from repro.exceptions import UpdateError
 from repro.gpusim import Device, DeviceSpec
 from repro.service import (
@@ -32,6 +34,26 @@ from repro.tier import TierConfig
 # --------------------------------------------------------------------------
 # Batched cache scans
 # --------------------------------------------------------------------------
+def _scan(cache, metric, queries, device, radii=None, k=None):
+    """Scan ``cache`` into a fresh accumulator and read back its answers."""
+    results = BoundedTriples(
+        len(queries),
+        None,
+        radii=None if radii is None else np.asarray(radii, dtype=np.float64),
+        k=None if k is None else np.asarray(k, dtype=np.int64),
+    )
+    cache.range_scan_batch(metric, queries, results, device)
+    return results.answers()
+
+
+def _brute_force(cache, metric, query, radius=np.inf, k=None):
+    """The cache's answer by ``metric.pairwise`` and a ``(distance, id)`` sort."""
+    ids = cache.object_ids()
+    dists = metric.pairwise(query, [cache.get(i) for i in ids])
+    ranked = sorted((float(d), int(i)) for i, d in zip(ids, dists) if d <= radius)
+    return [(i, d) for d, i in ranked[:k]]
+
+
 class TestBatchedCacheScans:
     @pytest.fixture
     def cache(self, rng, device):
@@ -44,27 +66,22 @@ class TestBatchedCacheScans:
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(9)]
         radii = np.linspace(0.5, 3.0, num=9)
-        expected = [
-            cache.range_scan(metric, q, float(r), device)
-            for q, r in zip(queries, radii)
-        ]
-        assert cache.range_scan_batch(metric, queries, radii, device) == expected
+        expected = [_brute_force(cache, metric, q, radius=r) for q, r in zip(queries, radii)]
+        assert _scan(cache, metric, queries, device, radii=radii) == expected
 
     def test_knn_scan_batch_matches_per_query(self, cache, rng, device):
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(7)]
         ks = np.array([1, 2, 3, 5, 8, 37, 100])
-        expected = [
-            cache.knn_scan(metric, q, int(k), device) for q, k in zip(queries, ks)
-        ]
-        assert cache.knn_scan_batch(metric, queries, ks, device) == expected
+        expected = [_brute_force(cache, metric, q, k=int(k)) for q, k in zip(queries, ks)]
+        assert _scan(cache, metric, queries, device, k=ks) == expected
 
     def test_batch_scan_launches_one_kernel_and_same_pairs(self, cache, rng, device):
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(11)]
         before_kernels = device.stats.kernel_launches
         before_pairs = metric.pair_count
-        cache.range_scan_batch(metric, queries, np.full(11, 1.0), device)
+        _scan(cache, metric, queries, device, radii=np.full(11, 1.0))
         assert device.stats.kernel_launches == before_kernels + 1
         assert metric.pair_count == before_pairs + 11 * len(cache)
 
@@ -75,16 +92,34 @@ class TestBatchedCacheScans:
             cache.insert(50 + i, w)
         metric = EditDistance()
         queries = ["metric", "spice"]
-        expected = [cache.knn_scan(metric, q, 3, device) for q in queries]
-        assert cache.knn_scan_batch(metric, queries, [3, 3], device) == expected
+        expected = [_brute_force(cache, metric, q, k=3) for q in queries]
+        assert _scan(cache, metric, queries, device, k=[3, 3]) == expected
 
     def test_knn_scan_topk_with_ties(self, device):
         cache = CacheTable(1 << 20, device=device)
         # equidistant objects: the top-k must break ties by ascending id
         for i in range(8):
             cache.insert(i, np.array([1.0, 0.0]))
-        got = cache.knn_scan(EuclideanDistance(), np.zeros(2), 3, device)
-        assert got == [(0, 1.0), (1, 1.0), (2, 1.0)]
+        got = _scan(cache, EuclideanDistance(), [np.zeros(2)], device, k=[3])
+        assert got == [[(0, 1.0), (1, 1.0), (2, 1.0)]]
+
+    def test_scan_keeps_ties_at_the_tree_kth_bound(self, device):
+        # the tree already filled k=2 slots at distance 1.0: cached objects
+        # tied at that bound must survive the offer and win on id
+        cache = CacheTable(1 << 20, device=device)
+        cache.insert(0, np.array([1.0, 0.0]))
+        cache.insert(1, np.array([0.0, 1.0]))
+        cache.insert(2, np.array([3.0, 0.0]))
+        results = BoundedTriples(1, None, k=np.array([2]))
+        results.offer([0, 0], [900, 901], [1.0, 1.0])
+        cache.range_scan_batch(EuclideanDistance(), [np.zeros(2)], results, device)
+        assert results.answers() == [[(0, 1.0), (1, 1.0)]]
+
+    def test_empty_cache_offers_nothing(self, device):
+        cache = CacheTable(1 << 20, device=device)
+        before = device.stats.kernel_launches
+        assert _scan(cache, EuclideanDistance(), [np.zeros(2)], device, k=[3]) == [[]]
+        assert device.stats.kernel_launches == before
 
     def test_gts_query_batch_merges_cache_identically(self, points_2d, l2_metric):
         index = GTS.build(points_2d, l2_metric, node_capacity=8)
@@ -113,6 +148,46 @@ class TestBatchedCacheScans:
         # the whole batch's cache merge is exactly one extra cache-scan
         # kernel, not one per query
         assert with_cache == without_cache + 1
+        index.close()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda pts, metric: GTS.build(
+                pts, metric, node_capacity=8, cache_capacity_bytes=1 << 16
+            ),
+            lambda pts, metric: ShardedGTS.build(
+                pts, metric, num_shards=2, node_capacity=8, cache_capacity_bytes=1 << 16
+            ),
+        ],
+        ids=["gts", "sharded-2"],
+    )
+    def test_cache_and_tombstones_match_linear_scan(self, build, points_2d, l2_metric, rng):
+        index = build(points_2d, l2_metric)
+        oracle = LinearScan(l2_metric)
+        oracle.build(points_2d)
+        for i in range(12):
+            obj = points_2d[5 * i] + rng.normal(scale=0.05, size=2)
+            assert index.insert(obj) == oracle.insert(obj)
+        # tombstone indexed objects and drop cached ones
+        for victim in (0, 3, 10, 25, 601, 605):
+            index.delete(victim)
+            oracle.delete(victim)
+        assert index.cache_size > 0
+        queries = [points_2d[i] for i in (0, 3, 5, 40, 200)]
+        for got, want in zip(
+            index.range_query_batch(queries, 0.6), oracle.range_query_batch(queries, 0.6)
+        ):
+            assert [o for o, _ in got] == [o for o, _ in want]
+            np.testing.assert_allclose([d for _, d in got], [d for _, d in want])
+        live = len(oracle.live_ids())
+        for k in (1, 7, live + 50):
+            got_k = index.knn_query_batch(queries, k)
+            want_k = oracle.knn_query_batch(queries, k)
+            for got, want in zip(got_k, want_k):
+                assert len(got) == min(k, live)
+                assert [o for o, _ in got] == [o for o, _ in want]
+                np.testing.assert_allclose([d for _, d in got], [d for _, d in want])
         index.close()
 
 

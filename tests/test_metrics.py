@@ -192,6 +192,29 @@ class TestVectorMetrics:
         m = AngularDistance()
         assert m.distance([0.0, 0.0], [0.0, 0.0]) == 0.0
 
+    @pytest.mark.parametrize("fused_segment_elements", [1, 10**9], ids=["loop", "fused"])
+    def test_angular_zero_vectors_agree_on_every_call_shape(self, fused_segment_elements):
+        # d(0, 0) = 0 and d(0, x) = 1/2 for x != 0, whichever path evaluates it
+        m = AngularDistance()
+        m.fused_segment_elements = fused_segment_elements
+        zero, x = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        objects = np.stack([zero, x, zero])
+        expected = np.array([0.0, 0.5, 0.0])
+        assert m.distance(zero, zero) == 0.0 and m.distance(zero, x) == 0.5
+        np.testing.assert_array_equal(m.pairwise(zero, objects), expected)
+        np.testing.assert_array_equal(
+            m.pairwise_segmented([zero, x], np.vstack([objects, objects]), [0, 3, 6]),
+            np.concatenate([expected, [0.5, 0.0, 0.5]]),
+        )
+        np.testing.assert_array_equal(
+            m.pairwise_segmented(
+                [zero], objects, [0, 3], object_digest=m.store_digest(objects)
+            ),
+            expected,
+        )
+        np.testing.assert_array_equal(m.matrix([zero, x], objects)[0], expected)
+        assert m.matrix([zero, x], objects)[1, 1] == pytest.approx(0.0, abs=1e-7)
+
 
 class TestEditDistanceMetric:
     def test_unit_cost_quadratic_in_length(self):
