@@ -120,15 +120,24 @@ class ColumnarStore:
     def metric_digest(self, metric):
         """Cached ``Metric.store_digest`` over the live rows.
 
-        The cache is keyed by metric name and invalidated by appends (the
-        store size is part of the key), so the per-row precomputation —
-        e.g. the angular metric's row norms — is paid once per store
-        generation instead of once per query batch.
+        The cache is keyed by metric name and remembers how many rows it
+        covers.  The digest is a per-row function of the data, so after
+        appends only the new rows are digested and concatenated onto the
+        cached prefix: the per-row precomputation — e.g. the angular
+        metric's row norms — is paid once per row, not once per query batch
+        after every insert.  A dtype promotion in :meth:`append` drops the
+        cache.
         """
         cached = self._digest_cache.get(metric.name)
         if cached is not None and cached[0] == self._size:
             return cached[1]
-        digest = metric.store_digest(self.matrix)
+        if cached is not None and cached[1] is not None:
+            covered, prefix = cached
+            digest = np.concatenate(
+                (prefix, metric.store_digest(self._data[covered : self._size]))
+            )
+        else:
+            digest = metric.store_digest(self.matrix)
         self._digest_cache[metric.name] = (self._size, digest)
         return digest
 
@@ -162,6 +171,7 @@ class ColumnarStore:
         if not exact:
             promoted = np.promote_types(self._data.dtype, row.dtype)
             self._data = self._data.astype(promoted)
+            self._digest_cache.clear()
             cast = row.astype(promoted)
         if self._size == self._data.shape[0]:
             capacity = max(4, 2 * self._data.shape[0])

@@ -22,7 +22,9 @@ tree one level at a time for *all* queries simultaneously:
 
 Verification computes the real distances of every object in the surviving
 leaves and offers them to the :class:`BoundedTriples` accumulator, which
-keeps the triples within each query's bound.  Range answers are exact; kNN
+keeps the triples within each query's bound; where the metric certifies
+distance bounds, candidates provably beyond their query's bound are dropped
+before the exact evaluation (DESIGN.md §8).  Range answers are exact; kNN
 answers are exact in the usual tie-tolerant sense: the returned distances are
 the true k smallest, and when several objects tie at the k-th distance an
 arbitrary subset of the tied objects completes the answer.
@@ -39,6 +41,7 @@ from ..gpusim.device import Device
 from ..metrics.base import Metric
 from .construction import take_objects
 from .nodes import TreeStructure
+from .objectstore import ColumnarStore
 from .searchcommon import (
     ENTRY_BYTES,
     RESULT_BYTES,
@@ -156,6 +159,64 @@ class BoundedTriples:
         return triples_to_answer_lists(self._cq, self._cid, self._cd, self._num_queries, k=self.k)
 
 
+#: Element budget of one block of the bound matrices (queries x rows).
+CERTIFY_BLOCK_ELEMENTS = 1 << 18
+
+
+def _certified_survivors(
+    metric: Metric,
+    objects: Sequence,
+    query_objects: Sequence,
+    boundaries: np.ndarray,
+    obj_ids: np.ndarray,
+    results: BoundedTriples,
+    unique_queries: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Mask of the candidate pairs that may lie within their query's bound.
+
+    Each distinct candidate row is gathered once and handed, with the
+    store's digest, to :meth:`Metric.distance_bounds` in blocks of whole
+    queries.  A pair is dropped only when its certified lower bound exceeds
+    the query's bound: the radius, or for kNN the current k-th bound
+    tightened to the k-th smallest upper bound among the query's own
+    (distinct) candidates — at least ``k`` of them lie within it, so a pair
+    beyond it can neither enter the top ``k`` nor move the k-th distance.
+    Returns None when the filter does not apply: a metric without bounds or
+    a tiered or list store (pager traffic and generic objects keep the exact
+    path).
+    """
+    if type(metric).distance_bounds is Metric.distance_bounds:
+        return None
+    if not isinstance(objects, ColumnarStore):
+        return None
+    num_segments = len(boundaries) - 1
+    rows, inverse = np.unique(obj_ids, return_inverse=True)
+    row_matrix = objects.gather(rows)
+    digest = objects.metric_digest(metric)
+    row_digest = None if digest is None else digest[rows]
+    query_matrix = np.asarray(query_objects)
+    counts = np.diff(boundaries)
+    lo = np.empty(len(obj_ids), dtype=np.float64)
+    hi = np.empty(len(obj_ids), dtype=np.float64)
+    step = max(1, CERTIFY_BLOCK_ELEMENTS // len(rows))
+    for first in range(0, num_segments, step):
+        last = min(first + step, num_segments)
+        bounds = metric.distance_bounds(query_matrix[first:last], row_matrix, row_digest)
+        if bounds is None:
+            return None
+        start, end = int(boundaries[first]), int(boundaries[last])
+        local = np.repeat(np.arange(last - first), counts[first:last])
+        lo[start:end] = bounds[0][local, inverse[start:end]]
+        hi[start:end] = bounds[1][local, inverse[start:end]]
+    limit = results.bounds(unique_queries)
+    if results.k is not None:
+        for seg, k in enumerate(results.k[unique_queries].tolist()):
+            start, end = int(boundaries[seg]), int(boundaries[seg + 1])
+            if end - start >= k:
+                limit[seg] = min(limit[seg], np.partition(hi[start:end], k - 1)[k - 1])
+    return lo <= np.repeat(limit, counts)
+
+
 def _verify_leaves(
     tree: TreeStructure,
     objects: Sequence,
@@ -170,9 +231,14 @@ def _verify_leaves(
     """Compute real distances for every object in the surviving leaves.
 
     One fused pass: the surviving leaves' table-list slices are expanded into
-    per-query candidate segments (slot-sorted on tiered stores), gathered
-    once, evaluated with a single segmented distance call, and offered to
-    the accumulator in one bulk add.
+    per-query candidate segments (slot-sorted on tiered stores).  Where the
+    metric certifies distance bounds (:func:`_certified_survivors`), pairs
+    proven beyond their query's bound are dropped first; the rest are
+    gathered, evaluated with the segmented exact kernel — so every reported
+    distance is bitwise the reference value — and offered to the accumulator
+    in one bulk add.  The verify kernel is charged for every candidate pair
+    either way, and the dropped pairs still count in the metric's pair
+    counter.
     """
     if len(leaf_q) == 0:
         return
@@ -191,8 +257,18 @@ def _verify_leaves(
         # answers are order-insensitive (keyed by id) and a slot-sorted
         # gather touches each leaf-clustered block as one run
         query_objects = take_objects(queries, unique_queries)
-        dists = segmented_distances(metric, objects, query_objects, boundaries, obj_ids)
         owner = np.repeat(unique_queries, np.diff(boundaries))
+        keep = _certified_survivors(
+            metric, objects, query_objects, boundaries, obj_ids, results, unique_queries
+        )
+        settled = 0
+        if keep is not None:
+            owner, obj_ids = owner[keep], obj_ids[keep]
+            boundaries = np.concatenate(([0], np.cumsum(keep)))[boundaries]
+            settled = total_verified - len(obj_ids)
+        dists = segmented_distances(
+            metric, objects, query_objects, boundaries, obj_ids, settled_pairs=settled
+        )
         total_hits = results.offer(owner, obj_ids, dists)
     host = time.perf_counter() - host_start
     device.launch_kernel(

@@ -321,6 +321,7 @@ def segmented_distances(
     query_objects: Sequence,
     boundaries: np.ndarray,
     obj_ids: np.ndarray,
+    settled_pairs: int = 0,
 ) -> np.ndarray:
     """Gather candidate rows by id and evaluate the per-query segments.
 
@@ -333,10 +334,16 @@ def segmented_distances(
     candidate list once, up front, and the chunks read host rows without
     faulting, so chunking is invisible to the results, the pager and the
     simulated device: only the host wall-clock changes.
+
+    ``settled_pairs`` — candidates a bound filter already dropped — are
+    counted with the first ``Metric.pairwise_segmented`` call (see there).
     """
     n = len(obj_ids)
     out = np.empty(n, dtype=np.float64)
     if n == 0:
+        if settled_pairs:
+            empty = np.zeros(1, dtype=np.int64)
+            metric.pairwise_segmented([], [], empty, settled_pairs=settled_pairs)
         return out
     if getattr(objects, "coalesced_gather", False):
         objects.fault(obj_ids)
@@ -347,7 +354,9 @@ def segmented_distances(
         # list store (strings, sets, ragged data): the metric loops per
         # segment anyway and the "gather" is a view comprehension
         rows = take_objects(objects, obj_ids)
-        out[:] = metric.pairwise_segmented(query_objects, rows, boundaries)
+        out[:] = metric.pairwise_segmented(
+            query_objects, rows, boundaries, settled_pairs=settled_pairs
+        )
         return out
     # per-row auxiliaries (e.g. angular row norms), precomputed once per
     # store generation and gathered alongside the rows
@@ -371,7 +380,9 @@ def segmented_distances(
             rows,
             boundaries[seg : end_seg + 1] - lo,
             object_digest=None if digest is None else digest[chunk_ids],
+            settled_pairs=settled_pairs,
         )
+        settled_pairs = 0
         seg = end_seg
     return out
 

@@ -27,6 +27,11 @@ A :class:`Metric` exposes three granularities of evaluation:
     broadcast pass over all (query, candidate) pairs, while string/set
     metrics fall back to a per-segment loop.
 
+``distance_bounds(query_matrix, row_matrix, row_digest)``
+    optional certified lower/upper bounds on a whole query × row block,
+    which leaf verification uses to drop candidates before their exact
+    evaluation (None when a metric has no such bound).
+
 Every call is counted.  Distance computations are the currency of metric
 similarity search — the paper's efficiency claims boil down to "GTS computes
 far fewer distances and evaluates the rest with massive parallelism" — so the
@@ -51,7 +56,9 @@ class MetricCounter:
 
     def __init__(self) -> None:
         self.calls = 0  # number of API invocations
-        self.pairs = 0  # number of object pairs actually evaluated
+        # object pairs evaluated, plus the verification pairs a certified
+        # distance_bounds filter dropped without computing them
+        self.pairs = 0
 
     def record(self, pairs: int) -> None:
         self.calls += 1
@@ -134,12 +141,27 @@ class Metric:
         """
         return None
 
+    def distance_bounds(self, query_matrix, row_matrix, row_digest=None):
+        """Certified ``(lo, hi)`` bounds on every (query, row) distance, or None.
+
+        A cheap filter in front of :meth:`pairwise_segmented`: for query ``i``
+        and row ``j``, ``lo[i, j] <= d <= hi[i, j]`` must hold for the
+        distance ``d`` that :meth:`pairwise_segmented` would report, bit for
+        bit — so a search may drop a pair whose ``lo`` exceeds its bound and
+        evaluate only the rest exactly.  ``row_digest`` is the
+        :meth:`store_digest` slice aligned with ``row_matrix`` (None when the
+        caller has none).  The base class has no such bound and returns
+        None, which keeps every pair on the exact path.
+        """
+        return None
+
     def pairwise_segmented(
         self,
         queries: Sequence[Any],
         objects: Sequence[Any],
         segment_boundaries,
         object_digest=None,
+        settled_pairs: int = 0,
     ) -> np.ndarray:
         """Evaluate per-query candidate segments of one flat object sequence.
 
@@ -160,6 +182,10 @@ class Metric:
         The whole call counts as **one** metric invocation covering
         ``len(objects)`` pairs (``counter.pairs`` is unchanged relative to
         per-query evaluation; ``counter.calls`` counts the fused call).
+        ``settled_pairs`` adds the pairs of the same kernel that a
+        :meth:`distance_bounds` filter proved beyond their bound: they are
+        counted as evaluated but not computed, so the pair count does not
+        depend on whether the filter ran.
         """
         boundaries = np.asarray(segment_boundaries, dtype=np.int64)
         if boundaries.ndim != 1 or len(boundaries) != len(queries) + 1:
@@ -176,9 +202,10 @@ class Metric:
         if np.any(np.diff(boundaries) < 0):
             raise MetricError("segment_boundaries must be non-decreasing")
         n = len(objects)
+        if n or settled_pairs:
+            self.counter.record(n + int(settled_pairs))
         if n == 0:
             return np.zeros(0, dtype=np.float64)
-        self.counter.record(n)
         return np.asarray(
             self._pairwise_segmented(queries, objects, boundaries, object_digest),
             dtype=np.float64,

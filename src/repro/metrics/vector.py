@@ -31,6 +31,16 @@ __all__ = [
 ]
 
 
+#: Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Absolute slack, in distance units, that :meth:`AngularDistance.distance_bounds`
+#: adds on both sides for the rounding of ``arccos(.) / pi`` — far more than
+#: the few ulps by which a faithfully rounded ``arccos`` can fail to be
+#: monotone.
+_ARCCOS_SLACK = 2.0 ** -48
+
+
 def _as_matrix(objects: Sequence) -> np.ndarray:
     arr = np.asarray(objects, dtype=np.float64)
     if arr.ndim == 1:
@@ -273,6 +283,66 @@ class AngularDistance(_VectorMetric):
         of the gathered rows on the fly.
         """
         return np.linalg.norm(np.asarray(matrix, dtype=np.float64), axis=-1)
+
+    @staticmethod
+    def cosine_error(dim: int) -> float:
+        """Bound on ``|cos_ref - cos_gemm|`` for ``dim``-dimensional vectors.
+
+        ``cos_ref`` is the row-wise reference cosine ``fl(sum(a*b) / D)`` and
+        ``cos_gemm`` the same quotient over a BLAS dot product, with the same
+        denominator ``D = fl(|a| * |b|)``.  Any summation order of a
+        ``dim``-term dot product is within ``gamma * S`` of the exact value,
+        ``gamma = dim*u / (1 - dim*u)``, ``S = sum|a_k b_k| <= T = |a||b|``
+        (Cauchy-Schwarz), so the two dots differ by at most ``2 gamma T``
+        and each is at most ``(1 + gamma) T`` in magnitude.  Each division
+        adds ``u`` relative, and the computed norms make
+        ``D >= T (1 - gamma)(1 - u)^3``.  That needs each norm to be
+        accurate, which :attr:`certified_norms` ensures: with both norms in
+        range no square or product overflows, and the absolute error of
+        squares and products that underflow is below ``dim * 2^-115``
+        relative to ``T``, which the final ``u`` absorbs.
+        """
+        u = _UNIT_ROUNDOFF
+        gamma = dim * u / (1.0 - dim * u)
+        return (2.0 * gamma + 2.0 * u * (1.0 + gamma)) / ((1.0 - gamma) * (1.0 - u) ** 3) + u
+
+    #: Range of each computed norm ``|a|`` and ``|b|`` in which
+    #: :meth:`cosine_error` holds.  A pair with either norm outside it (a
+    #: zero row or query, a row whose squares underflow, overflow) gets the
+    #: trivial bounds ``[0, 1]``.
+    certified_norms = (2.0 ** -480, 2.0 ** 500)
+
+    def distance_bounds(self, query_matrix, row_matrix, row_digest=None):
+        """Certified bounds from one BLAS ``Q @ X.T`` and the row norm digest.
+
+        The GEMM cosine is widened by :meth:`cosine_error` in cosine space —
+        before ``arccos``, whose slope is unbounded near ``cos = +-1`` —
+        and clipped like the reference; the two ends then go through the
+        reference's ``arccos(.) / pi`` and are widened by
+        ``_ARCCOS_SLACK`` for the last-bit rounding of that map.
+        """
+        qmat = _as_matrix(query_matrix)
+        mat = _as_matrix(row_matrix)
+        if mat.shape[1] != qmat.shape[1]:
+            raise MetricError(f"dimension mismatch: {qmat.shape[1]} vs {mat.shape[1]}")
+        self._observe_dimension(qmat.shape[1])
+        na = np.linalg.norm(mat, axis=-1) if row_digest is None else row_digest
+        nb = np.linalg.norm(qmat, axis=-1)
+        smallest, largest = self.certified_norms
+        certified = ((nb >= smallest) & (nb <= largest))[:, None] & (
+            (na >= smallest) & (na <= largest)
+        )[None, :]
+        denom = nb[:, None] * na[None, :]
+        cos = qmat @ mat.T
+        cos /= np.where(certified, denom, 1.0)
+        eps = self.cosine_error(qmat.shape[1])
+        lo = np.arccos(np.clip(cos + eps, -1.0, 1.0)) / np.pi - _ARCCOS_SLACK
+        hi = np.arccos(np.clip(cos - eps, -1.0, 1.0)) / np.pi + _ARCCOS_SLACK
+        if not certified.all():
+            # the whole cosine range [-1, 1]
+            lo[~certified] = 0.0
+            hi[~certified] = 1.0 + _ARCCOS_SLACK
+        return np.maximum(lo, 0.0, out=lo), hi
 
     def _segment_pairwise(self, query, objects, digest) -> np.ndarray:
         # the object norms come from the store digest when one is given

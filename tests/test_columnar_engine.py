@@ -11,7 +11,9 @@ Two families of guarantees:
   pool peaks, transfer flows) on resident, tiered, and sharded indexes.
   The "before" side of the comparison is the generic per-query fallback
   path (``Metric._pairwise_segmented`` + list store), which is the
-  pre-refactor evaluation strategy.
+  pre-refactor evaluation strategy.  The resident and sharded cases also
+  check that the fast side ran the certified ``distance_bounds`` filter,
+  and the tiered case that it did not.
 """
 
 from __future__ import annotations
@@ -134,6 +136,37 @@ class TestColumnarStore:
         second = store.metric_digest(metric)
         assert second is not first and len(second) == 7
 
+    def test_metric_digest_extends_with_appended_rows_only(self, rng, monkeypatch):
+        store = ColumnarStore(rng.normal(size=(6, 4)))
+        metric = AngularDistance()
+        store.metric_digest(metric)
+        digested = []
+        original = metric.store_digest
+        monkeypatch.setattr(
+            metric, "store_digest", lambda matrix: digested.append(len(matrix)) or original(matrix)
+        )
+        for batch in (1, 3, 2):
+            for _ in range(batch):
+                store.append(rng.normal(size=4))
+            digest = store.metric_digest(metric)
+        assert digested == [1, 3, 2]  # only the new rows were digested
+        np.testing.assert_array_equal(digest, original(store.matrix))
+        assert digest.tobytes() == original(store.matrix).tobytes()
+
+    def test_metric_digest_dropped_on_dtype_promotion(self, monkeypatch):
+        store = ColumnarStore(np.array([[3, 4], [6, 8]], dtype=np.int64))
+        metric = AngularDistance()
+        store.metric_digest(metric)
+        digested = []
+        original = metric.store_digest
+        monkeypatch.setattr(
+            metric, "store_digest", lambda matrix: digested.append(len(matrix)) or original(matrix)
+        )
+        store.append([0.5, 0.25])
+        digest = store.metric_digest(metric)
+        assert digested == [3]  # the whole promoted matrix, not an extension
+        assert digest.tobytes() == original(store.matrix).tobytes()
+
     def test_make_object_store_dispatch(self, rng):
         matrix = rng.normal(size=(5, 3))
         assert isinstance(make_object_store(matrix), ColumnarStore)
@@ -225,12 +258,24 @@ class TestEngineEquivalence:
         )
 
     def _both_strategies(self, run):
-        """Run a workload on the legacy strategy and on the fast path."""
+        """Run a workload on the legacy strategy and on the fast path.
+
+        Also returns how often the fast path called the angular metric's
+        ``distance_bounds`` (the certified verification filter).
+        """
         with pytest.MonkeyPatch.context() as mp:
             _apply_legacy(mp)
             legacy = run(expect_columnar=False)
-        fast = run(expect_columnar=True)
-        return legacy, fast
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            original = AngularDistance.distance_bounds
+            mp.setattr(
+                AngularDistance,
+                "distance_bounds",
+                lambda self, *args: calls.append(1) or original(self, *args),
+            )
+            fast = run(expect_columnar=True)
+        return legacy, fast, len(calls)
 
     def test_resident_answers_and_stats_identical(self, vector_data):
         queries = [vector_data[i] for i in range(16)]
@@ -242,7 +287,8 @@ class TestEngineEquivalence:
             index.close()
             return result
 
-        legacy, fast = self._both_strategies(run)
+        legacy, fast, bound_calls = self._both_strategies(run)
+        assert bound_calls > 0  # the certified filter ran
         assert fast[0] == legacy[0]  # byte-identical MRQ/MkNNQ answers
         assert fast[1] == legacy[1]  # identical ExecutionStats
 
@@ -266,7 +312,8 @@ class TestEngineEquivalence:
             index.close()
             return answers, stats, pager
 
-        legacy, fast = self._both_strategies(run)
+        legacy, fast, bound_calls = self._both_strategies(run)
+        assert bound_calls == 0  # tiered stores keep the exact path
         assert fast == legacy  # answers, ExecutionStats, and pager traffic
 
     def test_sharded_answers_and_stats_identical(self, vector_data):
@@ -283,5 +330,6 @@ class TestEngineEquivalence:
             index.close()
             return (mrq, knn), _stats_fields(delta)
 
-        legacy, fast = self._both_strategies(run)
+        legacy, fast, bound_calls = self._both_strategies(run)
+        assert bound_calls > 0  # the certified filter ran on the shards
         assert fast == legacy
