@@ -9,6 +9,8 @@
 #   make profile      cProfile a standard serve-sim workload (top-20 by cumtime)
 #   make profile-updates  cProfile an update-heavy serve-sim workload with
 #                     non-blocking maintenance enabled (top-20 by cumtime)
+#   make profile-build  cProfile repeated tiered 2-shard builds of 20,000
+#                     tloc points (top-20 by tottime)
 #   make lint         byte-compile every source tree (no linter is vendored)
 #   make example      run the quickstart end to end
 #   make examples     run every example script (the CI smoke job)
@@ -21,7 +23,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates lint example examples
+.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates profile-build lint example examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -74,6 +76,14 @@ profile-updates:
 		--duration 4e-3 --max-batch 128 --update-heavy --cache-kb 0.5 \
 		--maintenance
 	$(PYTHON) -c "import pstats; pstats.Stats('profile_updates.out').sort_stats('cumulative').print_stats(20)"
+
+# Profile index construction: repeated tiered 2-shard builds of 20,000 tloc
+# points (the out-of-core serving workload's set-up), so partitioning,
+# level kernels and build-time paging show up by self time; leaves the raw
+# stats in profile_build.out.
+profile-build:
+	$(PYTHON) -m cProfile -o profile_build.out benchmarks/profile_build.py
+	$(PYTHON) -c "import pstats; pstats.Stats('profile_build.out').sort_stats('tottime').print_stats(20)"
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench

@@ -50,6 +50,7 @@ __all__ = [
     "BuildResult",
     "take_objects",
     "objects_nbytes",
+    "object_sizes",
     "concatenated_ranges",
 ]
 
@@ -68,6 +69,14 @@ def take_objects(objects: Sequence, ids) -> Sequence:
     return gather_rows(objects, ids)
 
 
+def _item_nbytes(item) -> int:
+    if isinstance(item, str):
+        return len(item)
+    if isinstance(item, np.ndarray):
+        return item.nbytes
+    return 8
+
+
 def objects_nbytes(objects: Sequence, ids=None) -> int:
     """Estimate the device-resident size of a set of objects in bytes."""
     if isinstance(objects, ColumnarStore):
@@ -81,15 +90,20 @@ def objects_nbytes(objects: Sequence, ids=None) -> int:
         items = objects
     else:
         items = [objects[int(i)] for i in ids]
-    total = 0
-    for item in items:
-        if isinstance(item, str):
-            total += len(item)
-        elif isinstance(item, np.ndarray):
-            total += item.nbytes
-        else:
-            total += 8
-    return int(total)
+    return int(sum(_item_nbytes(item) for item in items))
+
+
+def object_sizes(objects: Sequence) -> np.ndarray:
+    """Each object's :func:`objects_nbytes` on its own, as one int64 array.
+
+    Constant for columnar stores and numeric matrices (one row size, no
+    per-object work); any other sequence is sized object by object.
+    """
+    if isinstance(objects, ColumnarStore):
+        return np.full(len(objects), objects.row_nbytes, dtype=np.int64)
+    if isinstance(objects, np.ndarray) and objects.ndim == 2:
+        return np.full(len(objects), objects.shape[1] * objects.itemsize, dtype=np.int64)
+    return np.fromiter((_item_nbytes(o) for o in objects), dtype=np.int64, count=len(objects))
 
 
 def concatenated_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -132,13 +146,18 @@ def _select_pivots(
     selector: PivotSelector,
     rng: np.random.Generator,
 ) -> None:
-    """Choose and record a pivot for every node of the current level."""
-    for node_id in node_ids:
-        p = int(tree.pos[node_id])
-        s = int(tree.size[node_id])
-        local_dis = tree.obj_dis[p : p + s]
-        offset = selector(local_dis, is_root_level, rng)
-        tree.pivot[node_id] = tree.obj_ids[p + offset]
+    """Choose and record a pivot for every (non-empty) node of the current level.
+
+    One :meth:`PivotSelector.select_level` call over the level's stored
+    distances, segmented by node: FFT answers it with one segment argmax,
+    other strategies with their per-node choice.
+    """
+    starts = tree.pos[node_ids]
+    sizes = tree.size[node_ids]
+    offsets = selector.select_level(
+        tree.obj_dis[concatenated_ranges(starts, sizes)], sizes, is_root_level, rng
+    )
+    tree.pivot[node_ids] = tree.obj_ids[starts + offsets]
 
 
 def _map_level(
@@ -153,10 +172,13 @@ def _map_level(
     Evaluated as fused segmented passes: every node of the level is a
     segment of the (contiguous) table list, its pivot the segment's query.
     Nodes are processed in cache-sized chunks (the same host-side blocking
-    as the query engine's ``segmented_distances``; a tiered store faults
-    the whole level once, so the chunking never reaches the pager); the
-    device time is charged as one level-wide kernel.  Returns the number
-    of distance computations performed (for statistics).
+    as the query engine's ``segmented_distances``); the device time is
+    charged as one level-wide kernel.  A tiered store first faults the
+    level's reads once, in physical-slot order (:attr:`PagedObjects.slot_of`,
+    the order ``coalesced_gather`` asks for; each node's pivot is one of its
+    own objects), so the level pages each block at most once and the
+    chunking never reaches the pager.  Returns the number of distance
+    computations performed (for statistics).
     """
     host_start = time.perf_counter()
     sizes = tree.size[node_ids]
@@ -165,17 +187,8 @@ def _map_level(
     total = int(sizes.sum())
     if total:
         if getattr(objects, "coalesced_gather", False):
-            # Tiered store: fault the level's reads as one kernel, in the
-            # historical per-node order (each node's pivot, then its slice),
-            # then gather the chunks' host rows without faulting.
-            counts = sizes + 1
-            seq = np.empty(int(counts.sum()), dtype=np.int64)
-            pivot_pos = np.cumsum(counts) - counts
-            obj_mask = np.ones(len(seq), dtype=bool)
-            obj_mask[pivot_pos] = False
-            seq[pivot_pos] = tree.pivot[active]
-            seq[obj_mask] = tree.obj_ids[concatenated_ranges(tree.pos[active], sizes)]
-            objects.fault(seq)
+            level_ids = tree.obj_ids[concatenated_ranges(tree.pos[active], sizes)]
+            objects.fault(level_ids[np.argsort(objects.slot_of[level_ids], kind="stable")])
             objects = objects.raw
         digest = store_metric_digest(objects, metric)
         dim = object_dimension(objects)
@@ -184,13 +197,13 @@ def _map_level(
             if dim is None
             else max(1, GATHER_CHUNK_ELEMENTS // max(1, dim))
         )
+        # greedy chunks of whole nodes (pivot row + slice) within the budget;
+        # a node larger than the budget is a chunk of its own
+        rows_through = np.cumsum(sizes + 1)
         start = 0
         while start < len(active):
-            end = start + 1
-            chunk_rows = int(sizes[start]) + 1
-            while end < len(active) and chunk_rows + int(sizes[end]) + 1 <= budget_rows:
-                chunk_rows += int(sizes[end]) + 1
-                end += 1
+            base = int(rows_through[start - 1]) if start else 0
+            end = max(start + 1, int(np.searchsorted(rows_through, base + budget_rows, "right")))
             chunk_nodes = active[start:end]
             chunk_sizes = sizes[start:end]
             flat = concatenated_ranges(tree.pos[chunk_nodes], chunk_sizes)
@@ -243,26 +256,21 @@ def _partition_level(
     # distances; charge the kernel anyway to stay faithful to the cost model.
     device.launch_kernel(work_items=n, op_cost=1.0, label="gts-decode")
 
-    # Child creation (lines 12-18): even split, last child takes the slack.
-    created = 0
-    for node_id in node_ids:
-        p = int(tree.pos[node_id])
-        s = int(tree.size[node_id])
-        avg = s // nc
-        children = tree.children_of(int(node_id))
-        for j, child in enumerate(children):
-            child = int(child)
-            if j < nc - 1:
-                c_pos, c_size = p + j * avg, avg
-            else:
-                c_pos, c_size = p + (nc - 1) * avg, s - avg * (nc - 1)
-            tree.pos[child] = c_pos
-            tree.size[child] = c_size
-            if c_size > 0:
-                tree.min_dis[child] = tree.obj_dis[c_pos]
-                tree.max_dis[child] = tree.obj_dis[c_pos + c_size - 1]
-            created += 1
-    device.launch_kernel(work_items=created, op_cost=4.0, label="gts-make-children")
+    # Child creation (lines 12-18): even split, last child takes the slack;
+    # every child of every node in one array pass.
+    starts = tree.pos[node_ids][:, None]
+    sizes = tree.size[node_ids][:, None]
+    avg = sizes // nc
+    slot = np.arange(nc, dtype=np.int64)[None, :]
+    children = node_ids[:, None] * nc + 1 + slot
+    c_pos = starts + slot * avg
+    c_size = np.where(slot < nc - 1, avg, sizes - avg * (nc - 1))
+    tree.pos[children] = c_pos
+    tree.size[children] = c_size
+    filled = c_size > 0
+    tree.min_dis[children[filled]] = tree.obj_dis[c_pos[filled]]
+    tree.max_dis[children[filled]] = tree.obj_dis[(c_pos + c_size - 1)[filled]]
+    device.launch_kernel(work_items=children.size, op_cost=4.0, label="gts-make-children")
 
 
 def build_level(

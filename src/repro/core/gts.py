@@ -413,7 +413,7 @@ class GTS:
         # Keep a set view in sync so per-id membership checks (delete,
         # is_live) stay O(1) instead of rescanning the array every call.
         self.__indexed_ids = value
-        self._indexed_id_set = {int(i) for i in value.tolist()}
+        self._indexed_id_set = set(value.tolist())
 
     @property
     def tree(self) -> TreeStructure:

@@ -47,12 +47,31 @@ class PivotSelector:
         The construction's random generator (for reproducibility).
 
     Returns the *local offset* of the chosen pivot within the node's slice.
+
+    Construction asks for a whole level at once through
+    :meth:`select_level`; its default calls the selector once per node, in
+    node order, so a subclass only has to define ``__call__``.
     """
 
     name = "abstract"
 
     def __call__(self, local_dis: np.ndarray, is_root: bool, rng: np.random.Generator) -> int:
         raise NotImplementedError
+
+    def select_level(
+        self, level_dis: np.ndarray, sizes: np.ndarray, is_root: bool, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Local pivot offsets of every node of one level.
+
+        ``level_dis`` concatenates the nodes' stored distances in node order
+        and ``sizes`` holds each node's object count; the result holds one
+        offset per node, each relative to the start of its node's slice.
+        """
+        ends = np.cumsum(sizes).tolist()
+        starts = [0] + ends[:-1]
+        return np.array(
+            [self(level_dis[s:e], is_root, rng) for s, e in zip(starts, ends)], dtype=np.int64
+        )
 
 
 class FFTPivotSelector(PivotSelector):
@@ -66,6 +85,24 @@ class FFTPivotSelector(PivotSelector):
         if is_root:
             return int(rng.integers(0, len(local_dis)))
         return int(np.argmax(local_dis))
+
+    def select_level(
+        self, level_dis: np.ndarray, sizes: np.ndarray, is_root: bool, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Every node's ``argmax`` at once: one segment max, then the first
+        position of each segment that attains it (``np.argmax``'s tie and NaN
+        rules).  The root level keeps the per-node random draw."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if is_root or len(sizes) == 0:
+            return super().select_level(level_dis, sizes, is_root, rng)
+        if (sizes <= 0).any():
+            raise ConstructionError("cannot select a pivot in an empty node")
+        starts = np.cumsum(sizes) - sizes
+        seg_max = np.repeat(np.maximum.reduceat(level_dis, starts), sizes)
+        hits = np.flatnonzero((level_dis == seg_max) | np.isnan(level_dis))
+        seg = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)[hits]
+        first = hits[np.concatenate(([True], seg[1:] != seg[:-1]))]
+        return first - starts
 
 
 class RandomPivotSelector(PivotSelector):

@@ -347,7 +347,7 @@ def _descend(
             # the k-th bound (Algorithm 5 lines 11-12); charge that selection.
             device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
         pair_index, child_ids = prune_children(
-            tree, cand_node, pivot_dist, bounds, bounds, mode, device
+            tree, cand_node, pivot_dist, bounds, mode, device, metric.distance_error()
         )
         next_q = cand_q[pair_index]
 

@@ -67,6 +67,9 @@ ENTRY_BYTES = 32
 #: Simulated size of one verified-result slot ``{object, distance}``.
 RESULT_BYTES = 16
 
+#: Unit roundoff of float64 (the relative margin of one rounded operation).
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndarray:
     """Broadcast a per-query parameter (radii, ``k``) to the batch shape.
@@ -443,10 +446,10 @@ def prune_children(
     tree: TreeStructure,
     cand_node: np.ndarray,
     pivot_dist: np.ndarray,
-    lower_allowance: np.ndarray,
-    upper_allowance: np.ndarray,
+    allowance: np.ndarray,
     mode: PruneMode,
     device: Device,
+    distance_error: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply Lemma 5.1 / 5.2 to every child of every candidate node at once.
 
@@ -456,12 +459,21 @@ def prune_children(
         Candidate node ids (all at the same level), one per pair.
     pivot_dist:
         ``d(q, N.pivot)`` for each pair.
-    lower_allowance / upper_allowance:
-        Per-pair slack on each side of the interval test.  For MRQ both equal
-        the radius ``r`` and the comparison is strict (Lemma 5.1 prunes when
-        ``|d(o,p) - d(q,p)| > r``); for MkNNQ both equal the current k-th
-        bound and the lemma's ``>=`` is obtained by shrinking the allowance
-        by an epsilon at the call site.
+    allowance:
+        Per-pair slack on both sides of the interval test: the radius ``r``
+        for MRQ, the current k-th bound for MkNNQ.  Both tests are
+        non-strict, so a child whose bound equals the allowance survives.
+    distance_error:
+        The metric's :meth:`~repro.metrics.base.Metric.distance_error`
+        ``(rel, abs)``.  Every stored and computed distance may be off its
+        exact value by ``rel * d + abs``, so each pair's allowance grows by
+        ``(d + allowance) * (G - 1) + (2G + 1) * abs`` with
+        ``G = (1 + rel) / (1 - rel)`` — what the triangle inequality needs
+        when all three distances err against the test — plus ``8u`` relative
+        for the rounding of the test itself.  Without it, rounding pruned
+        leaves holding an object at distance exactly ``r`` (collinear
+        query, object and pivot).  ``(0, 0)`` (exact metrics) leaves the
+        raw tests.
 
     Returns
     -------
@@ -475,13 +487,19 @@ def prune_children(
         return empty, empty
     child_ids = cand_node[:, None] * nc + 1 + np.arange(nc, dtype=np.int64)[None, :]
     sizes = tree.size[child_ids]
-    lb = tree.min_dis[child_ids]
-    ub = tree.max_dis[child_ids]
-    d = pivot_dist[:, None]
+    reach = pivot_dist + allowance
+    floor = pivot_dist - allowance
+    rel, absolute = distance_error
+    if rel or absolute:
+        grow = (1.0 + rel) / (1.0 - rel)
+        slack = reach * ((grow - 1.0) + 8.0 * _UNIT_ROUNDOFF)
+        slack += (2.0 * grow + 1.0) * absolute
+        reach += slack
+        floor -= slack
     keep = sizes > 0
-    keep &= d + upper_allowance[:, None] >= lb
+    keep &= reach[:, None] >= tree.min_dis[child_ids]
     if mode.two_sided:
-        keep &= d - lower_allowance[:, None] <= ub
+        keep &= floor[:, None] <= tree.max_dis[child_ids]
     device.launch_kernel(work_items=child_ids.size, op_cost=2.0, label="prune-children")
     pair_index, child_col = np.nonzero(keep)
     return pair_index.astype(np.int64), child_ids[pair_index, child_col].astype(np.int64)

@@ -32,6 +32,11 @@ A :class:`Metric` exposes three granularities of evaluation:
     which leaf verification uses to drop candidates before their exact
     evaluation (None when a metric has no such bound).
 
+``distance_error()``
+    a certified bound on how far any reported distance lies from the exact
+    one, which the tree's pruning tests widen by so floating-point rounding
+    never prunes a child that holds an answer.
+
 Every call is counted.  Distance computations are the currency of metric
 similarity search — the paper's efficiency claims boil down to "GTS computes
 far fewer distances and evaluates the rest with massive parallelism" — so the
@@ -154,6 +159,21 @@ class Metric:
         None, which keeps every pair on the exact path.
         """
         return None
+
+    def distance_error(self) -> tuple[float, float]:
+        """Certified rounding bound ``(rel, abs)`` of the reported distances.
+
+        Every distance this metric reports through :meth:`distance`,
+        :meth:`pairwise` or :meth:`pairwise_segmented` lies within
+        ``rel * d + abs`` of the exact distance ``d`` of the same pair.
+        Pruning (Lemmas 5.1 and 5.2) widens its interval tests by this bound,
+        so a child holding an object at distance exactly ``r`` survives
+        whatever way its distances rounded.  The base class reports
+        ``(0.0, 0.0)``: right for integer-valued metrics (edit, Hamming),
+        whose distances are exact; a metric that rounds and does not
+        override it is pruned in raw floating point.
+        """
+        return 0.0, 0.0
 
     def pairwise_segmented(
         self,

@@ -54,6 +54,11 @@ class JaccardDistance(Metric):
     def _distance(self, a: Any, b: Any) -> float:
         return jaccard_distance(a, b)
 
+    def distance_error(self) -> tuple[float, float]:
+        """One rounded quotient and one rounded ``1 - q``: under ``2.01 u``
+        absolute, reported as ``4u``."""
+        return 0.0, 2.0 ** -51
+
     def validate_objects(self, objects: Sequence[Any]) -> None:
         super().validate_objects(objects)
         for obj in objects:

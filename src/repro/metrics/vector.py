@@ -15,6 +15,7 @@ two orderings identical.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -68,9 +69,13 @@ class _VectorMetric(Metric):
     supports_vectors = True
     #: abstract operations per coordinate of one distance evaluation
     ops_per_dimension = 2.0
+    #: widest vector evaluated so far; sizes :meth:`distance_error`
+    widest_dimension = 1
 
     def _observe_dimension(self, dim: int) -> None:
         self.unit_cost = max(1.0, self.ops_per_dimension * int(dim))
+        if dim > self.widest_dimension:
+            self.widest_dimension = int(dim)
 
     #: Average segment size (in matrix elements, ``rows * dim``) below which
     #: the fully fused single-pass evaluation beats per-segment slicing.
@@ -144,6 +149,32 @@ class MinkowskiDistance(_VectorMetric):
         self.p = float(p)
         self.name = f"l{p:g}-norm"
         self.unit_cost = 1.0
+        # the root's exponent is 1/p correctly rounded: exact for powers of
+        # two, within u/p otherwise (see distance_error)
+        exact = math.isinf(self.p) or math.frexp(self.p)[0] == 0.5
+        self._exponent_error = 0.0 if exact else _UNIT_ROUNDOFF / self.p
+
+    def distance_error(self) -> tuple[float, float]:
+        """``gamma``-style bound of ``(sum |x_i - y_i|^p)^(1/p)`` in float64.
+
+        Each difference rounds once and each power at most by an ulp, so a
+        term carries about ``(p + 2) u`` relative error; summing ``dim``
+        non-negative terms in any order adds ``gamma_dim``, and the ``1/p``
+        root shrinks the total by ``p`` and rounds once more.  The bound
+        reports twice ``gamma_(dim + ceil(p) + 3)`` (``2u`` for L∞, whose
+        maximum is exact).  The root's exponent is the rounded ``1/p``: an
+        exponent off by ``e`` scales the root of a sum ``S`` by
+        ``S^e``, and ``|ln S| < 800`` in float64.  Powers that underflow
+        lose at most one subnormal ulp each, ``(dim * 2^-1074)^(1/p)`` after
+        the root.
+        """
+        u = _UNIT_ROUNDOFF
+        if math.isinf(self.p):
+            return 2.0 * u, 0.0
+        terms = self.widest_dimension + math.ceil(self.p) + 3
+        rel = 2.0 * terms * u / (1.0 - terms * u)
+        rel += 2.0 * math.expm1(800.0 * self._exponent_error)
+        return rel, (self.widest_dimension * 2.0 ** -1074) ** (1.0 / self.p)
 
     def _distance(self, a, b) -> float:
         x, y = _as_vector(a), _as_vector(b)
@@ -311,6 +342,20 @@ class AngularDistance(_VectorMetric):
     #: zero row or query, a row whose squares underflow, overflow) gets the
     #: trivial bounds ``[0, 1]``.
     certified_norms = (2.0 ** -480, 2.0 ** 500)
+
+    def distance_error(self) -> tuple[float, float]:
+        """Absolute bound through the ``arccos`` conditioning of the cosine.
+
+        The reference cosine is within ``eps = 2 * cosine_error(dim)`` of
+        the exact one (one rounded dot product and denominator instead of
+        two), and ``arccos`` moves an ``eps`` change by at most
+        ``arccos(1 - eps) <= pi * sqrt(eps / 2)``, the slope being unbounded
+        at ``+-1``; ``_ARCCOS_SLACK`` covers the rounding of ``arccos(.) /
+        pi``.  Holds for vectors whose norms lie in :attr:`certified_norms`
+        (a zero vector's distances are exact constants).
+        """
+        eps = 2.0 * self.cosine_error(self.widest_dimension)
+        return 0.0, math.sqrt(eps / 2.0) + _ARCCOS_SLACK
 
     def distance_bounds(self, query_matrix, row_matrix, row_digest=None):
         """Certified bounds from one BLAS ``Q @ X.T`` and the row norm digest.

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from ..exceptions import IndexError_
 
 __all__ = [
@@ -45,6 +47,24 @@ class AssignmentPolicy:
         """
         raise NotImplementedError
 
+    def partition(self, objects: Sequence, nbytes: np.ndarray, num_shards: int) -> np.ndarray:
+        """Owning shard of every object of a bulk load into empty shards.
+
+        Object ``i`` has global id ``i`` and load ``nbytes[i]`` (its payload
+        bytes, at least 1).  Must equal calling :meth:`assign` for each
+        object in id order while adding each object's load to its shard,
+        which is what this default does; a policy with a closed form
+        overrides it with array code, taken only while its own
+        :meth:`assign` is in force.
+        """
+        loads = [0.0] * int(num_shards)
+        owner = np.empty(len(objects), dtype=np.int64)
+        for gid, size in enumerate(nbytes.tolist()):
+            sid = self.assign(gid, objects[gid], loads)
+            owner[gid] = sid
+            loads[sid] += size
+        return owner
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
 
@@ -56,6 +76,11 @@ class RoundRobinPolicy(AssignmentPolicy):
 
     def assign(self, obj_id: int, obj, loads: Sequence[float]) -> int:
         return int(obj_id) % len(loads)
+
+    def partition(self, objects: Sequence, nbytes: np.ndarray, num_shards: int) -> np.ndarray:
+        if type(self).assign is not RoundRobinPolicy.assign:
+            return super().partition(objects, nbytes, num_shards)
+        return np.arange(len(objects), dtype=np.int64) % int(num_shards)
 
 
 class SizeBalancedPolicy(AssignmentPolicy):

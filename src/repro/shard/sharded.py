@@ -41,8 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.construction import objects_nbytes
+from ..core.construction import object_sizes, objects_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
+from ..core.objectstore import gather_rows
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
@@ -185,24 +186,32 @@ class ShardedGTS:
             raise IndexError_(
                 f"cannot spread {len(objects)} objects over {self.num_shards} shards"
             )
-        self._owner = {}
-        self._shard_to_global = [[] for _ in range(self.num_shards)]
-        self._deleted = set()
-        self._loads = [0.0] * self.num_shards
-        partitions: list[list] = [[] for _ in range(self.num_shards)]
-        for gid in range(len(objects)):
-            obj = objects[gid]
-            sid = self.policy.assign(gid, obj, self._loads)
-            self._owner[gid] = (sid, len(partitions[sid]))
-            self._shard_to_global[sid].append(gid)
-            partitions[sid].append(obj)
-            self._loads[sid] += max(1, objects_nbytes([obj]))
-        self._next_id = len(objects)
-        empty = [s for s, part in enumerate(partitions) if not part]
+        n = len(objects)
+        nbytes = np.maximum(1, object_sizes(objects))
+        owner = np.asarray(self.policy.partition(objects, nbytes, self.num_shards), dtype=np.int64)
+        if len(owner) != n or owner.min() < 0 or owner.max() >= self.num_shards:
+            raise IndexError_(
+                f"assignment policy {self.policy.name!r} must give each of the {n} "
+                f"objects a shard in [0, {self.num_shards})"
+            )
+        counts = np.bincount(owner, minlength=self.num_shards)
+        empty = np.flatnonzero(counts == 0).tolist()
         if empty:
             raise IndexError_(f"assignment left shards {empty} empty")
+        # global ids grouped by shard, ascending within each: local id order
+        members = np.argsort(owner, kind="stable")
+        first = np.cumsum(counts) - counts
+        local = np.empty(n, dtype=np.int64)
+        local[members] = np.arange(n, dtype=np.int64) - np.repeat(first, counts)
+        per_shard = np.split(members, np.cumsum(counts)[:-1])
+        self._owner = dict(zip(range(n), zip(owner.tolist(), local.tolist())))
+        self._shard_to_global = [ids.tolist() for ids in per_shard]
+        self._deleted = set()
+        self._loads = np.bincount(owner, weights=nbytes, minlength=self.num_shards).tolist()
+        self._next_id = n
+        partitions = [gather_rows(objects, ids) for ids in per_shard]
         # one partitioning pass over the stream happens on the host
-        self._charge_host(len(objects), "shard-partition")
+        self._charge_host(n, "shard-partition")
         results = self._shard_round(
             lambda sid, shard: shard.bulk_load(partitions[sid])
         )

@@ -5,11 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.construction import TreeBuild, build_tree, objects_nbytes, take_objects
-from repro.core.nodes import NO_PIVOT, tree_height
+from repro.core.construction import (
+    TreeBuild,
+    _partition_level,
+    _select_pivots,
+    build_tree,
+    object_sizes,
+    objects_nbytes,
+    take_objects,
+)
+from repro.core.encoding import encode_distances
+from repro.core.nodes import NO_PIVOT, TreeStructure, level_size, level_start, tree_height
+from repro.core.pivots import PivotSelector, available_pivot_strategies, get_pivot_selector
 from repro.core.objectstore import make_object_store
 from repro.exceptions import ConstructionError
 from repro.gpusim import Device, DeviceSpec
+from repro.gpusim.kernels import sort_kernel
 from repro.metrics import EditDistance, EuclideanDistance
 from repro.tier import BlockPager, PagedObjects, TierConfig, TieredObjectStore
 
@@ -236,7 +247,133 @@ class TestTreeBuild:
         assert device.used_bytes == 0
 
 
+def _random_level(seed: int, nc: int = 4, n: int = 300) -> tuple[TreeStructure, np.ndarray]:
+    """A tree whose level 1 holds random node sizes (zeros and sizes below
+    ``nc`` included) and whose stored distances repeat, so ties are common."""
+    rng = np.random.default_rng(seed)
+    tree = TreeStructure.empty(n, nc)
+    assert tree.height >= 2
+    nodes = np.arange(level_start(1, nc), level_start(1, nc) + level_size(1, nc))
+    cuts = np.sort(rng.integers(0, n + 1, size=len(nodes) - 1))
+    sizes = np.diff(np.concatenate(([0], cuts, [n])))
+    sizes[0], sizes[-1] = 0, sizes[-1] + sizes[0]  # at least one empty node
+    tree.pos[nodes] = np.cumsum(sizes) - sizes
+    tree.size[nodes] = sizes
+    tree.obj_ids[:] = rng.permutation(n)
+    tree.obj_dis[:] = rng.integers(0, 6, size=n) / 4.0
+    return tree, nodes[sizes > 0]
+
+
+def _reference_partition(tree, node_ids, device):
+    """The per-node partitioning loop the array kernel replaced."""
+    nc = tree.node_capacity
+    n = tree.num_objects
+    segment_ids = np.zeros(n, dtype=np.int64)
+    for seg, node_id in enumerate(node_ids):
+        p, s = int(tree.pos[node_id]), int(tree.size[node_id])
+        segment_ids[p : p + s] = seg
+    order = sort_kernel(
+        device, encode_distances(tree.obj_dis, segment_ids, float(tree.obj_dis.max())), 1.0
+    )
+    tree.obj_ids[:] = tree.obj_ids[order]
+    tree.obj_dis[:] = tree.obj_dis[order]
+    for node_id in node_ids:
+        p, s = int(tree.pos[node_id]), int(tree.size[node_id])
+        avg = s // nc
+        for j, child in enumerate(tree.children_of(int(node_id))):
+            if j < nc - 1:
+                c_pos, c_size = p + j * avg, avg
+            else:
+                c_pos, c_size = p + (nc - 1) * avg, s - avg * (nc - 1)
+            tree.pos[child] = c_pos
+            tree.size[child] = c_size
+            if c_size > 0:
+                tree.min_dis[child] = tree.obj_dis[c_pos]
+                tree.max_dis[child] = tree.obj_dis[c_pos + c_size - 1]
+
+
+def _reference_pivots(tree, node_ids, is_root, selector, rng):
+    """The per-node pivot loop the level-wide selection replaced."""
+    for node_id in node_ids:
+        p, s = int(tree.pos[node_id]), int(tree.size[node_id])
+        tree.pivot[node_id] = tree.obj_ids[p + selector(tree.obj_dis[p : p + s], is_root, rng)]
+
+
+class _LastPivot(PivotSelector):
+    """A custom selector that defines only ``__call__``."""
+
+    name = "last"
+
+    def __call__(self, local_dis, is_root, rng):
+        return len(local_dis) - 1
+
+
+_TREE_FIELDS = ("pivot", "pos", "size", "min_dis", "max_dis", "obj_ids", "obj_dis")
+
+
+class TestLevelKernels:
+    """The array level kernels equal the per-node loops they replaced."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("nc", [2, 4, 7])
+    def test_partition_matches_per_node_loop(self, seed, nc):
+        tree, active = _random_level(seed, nc=nc, n=30 * nc * nc)
+        reference = TreeStructure(**{f: getattr(tree, f).copy() for f in _TREE_FIELDS},
+                                  node_capacity=nc, height=tree.height,
+                                  num_objects=tree.num_objects)
+        _partition_level(tree, active, Device(DeviceSpec()))
+        _reference_partition(reference, active, Device(DeviceSpec()))
+        for name in _TREE_FIELDS:
+            np.testing.assert_array_equal(getattr(tree, name), getattr(reference, name))
+        # small nodes leave empty children behind, which stay unbounded
+        children = tree.size[level_start(2, nc) : level_start(2, nc) + level_size(2, nc)]
+        assert (children == 0).any()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("is_root", [False, True])
+    @pytest.mark.parametrize("strategy", [*available_pivot_strategies(), "custom"])
+    def test_pivots_match_per_node_loop(self, seed, is_root, strategy):
+        tree, active = _random_level(seed)
+        selector = _LastPivot() if strategy == "custom" else get_pivot_selector(strategy)
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = tree.pivot.copy()
+        reference = TreeStructure(**{f: getattr(tree, f) for f in _TREE_FIELDS if f != "pivot"},
+                                  pivot=expected, node_capacity=tree.node_capacity,
+                                  height=tree.height, num_objects=tree.num_objects)
+        _select_pivots(tree, active, is_root, selector, ours)
+        _reference_pivots(reference, active, is_root, selector, theirs)
+        np.testing.assert_array_equal(tree.pivot, expected)
+        # the same random draws were consumed
+        assert ours.integers(1 << 30) == theirs.integers(1 << 30)
+
+    def test_fft_ties_and_nan_follow_argmax(self):
+        selector = get_pivot_selector("fft")
+        level = np.array([1.0, 3.0, 3.0, 0.0, np.nan, 2.0, np.nan, 0.5, 0.5])
+        sizes = np.array([3, 4, 2])
+        expected = [int(np.argmax(level[s : s + n])) for s, n in ((0, 3), (3, 4), (7, 2))]
+        offsets = selector.select_level(level, sizes, False, np.random.default_rng(0))
+        assert offsets.tolist() == expected == [1, 1, 0]
+
+    @pytest.mark.parametrize("strategy", available_pivot_strategies())
+    def test_empty_node_rejected_by_every_strategy(self, strategy):
+        selector = get_pivot_selector(strategy)
+        with pytest.raises(ConstructionError):
+            selector.select_level(np.ones(3), np.array([3, 0]), False, np.random.default_rng(0))
+
+
 class TestHelpers:
+    def test_object_sizes_match_objects_nbytes_of_each(self, points_2d, word_list):
+        for objects in (
+            points_2d,
+            make_object_store(points_2d),
+            word_list,
+            [points_2d[0], "ab", 7],
+            np.array(word_list[:5]),
+        ):
+            sizes = object_sizes(objects)
+            assert sizes.dtype == np.int64
+            assert sizes.tolist() == [objects_nbytes([objects[i]]) for i in range(len(objects))]
+
     def test_take_objects_array(self, rng):
         pts = rng.normal(size=(10, 2))
         out = take_objects(pts, [1, 3])

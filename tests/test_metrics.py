@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.metrics import (
     EditDistance,
     EuclideanDistance,
     HammingDistance,
+    JaccardDistance,
     ManhattanDistance,
     MinkowskiDistance,
     available_metrics,
@@ -234,6 +237,86 @@ class TestEditDistanceMetric:
         d = m.pairwise("metric", word_list[:10])
         assert len(d) == 10
         assert all(x >= 0 for x in d)
+
+
+def _exact_minkowski(x, y, p) -> float:
+    """``(sum |x_i - y_i|^p)^(1/p)`` in 80-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        diffs = [abs(Decimal(float(a)) - Decimal(float(b))) for a, b in zip(x, y)]
+        if np.isinf(p):
+            return float(max(diffs))
+        total = sum(d ** Decimal(p) for d in diffs)
+        return float(total ** (Decimal(1) / Decimal(p)))
+
+
+def _mixed_pairs(rng, dim):
+    """Vector pairs at every scale, near-duplicates and orthogonal ones included."""
+    xs = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-8, 9, size=(60, 1))
+    ys = np.concatenate(
+        [
+            xs[:20] * (1 + 1e-12 * rng.normal(size=(20, dim))),  # near-duplicates
+            xs[20:40] * rng.uniform(0.1, 10, size=(20, 1)),  # same direction
+            rng.normal(size=(20, dim)) * 10.0 ** rng.integers(-8, 9, size=(20, 1)),
+        ]
+    )
+    return xs, ys
+
+
+class TestDistanceError:
+    """Every reported distance lies within the metric's ``distance_error``
+    bound of the exact distance."""
+
+    @pytest.mark.parametrize("metric", [EditDistance(), HammingDistance()])
+    def test_integer_metrics_are_exact(self, metric):
+        assert metric.distance_error() == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("dim", [2, 40])
+    def test_minkowski_bound_holds(self, p, dim):
+        rng = np.random.default_rng(int(dim + (p if np.isfinite(p) else 99)))
+        metric = MinkowskiDistance(p)
+        xs, ys = _mixed_pairs(rng, dim)
+        reported = metric.pairwise_segmented(xs, ys, np.arange(len(xs) + 1))
+        rel, absolute = metric.distance_error()
+        assert rel < 1e-12
+        exact = np.array([_exact_minkowski(x, y, p) for x, y in zip(xs, ys)])
+        assert np.all(np.abs(reported - exact) <= rel * exact + absolute)
+
+    @pytest.mark.parametrize("dim", [3, 300])
+    def test_angular_bound_holds(self, dim):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(dim)
+        metric = AngularDistance()
+        xs, ys = _mixed_pairs(rng, dim)
+        reported = metric.pairwise_segmented(xs, ys, np.arange(len(xs) + 1))
+        rel, absolute = metric.distance_error()
+        assert rel == 0.0 and absolute < 1e-6
+        with mpmath.workdps(60):
+            for x, y, got in zip(xs, ys, reported):
+                x, y = [mpmath.mpf(float(v)) for v in x], [mpmath.mpf(float(v)) for v in y]
+                dot = mpmath.fsum(a * b for a, b in zip(x, y))
+                norms = mpmath.sqrt(mpmath.fsum(a * a for a in x) * mpmath.fsum(b * b for b in y))
+                exact = mpmath.acos(max(-1, min(1, dot / norms))) / mpmath.pi
+                assert abs(got - exact) <= absolute
+
+    def test_jaccard_bound_holds(self):
+        rng = np.random.default_rng(8)
+        metric = JaccardDistance()
+        rel, absolute = metric.distance_error()
+        for _ in range(300):
+            a, b = (set(rng.integers(0, 40, size=rng.integers(1, 30)).tolist()) for _ in range(2))
+            exact = 1 - Fraction(len(a & b), len(a | b))
+            assert abs(Fraction(metric.distance(a, b)) - exact) <= rel * exact + Fraction(absolute)
+
+    def test_bound_grows_with_the_widest_dimension(self):
+        metric = EuclideanDistance()
+        metric.pairwise(np.zeros(2), np.ones((3, 2)))
+        narrow = metric.distance_error()
+        metric.pairwise(np.zeros(300), np.ones((3, 300)))
+        assert metric.distance_error()[0] > narrow[0]
+        metric.pairwise(np.zeros(2), np.ones((3, 2)))
+        assert metric.distance_error()[0] > narrow[0]
 
 
 class TestMetricCounting:

@@ -10,7 +10,7 @@ from repro.core.search import batch_knn_query, batch_range_query
 from repro.core.searchcommon import PruneMode
 from repro.exceptions import QueryError
 from repro.gpusim import Device, DeviceSpec
-from repro.metrics import EditDistance, EuclideanDistance
+from repro.metrics import AngularDistance, EditDistance, EuclideanDistance
 from tests.conftest import brute_force_knn, brute_force_range
 
 
@@ -202,6 +202,52 @@ class TestKnnQueryCorrectness:
         got = batch_knn_query(tree, pts, l2_metric, device, [pts[2]], 2)[0]
         expected = brute_force_knn(pts, l2_metric, pts[2], 2)
         np.testing.assert_allclose([d for _, d in got], [d for _, d in expected])
+
+
+def _collinear_points(n: int, rng) -> np.ndarray:
+    """2-d points on one line: query, object and pivot are always collinear,
+    so the triangle inequality behind pruning holds with equality."""
+    return np.outer(rng.uniform(-100, 100, size=n), [0.822, 1.096]) + np.array([3.3, -7.1])
+
+
+def _great_circle_points(n: int, rng) -> np.ndarray:
+    """3-d vectors of assorted lengths on one plane through the origin: the
+    angular analogue of collinear points."""
+    theta = rng.uniform(0, np.pi, size=n)
+    return np.column_stack([np.cos(theta), np.sin(theta), np.zeros(n)]) * rng.uniform(
+        0.5, 2.0, size=(n, 1)
+    )
+
+
+class TestRoundingAtTheRadius:
+    """Range queries find an object at exactly the radius, however the
+    distances of its pruning tests rounded."""
+
+    CASES = {"l2-collinear": (_collinear_points, EuclideanDistance),
+             "angular-great-circle": (_great_circle_points, AngularDistance)}
+
+    def _missed(self, case: str) -> int:
+        make_points, make_metric = self.CASES[case]
+        rng = np.random.default_rng(5)
+        objects, metric = make_points(1000, rng), make_metric()
+        tree, device = _build(objects, metric, nc=4)
+        queries, targets = rng.integers(len(objects), size=(2, 400))
+        # each radius is the engine's own distance from the query to its target
+        radii = np.array(
+            [metric.pairwise(objects[q], objects[t : t + 1])[0] for q, t in zip(queries, targets)]
+        )
+        got = batch_range_query(tree, objects, metric, device, list(objects[queries]), radii)
+        return sum(t not in {oid for oid, _ in answer} for answer, t in zip(got, targets))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_object_at_the_radius_is_found(self, case):
+        assert self._missed(case) == 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raw_floating_point_pruning_misses_some(self, case, monkeypatch):
+        # the cases above exercise the rounding the widened tests absorb
+        monkeypatch.setattr(self.CASES[case][1], "distance_error", lambda self: (0.0, 0.0))
+        assert self._missed(case) > 0
 
 
 class TestDeviceAccountingDuringQueries:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro import GTS, EditDistance, EuclideanDistance, ShardedGTS
+from repro.core.construction import objects_nbytes
 from repro.exceptions import IndexError_, QueryError, UpdateError
 from repro.gpusim import DeviceSpec
 from repro.service import GTSService, WorkloadSpec, generate_workload, sequential_replay
 from repro.shard import (
     ASSIGNMENT_POLICIES,
+    AssignmentPolicy,
     RoundRobinPolicy,
     SizeBalancedPolicy,
     make_assignment_policy,
@@ -71,6 +73,102 @@ class TestPolicies:
         assert isinstance(make_assignment_policy("round-robin"), RoundRobinPolicy)
         with pytest.raises(IndexError_):
             make_assignment_policy("hash-ring")
+
+
+class _SignPolicy(AssignmentPolicy):
+    """A custom policy that defines only ``assign``: shard by a string's
+    length, or by the first coordinate's sign plus the id's parity."""
+
+    name = "sign"
+
+    def assign(self, obj_id, obj, loads):
+        key = len(obj) if isinstance(obj, str) else int(float(obj[0]) > 0) + obj_id % 2
+        return int(key) % len(loads)
+
+
+class _ReversedRoundRobin(RoundRobinPolicy):
+    """A round-robin subclass that overrides only ``assign``: its bulk
+    loads must follow that ``assign``, not round-robin's closed form."""
+
+    name = "reversed-round-robin"
+
+    def assign(self, obj_id, obj, loads):
+        return len(loads) - 1 - int(obj_id) % len(loads)
+
+
+def _reference_partition(policy, objects, num_shards):
+    """The per-object bulk-load loop the sliced partition replaced."""
+    owner, to_global = {}, [[] for _ in range(num_shards)]
+    loads, parts = [0.0] * num_shards, [[] for _ in range(num_shards)]
+    for gid in range(len(objects)):
+        obj = objects[gid]
+        sid = policy.assign(gid, obj, loads)
+        owner[gid] = (sid, len(parts[sid]))
+        to_global[sid].append(gid)
+        parts[sid].append(obj)
+        loads[sid] += max(1, objects_nbytes([obj]))
+    return owner, to_global, loads, parts
+
+
+class TestBulkPartition:
+    """Bulk loads partition by slicing exactly as the per-object loop did."""
+
+    @pytest.mark.parametrize(
+        "policy", ["round-robin", "size-balanced", "custom", "round-robin-subclass"]
+    )
+    @pytest.mark.parametrize("data", ["vectors", "vector-rows", "strings"])
+    def test_matches_per_object_reference(self, points_2d, word_list, policy, data):
+        if data == "strings":
+            objects, metric = word_list, EditDistance()
+        else:
+            objects, metric = points_2d, EuclideanDistance()
+            if data == "vector-rows":
+                objects = [row for row in points_2d]
+        assignment = {"custom": _SignPolicy(), "round-robin-subclass": _ReversedRoundRobin()}.get(
+            policy, policy
+        )
+        index = ShardedGTS.build(objects, metric, num_shards=3, assignment=assignment,
+                                 node_capacity=8, seed=5)
+        owner, to_global, loads, parts = _reference_partition(index.policy, objects, 3)
+        assert index._owner == owner
+        assert index._shard_to_global == to_global
+        assert index.shard_load_bytes == loads
+        assert index._next_id == len(objects)
+        for sid, shard in enumerate(index.shards):
+            stored = [shard.get_object(lid) for lid in range(len(parts[sid]))]
+            if data == "strings":
+                assert stored == parts[sid]
+            else:
+                np.testing.assert_array_equal(np.stack(stored), np.stack(parts[sid]))
+        index.close()
+
+    def test_size_balanced_ragged_strings_are_not_round_robin(self, word_list):
+        nbytes = np.array([max(1, len(w)) for w in word_list])
+        assert len(set(nbytes.tolist())) > 1
+        owner = SizeBalancedPolicy().partition(word_list, nbytes, 3)
+        reference, _, _, _ = _reference_partition(SizeBalancedPolicy(), word_list, 3)
+        assert owner.tolist() == [reference[gid][0] for gid in range(len(word_list))]
+        assert owner.tolist() != (np.arange(len(word_list)) % 3).tolist()
+
+    def test_out_of_range_shard_rejected(self, points_2d):
+        class Broken(AssignmentPolicy):
+            name = "broken"
+
+            def assign(self, obj_id, obj, loads):
+                return -1
+
+        with pytest.raises(IndexError_, match="shard in"):
+            ShardedGTS.build(points_2d, EuclideanDistance(), num_shards=2, assignment=Broken())
+
+    def test_empty_shard_rejected(self, points_2d):
+        class First(AssignmentPolicy):
+            name = "first"
+
+            def assign(self, obj_id, obj, loads):
+                return 0
+
+        with pytest.raises(IndexError_, match="empty"):
+            ShardedGTS.build(points_2d, EuclideanDistance(), num_shards=2, assignment=First())
 
 
 class TestConstruction:

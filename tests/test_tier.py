@@ -770,6 +770,59 @@ class TestLeafClusteredLayout:
             )
 
 
+class TestSlotOrderedBuilds:
+    """Construction faults each level's reads once, in physical-slot order."""
+
+    TREE_FIELDS = ("pivot", "pos", "size", "min_dis", "max_dis", "obj_ids", "obj_dis")
+
+    @pytest.mark.parametrize("data", ["vectors", "strings"])
+    @pytest.mark.parametrize("strategy", ["fft", "random", "center"])
+    def test_tiered_and_resident_builds_give_identical_trees(
+        self, points_2d, word_list, data, strategy
+    ):
+        objects, metric = (
+            (points_2d, EuclideanDistance()) if data == "vectors" else (word_list, EditDistance())
+        )
+        options = dict(node_capacity=5, seed=4, pivot_strategy=strategy)
+        resident = GTS.build(objects, metric, **options)
+        tiered = GTS.build(
+            objects, metric, tier=TierConfig(memory_budget_bytes=1024, block_bytes=256), **options
+        )
+        for name in self.TREE_FIELDS:
+            np.testing.assert_array_equal(getattr(tiered.tree, name), getattr(resident.tree, name))
+        resident.close()
+        tiered.close()
+
+    def test_tiered_build_pages_each_block_once_per_level(self):
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(2000, 2))
+        # 64 points per 1 KiB block; the 21 pivots share the leading block
+        index = GTS.build(
+            points, EuclideanDistance(), node_capacity=20, seed=3,
+            tier=TierConfig(memory_budget_bytes=8 * 1024, block_bytes=1024),
+        )
+        store, stats = index.pager.store, index.pager.stats
+        assert len(store.blocks_for(index.tree.pivot[index.tree.pivot >= 0])) == 1
+        # every mapped level faults each block once, then the install warms
+        # the pivot block
+        assert stats.misses <= index.tree.height * store.num_blocks + 1
+        assert stats.transactions <= index.tree.height * store.num_blocks + 1
+        index.close()
+
+    def test_sharded_tiered_build_misses_stay_within_levels_times_blocks(self):
+        rng = np.random.default_rng(12)
+        points = rng.normal(size=(4000, 2))
+        index = ShardedGTS.build(
+            points, EuclideanDistance(), num_shards=2, node_capacity=20, seed=3,
+            tier=TierConfig(memory_budget_bytes=8 * 1024, block_bytes=1024),
+        )
+        bound = sum(
+            shard.tree.height * shard.pager.store.num_blocks + 1 for shard in index.shards
+        )
+        assert index.pager_stats()["misses"] <= bound
+        index.close()
+
+
 class TestBlockCoalescedGathers:
     def test_leaf_candidates_come_in_block_order(self, points_2d, rng):
         from repro.core.searchcommon import leaf_candidate_segments
