@@ -11,7 +11,9 @@
 #                     non-blocking maintenance enabled (top-20 by cumtime)
 #   make profile-build  cProfile repeated tiered 2-shard builds of 20,000
 #                     tloc points (top-20 by tottime)
-#   make lint         byte-compile every source tree (no linter is vendored)
+#   make lint         byte-compile every source tree and reject unused
+#                     module-level imports in src/ (tools/check_imports.py;
+#                     no linter is vendored)
 #   make example      run the quickstart end to end
 #   make examples     run every example script (the CI smoke job)
 #
@@ -86,7 +88,8 @@ profile-build:
 	$(PYTHON) -c "import pstats; pstats.Stats('profile_build.out').sort_stats('tottime').print_stats(20)"
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench
+	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench tools
+	$(PYTHON) tools/check_imports.py src
 	$(PYTHON) -c "import repro; print('import ok:', repro.__version__)"
 
 example:

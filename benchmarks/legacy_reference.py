@@ -30,7 +30,7 @@ import numpy as np
 
 import repro.core.gts as gts_module
 import repro.core.search as search_module
-from repro.core.construction import take_objects
+from repro.core.objectstore import gather_rows
 from repro.core.searchcommon import RESULT_BYTES
 from repro.metrics.base import Metric
 from repro.metrics.vector import _VectorMetric
@@ -56,7 +56,7 @@ def _legacy_pivot_distances(device, metric, objects, queries, cand_query, pivot_
     host_start = time.perf_counter()
     for qi, query_index in enumerate(unique_queries):
         idx = order[boundaries[qi] : boundaries[qi + 1]]
-        pivots = take_objects(objects, pivot_ids[idx])
+        pivots = gather_rows(objects, pivot_ids[idx])
         out[idx] = metric.pairwise(queries[int(query_index)], pivots)
     host = time.perf_counter() - host_start
     device.launch_kernel(
@@ -148,7 +148,7 @@ def _legacy_verify(
         if len(obj_ids) == 0:
             continue
         obj_ids = np.sort(obj_ids)
-        candidates = take_objects(objects, obj_ids)
+        candidates = gather_rows(objects, obj_ids)
         dists = metric.pairwise(queries[int(query_index)], candidates)
         total_verified += len(obj_ids)
         total_hits += results.offer(np.full(len(obj_ids), query_index), obj_ids, dists)

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.construction import take_objects
 from ..core.gts import GTS
 from ..core.nodes import TreeStructure
+from ..core.objectstore import gather_rows
 from ..core.searchcommon import query_ks, query_radii
 from ..exceptions import QueryError
 from ..gpusim.device import Device
@@ -173,7 +173,7 @@ class ApproximateGTS:
             return np.zeros(0, dtype=np.int64), 0
         nodes = nodes[valid]
         pivots = pivots[valid]
-        pivot_objs = take_objects(objects, pivots)
+        pivot_objs = gather_rows(objects, pivots)
         dists = self.metric.pairwise(query, pivot_objs)
         self.device.launch_kernel(
             work_items=len(pivots), op_cost=self.metric.unit_cost, label="approx-pivot-dist"
@@ -222,7 +222,7 @@ class ApproximateGTS:
                 obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
             if len(obj_ids) == 0:
                 continue
-            candidates = take_objects(objects, obj_ids)
+            candidates = gather_rows(objects, obj_ids)
             dists = self.metric.pairwise(queries[qi], candidates)
             total += len(obj_ids)
             for oid, dist in zip(obj_ids, dists):

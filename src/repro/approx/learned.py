@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.construction import take_objects
 from ..core.gts import GTS
+from ..core.objectstore import gather_rows
 from ..core.searchcommon import query_ks, query_radii
 from ..exceptions import QueryError
 from ..metrics.base import Metric
@@ -142,7 +142,7 @@ class LearnedLeafRouter:
     def _pivot_distances(self, query) -> dict[int, float]:
         if not self._pivot_ids:
             return {}
-        pivot_objs = take_objects(self.index._objects, np.asarray(self._pivot_ids, dtype=np.int64))
+        pivot_objs = gather_rows(self.index._objects, np.asarray(self._pivot_ids, dtype=np.int64))
         dists = self.metric.pairwise(query, pivot_objs)
         self.index.device.launch_kernel(
             work_items=len(self._pivot_ids), op_cost=self.metric.unit_cost, label="learned-pivot-dist"
@@ -207,7 +207,7 @@ class LearnedLeafRouter:
                 obj_ids = tree.node_objects(leaf.leaf_id)
                 if len(obj_ids) == 0:
                     continue
-                dists = self.metric.pairwise(query, take_objects(objects, obj_ids))
+                dists = self.metric.pairwise(query, gather_rows(objects, obj_ids))
                 features.append(rows[i])
                 targets.append(float(np.min(dists)))
         x = np.asarray(features, dtype=np.float64)
@@ -274,7 +274,7 @@ class LearnedLeafRouter:
                 obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
             if len(obj_ids) == 0:
                 continue
-            dists = self.metric.pairwise(query, take_objects(objects, obj_ids))
+            dists = self.metric.pairwise(query, gather_rows(objects, obj_ids))
             total += len(obj_ids)
             for oid, dist in zip(obj_ids, dists):
                 prev = pool.get(int(oid))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.searchcommon import broadcast_query_param
-from ..exceptions import BaselineError, MemoryDeadlockError, UnsupportedMetricError
+from ..exceptions import BaselineError, MemoryDeadlockError
 from ..gpusim.kernels import distance_matrix_kernel
 from ..metrics.base import Metric
 from .base import GPUSimilarityIndex

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.searchcommon import broadcast_query_param
-from ..exceptions import MemoryDeadlockError, UnsupportedMetricError
+from ..exceptions import MemoryDeadlockError
 from ..metrics.base import Metric
 from ..metrics.vector import MinkowskiDistance
 from .base import GPUSimilarityIndex

@@ -17,13 +17,16 @@ This module implements the cache table and its brute-force query path; the
 rebuild policy lives in :class:`repro.core.gts.GTS` (blocking) and
 :mod:`repro.core.maintenance` (generation-swap).
 
-A query batch scans the cache with **one** fused ``cache-scan`` kernel
-(:meth:`CacheTable.range_scan_batch`, alias ``knn_scan_batch``) via
-``Metric.pairwise_segmented`` over a columnar snapshot of the cached payload
-(rebuilt lazily after mutations).  The scan runs after the tree descent and
-offers every (query, cached object) distance to the batch's
-:class:`~repro.core.search.BoundedTriples`, so tree and cache candidates are
-ranked, deduplicated and cut to ``k`` by one accumulator.
+The table holds only the ids of the buffered objects and their byte sizes:
+:meth:`GTS.insert <repro.core.gts.GTS.insert>` has already appended each
+payload to the index's object store, so a query batch scans the cache with
+**one** fused ``cache-scan`` kernel (:meth:`CacheTable.range_scan_batch`,
+alias ``knn_scan_batch``) that evaluates the cached ids through
+:func:`~repro.core.objectstore.segmented_distances` over the host store.
+The scan runs after the tree descent and offers every (query, cached
+object) distance to the batch's :class:`~repro.core.search.BoundedTriples`,
+so tree and cache candidates are ranked, deduplicated and cut to ``k`` by
+one accumulator.
 """
 
 from __future__ import annotations
@@ -36,13 +39,13 @@ import numpy as np
 from ..exceptions import UpdateError
 from ..gpusim.device import Allocation, Device
 from ..metrics.base import Metric
-from .construction import objects_nbytes
+from .objectstore import segmented_distances
 
 __all__ = ["CacheTable"]
 
 
 class CacheTable:
-    """Fixed-budget buffer of recently inserted objects.
+    """Fixed-budget buffer of recently inserted objects, kept as ids and sizes.
 
     Parameters
     ----------
@@ -62,21 +65,19 @@ class CacheTable:
             raise UpdateError("cache table capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
         self._device = device
-        self._objects: dict[int, object] = {}
+        # buffered id -> payload bytes, in insertion order
+        self._sizes: dict[int, int] = {}
         self._used_bytes = 0
         self._allocation: Optional[Allocation] = None
-        # lazily built (ids, payload) snapshot the batched scans gather from;
-        # any mutation drops it
-        self._payload: Optional[tuple] = None
         if device is not None:
             self._allocation = device.allocate(self.capacity_bytes, "gts-cache-table")
 
     # ------------------------------------------------------------ bookkeeping
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._sizes)
 
     def __contains__(self, obj_id: int) -> bool:
-        return int(obj_id) in self._objects
+        return int(obj_id) in self._sizes
 
     @property
     def used_bytes(self) -> int:
@@ -90,61 +91,49 @@ class CacheTable:
 
     def object_ids(self) -> list[int]:
         """Ids of the objects currently buffered (insertion order)."""
-        return list(self._objects)
-
-    def get(self, obj_id: int, default=None):
-        """Return the buffered object under ``obj_id`` in O(1), or ``default``."""
-        return self._objects.get(int(obj_id), default)
-
-    @staticmethod
-    def _object_size(obj) -> int:
-        return max(1, objects_nbytes([obj]))
+        return list(self._sizes)
 
     # ------------------------------------------------------------- mutations
-    def ensure_fits(self, obj) -> None:
-        """Reject an object that alone exceeds the whole cache budget.
+    def ensure_fits(self, nbytes: int) -> None:
+        """Reject an object of ``nbytes`` that alone exceeds the whole budget.
 
         Such an object could never be folded out by a rebuild without the
         cache immediately overflowing again on the next insert, so it is
         refused up front with :class:`~repro.exceptions.UpdateError`.
         """
-        size = self._object_size(obj)
-        if size > self.capacity_bytes:
+        if nbytes > self.capacity_bytes:
             raise UpdateError(
-                f"object of {size} bytes exceeds the whole cache table budget "
+                f"object of {nbytes} bytes exceeds the whole cache table budget "
                 f"of {self.capacity_bytes} bytes; raise cache_capacity_bytes "
                 "or use batch_update() for oversized objects"
             )
 
-    def insert(self, obj_id: int, obj) -> None:
-        """Buffer a newly inserted object (O(1)).
+    def insert(self, obj_id: int, nbytes: int) -> None:
+        """Buffer a newly inserted object of ``nbytes`` payload bytes (O(1)).
 
         Raises :class:`~repro.exceptions.UpdateError` when the object alone
         exceeds ``capacity_bytes`` (see :meth:`ensure_fits`) or the id is
         already buffered.
         """
         obj_id = int(obj_id)
-        if obj_id in self._objects:
+        if obj_id in self._sizes:
             raise UpdateError(f"object {obj_id} is already buffered in the cache table")
-        self.ensure_fits(obj)
-        self._objects[obj_id] = obj
-        self._used_bytes += self._object_size(obj)
-        self._payload = None
+        self.ensure_fits(nbytes)
+        self._sizes[obj_id] = int(nbytes)
+        self._used_bytes += int(nbytes)
 
     def remove(self, obj_id: int) -> bool:
         """Remove a buffered object; returns False when it is not buffered."""
-        obj = self._objects.pop(int(obj_id), None)
-        if obj is None:
+        nbytes = self._sizes.pop(int(obj_id), None)
+        if nbytes is None:
             return False
-        self._used_bytes -= self._object_size(obj)
-        self._payload = None
+        self._used_bytes -= nbytes
         return True
 
     def clear(self) -> None:
         """Drop every buffered object (after a rebuild)."""
-        self._objects.clear()
+        self._sizes.clear()
         self._used_bytes = 0
-        self._payload = None
 
     def release(self) -> None:
         """Free the device allocation backing the cache table."""
@@ -153,69 +142,44 @@ class CacheTable:
             self._allocation = None
 
     # --------------------------------------------------------- batched queries
-    def _tiled_payload(self, num_queries: int) -> tuple:
-        """The cached payload tiled to ``num_queries`` segments.
-
-        Returns ``(ids, flat_objects, boundaries)`` where segment ``qi`` of
-        ``flat_objects`` (rows ``boundaries[qi]:boundaries[qi + 1]``) is the
-        whole cache in insertion order — the shape
-        ``Metric.pairwise_segmented`` consumes.  Vector caches snapshot one
-        stacked matrix (rebuilt lazily after mutations) so the tile is a
-        single NumPy repeat; everything else tiles the object list.
-        """
-        if self._payload is None:
-            ids = np.fromiter(self._objects, count=len(self._objects), dtype=np.int64)
-            values = list(self._objects.values())
-            matrix = None
-            if values and all(
-                isinstance(o, np.ndarray) and o.ndim == 1 for o in values
-            ) and len({(o.shape, o.dtype.str) for o in values}) == 1:
-                matrix = np.stack(values)
-            self._payload = (ids, values, matrix)
-        ids, values, matrix = self._payload
-        count = len(ids)
-        boundaries = np.arange(num_queries + 1, dtype=np.int64) * count
-        if matrix is not None:
-            flat = np.tile(matrix, (num_queries, 1))
-        else:
-            flat = values * num_queries
-        return ids, flat, boundaries
-
     def range_scan_batch(
         self,
         metric: Metric,
+        objects: Sequence,
         queries: Sequence,
         results,
         device: Optional[Device] = None,
     ) -> None:
         """Scan the cache for a whole query batch and offer every pair to ``results``.
 
-        One fused ``cache-scan`` kernel covers all ``len(queries) * len(cache)``
-        (query, cached object) pairs; ``results`` is the batch's
-        :class:`~repro.core.search.BoundedTriples` after the tree descent, so
-        it applies each query's radius or running k-th bound exactly as it
-        does to tree candidates.
+        ``objects`` is the index's host object store (never a tiered pager
+        facade: cached objects live in the device-resident cache table, so
+        a scan faults no block).  One fused ``cache-scan`` kernel covers all
+        ``len(queries) * len(cache)`` (query, cached object) pairs, evaluated
+        as one segment of the cached ids per query; ``results`` is the
+        batch's :class:`~repro.core.search.BoundedTriples` after the tree
+        descent, so it applies each query's radius or running k-th bound
+        exactly as it does to tree candidates.
         """
-        if not self._objects or len(queries) == 0:
+        if not self._sizes or len(queries) == 0:
             return
-        ids, flat, boundaries = self._tiled_payload(len(queries))
+        ids = np.fromiter(self._sizes, count=len(self._sizes), dtype=np.int64)
+        num_queries = len(queries)
+        flat_ids = np.tile(ids, num_queries)
+        boundaries = np.arange(num_queries + 1, dtype=np.int64) * len(ids)
         start = time.perf_counter()
-        dists = metric.pairwise_segmented(queries, flat, boundaries)
+        dists = segmented_distances(metric, objects, queries, boundaries, flat_ids)
         host = time.perf_counter() - start
         dev = device or self._device
         if dev is not None:
             dev.launch_kernel(
-                work_items=len(flat),
+                work_items=len(flat_ids),
                 op_cost=metric.unit_cost,
                 label="cache-scan",
                 host_time=host,
             )
-        owner = np.repeat(np.arange(len(queries), dtype=np.int64), len(ids))
-        results.offer(owner, np.tile(ids, len(queries)), dists)
+        owner = np.repeat(np.arange(num_queries, dtype=np.int64), len(ids))
+        results.offer(owner, flat_ids, dists)
 
     #: the scan is the same for both query kinds: the accumulator holds the bound
     knn_scan_batch = range_scan_batch
-
-    def items(self) -> list[tuple[int, object]]:
-        """Return ``(object_id, object)`` pairs currently buffered."""
-        return list(self._objects.items())

@@ -28,19 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import ConstructionError
+from ..exceptions import ConstructionError, IndexError_
 from ..gpusim.device import Allocation, Device
 from ..gpusim.kernels import sort_kernel
 from ..metrics.base import Metric
 from .encoding import encode_distances
-from .nodes import NO_PIVOT, TreeStructure, level_size, level_start
-from .objectstore import (
-    GATHER_CHUNK_ELEMENTS,
-    ColumnarStore,
-    gather_rows,
-    object_dimension,
-    store_metric_digest,
-)
+from .nodes import TreeStructure, level_size, level_start
+from .objectstore import ColumnarStore, gather_rows, segmented_distances
 from .pivots import PivotSelector, get_pivot_selector
 
 __all__ = [
@@ -48,25 +42,11 @@ __all__ = [
     "build_tree",
     "build_level",
     "BuildResult",
-    "take_objects",
     "objects_nbytes",
+    "stored_nbytes",
     "object_sizes",
     "concatenated_ranges",
 ]
-
-
-def take_objects(objects: Sequence, ids) -> Sequence:
-    """Return the objects with the given ids, preserving array-ness.
-
-    ``objects`` may be a :class:`~repro.core.objectstore.ColumnarStore` or a
-    tiered :class:`~repro.tier.store.PagedObjects` facade (both expose a
-    ``gather`` fast path — one columnar block gather, with the paged store
-    additionally charging its block faults), a NumPy array (vector datasets)
-    or a plain list (string datasets); the result is suitable for
-    ``Metric.pairwise`` / ``Metric.pairwise_segmented``.  The store dispatch
-    itself lives in :func:`~repro.core.objectstore.gather_rows`.
-    """
-    return gather_rows(objects, ids)
 
 
 def _item_nbytes(item) -> int:
@@ -91,6 +71,25 @@ def objects_nbytes(objects: Sequence, ids=None) -> int:
     else:
         items = [objects[int(i)] for i in ids]
     return int(sum(_item_nbytes(item) for item in items))
+
+
+def stored_nbytes(objects: Sequence, obj) -> int:
+    """Bytes (at least 1) ``obj`` occupies once appended to ``objects``.
+
+    An insert is sized as the row the store will hold: a list or tuple
+    appended to a columnar store (or the tiered facade over one) becomes a
+    row of the store's dtype, so it costs what that row costs, not the
+    size of the Python object.  An object that is no row of the store (the
+    append will reject it) keeps its own size, so an oversized one is still
+    refused by the cache budget first.
+    """
+    store = getattr(objects, "raw", objects)
+    if isinstance(store, ColumnarStore):
+        try:
+            return max(1, store.stored_row(obj).nbytes)
+        except IndexError_:
+            pass
+    return max(1, _item_nbytes(obj))
 
 
 def object_sizes(objects: Sequence) -> np.ndarray:
@@ -169,58 +168,36 @@ def _map_level(
 ) -> int:
     """Mapping phase: distances from each node's pivot to its objects.
 
-    Evaluated as fused segmented passes: every node of the level is a
-    segment of the (contiguous) table list, its pivot the segment's query.
-    Nodes are processed in cache-sized chunks (the same host-side blocking
-    as the query engine's ``segmented_distances``); the device time is
-    charged as one level-wide kernel.  A tiered store first faults the
-    level's reads once, in physical-slot order (:attr:`PagedObjects.slot_of`,
-    the order ``coalesced_gather`` asks for; each node's pivot is one of its
-    own objects), so the level pages each block at most once and the
-    chunking never reaches the pager.  Returns the number of distance
-    computations performed (for statistics).
+    One ``segmented_distances`` call: every node of the level is a segment
+    of the (contiguous) table list, its pivot the segment's query; the
+    device time is charged as one level-wide kernel.  A tiered store first
+    faults the level's reads once, in physical-slot order
+    (:attr:`PagedObjects.slot_of`, the order ``coalesced_gather`` asks for;
+    each node's pivot is one of its own objects), so the level pages each
+    block at most once and the host-side chunking of
+    ``segmented_distances`` never reaches the pager.  Returns the number of
+    distance computations performed (for statistics).
     """
     host_start = time.perf_counter()
-    sizes = tree.size[node_ids]
-    active = node_ids[sizes > 0]
+    active = node_ids[tree.size[node_ids] > 0]
     sizes = tree.size[active]
-    total = int(sizes.sum())
-    if total:
-        if getattr(objects, "coalesced_gather", False):
-            level_ids = tree.obj_ids[concatenated_ranges(tree.pos[active], sizes)]
-            objects.fault(level_ids[np.argsort(objects.slot_of[level_ids], kind="stable")])
-            objects = objects.raw
-        digest = store_metric_digest(objects, metric)
-        dim = object_dimension(objects)
-        budget_rows = (
-            total + len(active)
-            if dim is None
-            else max(1, GATHER_CHUNK_ELEMENTS // max(1, dim))
-        )
-        # greedy chunks of whole nodes (pivot row + slice) within the budget;
-        # a node larger than the budget is a chunk of its own
-        rows_through = np.cumsum(sizes + 1)
-        start = 0
-        while start < len(active):
-            base = int(rows_through[start - 1]) if start else 0
-            end = max(start + 1, int(np.searchsorted(rows_through, base + budget_rows, "right")))
-            chunk_nodes = active[start:end]
-            chunk_sizes = sizes[start:end]
-            flat = concatenated_ranges(tree.pos[chunk_nodes], chunk_sizes)
-            obj_ids = tree.obj_ids[flat]
-            boundaries = np.concatenate(([0], np.cumsum(chunk_sizes)))
-            tree.obj_dis[flat] = metric.pairwise_segmented(
-                take_objects(objects, tree.pivot[chunk_nodes]),
-                take_objects(objects, obj_ids),
-                boundaries,
-                object_digest=None if digest is None else digest[obj_ids],
-            )
-            start = end
+    flat = concatenated_ranges(tree.pos[active], sizes)
+    level_ids = tree.obj_ids[flat]
+    if getattr(objects, "coalesced_gather", False):
+        objects.fault(level_ids[np.argsort(objects.slot_of[level_ids], kind="stable")])
+        objects = objects.raw
+    tree.obj_dis[flat] = segmented_distances(
+        metric,
+        objects,
+        gather_rows(objects, tree.pivot[active]),
+        np.concatenate(([0], np.cumsum(sizes))),
+        level_ids,
+    )
     host = time.perf_counter() - host_start
     device.launch_kernel(
-        work_items=total, op_cost=metric.unit_cost, label="gts-mapping", host_time=host
+        work_items=len(flat), op_cost=metric.unit_cost, label="gts-mapping", host_time=host
     )
-    return total
+    return len(flat)
 
 
 def _partition_level(

@@ -40,7 +40,7 @@ from ..gpusim.specs import DeviceSpec
 from ..metrics.base import Metric
 from ..tier.config import TierConfig
 from .cache_table import CacheTable
-from .construction import BuildResult, TreeBuild
+from .construction import BuildResult, TreeBuild, stored_nbytes
 from .cost_model import (
     DistanceDistribution,
     estimate_distance_distribution,
@@ -55,10 +55,6 @@ __all__ = ["GTS", "execute_operation_batch"]
 
 #: Default cache-table budget; the paper recommends ~5 KB (Section 6.2).
 DEFAULT_CACHE_BYTES = 5 * 1024
-
-#: Sentinel distinguishing "not cached" from any cacheable object.
-_MISSING = object()
-
 
 #: Operation kinds :func:`execute_operation_batch` accepts, each with its
 #: field count and the conversion of its scalar parameter (radius, ``k``,
@@ -492,12 +488,10 @@ class GTS:
         """Return the object registered under ``obj_id``.
 
         A host-side read: in tiered mode the primary copy lives in host
-        memory, so this never faults a block onto the device.
+        memory, so this never faults a block onto the device.  Cached
+        objects are read from the store too, which holds every insert.
         """
         obj_id = int(obj_id)
-        cached = self._cache.get(obj_id, _MISSING)
-        if cached is not _MISSING:
-            return cached
         objects = getattr(self._objects, "raw", self._objects)
         if 0 <= obj_id < len(objects):
             return objects[obj_id]
@@ -622,7 +616,13 @@ class GTS:
             radii=radii,
             k=k,
         )
-        self._cache.range_scan_batch(self.metric, queries, results, self.device)
+        self._cache.range_scan_batch(
+            self.metric,
+            getattr(self._objects, "raw", self._objects),
+            queries,
+            results,
+            self.device,
+        )
         return results.answers()
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
@@ -683,20 +683,21 @@ class GTS:
         An object too large to ever fit the cache budget is rejected with
         :class:`~repro.exceptions.UpdateError` before any state changes or
         simulated time is charged (it could otherwise never be folded out,
-        forcing a futile rebuild on every subsequent insert).
+        forcing a futile rebuild on every subsequent insert).  An insert is
+        sized as the row the object store will hold, so a list inserted into
+        a vector index costs what the equal NumPy row costs.
         """
         self._require_built()
         # Validate before charging or touching the store: a rejected insert
         # must be stats-neutral and must not consume an object id.
-        self._cache.ensure_fits(obj)
+        nbytes = stored_nbytes(self._objects, obj)
+        self._cache.ensure_fits(nbytes)
         obj_id = len(self._objects)
         self._objects.append(obj)
         # O(1) append: ship the object to the device-resident cache table
-        from .construction import objects_nbytes
-
-        self.device.transfer_to_device(max(1, objects_nbytes([obj])))
+        self.device.transfer_to_device(nbytes)
         self.device.launch_kernel(work_items=1, op_cost=1.0, label="cache-append")
-        self._cache.insert(obj_id, obj)
+        self._cache.insert(obj_id, nbytes)
         if self._cache.is_full:
             if self._maintenance is not None:
                 self._maintenance.notify_overflow()
@@ -742,7 +743,7 @@ class GTS:
         touched.
         """
         self._require_built()
-        self._cache.ensure_fits(new_obj)
+        self._cache.ensure_fits(stored_nbytes(self._objects, new_obj))
         self.delete(obj_id)
         return self.insert(new_obj)
 
@@ -771,7 +772,7 @@ class GTS:
         both produce identical trees over identical state.
         """
         live = [int(i) for i in self._indexed_ids if int(i) not in self._tombstones]
-        cached = [int(oid) for oid, _ in self._cache.items()]
+        cached = self._cache.object_ids()
         return np.asarray(live + cached, dtype=np.int64), cached
 
     def batch_update(self, inserts: Sequence = (), deletes: Sequence[int] = ()) -> BuildResult:
@@ -795,7 +796,7 @@ class GTS:
             raise UpdateError(
                 f"objects have already been deleted: {sorted(already_deleted)}"
             )
-        cached_ids = {oid for oid, _ in self._cache.items()}
+        cached_ids = set(self._cache.object_ids())
         unknown = delete_set - (self._indexed_id_set - self._tombstones) - cached_ids
         if unknown:
             raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..exceptions import IndexError_, QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric

@@ -19,8 +19,8 @@ indexing):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -166,12 +166,6 @@ class TreeStructure:
         p = int(self.pos[node_id])
         s = int(self.size[node_id])
         return self.obj_ids[p : p + s]
-
-    def node_object_distances(self, node_id: int) -> np.ndarray:
-        """Return the table-list distances of ``node_id``'s objects."""
-        p = int(self.pos[node_id])
-        s = int(self.size[node_id])
-        return self.obj_dis[p : p + s]
 
     def active_nodes(self, level: int) -> np.ndarray:
         """Return the ids of the non-empty nodes at ``level``."""

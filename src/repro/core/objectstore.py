@@ -31,14 +31,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..exceptions import IndexError_
+from ..metrics.base import Metric
 
 __all__ = [
     "ColumnarStore",
     "make_object_store",
     "gather_rows",
     "rows_matrix",
-    "object_dimension",
-    "store_metric_digest",
+    "segmented_distances",
     "GATHER_CHUNK_ELEMENTS",
 ]
 
@@ -141,18 +141,18 @@ class ColumnarStore:
         self._digest_cache[metric.name] = (self._size, digest)
         return digest
 
-    # ------------------------------------------------------------ mutation
-    def append(self, obj) -> None:
-        """Append one object row (streaming insert); amortised O(1).
+    def stored_row(self, obj) -> np.ndarray:
+        """``obj`` as the row :meth:`append` stores: same shape, store dtype.
 
         The store never silently narrows the *incoming* object: a row whose
         values are not exactly representable in the current dtype (a float
         insert into an int-backed store, a float64 insert into a float32
-        store) promotes the whole matrix via ``np.promote_types`` first, so
-        the new row is stored bit-exactly.  Existing rows convert under
-        standard NumPy casting — value-preserving for every realistic mix
-        (the lone exception being int64 magnitudes beyond 2**53 promoted to
-        float64, which no common dtype can hold exactly).
+        store) comes back in ``np.promote_types`` of the two, and appending
+        it promotes the whole matrix first, so the new row is stored
+        bit-exactly.  Existing rows convert under standard NumPy casting —
+        value-preserving for every realistic mix (the lone exception being
+        int64 magnitudes beyond 2**53 promoted to float64, which no common
+        dtype can hold exactly).
         """
         row = np.asarray(obj)
         if row.shape != (self._data.shape[1],):
@@ -160,6 +160,8 @@ class ColumnarStore:
                 f"cannot append an object of shape {np.shape(obj)} to a columnar "
                 f"store of {self._data.shape[1]}-dimensional rows"
             )
+        if np.can_cast(row.dtype, self._data.dtype):
+            return row.astype(self._data.dtype, copy=False)
         try:
             cast = row.astype(self._data.dtype)
             exact = np.array_equal(cast, row, equal_nan=row.dtype.kind == "f")
@@ -168,17 +170,25 @@ class ColumnarStore:
                 f"cannot append an object of dtype {row.dtype} to a columnar "
                 f"store of dtype {self._data.dtype}"
             ) from exc
-        if not exact:
-            promoted = np.promote_types(self._data.dtype, row.dtype)
-            self._data = self._data.astype(promoted)
+        return cast if exact else row.astype(np.promote_types(self._data.dtype, row.dtype))
+
+    # ------------------------------------------------------------ mutation
+    def append(self, obj) -> None:
+        """Append one object row (streaming insert); amortised O(1).
+
+        The row is :meth:`stored_row`'s; a wider dtype promotes the matrix
+        (and drops the digest cache) first.
+        """
+        row = self.stored_row(obj)
+        if row.dtype != self._data.dtype:
+            self._data = self._data.astype(row.dtype)
             self._digest_cache.clear()
-            cast = row.astype(promoted)
         if self._size == self._data.shape[0]:
             capacity = max(4, 2 * self._data.shape[0])
             grown = np.empty((capacity, self._data.shape[1]), dtype=self._data.dtype)
             grown[: self._size] = self._data[: self._size]
             self._data = grown
-        self._data[self._size] = cast
+        self._data[self._size] = row
         self._size += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -216,29 +226,6 @@ def rows_matrix(objects):
     return matrix if isinstance(matrix, np.ndarray) else None
 
 
-def object_dimension(objects):
-    """Coordinate count of a columnar/array store, None for list stores.
-
-    Reads only store metadata (never an object), so a tiered store answers
-    without faulting any block.
-    """
-    matrix = rows_matrix(getattr(objects, "raw", objects))
-    if matrix is None and isinstance(objects, np.ndarray) and objects.ndim == 2:
-        matrix = objects
-    return int(matrix.shape[1]) if matrix is not None else None
-
-
-def store_metric_digest(objects, metric):
-    """The store's cached per-row metric digest, or None when unavailable.
-
-    Unwraps tiered facades to the host store; only columnar stores carry a
-    digest cache (list stores answer None, as do metrics without a digest).
-    """
-    store = getattr(objects, "raw", objects)
-    digest = getattr(store, "metric_digest", None)
-    return digest(metric) if digest is not None else None
-
-
 def gather_rows(objects, ids: np.ndarray):
     """Gather rows by id from any store representation.
 
@@ -253,3 +240,74 @@ def gather_rows(objects, ids: np.ndarray):
     if isinstance(objects, np.ndarray):
         return objects[np.asarray(ids, dtype=np.int64)]
     return [objects[int(i)] for i in np.asarray(ids, dtype=np.int64)]
+
+
+def segmented_distances(
+    metric: Metric,
+    objects: Sequence,
+    query_objects: Sequence,
+    boundaries: np.ndarray,
+    obj_ids: np.ndarray,
+    settled_pairs: int = 0,
+) -> np.ndarray:
+    """Gather candidate rows by id and evaluate the per-query segments.
+
+    The one reader of stored rows: the construction mapping phase (pivots
+    as queries), the pivot distances and leaf verification of the search,
+    and the cache-table scan all turn candidate ids into exact distances
+    here, so a new store kind plugs into this function alone.  Segment ``i``
+    — ``obj_ids[boundaries[i]:boundaries[i + 1]]`` — is evaluated against
+    ``query_objects[i]``.
+
+    A columnar store is read in cache-sized chunks of whole segments (at
+    most ``GATHER_CHUNK_ELEMENTS`` gathered elements; a larger segment is a
+    chunk of its own): each chunk is gathered and handed, with its slice of
+    the store's per-row metric digest, to ``Metric.pairwise_segmented``
+    while the rows are still cache-resident.  Any other store is one chunk.
+    A tiered facade faults the whole id list once, up front, and the chunks
+    read its host store, so chunking is invisible to the results, the pager
+    and the simulated device: only the host wall-clock changes.
+
+    ``settled_pairs`` — candidates a bound filter already dropped — are
+    counted with the first ``Metric.pairwise_segmented`` call (see there).
+    """
+    boundaries = np.asarray(boundaries, dtype=np.int64)
+    n = len(obj_ids)
+    out = np.empty(n, dtype=np.float64)
+    if n == 0:
+        if settled_pairs:
+            empty = np.zeros(1, dtype=np.int64)
+            metric.pairwise_segmented([], [], empty, settled_pairs=settled_pairs)
+        return out
+    if getattr(objects, "coalesced_gather", False):
+        objects.fault(obj_ids)
+        objects = objects.raw
+    matrix = objects if isinstance(objects, np.ndarray) else rows_matrix(objects)
+    budget = n
+    if matrix is not None and matrix.ndim == 2:
+        budget = max(1, GATHER_CHUNK_ELEMENTS // max(1, matrix.shape[1]))
+    # per-row auxiliaries (e.g. angular row norms), cached per store
+    # generation and gathered alongside the rows
+    metric_digest = getattr(objects, "metric_digest", None)
+    digest = None if metric_digest is None else metric_digest(metric)
+    seg, num_segments = 0, len(boundaries) - 1
+    while seg < num_segments:
+        # greedy chunks of whole segments: each runs to the last segment end
+        # within ``budget`` rows of its start (a larger segment runs alone)
+        lo = int(boundaries[seg])
+        if n - lo <= budget:
+            end = num_segments
+        else:
+            end = max(seg + 1, int(np.searchsorted(boundaries, lo + budget, "right")) - 1)
+        hi = int(boundaries[end])
+        chunk_ids = obj_ids[lo:hi]
+        out[lo:hi] = metric.pairwise_segmented(
+            query_objects[seg:end],
+            gather_rows(objects, chunk_ids),
+            boundaries[seg : end + 1] - lo,
+            object_digest=None if digest is None else digest[chunk_ids],
+            settled_pairs=settled_pairs,
+        )
+        settled_pairs = 0
+        seg = end
+    return out

@@ -37,7 +37,7 @@ from ..exceptions import IndexError_, MetricError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
 from ..metrics.registry import get_metric
-from .construction import BuildResult
+from .construction import BuildResult, stored_nbytes
 from .nodes import TreeStructure
 from .objectstore import ColumnarStore, make_object_store, rows_matrix
 
@@ -83,7 +83,6 @@ def save_index(index, path) -> Path:
     index._require_built()
     path = Path(path)
     tree = index.tree
-    cache_items = list(index._cache.items())
     # host-side view of the object store (a tiered index wraps it in a
     # PagedObjects facade; serialisation must not fault device blocks)
     host_objects = getattr(index._objects, "raw", index._objects)
@@ -119,7 +118,7 @@ def save_index(index, path) -> Path:
         "obj_dis": tree.obj_dis,
         "indexed_ids": index._indexed_ids,
         "tombstones": np.asarray(sorted(index._tombstones), dtype=np.int64),
-        "cache_ids": np.asarray([oid for oid, _ in cache_items], dtype=np.int64),
+        "cache_ids": np.asarray(index._cache.object_ids(), dtype=np.int64),
     }
     if meta["objects_kind"] == "array":
         matrix = rows_matrix(host_objects)
@@ -242,5 +241,5 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
     # host-side read: repopulating the cache must not fault tiered blocks
     host_objects = getattr(index._objects, "raw", index._objects)
     for obj_id in cache_ids:
-        index._cache.insert(obj_id, host_objects[obj_id])
+        index._cache.insert(obj_id, stored_nbytes(host_objects, host_objects[obj_id]))
     return index

@@ -39,9 +39,8 @@ import numpy as np
 
 from ..gpusim.device import Device
 from ..metrics.base import Metric
-from .construction import take_objects
 from .nodes import TreeStructure
-from .objectstore import ColumnarStore
+from .objectstore import ColumnarStore, gather_rows, segmented_distances
 from .searchcommon import (
     ENTRY_BYTES,
     RESULT_BYTES,
@@ -54,7 +53,6 @@ from .searchcommon import (
     prune_children,
     query_ks,
     query_radii,
-    segmented_distances,
     split_into_groups,
     tombstone_array,
     tombstoned_mask,
@@ -256,7 +254,7 @@ def _verify_leaves(
         # tiered stores get each query's candidates in physical-slot order:
         # answers are order-insensitive (keyed by id) and a slot-sorted
         # gather touches each leaf-clustered block as one run
-        query_objects = take_objects(queries, unique_queries)
+        query_objects = gather_rows(queries, unique_queries)
         owner = np.repeat(unique_queries, np.diff(boundaries))
         keep = _certified_survivors(
             metric, objects, query_objects, boundaries, obj_ids, results, unique_queries

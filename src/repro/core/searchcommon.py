@@ -38,9 +38,9 @@ import numpy as np
 from ..exceptions import MemoryDeadlockError, QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
-from .construction import concatenated_ranges, take_objects
+from .construction import concatenated_ranges
 from .nodes import TreeStructure
-from .objectstore import GATHER_CHUNK_ELEMENTS, object_dimension, store_metric_digest
+from .objectstore import gather_rows, segmented_distances
 
 __all__ = [
     "ENTRY_BYTES",
@@ -55,7 +55,6 @@ __all__ = [
     "level_pair_limit",
     "split_into_groups",
     "pivot_distances_per_query",
-    "segmented_distances",
     "leaf_candidate_segments",
     "prune_children",
     "IntermediateTable",
@@ -304,7 +303,7 @@ def pivot_distances_per_query(
     unique_queries, starts = np.unique(cand_query[order], return_index=True)
     boundaries = np.append(starts, len(order))
     host_start = time.perf_counter()
-    query_objects = take_objects(queries, unique_queries)
+    query_objects = gather_rows(queries, unique_queries)
     out[order] = segmented_distances(
         metric, objects, query_objects, boundaries, pivot_ids[order]
     )
@@ -315,78 +314,6 @@ def pivot_distances_per_query(
         label="pivot-distances",
         host_time=host,
     )
-    return out
-
-
-def segmented_distances(
-    metric: Metric,
-    objects: Sequence,
-    query_objects: Sequence,
-    boundaries: np.ndarray,
-    obj_ids: np.ndarray,
-    settled_pairs: int = 0,
-) -> np.ndarray:
-    """Gather candidate rows by id and evaluate the per-query segments.
-
-    The flat candidate list is processed in cache-sized chunks of whole
-    segments: each chunk is gathered (``take_objects`` — one columnar fancy
-    index) and handed to ``Metric.pairwise_segmented`` while the gathered
-    rows are still cache-resident.  Segments larger than the chunk budget
-    are evaluated alone, which is exactly the cache-blocked shape of
-    per-query evaluation.  A tiered store faults the kernel's whole
-    candidate list once, up front, and the chunks read host rows without
-    faulting, so chunking is invisible to the results, the pager and the
-    simulated device: only the host wall-clock changes.
-
-    ``settled_pairs`` — candidates a bound filter already dropped — are
-    counted with the first ``Metric.pairwise_segmented`` call (see there).
-    """
-    n = len(obj_ids)
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        if settled_pairs:
-            empty = np.zeros(1, dtype=np.int64)
-            metric.pairwise_segmented([], [], empty, settled_pairs=settled_pairs)
-        return out
-    if getattr(objects, "coalesced_gather", False):
-        objects.fault(obj_ids)
-        objects = objects.raw
-    num_segments = len(boundaries) - 1
-    dim = object_dimension(objects)
-    if dim is None:
-        # list store (strings, sets, ragged data): the metric loops per
-        # segment anyway and the "gather" is a view comprehension
-        rows = take_objects(objects, obj_ids)
-        out[:] = metric.pairwise_segmented(
-            query_objects, rows, boundaries, settled_pairs=settled_pairs
-        )
-        return out
-    # per-row auxiliaries (e.g. angular row norms), precomputed once per
-    # store generation and gathered alongside the rows
-    digest = store_metric_digest(objects, metric)
-    budget_rows = max(1, GATHER_CHUNK_ELEMENTS // max(1, dim))
-    seg = 0
-    while seg < num_segments:
-        end_seg = seg + 1
-        chunk_rows = int(boundaries[end_seg] - boundaries[seg])
-        while (
-            end_seg < num_segments
-            and chunk_rows + int(boundaries[end_seg + 1] - boundaries[end_seg]) <= budget_rows
-        ):
-            chunk_rows += int(boundaries[end_seg + 1] - boundaries[end_seg])
-            end_seg += 1
-        lo, hi = int(boundaries[seg]), int(boundaries[end_seg])
-        chunk_ids = obj_ids[lo:hi]
-        rows = take_objects(objects, chunk_ids)
-        out[lo:hi] = metric.pairwise_segmented(
-            query_objects[seg:end_seg],
-            rows,
-            boundaries[seg : end_seg + 1] - lo,
-            object_digest=None if digest is None else digest[chunk_ids],
-            settled_pairs=settled_pairs,
-        )
-        settled_pairs = 0
-        seg = end_seg
     return out
 
 

@@ -22,17 +22,14 @@ Simulated time — not wall-clock time — is the unit of account throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from ..baselines import METHOD_REGISTRY
 from ..core.construction import objects_nbytes
 from ..core.cost_model import estimate_query_cost
 from ..datasets import DEFAULT_CARDINALITIES, get_dataset, make_duplicates
-from ..gpusim.specs import CPUSpec, DeviceSpec, GiB, KiB, MiB
-from ..gpusim.timing import throughput_per_minute
+from ..gpusim.specs import DeviceSpec, KiB, MiB
 from .reporting import ExperimentResult
 from .runner import STATUS_OK, MethodRunner
 from .workloads import (
@@ -310,7 +307,7 @@ def experiment_fig7_radius_and_k(
         notes="query=mrq rows vary radius_step; query=mknn rows vary k",
     )
     for ds_name in datasets:
-        dataset = get_dataset(ds_name, _scaledcard(ds_name, scale, cardinalities), seed=seed)
+        dataset = get_dataset(ds_name, _scaled_cardinality(ds_name, scale, cardinalities), seed=seed)
         base_workload = make_workload(dataset, num_queries=num_queries, seed=seed)
         oracle_runner = _build_runner("LinearScan", dataset, device_spec)
         oracle_runner.build()
@@ -359,10 +356,6 @@ def experiment_fig7_radius_and_k(
                     distance_computations=res.distance_computations,
                 )
     return result
-
-
-def _scaledcard(name: str, scale: float, override: Optional[dict]) -> int:
-    return _scaled_cardinality(name, scale, override)
 
 
 # --------------------------------------------------------------------------

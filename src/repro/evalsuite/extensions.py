@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 from ..approx import ApproximateGTS, LearnedLeafRouter, mean_knn_recall
 from ..core.gts import GTS
-from ..datasets import DEFAULT_CARDINALITIES, get_dataset
+from ..datasets import get_dataset
 from ..gpusim.specs import DeviceSpec, MiB
 from ..gpusim.timing import throughput_per_minute
+from .experiments import _scaled_cardinality
 from .reporting import ExperimentResult
 from .runner import STATUS_OK, MethodRunner
 from .workloads import make_workload
@@ -34,12 +35,6 @@ __all__ = ["experiment_extended_baselines", "experiment_approximate_tradeoff"]
 
 #: CPU methods of the extended comparison, in presentation order.
 EXTENDED_CPU_METHODS = ("BST", "MVPT", "EGNAT", "LAESA", "LC", "EPT", "M-tree", "GNAT")
-
-
-def _scaled_cardinality(name: str, scale: float, override: Optional[dict]) -> int:
-    if override and name in override:
-        return int(override[name])
-    return max(64, int(DEFAULT_CARDINALITIES[name] * scale))
 
 
 def experiment_extended_baselines(

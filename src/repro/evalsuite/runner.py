@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..baselines import METHOD_REGISTRY, SimilarityIndex, get_method
+from ..baselines import METHOD_REGISTRY, SimilarityIndex
 from ..exceptions import (
     BaselineError,
     DeviceMemoryError,
@@ -35,7 +35,6 @@ from ..exceptions import (
 from ..gpusim.device import Device
 from ..gpusim.specs import CPUSpec, DeviceSpec
 from ..gpusim.timing import throughput_per_minute
-from ..metrics.base import Metric
 
 __all__ = ["MethodResult", "MethodRunner", "STATUS_OK", "STATUS_OOM", "STATUS_UNSUPPORTED"]
 

@@ -96,19 +96,6 @@ def radius_for_selectivity(
     return max(radius, floor)
 
 
-def radius_for_step(
-    objects: Sequence,
-    metric: Metric,
-    step: int,
-    sample_size: int = 200,
-    rng: Optional[np.random.Generator] = None,
-) -> float:
-    """Radius for one of the paper's ``r (x0.01%)`` steps (Table 3)."""
-    return radius_for_selectivity(
-        objects, metric, step * RADIUS_STEP_SELECTIVITY, sample_size=sample_size, rng=rng
-    )
-
-
 @dataclass
 class Workload:
     """A concrete batch workload: queries plus MRQ radius / MkNNQ k."""

@@ -20,7 +20,7 @@ calibrated to the paper's hardware but only *relative* results are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["DeviceSpec", "CPUSpec", "RTX_2080TI_LIKE", "DESKTOP_CPU_LIKE"]
 

@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.construction import object_sizes, objects_nbytes
+from ..core.construction import object_sizes, objects_nbytes, stored_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
 from ..core.objectstore import gather_rows
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
@@ -380,13 +380,14 @@ class ShardedGTS:
         sid = self.policy.assign(gid, obj, self._loads)
         # validate before charging: a rejected insert (object larger than the
         # shard's whole cache budget) must stay stats-neutral
-        self.shards[sid]._cache.ensure_fits(obj)
+        nbytes = stored_nbytes(self.shards[sid]._objects, obj)
+        self.shards[sid]._cache.ensure_fits(nbytes)
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
         self._owner[gid] = (sid, lid)
         self._shard_to_global[sid].append(gid)
-        self._loads[sid] += max(1, objects_nbytes([obj]))
+        self._loads[sid] += nbytes
         self._next_id += 1
         return gid
 
@@ -418,7 +419,7 @@ class ShardedGTS:
         touched.
         """
         self._require_built()
-        self.shards[0]._cache.ensure_fits(new_obj)
+        self.shards[0]._cache.ensure_fits(stored_nbytes(self.shards[0]._objects, new_obj))
         self.delete(obj_id)
         return self.insert(new_obj)
 
@@ -465,7 +466,7 @@ class ShardedGTS:
             new_owners[gid] = (sid, next_local[sid])
             next_local[sid] += 1
             per_shard_inserts[sid].append(obj)
-            self._loads[sid] += max(1, objects_nbytes([obj]))
+            self._loads[sid] += stored_nbytes(self.shards[sid]._objects, obj)
             self._next_id += 1
             num_inserts += 1
 

@@ -23,7 +23,7 @@ lives in host RAM, so those reads cost no device traffic.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -193,7 +193,7 @@ class PagedObjects:
 
     Integer indexing routes through
     :meth:`~repro.tier.pager.BlockPager.access` and gathers (the access
-    pattern of ``take_objects``) through
+    pattern of ``gather_rows``) through
     :meth:`~repro.tier.pager.BlockPager.fault_runs`, so hits cost nothing
     and misses charge the H2D transfer on the simulated device.  The returned
     objects are the host objects themselves — the simulation only accounts
@@ -232,7 +232,7 @@ class PagedObjects:
 
         The device-side accounting is :meth:`fault`'s; the host-side row
         materialisation is one columnar gather instead of a per-object
-        Python loop.  This is the fast path ``take_objects`` rides for every
+        Python loop.  This is the fast path ``gather_rows`` rides for every
         level-wide candidate gather of a tiered index.
         """
         ids = np.asarray(obj_ids, dtype=np.int64)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache_table import CacheTable
+from repro.core.objectstore import make_object_store
 from repro.core.search import BoundedTriples
 from repro.core.cost_model import (
     DistanceDistribution,
@@ -23,41 +24,41 @@ from repro.metrics import EuclideanDistance
 class TestCacheTable:
     def test_insert_and_contains(self):
         cache = CacheTable(1024)
-        cache.insert(1, "hello")
+        cache.insert(1, 5)
         assert 1 in cache and len(cache) == 1
         assert cache.object_ids() == [1]
 
     def test_duplicate_insert_rejected(self):
         cache = CacheTable(1024)
-        cache.insert(1, "a")
+        cache.insert(1, 1)
         with pytest.raises(UpdateError):
-            cache.insert(1, "b")
+            cache.insert(1, 1)
 
     def test_remove(self):
         cache = CacheTable(1024)
-        cache.insert(3, "abc")
+        cache.insert(3, 3)
         assert cache.remove(3)
         assert not cache.remove(3)
         assert len(cache) == 0
 
     def test_used_bytes_tracks_payload(self):
         cache = CacheTable(1024)
-        cache.insert(0, "abcd")
-        cache.insert(1, np.zeros(4))
+        cache.insert(0, 4)
+        cache.insert(1, 32)
         assert cache.used_bytes == 4 + 32
         cache.remove(0)
         assert cache.used_bytes == 32
 
     def test_is_full_when_budget_exceeded(self):
         cache = CacheTable(10)
-        cache.insert(0, "12345678")
+        cache.insert(0, 8)
         assert not cache.is_full
-        cache.insert(1, "12345678")
+        cache.insert(1, 8)
         assert cache.is_full
 
     def test_clear(self):
         cache = CacheTable(100)
-        cache.insert(0, "x")
+        cache.insert(0, 1)
         cache.clear()
         assert len(cache) == 0 and cache.used_bytes == 0
 
@@ -73,49 +74,56 @@ class TestCacheTable:
         assert device.used_bytes == 0
 
     @staticmethod
-    def _scan(cache, query, device=None, radius=None, k=None):
-        """Scan ``cache`` for one query into a fresh accumulator."""
+    def _cached(rng, count, first_id=100):
+        """A store whose rows ``first_id..`` are buffered in a fresh cache."""
+        store = make_object_store(rng.normal(size=(first_id + count, 2)))
+        cache = CacheTable(1 << 20)
+        for i in range(first_id, first_id + count):
+            cache.insert(i, store.row_nbytes)
+        return cache, store
+
+    @staticmethod
+    def _scan(cache, store, query, device=None, radius=None, k=None):
+        """Scan ``cache`` over ``store`` for one query into a fresh accumulator."""
         results = BoundedTriples(
             1,
             None,
             radii=None if radius is None else np.array([radius], dtype=np.float64),
             k=None if k is None else np.array([k], dtype=np.int64),
         )
-        cache.range_scan_batch(EuclideanDistance(), [query], results, device)
+        cache.range_scan_batch(EuclideanDistance(), store, [query], results, device)
         return results.answers()[0]
 
     def test_range_scan_matches_brute_force(self, rng):
-        cache = CacheTable(1 << 20)
-        pts = rng.normal(size=(20, 2))
-        for i, p in enumerate(pts):
-            cache.insert(100 + i, p)
-        hits = self._scan(cache, pts[0], radius=0.5)
+        cache, store = self._cached(rng, 20)
+        pts = store.matrix[100:]
+        hits = self._scan(cache, store, pts[0], radius=0.5)
         dists = EuclideanDistance().pairwise(pts[0], list(pts))
         expected = sorted((float(d), 100 + i) for i, d in enumerate(dists) if d <= 0.5)
         assert hits == [(i, d) for d, i in expected]
 
     def test_knn_scan_returns_k_smallest(self, rng):
-        cache = CacheTable(1 << 20)
-        pts = rng.normal(size=(20, 2))
-        for i, p in enumerate(pts):
-            cache.insert(i, p)
-        got = self._scan(cache, pts[0], k=3)
+        cache, store = self._cached(rng, 20, first_id=0)
+        pts = store.matrix
+        got = self._scan(cache, store, pts[0], k=3)
         dists = EuclideanDistance().pairwise(pts[0], list(pts))
         expected = sorted((float(d), i) for i, d in enumerate(dists))[:3]
         assert got == [(i, d) for d, i in expected]
 
-    def test_scans_on_empty_cache(self):
+    def test_scans_on_empty_cache(self, rng):
         cache = CacheTable(100)
-        assert self._scan(cache, np.zeros(2), radius=1.0) == []
-        assert self._scan(cache, np.zeros(2), k=3) == []
+        store = make_object_store(rng.normal(size=(5, 2)))
+        assert self._scan(cache, store, np.zeros(2), radius=1.0) == []
+        assert self._scan(cache, store, np.zeros(2), k=3) == []
 
     def test_scan_charges_device_time(self, rng):
         device = Device(DeviceSpec())
+        _, store = self._cached(rng, 10, first_id=0)
         cache = CacheTable(1 << 16, device=device)
         for i in range(10):
-            cache.insert(i, rng.normal(size=2))
+            cache.insert(i, store.row_nbytes)
         before = device.stats.kernel_launches
-        self._scan(cache, np.zeros(2), radius=1.0)
+        self._scan(cache, store, np.zeros(2), radius=1.0)
         assert device.stats.kernel_launches == before + 1
 
 

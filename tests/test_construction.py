@@ -12,12 +12,12 @@ from repro.core.construction import (
     build_tree,
     object_sizes,
     objects_nbytes,
-    take_objects,
+    stored_nbytes,
 )
 from repro.core.encoding import encode_distances
 from repro.core.nodes import NO_PIVOT, TreeStructure, level_size, level_start, tree_height
 from repro.core.pivots import PivotSelector, available_pivot_strategies, get_pivot_selector
-from repro.core.objectstore import make_object_store
+from repro.core.objectstore import gather_rows, make_object_store
 from repro.exceptions import ConstructionError
 from repro.gpusim import Device, DeviceSpec
 from repro.gpusim.kernels import sort_kernel
@@ -374,13 +374,24 @@ class TestHelpers:
             assert sizes.dtype == np.int64
             assert sizes.tolist() == [objects_nbytes([objects[i]]) for i in range(len(objects))]
 
-    def test_take_objects_array(self, rng):
+    def test_gather_rows_array(self, rng):
         pts = rng.normal(size=(10, 2))
-        out = take_objects(pts, [1, 3])
+        out = gather_rows(pts, [1, 3])
         np.testing.assert_array_equal(out, pts[[1, 3]])
 
-    def test_take_objects_list(self):
-        assert take_objects(["a", "b", "c"], [2, 0]) == ["c", "a"]
+    def test_gather_rows_list(self):
+        assert gather_rows(["a", "b", "c"], [2, 0]) == ["c", "a"]
+
+    def test_stored_nbytes_sizes_the_row_the_store_holds(self):
+        store = make_object_store(np.zeros((3, 2)))
+        assert stored_nbytes(store, [1.0, 2.0]) == 16
+        assert stored_nbytes(store, (1, 2)) == 16
+        assert stored_nbytes(store, np.array([1, 2], dtype=np.int8)) == 16
+        narrow = make_object_store(np.zeros((3, 2), dtype=np.float32))
+        assert stored_nbytes(narrow, [1.0, 2.0]) == 8  # exact in float32
+        assert stored_nbytes(narrow, [0.1, 2.0]) == 16  # promotes the store
+        assert stored_nbytes(["ab"], "cde") == 3
+        assert stored_nbytes(["ab"], "") == 1
 
     def test_objects_nbytes_vectors(self, rng):
         pts = rng.normal(size=(10, 4))

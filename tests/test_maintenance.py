@@ -16,6 +16,8 @@ from repro import GTS, EditDistance, EuclideanDistance
 from repro.baselines import LinearScan
 from repro.core import MaintenanceConfig
 from repro.core.cache_table import CacheTable
+from repro.core.construction import stored_nbytes
+from repro.core.objectstore import make_object_store
 from repro.core.search import BoundedTriples
 from repro.exceptions import UpdateError
 from repro.gpusim import Device, DeviceSpec
@@ -34,92 +36,125 @@ from repro.tier import TierConfig
 # --------------------------------------------------------------------------
 # Batched cache scans
 # --------------------------------------------------------------------------
-def _scan(cache, metric, queries, device, radii=None, k=None):
-    """Scan ``cache`` into a fresh accumulator and read back its answers."""
+def _scan(cache, store, metric, queries, device, radii=None, k=None):
+    """Scan ``cache`` over ``store`` into a fresh accumulator and read back its answers."""
     results = BoundedTriples(
         len(queries),
         None,
         radii=None if radii is None else np.asarray(radii, dtype=np.float64),
         k=None if k is None else np.asarray(k, dtype=np.int64),
     )
-    cache.range_scan_batch(metric, queries, results, device)
+    cache.range_scan_batch(metric, store, queries, results, device)
     return results.answers()
 
 
-def _brute_force(cache, metric, query, radius=np.inf, k=None):
+def _brute_force(cache, store, metric, query, radius=np.inf, k=None):
     """The cache's answer by ``metric.pairwise`` and a ``(distance, id)`` sort."""
     ids = cache.object_ids()
-    dists = metric.pairwise(query, [cache.get(i) for i in ids])
+    dists = metric.pairwise(query, [store[i] for i in ids])
     ranked = sorted((float(d), int(i)) for i, d in zip(ids, dists) if d <= radius)
     return [(i, d) for d, i in ranked[:k]]
 
 
+def _cache_over(objects, cached_ids, device):
+    """A cache buffering ``cached_ids`` of a store built from ``objects``."""
+    store = make_object_store(objects)
+    cache = CacheTable(1 << 20, device=device)
+    for i in cached_ids:
+        cache.insert(i, stored_nbytes(store, store[i]))
+    return cache, store
+
+
 class TestBatchedCacheScans:
     @pytest.fixture
-    def cache(self, rng, device):
-        cache = CacheTable(1 << 20, device=device)
-        for i in range(37):
-            cache.insert(100 + i, rng.normal(size=4))
-        return cache
+    def cached(self, rng, device):
+        # rows 100..136 are the cached inserts; the rest stand for the tree
+        return _cache_over(rng.normal(size=(137, 4)), range(100, 137), device)
 
-    def test_range_scan_batch_matches_per_query(self, cache, rng, device):
+    def test_range_scan_batch_matches_per_query(self, cached, rng, device):
+        cache, store = cached
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(9)]
         radii = np.linspace(0.5, 3.0, num=9)
-        expected = [_brute_force(cache, metric, q, radius=r) for q, r in zip(queries, radii)]
-        assert _scan(cache, metric, queries, device, radii=radii) == expected
+        expected = [
+            _brute_force(cache, store, metric, q, radius=r) for q, r in zip(queries, radii)
+        ]
+        assert _scan(cache, store, metric, queries, device, radii=radii) == expected
 
-    def test_knn_scan_batch_matches_per_query(self, cache, rng, device):
+    def test_knn_scan_batch_matches_per_query(self, cached, rng, device):
+        cache, store = cached
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(7)]
         ks = np.array([1, 2, 3, 5, 8, 37, 100])
-        expected = [_brute_force(cache, metric, q, k=int(k)) for q, k in zip(queries, ks)]
-        assert _scan(cache, metric, queries, device, k=ks) == expected
+        expected = [_brute_force(cache, store, metric, q, k=int(k)) for q, k in zip(queries, ks)]
+        assert _scan(cache, store, metric, queries, device, k=ks) == expected
 
-    def test_batch_scan_launches_one_kernel_and_same_pairs(self, cache, rng, device):
+    def test_batch_scan_launches_one_kernel_and_same_pairs(self, cached, rng, device):
+        cache, store = cached
         metric = EuclideanDistance()
         queries = [rng.normal(size=4) for _ in range(11)]
         before_kernels = device.stats.kernel_launches
         before_pairs = metric.pair_count
-        _scan(cache, metric, queries, device, radii=np.full(11, 1.0))
+        _scan(cache, store, metric, queries, device, radii=np.full(11, 1.0))
         assert device.stats.kernel_launches == before_kernels + 1
         assert metric.pair_count == before_pairs + 11 * len(cache)
 
     def test_string_payload_batch_scan(self, device):
-        cache = CacheTable(1 << 20, device=device)
         words = ["metric", "metrics", "space", "spade", "tree"]
-        for i, w in enumerate(words):
-            cache.insert(50 + i, w)
+        cache, store = _cache_over(["pad"] * 50 + words, range(50, 55), device)
         metric = EditDistance()
         queries = ["metric", "spice"]
-        expected = [_brute_force(cache, metric, q, k=3) for q in queries]
-        assert _scan(cache, metric, queries, device, k=[3, 3]) == expected
+        expected = [_brute_force(cache, store, metric, q, k=3) for q in queries]
+        assert _scan(cache, store, metric, queries, device, k=[3, 3]) == expected
 
     def test_knn_scan_topk_with_ties(self, device):
-        cache = CacheTable(1 << 20, device=device)
         # equidistant objects: the top-k must break ties by ascending id
-        for i in range(8):
-            cache.insert(i, np.array([1.0, 0.0]))
-        got = _scan(cache, EuclideanDistance(), [np.zeros(2)], device, k=[3])
+        cache, store = _cache_over(np.tile([1.0, 0.0], (8, 1)), range(8), device)
+        got = _scan(cache, store, EuclideanDistance(), [np.zeros(2)], device, k=[3])
         assert got == [[(0, 1.0), (1, 1.0), (2, 1.0)]]
 
     def test_scan_keeps_ties_at_the_tree_kth_bound(self, device):
         # the tree already filled k=2 slots at distance 1.0: cached objects
         # tied at that bound must survive the offer and win on id
-        cache = CacheTable(1 << 20, device=device)
-        cache.insert(0, np.array([1.0, 0.0]))
-        cache.insert(1, np.array([0.0, 1.0]))
-        cache.insert(2, np.array([3.0, 0.0]))
+        cache, store = _cache_over(
+            np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 0.0]]), range(3), device
+        )
         results = BoundedTriples(1, None, k=np.array([2]))
         results.offer([0, 0], [900, 901], [1.0, 1.0])
-        cache.range_scan_batch(EuclideanDistance(), [np.zeros(2)], results, device)
+        cache.range_scan_batch(EuclideanDistance(), store, [np.zeros(2)], results, device)
         assert results.answers() == [[(0, 1.0), (1, 1.0)]]
 
     def test_empty_cache_offers_nothing(self, device):
-        cache = CacheTable(1 << 20, device=device)
+        cache, store = _cache_over(np.zeros((4, 2)), [], device)
         before = device.stats.kernel_launches
-        assert _scan(cache, EuclideanDistance(), [np.zeros(2)], device, k=[3]) == [[]]
+        assert _scan(cache, store, EuclideanDistance(), [np.zeros(2)], device, k=[3]) == [[]]
         assert device.stats.kernel_launches == before
+
+    def test_tiered_cache_scan_faults_no_block(self, points_2d, l2_metric, monkeypatch):
+        index = GTS.build(
+            points_2d[:400], l2_metric, node_capacity=8, cache_capacity_bytes=1 << 16,
+            tier=TierConfig(memory_budget_bytes=2 * 256, block_bytes=256),
+        )
+        for i in range(6):
+            index.insert(points_2d[400 + i])
+        queries = [points_2d[i] for i in range(0, 80, 10)]
+        scans: list[tuple[dict, dict]] = []
+        real_scan = CacheTable.range_scan_batch
+
+        def recording_scan(cache, *args, **kwargs):
+            before = index.pager.stats.as_dict()
+            real_scan(cache, *args, **kwargs)
+            scans.append((before, index.pager.stats.as_dict()))
+
+        monkeypatch.setattr(CacheTable, "range_scan_batch", recording_scan)
+        answers = index.knn_query_batch(queries, 5)
+        assert len(scans) == 1
+        assert scans[0][0] == scans[0][1]
+        # the cached inserts are still found (each query is one of them)
+        hits = index.knn_query_batch([points_2d[400 + i] for i in range(6)], 1)
+        assert [h[0] for h, in hits] == list(range(400, 406))
+        assert answers == [index.knn_query(q, 5) for q in queries]
+        index.close()
 
     def test_gts_query_batch_merges_cache_identically(self, points_2d, l2_metric):
         index = GTS.build(points_2d, l2_metric, node_capacity=8)
@@ -198,7 +233,7 @@ class TestOversizedInsert:
     def test_cache_table_rejects_oversized_object(self, device):
         cache = CacheTable(64, device=device)
         with pytest.raises(UpdateError, match="exceeds the whole cache"):
-            cache.insert(0, np.zeros(100))
+            cache.insert(0, 800)
         assert len(cache) == 0 and cache.used_bytes == 0
 
     def test_gts_insert_rejects_oversized_and_stays_stats_neutral(self, points_2d, l2_metric):
@@ -239,6 +274,50 @@ class TestOversizedInsert:
             index.update(3, np.zeros(100))
         assert index.is_live(3)
         index.close()
+
+
+class TestInsertSizing:
+    """A list or tuple insert is charged as the row the store holds."""
+
+    @staticmethod
+    def _stats(device) -> dict:
+        stats = device.stats.as_dict()
+        del stats["host_time"]  # wall clock
+        return stats
+
+    @pytest.mark.parametrize("convert", [list, tuple], ids=["list", "tuple"])
+    def test_gts_list_insert_matches_the_ndarray_insert(self, convert, points_2d, l2_metric):
+        rows = [points_2d[i] + 0.25 for i in range(0, 50, 10)]
+        runs = []
+        for to_obj in (np.asarray, lambda row: convert(row.tolist())):
+            index = GTS.build(points_2d, l2_metric, node_capacity=8, cache_capacity_bytes=1 << 12)
+            for row in rows:
+                index.insert(to_obj(row))
+            answers = index.knn_query_batch(rows, 3)
+            runs.append((index._cache.used_bytes, self._stats(index.device), answers))
+            index.close()
+        assert runs[0][0] == len(rows) * 16  # five float64 2-d rows
+        assert runs[1] == runs[0]
+
+    def test_sharded_list_insert_matches_the_ndarray_insert(self, points_2d, l2_metric):
+        rows = [points_2d[i] + 0.25 for i in range(0, 70, 10)]
+        runs = []
+        for to_obj in (np.asarray, lambda row: row.tolist()):
+            index = ShardedGTS.build(
+                points_2d, l2_metric, num_shards=2, assignment="size-balanced",
+                node_capacity=8, cache_capacity_bytes=1 << 12,
+            )
+            ids = [index.insert(to_obj(row)) for row in rows]
+            index.delete(ids[0])
+            runs.append(
+                (
+                    list(index._loads),
+                    [shard._cache.used_bytes for shard in index.shards],
+                    [self._stats(shard.device) for shard in index.shards],
+                )
+            )
+            index.close()
+        assert runs[1] == runs[0]
 
 
 class TestNoopBatchUpdate:

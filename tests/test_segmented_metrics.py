@@ -197,3 +197,77 @@ class TestSegmentedDistanceKernel:
         )
         assert delta.kernel_launches == 1
         assert delta.total_ops == pytest.approx(len(objects) * metric.unit_cost)
+
+
+class TestStoreReader:
+    """``segmented_distances``: the one reader of stored rows, chunked on the host."""
+
+    SIZES = [3, 0, 25, 0, 0, 7, 1, 0]  # 25 rows exceed a 4-row chunk budget
+
+    def _case(self, rng):
+        from repro.core.objectstore import make_object_store
+
+        store = make_object_store(rng.normal(size=(60, 4)))
+        boundaries = np.concatenate(([0], np.cumsum(self.SIZES)))
+        obj_ids = rng.integers(0, 60, size=int(boundaries[-1]))
+        queries = rng.normal(size=(len(self.SIZES), 4))
+        return store, queries, boundaries, obj_ids
+
+    @pytest.mark.parametrize("name", ["l2", "angular"])
+    def test_chunked_equals_one_chunk(self, name, monkeypatch):
+        from repro.core import objectstore
+
+        metric = get_metric(name)
+        store, queries, boundaries, obj_ids = self._case(np.random.default_rng(5))
+        expected = np.concatenate(
+            [
+                metric.pairwise(q, store.matrix[obj_ids[lo:hi]])
+                for q, lo, hi in zip(queries, boundaries[:-1], boundaries[1:])
+            ]
+        )
+        runs = []
+        for budget in (objectstore.GATHER_CHUNK_ELEMENTS, 16):  # 16 elements: 4 rows
+            monkeypatch.setattr(objectstore, "GATHER_CHUNK_ELEMENTS", budget)
+            before = metric.counter.snapshot()
+            dists = objectstore.segmented_distances(
+                metric, store, queries, boundaries, obj_ids, settled_pairs=5
+            )
+            after = metric.counter.snapshot()
+            runs.append((dists, after["calls"] - before["calls"], after["pairs"] - before["pairs"]))
+        (whole, whole_calls, whole_pairs), (chunked, chunked_calls, chunked_pairs) = runs
+        np.testing.assert_array_equal(whole, expected)
+        np.testing.assert_array_equal(chunked, expected)
+        assert whole_calls == 1
+        # greedy chunks of whole segments within 4 rows: [3, 0], [25] (over
+        # the budget, alone), [0, 0] (no rows, so no call counted), [7], [1, 0]
+        assert chunked_calls == 4
+        # the settled pairs are counted once, with the first chunk
+        assert whole_pairs == chunked_pairs == len(obj_ids) + 5
+
+    def test_no_candidates_still_counts_settled_pairs(self):
+        from repro.core.objectstore import make_object_store, segmented_distances
+
+        metric = EuclideanDistance()
+        store = make_object_store(np.zeros((3, 2)))
+        out = segmented_distances(
+            metric, store, np.zeros((2, 2)), np.zeros(3, dtype=np.int64),
+            np.zeros(0, dtype=np.int64), settled_pairs=4,
+        )
+        assert out.shape == (0,) and metric.pair_count == 4
+
+    def test_list_store_is_one_chunk(self):
+        from repro.core.objectstore import segmented_distances
+
+        metric = get_metric("edit")
+        words = ["tree", "metric", "space", "spade", "trie", "matrix"]
+        boundaries = np.array([0, 4, 4, 6])
+        obj_ids = np.array([0, 1, 2, 3, 4, 5])
+        queries = ["trees", "pace", "mat"]
+        dists = segmented_distances(metric, words, queries, boundaries, obj_ids)
+        assert metric.counter.calls == 1
+        np.testing.assert_array_equal(
+            dists,
+            np.concatenate(
+                [metric.pairwise("trees", words[:4]), metric.pairwise("mat", words[4:])]
+            ),
+        )

@@ -890,7 +890,7 @@ class TestBlockCoalescedGathers:
 
 
     def test_host_chunking_is_invisible_to_the_pager(self, monkeypatch):
-        from repro.core import construction, searchcommon
+        from repro.core import objectstore
         from repro.datasets import get_dataset
 
         data = get_dataset("vector", cardinality=400, seed=3)  # 300-d angular
@@ -900,23 +900,26 @@ class TestBlockCoalescedGathers:
         )
 
         def run():
+            calls_before = data.metric.counter.calls
             index = GTS.build(
                 data.objects, data.metric, node_capacity=10, seed=4,
                 device=Device(DeviceSpec()), tier=tier,
             )
+            build_calls = data.metric.counter.calls - calls_before
             answers = (index.range_query_batch(queries, 0.6), index.knn_query_batch(queries, 6))
             stats = index.device.stats.as_dict()
             del stats["host_time"]  # wall clock
             pager = index.pager.stats.as_dict()
             index.close()
-            return answers, stats, pager
+            return (answers, stats, pager), build_calls
 
-        default = run()
-        for module in (construction, searchcommon):
-            # a few 300-d rows per host chunk
-            monkeypatch.setattr(module, "GATHER_CHUNK_ELEMENTS", 1000)
-        tiny = run()
+        default, default_calls = run()
+        # a few 300-d rows per host chunk
+        monkeypatch.setattr(objectstore, "GATHER_CHUNK_ELEMENTS", 1000)
+        tiny, tiny_calls = run()
         assert default[2]["misses"] > default[2]["transactions"] > 0
+        # the mapping phase really ran in many chunks per level
+        assert tiny_calls > 4 * default_calls
         assert tiny == default
 
 
