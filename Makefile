@@ -11,6 +11,9 @@
 #                     non-blocking maintenance enabled (top-20 by cumtime)
 #   make profile-build  cProfile repeated tiered 2-shard builds of 20,000
 #                     tloc points (top-20 by tottime)
+#   make profile-serve WORKLOAD=<name>  cProfile one serving-benchmark
+#                     workload's request serving, index builds excluded
+#                     (top-25 by tottime; default hotkey-vector-mixed)
 #   make lint         byte-compile every source tree and reject unused
 #                     module-level imports in src/ (tools/check_imports.py;
 #                     no linter is vendored)
@@ -25,7 +28,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates profile-build lint example examples
+.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates profile-build profile-serve lint example examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -86,6 +89,14 @@ profile-updates:
 profile-build:
 	$(PYTHON) -m cProfile -o profile_build.out benchmarks/profile_build.py
 	$(PYTHON) -c "import pstats; pstats.Stats('profile_build.out').sort_stats('tottime').print_stats(20)"
+
+# Profile request serving on one serving-benchmark workload (perfbench/
+# workloads.py, read-only): every stream's index is built outside the
+# profile, then GTSService.serve runs under cProfile; prints the top 25
+# functions by self time and leaves the raw stats in profile_serve.out.
+WORKLOAD ?= hotkey-vector-mixed
+profile-serve:
+	$(PYTHON) benchmarks/profile_serve.py $(WORKLOAD)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench tools

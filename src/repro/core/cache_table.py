@@ -17,7 +17,9 @@ This module implements the cache table and its brute-force query path; the
 rebuild policy lives in :class:`repro.core.gts.GTS` (blocking) and
 :mod:`repro.core.maintenance` (generation-swap).
 
-The table holds only the ids of the buffered objects and their byte sizes:
+The table holds only the ids of the buffered objects and their byte sizes
+(re-sized by :meth:`CacheTable.resize` when an insert promotes a columnar
+store's dtype, which widens every stored row):
 :meth:`GTS.insert <repro.core.gts.GTS.insert>` has already appended each
 payload to the index's object store, so a query batch scans the cache with
 **one** fused ``cache-scan`` kernel (:meth:`CacheTable.range_scan_batch`,
@@ -129,6 +131,17 @@ class CacheTable:
             return False
         self._used_bytes -= nbytes
         return True
+
+    def resize(self, nbytes: int) -> None:
+        """Set every buffered object's size to ``nbytes``.
+
+        For a columnar object store whose dtype an insert promoted: each
+        cached object is one of its rows, and every row now holds
+        ``nbytes``.
+        """
+        nbytes = int(nbytes)
+        self._sizes = dict.fromkeys(self._sizes, nbytes)
+        self._used_bytes = nbytes * len(self._sizes)
 
     def clear(self) -> None:
         """Drop every buffered object (after a rebuild)."""

@@ -38,6 +38,7 @@ __all__ = [
     "make_object_store",
     "gather_rows",
     "rows_matrix",
+    "store_row_nbytes",
     "segmented_distances",
     "GATHER_CHUNK_ELEMENTS",
 ]
@@ -198,9 +199,11 @@ class ColumnarStore:
 def make_object_store(objects: Sequence):
     """Choose the storage representation for a dataset.
 
-    * an ``(n, d)`` numeric NumPy array, or a list of identically-shaped 1-d
-      numeric rows, becomes a :class:`ColumnarStore` (the fast path every
-      vector metric rides);
+    * an ``(n, d)`` numeric NumPy array, a list of identically-shaped 1-d
+      numeric rows, or a list of equal-length lists or tuples of numbers,
+      becomes a :class:`ColumnarStore` (the fast path every vector metric
+      rides) — Python numbers get NumPy's default dtype, as ``np.array``
+      gives them;
     * anything else (strings, sets, ragged data) is copied into a plain list,
       the fully general representation.
     """
@@ -211,12 +214,19 @@ def make_object_store(objects: Sequence):
             return ColumnarStore(objects)
         return [objects[i] for i in range(len(objects))]
     items = [objects[i] for i in range(len(objects))]
-    if items and all(
-        isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype.kind in "fiu" for o in items
-    ):
+    if not items:
+        return items
+    if all(isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype.kind in "fiu" for o in items):
         signatures = {(o.shape, o.dtype.str) for o in items}
         if len(signatures) == 1:
             return ColumnarStore(np.stack(items))
+    elif all(type(o) in (list, tuple) for o in items) and len({len(o) for o in items}) == 1:
+        try:
+            matrix = np.array(items)
+        except (TypeError, ValueError):  # ragged nesting below the rows
+            return items
+        if matrix.ndim == 2 and matrix.dtype.kind in "fiu":
+            return ColumnarStore(matrix)
     return items
 
 
@@ -224,6 +234,15 @@ def rows_matrix(objects):
     """Return the contiguous matrix behind a store when one exists, else None."""
     matrix = getattr(objects, "matrix", None)
     return matrix if isinstance(matrix, np.ndarray) else None
+
+
+def store_row_nbytes(objects):
+    """Bytes of one row of a columnar store (also behind a tiered facade), else None.
+
+    Every row of a columnar store has this size, and a dtype promotion on
+    :meth:`ColumnarStore.append` changes it for all of them at once.
+    """
+    return getattr(getattr(objects, "raw", objects), "row_nbytes", None)
 
 
 def gather_rows(objects, ids: np.ndarray):

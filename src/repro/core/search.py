@@ -160,6 +160,11 @@ class BoundedTriples:
 #: Element budget of one block of the bound matrices (queries x rows).
 CERTIFY_BLOCK_ELEMENTS = 1 << 18
 
+#: Share of the store's rows at or above which a filter call bounds against
+#: the whole store matrix (a view) instead of gathering its distinct rows:
+#: the extra GEMM columns cost less than the gather they replace.
+STORE_VIEW_SHARE = 0.5
+
 
 def _certified_survivors(
     metric: Metric,
@@ -172,42 +177,60 @@ def _certified_survivors(
 ) -> Optional[np.ndarray]:
     """Mask of the candidate pairs that may lie within their query's bound.
 
-    Each distinct candidate row is gathered once and handed, with the
-    store's digest, to :meth:`Metric.distance_bounds` in blocks of whole
-    queries.  A pair is dropped only when its certified lower bound exceeds
-    the query's bound: the radius, or for kNN the current k-th bound
-    tightened to the k-th smallest upper bound among the query's own
-    (distinct) candidates — at least ``k`` of them lie within it, so a pair
-    beyond it can neither enter the top ``k`` nor move the k-th distance.
-    Returns None when the filter does not apply: a metric without bounds or
-    a tiered or list store (pager traffic and generic objects keep the exact
-    path).
+    The distinct candidate rows are marked in one boolean array over the
+    store (no sort).  When they are at least ``STORE_VIEW_SHARE`` of the
+    store, :meth:`Metric.distance_bounds` runs against the store matrix
+    itself — a view, with the store's whole digest — and the bounds are
+    looked up by object id; otherwise the marked rows are gathered once
+    (``ColumnarStore.gather``) and looked up by their rank among the marked
+    rows.  Either way the bounds come in blocks of whole queries and each
+    pair's ``(lo, hi)`` is one flat ``np.take``.  A pair is dropped only
+    when its certified lower bound exceeds the query's bound: the radius,
+    or for kNN the current k-th bound tightened to the k-th smallest upper
+    bound among the query's own (distinct) candidates — at least ``k`` of
+    them lie within it, so a pair beyond it can neither enter the top ``k``
+    nor move the k-th distance.  The two sides may round a GEMM entry
+    differently; that only moves a pair between dropped and recomputed
+    exactly (DESIGN.md §8).  Returns None when the filter does not apply: a
+    metric without bounds or a tiered or list store (pager traffic and
+    generic objects keep the exact path).
     """
     if type(metric).distance_bounds is Metric.distance_bounds:
         return None
     if not isinstance(objects, ColumnarStore):
         return None
     num_segments = len(boundaries) - 1
-    rows, inverse = np.unique(obj_ids, return_inverse=True)
-    row_matrix = objects.gather(rows)
     digest = objects.metric_digest(metric)
-    row_digest = None if digest is None else digest[rows]
+    mark = np.zeros(len(objects), dtype=bool)
+    mark[obj_ids] = True
+    if np.count_nonzero(mark) >= STORE_VIEW_SHARE * len(objects):
+        row_matrix, row_digest, columns = objects.matrix, digest, obj_ids
+    else:
+        rows = np.flatnonzero(mark)
+        row_matrix = objects.gather(rows)
+        row_digest = None if digest is None else digest[rows]
+        columns = (np.cumsum(mark) - 1)[obj_ids]
+    num_rows = len(row_matrix)
     query_matrix = np.asarray(query_objects)
     counts = np.diff(boundaries)
+    knn = results.k is not None
     lo = np.empty(len(obj_ids), dtype=np.float64)
-    hi = np.empty(len(obj_ids), dtype=np.float64)
-    step = max(1, CERTIFY_BLOCK_ELEMENTS // len(rows))
+    hi = np.empty(len(obj_ids), dtype=np.float64) if knn else None
+    step = max(1, CERTIFY_BLOCK_ELEMENTS // num_rows)
     for first in range(0, num_segments, step):
         last = min(first + step, num_segments)
         bounds = metric.distance_bounds(query_matrix[first:last], row_matrix, row_digest)
         if bounds is None:
             return None
         start, end = int(boundaries[first]), int(boundaries[last])
-        local = np.repeat(np.arange(last - first), counts[first:last])
-        lo[start:end] = bounds[0][local, inverse[start:end]]
-        hi[start:end] = bounds[1][local, inverse[start:end]]
+        # flat (local query, row) positions in the C-ordered bound blocks
+        flat = np.repeat(np.arange(0, (last - first) * num_rows, num_rows), counts[first:last])
+        flat += columns[start:end]
+        np.take(bounds[0], flat, out=lo[start:end])
+        if knn:
+            np.take(bounds[1], flat, out=hi[start:end])
     limit = results.bounds(unique_queries)
-    if results.k is not None:
+    if knn:
         for seg, k in enumerate(results.k[unique_queries].tolist()):
             start, end = int(boundaries[seg]), int(boundaries[seg + 1])
             if end - start >= k:
@@ -261,8 +284,10 @@ def _verify_leaves(
         )
         settled = 0
         if keep is not None:
-            owner, obj_ids = owner[keep], obj_ids[keep]
-            boundaries = np.concatenate(([0], np.cumsum(keep)))[boundaries]
+            kept = np.flatnonzero(keep)
+            owner, obj_ids = owner[kept], obj_ids[kept]
+            # a segment's new start is the number of survivors before it
+            boundaries = np.searchsorted(kept, boundaries)
             settled = total_verified - len(obj_ids)
         dists = segmented_distances(
             metric, objects, query_objects, boundaries, obj_ids, settled_pairs=settled

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.construction import object_sizes, objects_nbytes, stored_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.objectstore import gather_rows
+from ..core.objectstore import gather_rows, store_row_nbytes
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
@@ -384,12 +384,25 @@ class ShardedGTS:
         self.shards[sid]._cache.ensure_fits(nbytes)
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
+        row_nbytes = store_row_nbytes(self.shards[sid]._objects)
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
         self._owner[gid] = (sid, lid)
         self._shard_to_global[sid].append(gid)
         self._loads[sid] += nbytes
+        self._resize_load(sid, row_nbytes)
         self._next_id += 1
         return gid
+
+    def _resize_load(self, sid: int, row_nbytes) -> None:
+        """Re-size shard ``sid``'s load if its store's rows are no longer ``row_nbytes``.
+
+        An insert that promotes a shard's columnar store to a wider dtype
+        widens every row of it, so the load becomes the shard's live objects
+        at the new row size.
+        """
+        now = store_row_nbytes(self.shards[sid]._objects)
+        if now != row_nbytes:
+            self._loads[sid] = float(self.shards[sid].num_objects * now)
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by global id, routed to its owning shard.
@@ -477,7 +490,10 @@ class ShardedGTS:
                 return shard.batch_update(per_shard_inserts[sid], per_shard_deletes[sid])
             return None
 
+        row_nbytes = [store_row_nbytes(shard._objects) for shard in self.shards]
         results = self._shard_round(run)
+        for sid, before in enumerate(row_nbytes):
+            self._resize_load(sid, before)
         for gid, (sid, lid) in new_owners.items():
             self._owner[gid] = (sid, lid)
             self._shard_to_global[sid].append(gid)

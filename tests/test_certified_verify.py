@@ -26,13 +26,18 @@ DIM = 48
 
 
 def _spy_bounds(mp: pytest.MonkeyPatch) -> list:
-    """Count the calls of ``AngularDistance.distance_bounds``."""
+    """Record the row side of every ``AngularDistance.distance_bounds`` call.
+
+    ``"view"`` when the rows are the store matrix itself (a view owns no
+    data), ``"gather"`` when they are a gathered copy of the distinct
+    candidate rows.
+    """
     calls = []
     original = AngularDistance.distance_bounds
 
-    def spied(self, *args, **kwargs):
-        calls.append(1)
-        return original(self, *args, **kwargs)
+    def spied(self, query_matrix, row_matrix, *args, **kwargs):
+        calls.append("gather" if row_matrix.flags.owndata else "view")
+        return original(self, query_matrix, row_matrix, *args, **kwargs)
 
     mp.setattr(AngularDistance, "distance_bounds", spied)
     return calls
@@ -44,11 +49,19 @@ def _stats(stats) -> dict:
     return fields
 
 
-def _serve(data, queries, radii, k):
-    """Range and kNN batches, with a deletion in between; everything observable."""
+def _serve(data, queries, radii, k, inserts=(), deletes=()):
+    """Range and kNN batches, with a deletion in between; everything observable.
+
+    ``inserts`` are appended (to the cache table, outside the tree) and
+    ``deletes`` tombstoned before the first batch.
+    """
     index = GTS.build(data, AngularDistance(), node_capacity=6, seed=5, device=Device(DeviceSpec()))
     index.metric.reset_counter()
     before = index.device.snapshot()
+    for row in inserts:
+        index.insert(row)
+    for obj_id in deletes:
+        index.delete(obj_id)
     answers = [index.range_query_batch(queries, radii), index.knn_query_batch(queries, k)]
     index.delete(1)
     answers += [index.range_query_batch(queries, radii), index.knn_query_batch(queries, k)]
@@ -57,13 +70,13 @@ def _serve(data, queries, radii, k):
     return observed
 
 
-def _exact_and_certified(data, queries, radii, k):
+def _exact_and_certified(*case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AngularDistance, "distance_bounds", lambda self, *args, **kwargs: None)
-        exact = _serve(data, queries, radii, k)
+        exact = _serve(*case)
     with pytest.MonkeyPatch.context() as mp:
         calls = _spy_bounds(mp)
-        certified = _serve(data, queries, radii, k)
+        certified = _serve(*case)
     return exact, certified, len(calls)
 
 
@@ -132,6 +145,26 @@ def _case_duplicate_payloads(rng):
     return data, queries, 0.4, 5
 
 
+def _case_selective_over_clusters(rng):
+    """Few distinct candidates in a larger store: the filter gathers them."""
+    centres = rng.normal(size=(12, DIM))
+    clusters = [c + 0.05 * rng.normal(size=(45, DIM)) for c in centres]
+    # near-duplicates and scaled copies: ties within ulps and exact ties
+    data = np.vstack([_near_duplicates(rng, 40)] + clusters + [2.0 * clusters[0][:5]])
+    queries = [data[3] + np.spacing(data[3]), clusters[0][2].copy()]
+    radii = [float(np.sort(_reference_distances(q, data))[6]) for q in queries]
+    return data, queries, radii, 3
+
+
+def _case_inserts_tombstones_large_k(rng):
+    """Rows outside the tree, spare store capacity, tombstones and ``k`` above the live count."""
+    data = rng.normal(size=(150, DIM))
+    inserts = [data[4].copy(), data[9] + np.spacing(data[9]), -data[20]]
+    inserts += list(rng.normal(size=(7, DIM)))
+    queries = [data[4], data[9], inserts[-1], rng.normal(size=DIM)]
+    return data, queries, 0.45, 200, inserts, [0, 4, 33, 148]
+
+
 CASES = {
     "near-duplicates": _case_near_duplicates,
     "query-is-indexed-row": _case_query_is_indexed_row,
@@ -140,17 +173,34 @@ CASES = {
     "ties-at-radius-and-kth": _case_ties_at_radius_and_kth,
     "duplicate-payloads": _case_duplicate_payloads,
     "tiny-magnitude-rows": _case_tiny_magnitude_rows,
+    "selective-over-clusters": _case_selective_over_clusters,
+    "inserts-tombstones-large-k": _case_inserts_tombstones_large_k,
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_certified_path_matches_exact_path(case):
-    data, queries, radii, k = CASES[case](np.random.default_rng(7))
-    exact, certified, bound_calls = _exact_and_certified(data, queries, radii, k)
+    exact, certified, bound_calls = _exact_and_certified(*CASES[case](np.random.default_rng(7)))
     assert bound_calls > 0  # the certified path ran
     assert certified[0] == exact[0]  # byte-identical answers
     assert certified[1] == exact[1]  # metric.pair_count
     assert certified[2] == exact[2]  # ExecutionStats without host_time
+
+
+def _sides(case: str) -> list:
+    """The row side of every certified filter call of one case."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_bounds(mp)
+        _serve(*CASES[case](np.random.default_rng(7)))
+    return calls
+
+
+def test_both_row_selection_sides_run():
+    """Distinct candidates under half the store are gathered, else the store is used whole."""
+    assert set(_sides("selective-over-clusters")) == {"gather"}
+    # 160 stored rows (10 of them cached, outside the tree) in a 300-row buffer
+    assert set(_sides("inserts-tombstones-large-k")) == {"view"}
+    assert set(_sides("near-duplicates")) == {"view"}
 
 
 def test_bounds_contain_the_exact_distances():

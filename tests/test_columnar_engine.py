@@ -176,6 +176,22 @@ class TestColumnarStore:
         ragged = [np.zeros(2), np.zeros(3)]
         assert isinstance(make_object_store(ragged), list)
 
+    def test_make_object_store_stacks_numeric_lists_and_tuples(self):
+        rows = make_object_store([[1.0, 2.5], [3.0, 4.0]])
+        assert isinstance(rows, ColumnarStore) and rows.dtype == np.float64
+        ints = make_object_store([(1, 2), (3, 4)])
+        assert isinstance(ints, ColumnarStore) and ints.dtype == np.int64
+        for kept in (
+            [[1.0, 2.0], [3.0]],  # ragged
+            [["a", "b"], ["c", "d"]],  # strings
+            [[True, False], [False, True]],  # booleans, like a bool ndarray
+            [[(0.0, 1.0)], [(2.0, 3.0)]],  # point sets
+            [[1.0, [2.0]], [3.0, 4.0]],  # ragged below the rows
+            [{1, 2}, {3, 4}],  # sets
+            [[1.0, 2.0], np.array([3.0, 4.0])],  # mixed row kinds
+        ):
+            assert isinstance(make_object_store(kept), list)
+
 
 class TestColumnarIndexBehaviour:
     def test_bulk_load_keeps_vector_data_columnar(self, points_2d):
@@ -183,6 +199,33 @@ class TestColumnarIndexBehaviour:
         assert isinstance(index._objects, ColumnarStore)
         np.testing.assert_array_equal(index.get_object(7), points_2d[7])
         index.close()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_list_of_lists_build_matches_ndarray_build(self, points_2d, shards):
+        """Python rows reach the columnar store: same answers, cache bytes and stats."""
+
+        def run(objects):
+            device = Device(DeviceSpec())
+            if shards == 1:
+                index = GTS.build(objects, EuclideanDistance(), node_capacity=8, seed=3, device=device)
+            else:
+                index = ShardedGTS.build(
+                    objects, EuclideanDistance(), num_shards=shards, node_capacity=8, seed=3
+                )
+            before = index.device.snapshot()
+            inserted = [index.insert([1.0, 2.0]), index.insert((0.5, -0.25))]
+            queries = [points_2d[0], points_2d[17], np.array([1.0, 2.0])]
+            answers = [index.range_query_batch(queries, 0.3), index.knn_query_batch(queries, 5)]
+            caches = [g._cache.used_bytes for g in getattr(index, "shards", [index])]
+            stores = [type(g._objects) for g in getattr(index, "shards", [index])]
+            stats = _stats_fields(index.device.stats.delta_since(before))
+            index.close()
+            return inserted, answers, caches, stores, stats
+
+        listed = run([[float(x), float(y)] for x, y in points_2d[:200]])
+        assert listed == run(points_2d[:200])
+        assert set(listed[3]) == {ColumnarStore}
+        assert sum(listed[2]) == 2 * 16  # two float64 rows, not 8 B per Python object
 
     def test_string_data_stays_a_list(self):
         from repro.metrics import EditDistance
@@ -214,6 +257,36 @@ class TestColumnarIndexBehaviour:
         assert loaded.knn_query_batch(queries, 4) == expected
         index.close()
         loaded.close()
+
+    def test_dtype_promotion_resizes_cached_rows(self, points_2d):
+        """A float64 insert into a float32 index widens every cached row."""
+        index = GTS.build(points_2d[:100].astype(np.float32), EuclideanDistance(), node_capacity=8)
+        index.insert([1.0, 2.0])  # exact in float32: 8 B
+        assert index._cache.used_bytes == 8
+        index.insert([0.1, 2.0])  # promotes the store to float64
+        assert index._objects.dtype == np.float64
+        assert index._cache.used_bytes == 2 * 16
+        index.insert([0.3, 2.0])
+        assert index._cache.used_bytes == 3 * 16
+        index.close()
+
+    def test_dtype_promotion_resizes_shard_loads(self, points_2d):
+        """Each shard's load is its live rows at its own store's row size."""
+        index = ShardedGTS.build(
+            points_2d[:100].astype(np.float32), EuclideanDistance(), num_shards=2, node_capacity=8
+        )
+        index.delete(3)
+        for row in ([1.0, 2.0], [0.1, 2.0], [0.3, 2.0], [0.7, 1.0]):
+            index.insert(row)
+            for sid, shard in enumerate(index.shards):
+                row_nbytes = shard._objects.row_nbytes
+                assert index.shard_load_bytes[sid] == shard.num_objects * row_nbytes
+                assert shard._cache.used_bytes == len(shard._cache) * row_nbytes
+        assert {shard._objects.dtype for shard in index.shards} == {np.dtype(np.float64)}
+        index.batch_update(inserts=[[0.2, 0.9]], deletes=[5])
+        for sid, shard in enumerate(index.shards):
+            assert index.shard_load_bytes[sid] == shard.num_objects * 16
+        index.close()
 
     def test_tiered_store_wraps_columnar(self, points_2d):
         index = GTS.build(

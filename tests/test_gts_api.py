@@ -361,3 +361,44 @@ class TestInvalidScalarParams:
         index = _gts_or_sharded(kind, points_2d)
         for bad_k in (2.7, 0.5, float("inf"), float("nan")):
             self._rejects(index, ("knn", points_2d[0], bad_k), via_batch)
+
+
+def _array_path_param(kind, value):
+    """A batch operation's radius or ``k`` as the array validators convert it."""
+    from repro.core.searchcommon import query_ks, query_radii
+
+    try:
+        if kind == "range":
+            return float(query_radii(value, 1)[0])
+        return int(query_ks(value, 1)[0])
+    except (QueryError, TypeError, ValueError) as exc:
+        raise QueryError(f"batch operation 0 ({kind!r}): {exc}") from exc
+
+
+_SCALAR_PARAMS = [
+    0, 1, 8, 2 ** 53, 2 ** 53 + 1, 2 ** 60, -1,
+    0.0, -0.0, 0.5, 2.7, 8.0, -0.5, 1e300, 2.0 ** 60,
+    float("nan"), float("inf"), float("-inf"),
+    True, False,
+    np.float64(0.5), np.float32(0.25), np.int64(3), np.int32(-2), np.float64("nan"),
+    "0.5", "3", [0.5], [3], (2,), None,
+]
+
+
+@pytest.mark.parametrize("kind", ["range", "knn"])
+@pytest.mark.parametrize("value", _SCALAR_PARAMS, ids=repr)
+def test_batch_param_check_matches_the_array_validators(kind, value):
+    """The scalar fast path accepts, converts and rejects exactly as before."""
+    from repro.core.gts import _convert_op
+
+    op = (kind, np.zeros(2), value)
+    try:
+        expected = _array_path_param(kind, value)
+    except QueryError as exc:
+        with pytest.raises(QueryError) as raised:
+            _convert_op(0, op)
+        assert str(raised.value) == str(exc)
+        return
+    got = _convert_op(0, op)
+    assert type(got) is type(expected)
+    assert repr(got) == repr(expected)  # keeps the sign of -0.0
