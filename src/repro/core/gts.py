@@ -49,49 +49,19 @@ from .cost_model import (
 from .nodes import TreeStructure
 from .objectstore import make_object_store, store_row_nbytes
 from .search import search
-from .searchcommon import PruneMode, query_ks, query_radii
+from .searchcommon import PruneMode, query_k, query_ks, query_radii, query_radius
 
 __all__ = ["GTS", "execute_operation_batch"]
 
 #: Default cache-table budget; the paper recommends ~5 KB (Section 6.2).
 DEFAULT_CACHE_BYTES = 5 * 1024
 
-#: Largest magnitude below which every integer is an exact float64.
-_EXACT_INTEGERS = 2 ** 53
-
-
-def _radius_param(value) -> float:
-    """One operation's radius, as :func:`query_radii` converts and checks it.
-
-    A plain ``int`` or ``float`` that is a valid radius is accepted by a
-    scalar check; anything else — including every invalid value, so the
-    error is the same — goes through :func:`query_radii`.
-    """
-    kind = type(value)
-    if (kind is float and value >= 0) or (kind is int and 0 <= value <= _EXACT_INTEGERS):
-        return float(value)
-    return float(query_radii(value, 1)[0])
-
-
-def _k_param(value) -> int:
-    """One operation's ``k``, as :func:`query_ks` converts and checks it.
-
-    Same split as :func:`_radius_param`: a plain ``int`` or integral
-    ``float`` in ``[1, 2**53]`` by a scalar check, anything else by
-    :func:`query_ks`.
-    """
-    kind = type(value)
-    if (kind is int or (kind is float and value.is_integer())) and 0 < value <= _EXACT_INTEGERS:
-        return int(value)
-    return int(query_ks(value, 1)[0])
-
-
 #: Operation kinds :func:`execute_operation_batch` accepts, each with its
 #: field count and the conversion of its scalar parameter (radius, ``k``,
 #: delete id).
 _CONVERT = {
-    "range": (3, lambda op: _radius_param(op[2])),
-    "knn": (3, lambda op: _k_param(op[2])),
+    "range": (3, lambda op: query_radius(op[2])),
+    "knn": (3, lambda op: query_k(op[2])),
     "insert": (2, lambda op: None),
     "delete": (2, lambda op: int(op[1])),
 }
@@ -729,9 +699,9 @@ class GTS:
         self.device.transfer_to_device(nbytes)
         self.device.launch_kernel(work_items=1, op_cost=1.0, label="cache-append")
         self._cache.insert(obj_id, nbytes)
-        if store_row_nbytes(self._objects) != row_nbytes:
-            # the append promoted the columnar store's dtype: every cached
-            # row is now as wide as the new one
+        if row_nbytes is not None and nbytes != row_nbytes:
+            # the new row is wider: the append promoted the columnar store's
+            # dtype, so every cached row is now as wide as the new one
             self._cache.resize(nbytes)
         if self._cache.is_full:
             if self._maintenance is not None:

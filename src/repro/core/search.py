@@ -162,8 +162,24 @@ CERTIFY_BLOCK_ELEMENTS = 1 << 18
 
 #: Share of the store's rows at or above which a filter call bounds against
 #: the whole store matrix (a view) instead of gathering its distinct rows:
-#: the extra GEMM columns cost less than the gather they replace.
+#: about where the view's extra bound columns cost what the gather's sort
+#: and copy save (``benchmarks/certified_crossover.py``, DESIGN.md §8).
 STORE_VIEW_SHARE = 0.5
+
+
+def _spans_store(obj_ids: np.ndarray, num_rows: int) -> bool:
+    """Whether the distinct ``obj_ids`` are at least ``STORE_VIEW_SHARE`` of the store.
+
+    Distinct rows never outnumber pairs, so a call with fewer pairs than
+    that is answered without touching the store; only a call that may
+    qualify marks its rows in one boolean array (no sort).
+    """
+    need = STORE_VIEW_SHARE * num_rows
+    if len(obj_ids) < need:
+        return False
+    mark = np.zeros(num_rows, dtype=bool)
+    mark[obj_ids] = True
+    return np.count_nonzero(mark) >= need
 
 
 def _certified_survivors(
@@ -177,23 +193,23 @@ def _certified_survivors(
 ) -> Optional[np.ndarray]:
     """Mask of the candidate pairs that may lie within their query's bound.
 
-    The distinct candidate rows are marked in one boolean array over the
-    store (no sort).  When they are at least ``STORE_VIEW_SHARE`` of the
-    store, :meth:`Metric.distance_bounds` runs against the store matrix
-    itself — a view, with the store's whole digest — and the bounds are
-    looked up by object id; otherwise the marked rows are gathered once
-    (``ColumnarStore.gather``) and looked up by their rank among the marked
-    rows.  Either way the bounds come in blocks of whole queries and each
-    pair's ``(lo, hi)`` is one flat ``np.take``.  A pair is dropped only
-    when its certified lower bound exceeds the query's bound: the radius,
-    or for kNN the current k-th bound tightened to the k-th smallest upper
-    bound among the query's own (distinct) candidates — at least ``k`` of
-    them lie within it, so a pair beyond it can neither enter the top ``k``
-    nor move the k-th distance.  The two sides may round a GEMM entry
-    differently; that only moves a pair between dropped and recomputed
-    exactly (DESIGN.md §8).  Returns None when the filter does not apply: a
-    metric without bounds or a tiered or list store (pager traffic and
-    generic objects keep the exact path).
+    When the call's distinct candidate rows are at least
+    ``STORE_VIEW_SHARE`` of the store (:func:`_spans_store`),
+    :meth:`Metric.distance_bounds` runs against the store matrix itself — a
+    view, with the store's whole digest — and the bounds are looked up by
+    object id; otherwise the distinct rows (``np.unique``) are gathered once
+    (``ColumnarStore.gather``) and looked up by their rank.  Either way the
+    bounds come in blocks of whole queries and each pair's ``(lo, hi)`` is
+    one flat ``np.take``.  A pair is dropped only when its certified lower
+    bound exceeds the query's bound: the radius, or for kNN the current
+    k-th bound tightened to the k-th smallest upper bound among the query's
+    own (distinct) candidates — at least ``k`` of them lie within it, so a
+    pair beyond it can neither enter the top ``k`` nor move the k-th
+    distance.  The two sides may round a GEMM entry differently; that only
+    moves a pair between dropped and recomputed exactly (DESIGN.md §8).
+    Returns None when the filter does not apply: a metric without bounds or
+    a tiered or list store (pager traffic and generic objects keep the
+    exact path).
     """
     if type(metric).distance_bounds is Metric.distance_bounds:
         return None
@@ -201,15 +217,12 @@ def _certified_survivors(
         return None
     num_segments = len(boundaries) - 1
     digest = objects.metric_digest(metric)
-    mark = np.zeros(len(objects), dtype=bool)
-    mark[obj_ids] = True
-    if np.count_nonzero(mark) >= STORE_VIEW_SHARE * len(objects):
+    if _spans_store(obj_ids, len(objects)):
         row_matrix, row_digest, columns = objects.matrix, digest, obj_ids
     else:
-        rows = np.flatnonzero(mark)
+        rows, columns = np.unique(obj_ids, return_inverse=True)
         row_matrix = objects.gather(rows)
         row_digest = None if digest is None else digest[rows]
-        columns = (np.cumsum(mark) - 1)[obj_ids]
     num_rows = len(row_matrix)
     query_matrix = np.asarray(query_objects)
     counts = np.diff(boundaries)

@@ -46,7 +46,9 @@ __all__ = [
     "ENTRY_BYTES",
     "PruneMode",
     "broadcast_query_param",
+    "query_radius",
     "query_radii",
+    "query_k",
     "query_ks",
     "tombstone_array",
     "tombstoned_mask",
@@ -93,13 +95,42 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
     return np.broadcast_to(arr, (num_queries,)).copy()
 
 
+#: Largest magnitude up to which every integer is an exact float64.
+_EXACT_INTEGERS = 2 ** 53
+
+#: Parameter types the scalar checks of :func:`query_radius` and
+#: :func:`query_k` take (``bool`` and NumPy scalars are not among them).
+_PLAIN_NUMBERS = (int, float)
+
+
+def query_radius(radius) -> float:
+    """One range query's radius, accepted and rejected as :func:`query_radii` does.
+
+    A plain ``int`` or ``float`` that is a valid radius passes a scalar
+    check; anything else — every invalid value included, so the error is
+    the same — goes through the array check.
+    """
+    kind = type(radius)
+    if (kind is float and radius >= 0) or (kind is int and 0 <= radius <= _EXACT_INTEGERS):
+        return float(radius)
+    return float(_radii_array(radius, 1)[0])
+
+
 def query_radii(radii, num_queries: int) -> np.ndarray:
     """Range-query radii broadcast to the batch: non-negative, never NaN.
 
     ``+inf`` is a legal radius (it matches every object).  A NaN compares
     false against everything, so it would silently answer nothing after a
     full search; it raises :class:`~repro.exceptions.QueryError` instead.
+    A plain number shared by the batch is checked by :func:`query_radius`.
     """
+    if type(radii) in _PLAIN_NUMBERS:
+        return np.full(num_queries, query_radius(radii))
+    return _radii_array(radii, num_queries)
+
+
+def _radii_array(radii, num_queries: int) -> np.ndarray:
+    """:func:`query_radii` for any input, through one float64 array."""
     arr = broadcast_query_param(radii, num_queries, "radii", np.float64)
     # one pass: NaN fails ``>= 0`` just like a negative radius does
     if not (arr >= 0).all():
@@ -107,13 +138,34 @@ def query_radii(radii, num_queries: int) -> np.ndarray:
     return arr
 
 
+def query_k(k) -> int:
+    """One kNN query's ``k``, accepted and rejected as :func:`query_ks` does.
+
+    Same split as :func:`query_radius`: a plain ``int`` or integral
+    ``float`` in ``[1, 2**53]`` passes a scalar check, anything else goes
+    through the array check.
+    """
+    kind = type(k)
+    if (kind is int or (kind is float and k.is_integer())) and 0 < k <= _EXACT_INTEGERS:
+        return int(k)
+    return int(_ks_array(k, 1)[0])
+
+
 def query_ks(k, num_queries: int) -> np.ndarray:
     """kNN ``k`` values broadcast to the batch: positive integers.
 
     Integral floats (``8.0``) and NumPy integers are accepted; a fractional,
     infinite or NaN ``k`` raises :class:`~repro.exceptions.QueryError`
-    rather than being truncated.
+    rather than being truncated.  A plain number shared by the batch is
+    checked by :func:`query_k`.
     """
+    if type(k) in _PLAIN_NUMBERS:
+        return np.full(num_queries, query_k(k), dtype=np.int64)
+    return _ks_array(k, num_queries)
+
+
+def _ks_array(k, num_queries: int) -> np.ndarray:
+    """:func:`query_ks` for any input, through one float64 array."""
     arr = broadcast_query_param(k, num_queries, "k", np.float64)
     # NaN fails every comparison, so it is rejected with the fractions
     if not ((arr > 0) & (arr < np.inf) & (arr == np.floor(arr))).all():

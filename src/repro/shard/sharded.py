@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.construction import object_sizes, objects_nbytes, stored_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.objectstore import gather_rows, store_row_nbytes
+from ..core.objectstore import ColumnarStore, gather_rows, make_object_store, store_row_nbytes
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
@@ -186,6 +186,9 @@ class ShardedGTS:
             raise IndexError_(
                 f"cannot spread {len(objects)} objects over {self.num_shards} shards"
             )
+        if not isinstance(objects, (np.ndarray, ColumnarStore)):
+            # Python rows are sized and partitioned as the shards store them
+            objects = make_object_store(objects)
         n = len(objects)
         nbytes = np.maximum(1, object_sizes(objects))
         owner = np.asarray(self.policy.partition(objects, nbytes, self.num_shards), dtype=np.int64)
@@ -384,25 +387,26 @@ class ShardedGTS:
         self.shards[sid]._cache.ensure_fits(nbytes)
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
-        row_nbytes = store_row_nbytes(self.shards[sid]._objects)
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
         self._owner[gid] = (sid, lid)
         self._shard_to_global[sid].append(gid)
         self._loads[sid] += nbytes
-        self._resize_load(sid, row_nbytes)
+        self._size_columnar_loads([sid])
         self._next_id += 1
         return gid
 
-    def _resize_load(self, sid: int, row_nbytes) -> None:
-        """Re-size shard ``sid``'s load if its store's rows are no longer ``row_nbytes``.
+    def _size_columnar_loads(self, sids) -> None:
+        """Set the load of each columnar shard in ``sids`` from its row size.
 
-        An insert that promotes a shard's columnar store to a wider dtype
-        widens every row of it, so the load becomes the shard's live objects
-        at the new row size.
+        Every row of a columnar store has one size, so such a shard's load
+        is its live objects times that size.  Called once after each round
+        of inserts: an insert that promoted the store's dtype widened every
+        row at once, which the per-insert sums do not see.
         """
-        now = store_row_nbytes(self.shards[sid]._objects)
-        if now != row_nbytes:
-            self._loads[sid] = float(self.shards[sid].num_objects * now)
+        for sid in sids:
+            row_nbytes = store_row_nbytes(self.shards[sid]._objects)
+            if row_nbytes is not None:
+                self._loads[sid] = float(self.shards[sid].num_objects * row_nbytes)
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by global id, routed to its owning shard.
@@ -490,10 +494,10 @@ class ShardedGTS:
                 return shard.batch_update(per_shard_inserts[sid], per_shard_deletes[sid])
             return None
 
-        row_nbytes = [store_row_nbytes(shard._objects) for shard in self.shards]
         results = self._shard_round(run)
-        for sid, before in enumerate(row_nbytes):
-            self._resize_load(sid, before)
+        self._size_columnar_loads(
+            sid for sid in range(self.num_shards) if per_shard_inserts[sid]
+        )
         for gid, (sid, lid) in new_owners.items():
             self._owner[gid] = (sid, lid)
             self._shard_to_global[sid].append(gid)

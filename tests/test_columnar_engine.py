@@ -213,14 +213,16 @@ class TestColumnarIndexBehaviour:
                     objects, EuclideanDistance(), num_shards=shards, node_capacity=8, seed=3
                 )
             before = index.device.snapshot()
+            loads = [getattr(index, "shard_load_bytes", None)]
             inserted = [index.insert([1.0, 2.0]), index.insert((0.5, -0.25))]
             queries = [points_2d[0], points_2d[17], np.array([1.0, 2.0])]
             answers = [index.range_query_batch(queries, 0.3), index.knn_query_batch(queries, 5)]
             caches = [g._cache.used_bytes for g in getattr(index, "shards", [index])]
             stores = [type(g._objects) for g in getattr(index, "shards", [index])]
+            loads.append(getattr(index, "shard_load_bytes", None))
             stats = _stats_fields(index.device.stats.delta_since(before))
             index.close()
-            return inserted, answers, caches, stores, stats
+            return inserted, answers, caches, stores, stats, loads
 
         listed = run([[float(x), float(y)] for x, y in points_2d[:200]])
         assert listed == run(points_2d[:200])
@@ -286,6 +288,21 @@ class TestColumnarIndexBehaviour:
         index.batch_update(inserts=[[0.2, 0.9]], deletes=[5])
         for sid, shard in enumerate(index.shards):
             assert index.shard_load_bytes[sid] == shard.num_objects * 16
+        index.close()
+
+    def test_dtype_promotion_in_batch_update_resizes_shard_loads(self, points_2d):
+        """A bulk update that promotes one shard's store re-sizes that shard's load only."""
+        index = ShardedGTS.build(
+            points_2d[:100].astype(np.float32), EuclideanDistance(), num_shards=2, node_capacity=8
+        )
+        # round-robin: global id 100 lands on shard 0 (exact in float32),
+        # id 101 on shard 1 (promotes it)
+        index.batch_update(inserts=[[1.0, 2.0], [0.1, 2.0]], deletes=[4])
+        assert [shard._objects.dtype for shard in index.shards] == [np.float32, np.float64]
+        assert index.shard_load_bytes == [
+            shard.num_objects * shard._objects.row_nbytes for shard in index.shards
+        ]
+        assert index.shard_load_bytes[1] == 51 * 16
         index.close()
 
     def test_tiered_store_wraps_columnar(self, points_2d):

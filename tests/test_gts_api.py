@@ -364,13 +364,13 @@ class TestInvalidScalarParams:
 
 
 def _array_path_param(kind, value):
-    """A batch operation's radius or ``k`` as the array validators convert it."""
-    from repro.core.searchcommon import query_ks, query_radii
+    """A batch operation's radius or ``k`` as the array checks convert it."""
+    from repro.core.searchcommon import _ks_array, _radii_array
 
     try:
         if kind == "range":
-            return float(query_radii(value, 1)[0])
-        return int(query_ks(value, 1)[0])
+            return float(_radii_array(value, 1)[0])
+        return int(_ks_array(value, 1)[0])
     except (QueryError, TypeError, ValueError) as exc:
         raise QueryError(f"batch operation 0 ({kind!r}): {exc}") from exc
 
@@ -402,3 +402,23 @@ def test_batch_param_check_matches_the_array_validators(kind, value):
     got = _convert_op(0, op)
     assert type(got) is type(expected)
     assert repr(got) == repr(expected)  # keeps the sign of -0.0
+
+
+@pytest.mark.parametrize("kind", ["range", "knn"])
+@pytest.mark.parametrize("value", _SCALAR_PARAMS, ids=repr)
+def test_batch_param_broadcast_matches_the_array_check(kind, value):
+    """``query_radii``/``query_ks`` give a shared plain number the array check's result."""
+    from repro.core import searchcommon
+
+    batch = searchcommon.query_radii if kind == "range" else searchcommon.query_ks
+    array = searchcommon._radii_array if kind == "range" else searchcommon._ks_array
+    try:
+        expected = array(value, 3)
+    except QueryError as exc:
+        with pytest.raises(QueryError) as raised:
+            batch(value, 3)
+        assert str(raised.value) == str(exc)
+        return
+    got = batch(value, 3)
+    assert got.dtype == expected.dtype and got.flags.writeable
+    assert np.array_equal(got, expected) and np.array_equal(np.signbit(got), np.signbit(expected))
