@@ -162,7 +162,8 @@ def _legacy_verify(
     if results.k is None:
         needed = total_hits * RESULT_BYTES
     elif total_verified:
-        needed = max(int(sum(results.k[int(q)] for q in unique_queries)), 1) * RESULT_BYTES
+        slots = sum(min(int(results.k[int(q)]), tree.num_objects) for q in unique_queries)
+        needed = max(slots, 1) * RESULT_BYTES
     else:
         needed = 0
     if needed:

@@ -49,7 +49,15 @@ from .cost_model import (
 from .nodes import TreeStructure
 from .objectstore import make_object_store, store_row_nbytes
 from .search import search
-from .searchcommon import PruneMode, query_k, query_ks, query_radii, query_radius
+from .searchcommon import (
+    PruneMode,
+    query_k,
+    query_ks,
+    query_radii,
+    query_radius,
+    tombstone_array,
+    tombstoned_mask,
+)
 
 __all__ = ["GTS", "execute_operation_batch"]
 
@@ -776,9 +784,12 @@ class GTS:
         the stop-the-world path and the maintenance generation snapshot, so
         both produce identical trees over identical state.
         """
-        live = [int(i) for i in self._indexed_ids if int(i) not in self._tombstones]
+        live = self._indexed_ids
+        dead = tombstoned_mask(live, tombstone_array(self._tombstones))
+        if dead is not None:
+            live = live[~dead]
         cached = self._cache.object_ids()
-        return np.asarray(live + cached, dtype=np.int64), cached
+        return np.concatenate([live, np.asarray(cached, dtype=np.int64)]), cached
 
     def batch_update(self, inserts: Sequence = (), deletes: Sequence[int] = ()) -> BuildResult:
         """Apply a bulk update (Section 4.4, "Batch Updates").

@@ -24,7 +24,10 @@ Verification computes the real distances of every object in the surviving
 leaves and offers them to the :class:`BoundedTriples` accumulator, which
 keeps the triples within each query's bound; where the metric certifies
 distance bounds, candidates provably beyond their query's bound are dropped
-before the exact evaluation (DESIGN.md §8).  Range answers are exact; kNN
+before the exact evaluation (DESIGN.md §8).  Each offer lists a
+``(query, id)`` at most once, so a kNN offer is culled to the k-th smallest
+distance of each query's own entries, and every refresh of the k-th bounds
+trims the pool to ``k`` plus ties per query.  Range answers are exact; kNN
 answers are exact in the usual tie-tolerant sense: the returned distances are
 the true k smallest, and when several objects tie at the k-th distance an
 arbitrary subset of the tied objects completes the answer.
@@ -53,6 +56,7 @@ from .searchcommon import (
     prune_children,
     query_ks,
     query_radii,
+    segment_kth_smallest,
     split_into_groups,
     tombstone_array,
     tombstoned_mask,
@@ -68,11 +72,16 @@ class BoundedTriples:
     Give ``radii`` for a range batch (each query's bound is its fixed
     radius) or ``k`` for a kNN batch (the bound is the k-th smallest distance
     offered so far, ``inf`` until ``k`` distinct candidates are known).
-    :meth:`offer` keeps the triples within their query's bound and drops
-    tombstoned objects; adds are O(1) array appends.  Compaction — one
-    ``np.lexsort`` keeping the minimum distance per (query, id) pair — runs
-    lazily when a kNN bound or the answers are read, and the k-th bounds are
-    one ``np.partition`` per query over the compacted pool (DESIGN.md §8).
+    :meth:`offer` drops tombstoned objects and keeps the triples within
+    their query's bound; a kNN offer first tightens each offered query's
+    bound to the k-th smallest distance of its own entries.  Kept triples
+    are appended; compaction — one ``np.lexsort`` keeping the minimum
+    distance per (query, id) pair — runs lazily when a kNN bound or the
+    answers are read.  Refreshing the k-th bounds
+    (:func:`~repro.core.searchcommon.segment_kth_smallest` over the
+    compacted pool) also trims every triple beyond its query's new bound, so
+    a kNN pool holds at most ``k`` plus ties per query between offers
+    (DESIGN.md §8).
     """
 
     def __init__(
@@ -108,13 +117,12 @@ class BoundedTriples:
     def _kth_bounds(self) -> np.ndarray:
         if self._kth is None:
             self._compact()
-            bounds = np.full(self._num_queries, np.inf, dtype=np.float64)
             edges = np.searchsorted(self._cq, np.arange(self._num_queries + 1, dtype=np.int64))
-            for qi in range(self._num_queries):
-                start, end = int(edges[qi]), int(edges[qi + 1])
-                k = int(self.k[qi])
-                if end - start >= k:
-                    bounds[qi] = np.partition(self._cd[start:end], k - 1)[k - 1]
+            bounds = segment_kth_smallest(self._cd, edges, self.k)
+            # a triple beyond its query's k-th distance can no longer be an
+            # answer, and the bound only shrinks from here
+            keep = self._cd <= bounds.repeat(edges[1:] - edges[:-1])
+            self._cq, self._cid, self._cd = self._cq[keep], self._cid[keep], self._cd[keep]
             self._kth = bounds
         return self._kth
 
@@ -124,23 +132,50 @@ class BoundedTriples:
             return self._radii[query_indices]
         return self._kth_bounds()[query_indices]
 
+    def _knn_limits(self, query_indices: np.ndarray, dists: np.ndarray) -> np.ndarray:
+        """Per-entry bound of a kNN offer.
+
+        For each run of consecutive entries of one query: the smaller of the
+        query's current bound and the k-th smallest distance in the run.
+        The engine's offers are sorted by query, so a run is all of a
+        query's entries; in any order a run still lists ``k`` distinct
+        objects when it reaches ``k`` entries, so the rule stays exact.
+        """
+        starts = (query_indices[1:] != query_indices[:-1]).nonzero()[0] + 1
+        boundaries = np.concatenate(([0], starts, [len(query_indices)]))
+        owners = query_indices[boundaries[:-1]]
+        counts = boundaries[1:] - boundaries[:-1]
+        ks = self.k[owners]
+        # a run of at most k entries cannot tighten its bound: asking for
+        # one more entry than it holds skips its selection
+        own = segment_kth_smallest(dists, boundaries, np.where(counts > ks, ks, counts + 1))
+        return np.minimum(self._kth_bounds()[owners], own).repeat(counts)
+
     def offer(self, query_indices, obj_ids, dists) -> int:
         """Keep the live triples with ``dist <= bound``; returns how many.
 
-        For kNN this is exact culling: a candidate strictly beyond the
-        query's current k-th bound can never enter the final top-k (the
-        bound only shrinks, and ties at the bound are kept), and it cannot
-        move the k-th distance either.
+        An offer lists each ``(query, id)`` at most once; every source
+        (pivot levels, leaf verification, the cache scan) offers that way.
+        For kNN the bound is exact culling: a query's bound is its current
+        k-th distance tightened to the k-th smallest distance among its own
+        live entries in this offer — those are ``k`` distinct objects, so
+        the final k-th distance cannot exceed it.  A candidate strictly
+        beyond that can never enter the top ``k`` nor move the k-th
+        distance; ties at the bound are kept.
         """
         query_indices = np.asarray(query_indices, dtype=np.int64)
         obj_ids = np.asarray(obj_ids, dtype=np.int64)
         dists = np.asarray(dists, dtype=np.float64)
-        if len(obj_ids) == 0:
-            return 0
-        keep = dists <= self.bounds(query_indices)
         dead = tombstoned_mask(obj_ids, self._tombstones)
         if dead is not None:
-            keep &= ~dead
+            live = ~dead
+            query_indices, obj_ids, dists = query_indices[live], obj_ids[live], dists[live]
+        if len(obj_ids) == 0:
+            return 0
+        if self.k is None:
+            keep = dists <= self._radii[query_indices]
+        else:
+            keep = dists <= self._knn_limits(query_indices, dists)
         if not keep.all():
             query_indices, obj_ids, dists = query_indices[keep], obj_ids[keep], dists[keep]
         if len(obj_ids):
@@ -151,9 +186,13 @@ class BoundedTriples:
     def answers(self) -> list[list[tuple[int, float]]]:
         """Per-query ``(object_id, distance)`` lists sorted by (distance, id).
 
-        kNN lists are truncated to each query's ``k``.
+        kNN lists are truncated to each query's ``k``, after a last refresh
+        of the bounds trims the pool to ``k`` plus ties per query.
         """
-        self._compact()
+        if self.k is None:
+            self._compact()
+        else:
+            self._kth_bounds()
         return triples_to_answer_lists(self._cq, self._cid, self._cd, self._num_queries, k=self.k)
 
 
@@ -232,7 +271,8 @@ def _certified_survivors(
     step = max(1, CERTIFY_BLOCK_ELEMENTS // num_rows)
     for first in range(0, num_segments, step):
         last = min(first + step, num_segments)
-        bounds = metric.distance_bounds(query_matrix[first:last], row_matrix, row_digest)
+        # only a kNN limit reads the upper bounds (``upper``)
+        bounds = metric.distance_bounds(query_matrix[first:last], row_matrix, row_digest, knn)
         if bounds is None:
             return None
         start, end = int(boundaries[first]), int(boundaries[last])
@@ -244,10 +284,7 @@ def _certified_survivors(
             np.take(bounds[1], flat, out=hi[start:end])
     limit = results.bounds(unique_queries)
     if knn:
-        for seg, k in enumerate(results.k[unique_queries].tolist()):
-            start, end = int(boundaries[seg]), int(boundaries[seg + 1])
-            if end - start >= k:
-                limit[seg] = min(limit[seg], np.partition(hi[start:end], k - 1)[k - 1])
+        limit = np.minimum(limit, segment_kth_smallest(hi, boundaries, results.k[unique_queries]))
     return lo <= np.repeat(limit, counts)
 
 
@@ -315,13 +352,16 @@ def _verify_leaves(
     )
     # Result buffer: a range batch ships its hits, a kNN batch k slots for
     # every query that reached a leaf (``np.unique(leaf_q)`` also counts the
-    # queries whose leaves were all tombstoned).  Results are streamed back
-    # to the host in chunks, so the buffer never needs to exceed the memory
-    # that is still available on the device.
+    # queries whose leaves were all tombstoned), no query more slots than
+    # the tree has objects.  Results are streamed back to the host in
+    # chunks, so the buffer never needs to exceed the memory that is still
+    # available on the device.
     if results.k is None:
         slots = total_hits
+    elif total_verified:
+        slots = max(int(np.minimum(results.k[np.unique(leaf_q)], tree.num_objects).sum()), 1)
     else:
-        slots = max(int(results.k[np.unique(leaf_q)].sum()), 1) if total_verified else 0
+        slots = 0
     if slots:
         needed = slots * RESULT_BYTES
         buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))

@@ -18,7 +18,10 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
   are deduplicated (:func:`dedupe_min_triples`) and turned into the
   per-query sorted answer lists by one global ``np.lexsort``
   (:func:`triples_to_answer_lists`), instead of per-hit Python dict inserts;
-  the sharded index ranks its gathered per-shard answers the same way.
+  the sharded index ranks its gathered per-shard answers the same way;
+* **segmented k-th selection** (:func:`segment_kth_smallest`): the k-th
+  smallest value of every per-query segment, which is the kNN accumulator's
+  bound and the certified filter's kNN limit.
 
 The helpers here are pure functions over NumPy arrays, which keeps the
 behaviour property-testable.  Only the *host* evaluation strategy lives
@@ -53,6 +56,7 @@ __all__ = [
     "tombstone_array",
     "tombstoned_mask",
     "dedupe_min_triples",
+    "segment_kth_smallest",
     "triples_to_answer_lists",
     "level_pair_limit",
     "split_into_groups",
@@ -83,7 +87,7 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
     """
     try:
         arr = np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise QueryError(
             f"{name} must be numeric (a scalar or one value per query), got {values!r}"
         ) from exc
@@ -97,6 +101,9 @@ def broadcast_query_param(values, num_queries: int, name: str, dtype) -> np.ndar
 
 #: Largest magnitude up to which every integer is an exact float64.
 _EXACT_INTEGERS = 2 ** 53
+
+#: Every ``k`` is below this: the first float64 that does not fit an int64.
+_K_LIMIT = 2.0 ** 63
 
 #: Parameter types the scalar checks of :func:`query_radius` and
 #: :func:`query_k` take (``bool`` and NumPy scalars are not among them).
@@ -155,9 +162,10 @@ def query_ks(k, num_queries: int) -> np.ndarray:
     """kNN ``k`` values broadcast to the batch: positive integers.
 
     Integral floats (``8.0``) and NumPy integers are accepted; a fractional,
-    infinite or NaN ``k`` raises :class:`~repro.exceptions.QueryError`
-    rather than being truncated.  A plain number shared by the batch is
-    checked by :func:`query_k`.
+    infinite or NaN ``k``, or one of ``2**63`` or more (it would wrap as an
+    int64), raises :class:`~repro.exceptions.QueryError` rather than being
+    truncated.  A plain number shared by the batch is checked by
+    :func:`query_k`.
     """
     if type(k) in _PLAIN_NUMBERS:
         return np.full(num_queries, query_k(k), dtype=np.int64)
@@ -167,9 +175,10 @@ def query_ks(k, num_queries: int) -> np.ndarray:
 def _ks_array(k, num_queries: int) -> np.ndarray:
     """:func:`query_ks` for any input, through one float64 array."""
     arr = broadcast_query_param(k, num_queries, "k", np.float64)
-    # NaN fails every comparison, so it is rejected with the fractions
-    if not ((arr > 0) & (arr < np.inf) & (arr == np.floor(arr))).all():
-        raise QueryError(f"k must be a positive integer, got {k!r}")
+    # NaN fails every comparison, so it is rejected with the fractions;
+    # ``inf`` fails the int64 limit
+    if not ((arr > 0) & (arr < _K_LIMIT) & (arr == np.floor(arr))).all():
+        raise QueryError(f"k must be a positive integer below 2**63, got {k!r}")
     return arr.astype(np.int64)
 
 
@@ -244,6 +253,26 @@ def dedupe_min_triples(
     # already in key order, i.e. sorted by (query, id)
     keep = order[np.concatenate(([True], key_sorted[1:] != key_sorted[:-1]))]
     return qs[keep], ids[keep], dists[keep]
+
+
+def segment_kth_smallest(
+    values: np.ndarray, boundaries: np.ndarray, ks: np.ndarray
+) -> np.ndarray:
+    """The ``ks[i]``-th smallest of each segment ``values[b[i]:b[i + 1]]``.
+
+    ``inf`` for a segment holding fewer than ``ks[i]`` values, which costs
+    no NumPy call; every other segment is one in-place partition of its
+    copy.  Batches hold few queries, so the loop is over few segments.
+    """
+    out = np.full(len(ks), np.inf)
+    edges = boundaries.tolist()
+    for seg, k in enumerate(ks.tolist()):
+        start, end = edges[seg], edges[seg + 1]
+        if end - start >= k:
+            segment = values[start:end].copy()
+            segment.partition(k - 1)
+            out[seg] = segment[k - 1]
+    return out
 
 
 @dataclass(frozen=True)

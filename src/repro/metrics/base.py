@@ -27,10 +27,11 @@ A :class:`Metric` exposes three granularities of evaluation:
     broadcast pass over all (query, candidate) pairs, while string/set
     metrics fall back to a per-segment loop.
 
-``distance_bounds(query_matrix, row_matrix, row_digest)``
+``distance_bounds(query_matrix, row_matrix, row_digest, upper)``
     optional certified lower/upper bounds on a whole query × row block,
     which leaf verification uses to drop candidates before their exact
-    evaluation (None when a metric has no such bound).
+    evaluation (None when a metric has no such bound; the upper bounds only
+    when ``upper`` asks for them).
 
 ``distance_error()``
     a certified bound on how far any reported distance lies from the exact
@@ -146,7 +147,7 @@ class Metric:
         """
         return None
 
-    def distance_bounds(self, query_matrix, row_matrix, row_digest=None):
+    def distance_bounds(self, query_matrix, row_matrix, row_digest=None, upper=True):
         """Certified ``(lo, hi)`` bounds on every (query, row) distance, or None.
 
         A cheap filter in front of :meth:`pairwise_segmented`: for query ``i``
@@ -155,8 +156,10 @@ class Metric:
         bit — so a search may drop a pair whose ``lo`` exceeds its bound and
         evaluate only the rest exactly.  ``row_digest`` is the
         :meth:`store_digest` slice aligned with ``row_matrix`` (None when the
-        caller has none).  The base class has no such bound and returns
-        None, which keeps every pair on the exact path.
+        caller has none).  With ``upper`` false only ``lo`` is needed (a
+        range search reads no ``hi``) and ``hi`` may be None.  The base
+        class has no such bound and returns None, which keeps every pair on
+        the exact path.
         """
         return None
 

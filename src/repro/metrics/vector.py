@@ -357,14 +357,15 @@ class AngularDistance(_VectorMetric):
         eps = 2.0 * self.cosine_error(self.widest_dimension)
         return 0.0, math.sqrt(eps / 2.0) + _ARCCOS_SLACK
 
-    def distance_bounds(self, query_matrix, row_matrix, row_digest=None):
+    def distance_bounds(self, query_matrix, row_matrix, row_digest=None, upper=True):
         """Certified bounds from one BLAS ``Q @ X.T`` and the row norm digest.
 
         The GEMM cosine is widened by :meth:`cosine_error` in cosine space —
         before ``arccos``, whose slope is unbounded near ``cos = +-1`` —
         and clipped like the reference; the two ends then go through the
         reference's ``arccos(.) / pi`` and are widened by
-        ``_ARCCOS_SLACK`` for the last-bit rounding of that map.
+        ``_ARCCOS_SLACK`` for the last-bit rounding of that map.  Without
+        ``upper`` the second ``arccos`` pass is skipped and ``hi`` is None.
         """
         qmat = _as_matrix(query_matrix)
         mat = _as_matrix(row_matrix)
@@ -382,11 +383,14 @@ class AngularDistance(_VectorMetric):
         cos /= np.where(certified, denom, 1.0)
         eps = self.cosine_error(qmat.shape[1])
         lo = np.arccos(np.clip(cos + eps, -1.0, 1.0)) / np.pi - _ARCCOS_SLACK
-        hi = np.arccos(np.clip(cos - eps, -1.0, 1.0)) / np.pi + _ARCCOS_SLACK
+        hi = None
+        if upper:
+            hi = np.arccos(np.clip(cos - eps, -1.0, 1.0)) / np.pi + _ARCCOS_SLACK
         if not certified.all():
             # the whole cosine range [-1, 1]
             lo[~certified] = 0.0
-            hi[~certified] = 1.0 + _ARCCOS_SLACK
+            if upper:
+                hi[~certified] = 1.0 + _ARCCOS_SLACK
         return np.maximum(lo, 0.0, out=lo), hi
 
     def _segment_pairwise(self, query, objects, digest) -> np.ndarray:

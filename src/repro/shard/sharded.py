@@ -351,10 +351,12 @@ class ShardedGTS:
             self._charge_host(len(qs) * self._log_shards(), "shard-merge-range")
         else:
             # Selecting the global top-k from K sorted per-shard lists needs
-            # only k pops from a K-element heap per query — the merge never
-            # has to consume all K*k gathered candidates.
+            # only one pop from a K-element heap per answer (k, or fewer when
+            # the shards hold fewer objects) — the merge never has to
+            # consume all K*k gathered candidates.
+            pops = sum(len(answer) for answer in merged)
             self._charge_host(
-                len(queries) * self.num_shards + float(np.sum(k)) * self._log_shards(),
+                len(queries) * self.num_shards + float(pops) * self._log_shards(),
                 "shard-merge-knn",
             )
         return merged
