@@ -44,8 +44,15 @@ def _exclude_set(tombstones: Optional[np.ndarray]) -> Optional[set]:
     return {int(t) for t in tombstones}
 
 
-def _legacy_pivot_distances(device, metric, objects, queries, cand_query, pivot_ids):
+def _batch_rows(batch):
+    """Where the batch's kernels gather rows: the port of a tiered index, else the store."""
+    return batch.store if batch.port is None else batch.port
+
+
+def _legacy_pivot_distances(batch, cand_query, pivot_ids):
     """Historical pivot-distance evaluation: one pairwise call per query."""
+    device, metric, queries = batch.device, batch.metric, batch.queries
+    objects = _batch_rows(batch)
     out = np.empty(len(cand_query), dtype=np.float64)
     if len(cand_query) == 0:
         return out
@@ -126,13 +133,13 @@ class _LegacyBoundedTriples:
         return out
 
 
-def _legacy_verify(
-    tree, objects, metric, device, queries, leaf_q, leaf_node, tombstones, results
-) -> None:
+def _legacy_verify(batch, leaf_q, leaf_node) -> None:
     """Historical leaf verification: per-query pairwise + per-hit dict inserts."""
     if len(leaf_q) == 0:
         return
-    exclude = _exclude_set(tombstones)
+    tree, metric, device, queries = batch.tree, batch.metric, batch.device, batch.queries
+    objects, results = _batch_rows(batch), batch.results
+    exclude = _exclude_set(batch.tombstones)
     order = np.argsort(leaf_q, kind="stable")
     sorted_q = leaf_q[order]
     unique_queries, starts = np.unique(sorted_q, return_index=True)

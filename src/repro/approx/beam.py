@@ -121,7 +121,7 @@ class ApproximateGTS:
     def _descend(self, queries: Sequence, radii: Optional[np.ndarray]) -> list[dict[int, float]]:
         """Shared beam descent; returns one candidate pool per query."""
         tree = self.tree
-        objects = self.index._objects
+        objects = self.index._kernel_rows
         exclude = self.index._tombstones
         num_queries = len(queries)
         pools: list[dict[int, float]] = [dict() for _ in range(num_queries)]
@@ -212,7 +212,7 @@ class ApproximateGTS:
     ) -> None:
         """Compute the real distances of every object in the surviving leaves."""
         tree = self.tree
-        objects = self.index._objects
+        objects = self.index._kernel_rows
         total = 0
         for qi, nodes in enumerate(frontier):
             if len(nodes) == 0:

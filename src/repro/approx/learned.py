@@ -142,7 +142,8 @@ class LearnedLeafRouter:
     def _pivot_distances(self, query) -> dict[int, float]:
         if not self._pivot_ids:
             return {}
-        pivot_objs = gather_rows(self.index._objects, np.asarray(self._pivot_ids, dtype=np.int64))
+        pivot_ids = np.asarray(self._pivot_ids, dtype=np.int64)
+        pivot_objs = gather_rows(self.index._kernel_rows, pivot_ids)
         dists = self.metric.pairwise(query, pivot_objs)
         self.index.device.launch_kernel(
             work_items=len(self._pivot_ids), op_cost=self.metric.unit_cost, label="learned-pivot-dist"
@@ -264,7 +265,7 @@ class LearnedLeafRouter:
 
     def _verify(self, query, leaf_ids: np.ndarray) -> dict[int, float]:
         tree = self.index.tree
-        objects = self.index._objects
+        objects = self.index._kernel_rows
         exclude = self.index._tombstones
         pool: dict[int, float] = {}
         total = 0

@@ -165,9 +165,9 @@ class CacheTable:
     ) -> None:
         """Scan the cache for a whole query batch and offer every pair to ``results``.
 
-        ``objects`` is the index's host object store (never a tiered pager
-        facade: cached objects live in the device-resident cache table, so
-        a scan faults no block).  One fused ``cache-scan`` kernel covers all
+        ``objects`` is the index's host object store, which a scan reads
+        without the tiered port: cached objects live in the device-resident
+        cache table, so a scan faults no block.  One fused ``cache-scan`` kernel covers all
         ``len(queries) * len(cache)`` (query, cached object) pairs, evaluated
         as one segment of the cached ids per query; ``results`` is the
         batch's :class:`~repro.core.search.BoundedTriples` after the tree

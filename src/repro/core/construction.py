@@ -77,16 +77,15 @@ def stored_nbytes(objects: Sequence, obj) -> int:
     """Bytes (at least 1) ``obj`` occupies once appended to ``objects``.
 
     An insert is sized as the row the store will hold: a list or tuple
-    appended to a columnar store (or the tiered facade over one) becomes a
-    row of the store's dtype, so it costs what that row costs, not the
-    size of the Python object.  An object that is no row of the store (the
-    append will reject it) keeps its own size, so an oversized one is still
-    refused by the cache budget first.
+    appended to a columnar store becomes a row of the store's dtype, so it
+    costs what that row costs, not the size of the Python object.  An
+    object that is no row of the store (the append will reject it) keeps
+    its own size, so an oversized one is still refused by the cache budget
+    first.
     """
-    store = getattr(objects, "raw", objects)
-    if isinstance(store, ColumnarStore):
+    if isinstance(objects, ColumnarStore):
         try:
-            return max(1, store.stored_row(obj).nbytes)
+            return max(1, objects.stored_row(obj).nbytes)
         except IndexError_:
             pass
     return max(1, _item_nbytes(obj))
@@ -165,27 +164,27 @@ def _map_level(
     objects: Sequence,
     metric: Metric,
     device: Device,
+    port=None,
 ) -> int:
     """Mapping phase: distances from each node's pivot to its objects.
 
     One ``segmented_distances`` call: every node of the level is a segment
     of the (contiguous) table list, its pivot the segment's query; the
-    device time is charged as one level-wide kernel.  A tiered store first
-    faults the level's reads once, in physical-slot order
-    (:attr:`PagedObjects.slot_of`, the order ``coalesced_gather`` asks for;
-    each node's pivot is one of its own objects), so the level pages each
-    block at most once and the host-side chunking of
-    ``segmented_distances`` never reaches the pager.  Returns the number of
-    distance computations performed (for statistics).
+    device time is charged as one level-wide kernel.  With a tiered
+    ``port`` the level's reads are first faulted once, in physical-slot
+    order (:attr:`~repro.tier.store.PagedObjects.slot_of`; each node's
+    pivot is one of its own objects), so the level pages each block at most
+    once and the host-side chunking of ``segmented_distances`` never
+    reaches the pager.  Returns the number of distance computations
+    performed (for statistics).
     """
     host_start = time.perf_counter()
     active = node_ids[tree.size[node_ids] > 0]
     sizes = tree.size[active]
     flat = concatenated_ranges(tree.pos[active], sizes)
     level_ids = tree.obj_ids[flat]
-    if getattr(objects, "coalesced_gather", False):
-        objects.fault(level_ids[np.argsort(objects.slot_of[level_ids], kind="stable")])
-        objects = objects.raw
+    if port is not None:
+        port.fault(level_ids[np.argsort(port.slot_of[level_ids], kind="stable")])
     tree.obj_dis[flat] = segmented_distances(
         metric,
         objects,
@@ -258,18 +257,20 @@ def build_level(
     device: Device,
     selector: PivotSelector,
     rng: np.random.Generator,
+    port=None,
 ) -> int:
     """Run one level of the level-synchronous construction (Algorithms 2-3).
 
     The unit of work :class:`TreeBuild` advances by: pivot selection,
     the mapping kernel and the partitioning kernels of ``layer``'s active
-    nodes.  Returns the number of distance computations the level performed.
+    nodes.  A tiered build passes its device-read ``port``.  Returns the
+    number of distance computations the level performed.
     """
     start = level_start(layer, tree.node_capacity)
     ids = np.arange(start, start + level_size(layer, tree.node_capacity), dtype=np.int64)
     active = ids[tree.size[ids] > 0]
     _select_pivots(tree, active, layer == 0, selector, rng)
-    distances = _map_level(tree, active, objects, metric, device)
+    distances = _map_level(tree, active, objects, metric, device, port)
     _partition_level(tree, active, device)
     return distances
 
@@ -289,8 +290,8 @@ class TreeBuild:
     Parameters
     ----------
     objects:
-        The backing object store (list of strings or an ``(n, d)`` array).
-        Positions in this store are the persistent object ids.
+        The backing host object store (list of strings or an ``(n, d)``
+        array).  Positions in this store are the persistent object ids.
     object_ids:
         Which objects to index (supports rebuilds after deletions).
     metric:
@@ -309,6 +310,10 @@ class TreeBuild:
         When True (default) the index storage and the indexed objects are
         charged against the device's memory; the allocations are returned in
         the result so the caller can free them when the index is dropped.
+    port:
+        The device-read port (:class:`~repro.tier.store.PagedObjects`) of a
+        tiered index: each level's mapping reads are faulted through it.
+        None for a resident store.
     """
 
     def __init__(
@@ -321,6 +326,7 @@ class TreeBuild:
         rng: Optional[np.random.Generator] = None,
         pivot_strategy: str | PivotSelector = "fft",
         allocate_storage: bool = True,
+        port=None,
     ) -> None:
         object_ids = np.asarray(object_ids, dtype=np.int64)
         n = len(object_ids)
@@ -338,6 +344,7 @@ class TreeBuild:
             else get_pivot_selector(pivot_strategy)
         )
         self.allocate_storage = allocate_storage
+        self.port = port
         self.tree = TreeStructure.empty(n, node_capacity)
         self.tree.obj_ids[:] = object_ids
         self.tree.pos[0] = 0
@@ -388,6 +395,7 @@ class TreeBuild:
                     self.device,
                     self.selector,
                     self.rng,
+                    self.port,
                 )
             self.next_layer += 1
         return self.next_layer - start
@@ -433,13 +441,15 @@ def build_tree(
     rng: Optional[np.random.Generator] = None,
     pivot_strategy: str | PivotSelector = "fft",
     allocate_storage: bool = True,
+    port=None,
 ) -> BuildResult:
     """Build a GTS tree over ``object_ids`` drawn from ``objects`` in one go.
 
     Runs a :class:`TreeBuild` (which documents the parameters) to the end.
     """
     build = TreeBuild(
-        objects, object_ids, metric, node_capacity, device, rng, pivot_strategy, allocate_storage
+        objects, object_ids, metric, node_capacity, device, rng, pivot_strategy,
+        allocate_storage, port,
     )
     build.run()
     return build.result()

@@ -47,7 +47,7 @@ from .cost_model import (
     recommend_node_capacity,
 )
 from .nodes import TreeStructure
-from .objectstore import make_object_store, store_row_nbytes
+from .objectstore import ColumnarStore, make_object_store
 from .search import search
 from .searchcommon import (
     PruneMode,
@@ -238,7 +238,10 @@ class GTS:
         self._rng = np.random.default_rng(self.seed)
         self.tier_config: Optional[TierConfig] = tier
         self._pager = None
+        #: device-read port of a tiered index (a ``PagedObjects``), else None
+        self._port = None
 
+        #: the host object store: a ColumnarStore or a list, tiered or not
         self._objects: list = []
         self._indexed_ids = np.zeros(0, dtype=np.int64)
         self._tombstones: set[int] = set()
@@ -278,7 +281,7 @@ class GTS:
         self._release_index()
         if self._pager is not None:
             self._pager.release()
-            self._pager = None
+            self._pager = self._port = None
         # Vector datasets stay one contiguous matrix end-to-end (a
         # ColumnarStore); everything else falls back to a plain list.
         self._objects = make_object_store(objects)
@@ -287,10 +290,11 @@ class GTS:
         return self._rebuild_over(np.arange(len(self._objects), dtype=np.int64))
 
     def _init_tier(self) -> None:
-        """Wrap the host object list behind the block store + demand pager.
+        """Block the host object store and open the pager and its read port.
 
         The store starts in the identity layout (slot = id); the first tree
         install replaces it with the tree's leaf-clustered layout.
+        ``_objects`` stays the host store itself.
         """
         from ..tier.pager import BlockPager
         from ..tier.store import PagedObjects, TieredObjectStore
@@ -298,7 +302,7 @@ class GTS:
         store = TieredObjectStore(self._objects, self.tier_config.block_bytes)
         self._check_block_budget(store)
         self._pager = BlockPager(self.device, store, self.tier_config)
-        self._objects = PagedObjects(store, self._pager)
+        self._port = PagedObjects(store, self._pager)
 
     def _check_block_budget(self, store) -> None:
         """Fail fast when the pool cannot hold the largest block.
@@ -330,7 +334,7 @@ class GTS:
         """
         from ..tier.store import leaf_clustered_order
 
-        store = self._objects.store
+        store = self._pager.store
         for block_id in self._pager.resident_blocks:
             self._pager.invalidate(block_id)
         store.set_layout(leaf_clustered_order(tree, len(store)))
@@ -350,9 +354,10 @@ class GTS:
             rng=self._rng,
             pivot_strategy=self.pivot_strategy,
             # Tiered mode never materialises the full object store on the
-            # device: construction faults blocks through the pager instead,
+            # device: construction faults blocks through the port instead,
             # and only the tree storage is allocated, by _install.
-            allocate_storage=self.tier_config is None,
+            allocate_storage=self._port is None,
+            port=self._port,
         )
 
     def _install(
@@ -481,6 +486,15 @@ class GTS:
         return self._pager
 
     @property
+    def _kernel_rows(self):
+        """What a device kernel outside the search gathers rows from.
+
+        A tiered index's read port, whose ``gather`` faults the owning
+        blocks first; the host store on a resident index.
+        """
+        return self._objects if self._port is None else self._port
+
+    @property
     def storage_bytes(self) -> int:
         """Bytes of index storage (node list + table list)."""
         self._require_built()
@@ -500,9 +514,8 @@ class GTS:
         objects are read from the store too, which holds every insert.
         """
         obj_id = int(obj_id)
-        objects = getattr(self._objects, "raw", self._objects)
-        if 0 <= obj_id < len(objects):
-            return objects[obj_id]
+        if 0 <= obj_id < len(self._objects):
+            return self._objects[obj_id]
         raise IndexError_(f"unknown object id {obj_id}")
 
     def is_live(self, obj_id: int) -> bool:
@@ -623,14 +636,9 @@ class GTS:
             self.prune_mode,
             radii=radii,
             k=k,
+            port=self._port,
         )
-        self._cache.range_scan_batch(
-            self.metric,
-            getattr(self._objects, "raw", self._objects),
-            queries,
-            results,
-            self.device,
-        )
+        self._cache.range_scan_batch(self.metric, self._objects, queries, results, self.device)
         return results.answers()
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
@@ -697,19 +705,18 @@ class GTS:
         """
         self._require_built()
         # Validate before charging or touching the store: a rejected insert
-        # must be stats-neutral and must not consume an object id.
+        # must be stats-neutral and must not consume an object id (the
+        # append itself rejects a row the store cannot hold).
         nbytes = stored_nbytes(self._objects, obj)
         self._cache.ensure_fits(nbytes)
         obj_id = len(self._objects)
-        row_nbytes = store_row_nbytes(self._objects)
-        self._objects.append(obj)
+        promoted = self._append(obj, nbytes)
         # O(1) append: ship the object to the device-resident cache table
         self.device.transfer_to_device(nbytes)
         self.device.launch_kernel(work_items=1, op_cost=1.0, label="cache-append")
         self._cache.insert(obj_id, nbytes)
-        if row_nbytes is not None and nbytes != row_nbytes:
-            # the new row is wider: the append promoted the columnar store's
-            # dtype, so every cached row is now as wide as the new one
+        if promoted:
+            # every cached row is now as wide as the new one
             self._cache.resize(nbytes)
         if self._cache.is_full:
             if self._maintenance is not None:
@@ -718,6 +725,47 @@ class GTS:
                 self._automatic_rebuild_count += 1
                 self._rebuild_over(self._fold_ids()[0])
         return obj_id
+
+    def _insert_nbytes(self, obj) -> int:
+        """Bytes ``obj`` takes once stored, after checking it can be inserted.
+
+        Raises what :meth:`insert` would: :class:`~repro.exceptions.UpdateError`
+        when the object can never fit the cache budget, then
+        :class:`~repro.exceptions.IndexError_` when it is no row of a
+        columnar store (:meth:`ColumnarStore.stored_row`), so a compound
+        update can check before any state changes.
+        """
+        nbytes = stored_nbytes(self._objects, obj)
+        self._cache.ensure_fits(nbytes)
+        self._check_row(obj)
+        return nbytes
+
+    def _check_row(self, obj) -> None:
+        """Raise :class:`~repro.exceptions.IndexError_` unless the store can hold ``obj``."""
+        if isinstance(self._objects, ColumnarStore):
+            self._objects.stored_row(obj)
+
+    def _append(self, obj, nbytes: int) -> bool:
+        """Append ``obj`` (``nbytes`` as stored) to the host store.
+
+        Returns whether the append promoted a columnar store's dtype — the
+        stored row is wider than the store's rows were, so every row is
+        now.  A tiered index then drops every resident block and cached
+        block size (every block's contents changed); otherwise only the tail
+        block's device copy is stale.
+        """
+        store = self._objects
+        promoted = isinstance(store, ColumnarStore) and nbytes != store.row_nbytes
+        if self._pager is None:
+            store.append(obj)
+            return promoted
+        blocks = self._pager.store
+        tail = blocks.append(obj)
+        if promoted:
+            blocks.forget_block_sizes()
+        for block_id in self._pager.resident_blocks if promoted else (tail,):
+            self._pager.invalidate(block_id)
+        return promoted
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by id (streaming update, Section 4.4).
@@ -752,11 +800,11 @@ class GTS:
         Following the paper's modification semantics (Section 4.4), the new
         version gets a *fresh* object id (returned); ``obj_id`` becomes a
         tombstone.  Validated atomically: a replacement too large for the
-        cache budget is rejected up front, before the old version is
-        touched.
+        cache budget, or one the object store cannot hold, is rejected up
+        front, before the old version is touched.
         """
         self._require_built()
-        self._cache.ensure_fits(stored_nbytes(self._objects, new_obj))
+        self._insert_nbytes(new_obj)
         self.delete(obj_id)
         return self.insert(new_obj)
 
@@ -800,6 +848,8 @@ class GTS:
         reconstruction counts under :attr:`forced_rebuild_count`; a call
         with both sequences empty is a free no-op (no rebuild, no simulated
         time, counters untouched) returning the standing build result.
+        Every delete and insert is checked before anything changes, so a
+        rejected call leaves the index and its stats as they were.
         """
         self._require_built()
         inserts = list(inserts)
@@ -816,6 +866,8 @@ class GTS:
         unknown = delete_set - (self._indexed_id_set - self._tombstones) - cached_ids
         if unknown:
             raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
+        for obj in inserts:
+            self._check_row(obj)
         if self._maintenance is not None:
             self._maintenance.abort()
         for obj_id in delete_set:
@@ -826,7 +878,7 @@ class GTS:
         live, _ = self._fold_ids()
         first_new = len(self._objects)
         for obj in inserts:
-            self._objects.append(obj)
+            self._append(obj, stored_nbytes(self._objects, obj))
         new_ids = np.arange(first_new, len(self._objects), dtype=np.int64)
         self._forced_rebuild_count += 1
         return self._rebuild_over(np.concatenate([live, new_ids]))
@@ -905,8 +957,9 @@ class GTS:
 
         Host-side sampling — reads the host copy of the store, no faulting.
         """
-        objects = getattr(self._objects, "raw", self._objects)
-        live = [objects[int(i)] for i in self._indexed_ids if int(i) not in self._tombstones]
+        live = [
+            self._objects[int(i)] for i in self._indexed_ids if int(i) not in self._tombstones
+        ]
         return estimate_distance_distribution(live, self.metric, sample_size=sample_size, rng=self._rng)
 
     def recommend_node_capacity(

@@ -22,6 +22,12 @@ representation; :func:`make_object_store` decides which one applies.  Both
 representations expose the same access patterns (``len``, integer indexing,
 ``append``) so the rest of the engine does not branch on the storage kind —
 it only probes for the optional fast paths (``gather``, ``matrix``).
+
+Every store here is a host store: an index — tiered ones included — keeps
+one as its object store, and :func:`segmented_distances` reads it without
+any device accounting.  A tiered index charges its device reads separately,
+through its port (:class:`~repro.tier.store.PagedObjects`), before its
+kernels read rows here.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "make_object_store",
     "gather_rows",
     "rows_matrix",
-    "store_row_nbytes",
     "segmented_distances",
     "GATHER_CHUNK_ELEMENTS",
 ]
@@ -236,20 +241,11 @@ def rows_matrix(objects):
     return matrix if isinstance(matrix, np.ndarray) else None
 
 
-def store_row_nbytes(objects):
-    """Bytes of one row of a columnar store (also behind a tiered facade), else None.
-
-    Every row of a columnar store has this size, and a dtype promotion on
-    :meth:`ColumnarStore.append` changes it for all of them at once.
-    """
-    return getattr(getattr(objects, "raw", objects), "row_nbytes", None)
-
-
 def gather_rows(objects, ids: np.ndarray):
     """Gather rows by id from any store representation.
 
     Stores exposing a ``gather`` method answer through it (one fancy-index
-    copy for columnar stores; a tiered facade additionally charges its block
+    copy for columnar stores; a tiered port additionally charges its block
     faults), raw arrays through a fancy index, lists through a per-id
     comprehension.
     """
@@ -274,18 +270,19 @@ def segmented_distances(
     The one reader of stored rows: the construction mapping phase (pivots
     as queries), the pivot distances and leaf verification of the search,
     and the cache-table scan all turn candidate ids into exact distances
-    here, so a new store kind plugs into this function alone.  Segment ``i``
-    — ``obj_ids[boundaries[i]:boundaries[i + 1]]`` — is evaluated against
-    ``query_objects[i]``.
+    here, so a new store kind plugs into this function alone.  Segment
+    ``i`` — ``obj_ids[boundaries[i]:boundaries[i + 1]]`` — is evaluated
+    against ``query_objects[i]``.  ``objects`` is a host store: a tiered
+    caller has already faulted ``obj_ids`` through its port, so this
+    function charges no device traffic.
 
     A columnar store is read in cache-sized chunks of whole segments (at
     most ``GATHER_CHUNK_ELEMENTS`` gathered elements; a larger segment is a
     chunk of its own): each chunk is gathered and handed, with its slice of
     the store's per-row metric digest, to ``Metric.pairwise_segmented``
     while the rows are still cache-resident.  Any other store is one chunk.
-    A tiered facade faults the whole id list once, up front, and the chunks
-    read its host store, so chunking is invisible to the results, the pager
-    and the simulated device: only the host wall-clock changes.
+    Chunking is invisible to the results and the simulated device: only
+    the host wall-clock changes.
 
     ``settled_pairs`` — candidates a bound filter already dropped — are
     counted with the first ``Metric.pairwise_segmented`` call (see there).
@@ -298,9 +295,6 @@ def segmented_distances(
             empty = np.zeros(1, dtype=np.int64)
             metric.pairwise_segmented([], [], empty, settled_pairs=settled_pairs)
         return out
-    if getattr(objects, "coalesced_gather", False):
-        objects.fault(obj_ids)
-        objects = objects.raw
     matrix = objects if isinstance(objects, np.ndarray) else rows_matrix(objects)
     budget = n
     if matrix is not None and matrix.ndim == 2:

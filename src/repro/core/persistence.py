@@ -83,9 +83,8 @@ def save_index(index, path) -> Path:
     index._require_built()
     path = Path(path)
     tree = index.tree
-    # host-side view of the object store (a tiered index wraps it in a
-    # PagedObjects facade; serialisation must not fault device blocks)
-    host_objects = getattr(index._objects, "raw", index._objects)
+    # the host object store (tiered too): serialisation faults no device block
+    host_objects = index._objects
     meta = {
         "format_version": INDEX_FORMAT_VERSION,
         "metric_name": index.metric.name,
@@ -238,8 +237,7 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
     result = BuildResult(tree=tree, allocations=build.allocations)
     index._install(result, indexed_ids, tombstones, warm=False)
 
-    # host-side read: repopulating the cache must not fault tiered blocks
-    host_objects = getattr(index._objects, "raw", index._objects)
+    # host-side read: repopulating the cache faults no tiered block
     for obj_id in cache_ids:
-        index._cache.insert(obj_id, stored_nbytes(host_objects, host_objects[obj_id]))
+        index._cache.insert(obj_id, stored_nbytes(objects, objects[obj_id]))
     return index

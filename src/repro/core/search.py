@@ -24,7 +24,14 @@ Verification computes the real distances of every object in the surviving
 leaves and offers them to the :class:`BoundedTriples` accumulator, which
 keeps the triples within each query's bound; where the metric certifies
 distance bounds, candidates provably beyond their query's bound are dropped
-before the exact evaluation (DESIGN.md §8).  Each offer lists a
+before the exact evaluation (DESIGN.md §8).
+
+The descent reads one host object store.  A tiered index also hands the
+search its device-read port (:class:`~repro.tier.store.PagedObjects`), and
+the two kernels that read stored rows — pivot distances and leaf
+verification — fault their whole id list through it first; every candidate
+is faulted before the certified filter drops any, so the filter never
+changes pager traffic (DESIGN.md §7).  Each offer lists a
 ``(query, id)`` at most once, so a kNN offer is culled to the k-th smallest
 distance of each query's own entries, and every refresh of the k-th bounds
 trims the pool to ``k`` plus ties per query.  Range answers are exact; kNN
@@ -49,6 +56,7 @@ from .searchcommon import (
     RESULT_BYTES,
     IntermediateTable,
     PruneMode,
+    SearchBatch,
     dedupe_min_triples,
     leaf_candidate_segments,
     level_pair_limit,
@@ -247,8 +255,7 @@ def _certified_survivors(
     distance.  The two sides may round a GEMM entry differently; that only
     moves a pair between dropped and recomputed exactly (DESIGN.md §8).
     Returns None when the filter does not apply: a metric without bounds or
-    a tiered or list store (pager traffic and generic objects keep the
-    exact path).
+    a list store (generic objects keep the exact path).
     """
     if type(metric).distance_bounds is Metric.distance_bounds:
         return None
@@ -288,49 +295,42 @@ def _certified_survivors(
     return lo <= np.repeat(limit, counts)
 
 
-def _verify_leaves(
-    tree: TreeStructure,
-    objects: Sequence,
-    metric: Metric,
-    device: Device,
-    queries: Sequence,
-    leaf_q: np.ndarray,
-    leaf_node: np.ndarray,
-    tombstones: Optional[np.ndarray],
-    results: BoundedTriples,
-) -> None:
+def _verify_leaves(batch: SearchBatch, leaf_q: np.ndarray, leaf_node: np.ndarray) -> None:
     """Compute real distances for every object in the surviving leaves.
 
     One fused pass: the surviving leaves' table-list slices are expanded into
-    per-query candidate segments (slot-sorted on tiered stores).  Where the
-    metric certifies distance bounds (:func:`_certified_survivors`), pairs
-    proven beyond their query's bound are dropped first; the rest are
-    gathered, evaluated with the segmented exact kernel — so every reported
-    distance is bitwise the reference value — and offered to the accumulator
-    in one bulk add.  The verify kernel is charged for every candidate pair
-    either way, and the dropped pairs still count in the metric's pair
-    counter.
+    per-query candidate segments (slot-sorted and faulted through the port
+    on tiered indexes).  Where the metric certifies distance bounds
+    (:func:`_certified_survivors`), pairs proven beyond their query's bound
+    are dropped first; the rest are gathered, evaluated with the segmented
+    exact kernel — so every reported distance is bitwise the reference
+    value — and offered to the accumulator in one bulk add.  The verify
+    kernel is charged for every candidate pair either way, and the dropped
+    pairs still count in the metric's pair counter.
     """
     if len(leaf_q) == 0:
         return
+    tree, metric, device, results = batch.tree, batch.metric, batch.device, batch.results
     host_start = time.perf_counter()
     unique_queries, boundaries, obj_ids = leaf_candidate_segments(
         tree,
         leaf_q,
         leaf_node,
-        tombstones,
-        slot_of=getattr(objects, "slot_of", None),
+        batch.tombstones,
+        slot_of=None if batch.port is None else batch.port.slot_of,
     )
     total_verified = len(obj_ids)
     total_hits = 0
     if total_verified:
-        # tiered stores get each query's candidates in physical-slot order:
+        # tiered indexes get each query's candidates in physical-slot order:
         # answers are order-insensitive (keyed by id) and a slot-sorted
-        # gather touches each leaf-clustered block as one run
-        query_objects = gather_rows(queries, unique_queries)
+        # fault touches each leaf-clustered block as one run
+        if batch.port is not None:
+            batch.port.fault(obj_ids)
+        query_objects = gather_rows(batch.queries, unique_queries)
         owner = np.repeat(unique_queries, np.diff(boundaries))
         keep = _certified_survivors(
-            metric, objects, query_objects, boundaries, obj_ids, results, unique_queries
+            metric, batch.store, query_objects, boundaries, obj_ids, results, unique_queries
         )
         settled = 0
         if keep is not None:
@@ -340,7 +340,7 @@ def _verify_leaves(
             boundaries = np.searchsorted(kept, boundaries)
             settled = total_verified - len(obj_ids)
         dists = segmented_distances(
-            metric, objects, query_objects, boundaries, obj_ids, settled_pairs=settled
+            metric, batch.store, query_objects, boundaries, obj_ids, settled_pairs=settled
         )
         total_hits = results.offer(owner, obj_ids, dists)
     host = time.perf_counter() - host_start
@@ -371,26 +371,18 @@ def _verify_leaves(
 
 
 def _descend(
-    tree: TreeStructure,
-    objects: Sequence,
-    metric: Metric,
-    device: Device,
-    queries: Sequence,
+    batch: SearchBatch,
     layer: int,
     cand_q: np.ndarray,
     cand_node: np.ndarray,
     pivot_dist: np.ndarray,
-    tombstones: Optional[np.ndarray],
-    mode: PruneMode,
-    results: BoundedTriples,
 ) -> None:
     """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5)."""
     if len(cand_q) == 0:
         return
+    tree, device, results = batch.tree, batch.device, batch.results
     if tree.is_leaf_level(layer):
-        _verify_leaves(
-            tree, objects, metric, device, queries, cand_q, cand_node, tombstones, results
-        )
+        _verify_leaves(batch, cand_q, cand_node)
         return
 
     # Two-stage memory strategy: split the batch when the projected
@@ -398,20 +390,7 @@ def _descend(
     limit_pairs = level_pair_limit(device, tree.height, layer, tree.node_capacity)
     if len(cand_q) > limit_pairs:
         for group in split_into_groups(cand_q, limit_pairs):
-            _descend(
-                tree,
-                objects,
-                metric,
-                device,
-                queries,
-                layer,
-                cand_q[group],
-                cand_node[group],
-                pivot_dist[group],
-                tombstones,
-                mode,
-                results,
-            )
+            _descend(batch, layer, cand_q[group], cand_node[group], pivot_dist[group])
         return
 
     projected = len(cand_q) * tree.node_capacity
@@ -423,7 +402,7 @@ def _descend(
             # the k-th bound (Algorithm 5 lines 11-12); charge that selection.
             device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
         pair_index, child_ids = prune_children(
-            tree, cand_node, pivot_dist, bounds, mode, device, metric.distance_error()
+            tree, cand_node, pivot_dist, bounds, batch.mode, device, batch.metric.distance_error()
         )
         next_q = cand_q[pair_index]
 
@@ -431,28 +410,13 @@ def _descend(
             next_pivot_dist = np.zeros(len(child_ids), dtype=np.float64)
         else:
             pivots = tree.pivot[child_ids]
-            next_pivot_dist = pivot_distances_per_query(
-                device, metric, objects, queries, next_q, pivots
-            )
+            next_pivot_dist = pivot_distances_per_query(batch, next_q, pivots)
             # A pivot is itself an indexed object: offer it as an answer.
             # Nothing was offered since ``bounds`` was read, so a kNN offer
             # reuses the cached k-th bounds.
             results.offer(next_q, pivots, next_pivot_dist)
 
-        _descend(
-            tree,
-            objects,
-            metric,
-            device,
-            queries,
-            layer + 1,
-            next_q,
-            child_ids,
-            next_pivot_dist,
-            tombstones,
-            mode,
-            results,
-        )
+        _descend(batch, layer + 1, next_q, child_ids, next_pivot_dist)
 
 
 def search(
@@ -465,12 +429,15 @@ def search(
     prune_mode: str | PruneMode,
     radii: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
+    port=None,
 ) -> BoundedTriples:
     """Search the tree for a batch under validated ``radii`` or ``k``.
 
-    Returns the batch's accumulator before :meth:`BoundedTriples.answers` is
-    read, so further candidate sources (the cache table) can still offer
-    to it; an empty batch or tree returns an empty accumulator.
+    ``objects`` is the host object store; a tiered index passes its
+    device-read ``port`` too.  Returns the batch's accumulator before
+    :meth:`BoundedTriples.answers` is read, so further candidate sources
+    (the cache table) can still offer to it; an empty batch or tree returns
+    an empty accumulator.
     """
     num_queries = len(queries)
     mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
@@ -478,6 +445,7 @@ def search(
     results = BoundedTriples(num_queries, tombstones, radii=radii, k=k)
     if num_queries == 0 or tree.num_objects == 0:
         return results
+    batch = SearchBatch(tree, objects, port, metric, device, queries, tombstones, mode, results)
 
     # Load the queries onto the device (Section 5.1: queries are copied from
     # the CPU to the GPU before processing).
@@ -491,25 +459,10 @@ def search(
         pivot_dist = np.zeros(num_queries, dtype=np.float64)
     else:
         root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
-        pivot_dist = pivot_distances_per_query(
-            device, metric, objects, queries, cand_q, root_pivots
-        )
+        pivot_dist = pivot_distances_per_query(batch, cand_q, root_pivots)
         results.offer(cand_q, root_pivots, pivot_dist)
 
-    _descend(
-        tree,
-        objects,
-        metric,
-        device,
-        queries,
-        0,
-        cand_q,
-        cand_node,
-        pivot_dist,
-        tombstones,
-        mode,
-        results,
-    )
+    _descend(batch, 0, cand_q, cand_node, pivot_dist)
     return results
 
 

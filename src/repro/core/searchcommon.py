@@ -4,6 +4,9 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
 
 * validating the per-query parameters (:func:`query_radii`,
   :func:`query_ks`) — the one place every entry point checks them;
+* the per-batch invariants of one descent (:class:`SearchBatch`): tree,
+  host store, device-read port, metric, device, queries, tombstones,
+  prune mode and accumulator;
 * computing the distances from each query to the pivots of its candidate
   nodes — evaluated as **one fused segmented pass** over all (query, pivot)
   pairs of the level (:func:`pivot_distances_per_query` builds per-query
@@ -48,6 +51,7 @@ from .objectstore import gather_rows, segmented_distances
 __all__ = [
     "ENTRY_BYTES",
     "PruneMode",
+    "SearchBatch",
     "broadcast_query_param",
     "query_radius",
     "query_radii",
@@ -297,6 +301,29 @@ class PruneMode:
         raise QueryError(f"unknown prune mode {name!r}")
 
 
+@dataclass(frozen=True)
+class SearchBatch:
+    """The invariants of one query batch's descent, passed as one value.
+
+    ``store`` is the index's host object store; ``port`` is the device-read
+    port (:class:`~repro.tier.store.PagedObjects`) of a tiered index, None
+    for a resident one.  Each device kernel that reads stored rows faults
+    its id list through the port before reading them from the store.
+    ``results`` is the batch's accumulator
+    (:class:`~repro.core.search.BoundedTriples`).
+    """
+
+    tree: TreeStructure
+    store: Sequence
+    port: object
+    metric: Metric
+    device: Device
+    queries: Sequence
+    tombstones: Optional[np.ndarray]
+    mode: PruneMode
+    results: object
+
+
 def level_pair_limit(device: Device, height: int, layer: int, node_capacity: int) -> int:
     """Maximum number of candidate (query, node) pairs expandable at ``layer``.
 
@@ -362,12 +389,7 @@ def split_into_groups(
 
 
 def pivot_distances_per_query(
-    device: Device,
-    metric: Metric,
-    objects: Sequence,
-    queries: Sequence,
-    cand_query: np.ndarray,
-    pivot_ids: np.ndarray,
+    batch: SearchBatch, cand_query: np.ndarray, pivot_ids: np.ndarray
 ) -> np.ndarray:
     """Distance from each candidate pair's query to the pair's node pivot.
 
@@ -375,21 +397,25 @@ def pivot_distances_per_query(
     single fused ``Metric.pairwise_segmented`` call — one gather plus one
     broadcast pass over all (query, pivot) pairs of the level; device time is
     charged as one level-wide kernel over all pairs (this is the paper's
-    "compute the distances of all nodes at the level simultaneously").
+    "compute the distances of all nodes at the level simultaneously").  A
+    tiered batch faults the pivots through its port first, in that
+    query-grouped order.
     """
     out = np.empty(len(cand_query), dtype=np.float64)
     if len(cand_query) == 0:
         return out
+    metric = batch.metric
     order = np.argsort(cand_query, kind="stable")
     unique_queries, starts = np.unique(cand_query[order], return_index=True)
     boundaries = np.append(starts, len(order))
     host_start = time.perf_counter()
-    query_objects = gather_rows(queries, unique_queries)
-    out[order] = segmented_distances(
-        metric, objects, query_objects, boundaries, pivot_ids[order]
-    )
+    query_objects = gather_rows(batch.queries, unique_queries)
+    pivot_ids = pivot_ids[order]
+    if batch.port is not None:
+        batch.port.fault(pivot_ids)
+    out[order] = segmented_distances(metric, batch.store, query_objects, boundaries, pivot_ids)
     host = time.perf_counter() - host_start
-    device.launch_kernel(
+    batch.device.launch_kernel(
         work_items=len(cand_query),
         op_cost=metric.unit_cost,
         label="pivot-distances",
@@ -408,10 +434,11 @@ def leaf_candidate_segments(
     """Per-query candidate segments of the surviving (query, leaf) pairs.
 
     Expands every pair's leaf slice of the table list and drops tombstoned
-    ids.  With ``slot_of`` — the id→physical-slot map of a store whose
-    gathers fault device blocks — each query's candidates are additionally
-    sorted by slot, so under the tiered store's leaf-clustered layout every
-    block a query touches is one run of its gather (block-coalesced).
+    ids.  With ``slot_of`` — the id→physical-slot map of a tiered index's
+    port, whose faults page device blocks — each query's candidates are
+    additionally sorted by slot, so under the tiered store's leaf-clustered
+    layout every block a query touches is one run of its fault
+    (block-coalesced).
     Resident stores pass None and skip that sort: distances are per-row and
     the search accumulator orders by ``(distance, id)`` at the end, so
     candidate order cannot influence a single output bit.

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..core.construction import object_sizes, objects_nbytes, stored_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.objectstore import ColumnarStore, gather_rows, make_object_store, store_row_nbytes
+from ..core.objectstore import ColumnarStore, gather_rows, make_object_store
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
@@ -384,9 +384,9 @@ class ShardedGTS:
         gid = self._next_id
         sid = self.policy.assign(gid, obj, self._loads)
         # validate before charging: a rejected insert (object larger than the
-        # shard's whole cache budget) must stay stats-neutral
-        nbytes = stored_nbytes(self.shards[sid]._objects, obj)
-        self.shards[sid]._cache.ensure_fits(nbytes)
+        # shard's whole cache budget, or no row of its store) must stay
+        # stats-neutral
+        nbytes = self.shards[sid]._insert_nbytes(obj)
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
@@ -406,9 +406,9 @@ class ShardedGTS:
         row at once, which the per-insert sums do not see.
         """
         for sid in sids:
-            row_nbytes = store_row_nbytes(self.shards[sid]._objects)
-            if row_nbytes is not None:
-                self._loads[sid] = float(self.shards[sid].num_objects * row_nbytes)
+            store = self.shards[sid]._objects
+            if isinstance(store, ColumnarStore):
+                self._loads[sid] = float(self.shards[sid].num_objects * store.row_nbytes)
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by global id, routed to its owning shard.
@@ -427,18 +427,28 @@ class ShardedGTS:
         sid, lid = owner
         self._charge_host(1.0, "shard-route")
         self._single_shard(sid, lambda shard: shard.delete(lid))
-        self._loads[sid] -= max(1, objects_nbytes([self.shards[sid].get_object(lid)]))
+        self._loads[sid] -= self._object_load(sid, lid)
         self._deleted.add(gid)
+
+    def _object_load(self, sid: int, lid: int) -> int:
+        """Bytes one stored object adds to its shard's load."""
+        return max(1, objects_nbytes([self.shards[sid].get_object(lid)]))
 
     def update(self, obj_id: int, new_obj) -> int:
         """Modify an object: delete the old version, insert the new one.
 
-        Validated atomically: every shard shares one cache budget, so a
-        replacement too large for it is rejected before the old version is
-        touched.
+        Validated atomically: the shard the replacement will go to is picked
+        first — the policy is a pure function of the next global id, the
+        object and the loads, here the loads after the delete — and a
+        replacement too large for that shard's cache budget, or one its
+        store cannot hold, is rejected before the old version is touched.
         """
         self._require_built()
-        self.shards[0]._cache.ensure_fits(stored_nbytes(self.shards[0]._objects, new_obj))
+        loads = list(self._loads)
+        owner = self._owner.get(int(obj_id))
+        if owner is not None and int(obj_id) not in self._deleted:
+            loads[owner[0]] -= self._object_load(*owner)
+        self.shards[self.policy.assign(self._next_id, new_obj, loads)]._insert_nbytes(new_obj)
         self.delete(obj_id)
         return self.insert(new_obj)
 
@@ -448,7 +458,8 @@ class ShardedGTS:
         Deletes are validated up front against the global id space (unknown
         and already-deleted ids raise), then grouped per owning shard;
         inserts are assigned global ids and shards exactly as streaming
-        inserts would be.  Each affected shard runs :meth:`GTS.batch_update`
+        inserts would be, and each is checked against its shard's store
+        before anything changes.  Each affected shard runs :meth:`GTS.batch_update`
         (its full reconstruction), untouched shards do nothing, and the
         reported ``sim_time`` is the makespan of the round.  A call with both
         sequences empty is a free no-op: no round, no host charge, no rebuild
@@ -468,28 +479,30 @@ class ShardedGTS:
         if unknown:
             raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
 
+        # routing is planned on a copy of the loads and committed only once
+        # every insert is known to fit the shard it goes to
+        loads = list(self._loads)
         per_shard_deletes: list[list[int]] = [[] for _ in range(self.num_shards)]
         for gid in sorted(delete_set):
             sid, lid = self._owner[gid]
             per_shard_deletes[sid].append(lid)
-            self._loads[sid] -= max(1, objects_nbytes([self.shards[sid].get_object(lid)]))
+            loads[sid] -= self._object_load(sid, lid)
 
         per_shard_inserts: list[list] = [[] for _ in range(self.num_shards)]
         # GTS assigns local ids consecutively from its current object count
         next_local = [len(shard._objects) for shard in self.shards]
         new_owners: dict[int, tuple[int, int]] = {}
-        num_inserts = 0
-        for obj in inserts:
-            gid = self._next_id
-            sid = self.policy.assign(gid, obj, self._loads)
+        for gid, obj in enumerate(inserts, start=self._next_id):
+            sid = self.policy.assign(gid, obj, loads)
+            self.shards[sid]._check_row(obj)
             new_owners[gid] = (sid, next_local[sid])
             next_local[sid] += 1
             per_shard_inserts[sid].append(obj)
-            self._loads[sid] += stored_nbytes(self.shards[sid]._objects, obj)
-            self._next_id += 1
-            num_inserts += 1
+            loads[sid] += stored_nbytes(self.shards[sid]._objects, obj)
+        self._loads = loads
+        self._next_id += len(inserts)
 
-        self._charge_host(len(delete_set) + num_inserts, "shard-route")
+        self._charge_host(len(delete_set) + len(inserts), "shard-route")
 
         def run(sid: int, shard: GTS):
             if per_shard_inserts[sid] or per_shard_deletes[sid]:

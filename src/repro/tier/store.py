@@ -1,4 +1,4 @@
-"""Host-resident blocked object store and its paged device facade.
+"""Host-resident blocked object store and the device-read port over it.
 
 :class:`TieredObjectStore` keeps the primary copy of every indexed object in
 (simulated) host memory and cuts it into fixed-size blocks — ranges of
@@ -9,21 +9,20 @@ stages into device memory.  Which object sits in which slot is the store's
 then the leaf-clustered order :func:`leaf_clustered_order` derives from that
 tree, so one leaf's objects share a few consecutive blocks (DESIGN.md §7).
 
-:class:`PagedObjects` is the sequence facade a tiered
-:class:`~repro.core.gts.GTS` hands to the construction and query algorithms
-in place of the raw object list.  Every object access faults the owning
-block through the pager (charging transfer time on a miss; the misses of
-one gather share H2D transactions), which is what lets the existing
-level-synchronous kernels run unmodified over a dataset that does not fit
-on the device.  Host-side consumers (``get_object``, persistence,
-cost-model sampling) read :attr:`PagedObjects.raw` instead — the data
-lives in host RAM, so those reads cost no device traffic.
+:class:`PagedObjects` is a tiered :class:`~repro.core.gts.GTS`'s
+device-read port.  The index keeps its host store as ``GTS._objects`` and
+every reader — device kernel or host — gathers rows from it directly; a
+device kernel first faults its id list through the port
+(:meth:`PagedObjects.fault`), which charges the misses on the simulated
+device (the misses of one kernel share H2D transactions).  Host-side
+readers (``get_object``, persistence, cost-model sampling, the cache scan)
+never touch the port, so they cost no device traffic.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -171,7 +170,6 @@ class TieredObjectStore:
         """Append one object to the host store; returns the tail block id."""
         if isinstance(self._objects, np.ndarray):
             raise TierError("cannot append to an array-backed store; use a list store")
-        row_nbytes_before = getattr(self._objects, "row_nbytes", None)
         self._objects.append(obj)
         n = len(self._objects)
         if n > len(self._slot_of):
@@ -179,62 +177,38 @@ class TieredObjectStore:
             extra = np.arange(len(self._slot_of), max(n, 2 * len(self._slot_of)), dtype=np.int64)
             self._slot_of = np.concatenate((self._slot_of, extra))
             self._id_at = np.concatenate((self._id_at, extra))
-        if row_nbytes_before is not None and self._objects.row_nbytes != row_nbytes_before:
-            # a columnar store promoted its dtype to hold the new row
-            # exactly: every block's payload size changed
-            self._block_nbytes_cache.clear()
         tail = self.block_of(n - 1)
         self._block_nbytes_cache.pop(tail, None)
         return tail
 
+    def forget_block_sizes(self) -> None:
+        """Drop every cached block payload size.
+
+        For the owning index to call when an append promoted a columnar
+        store's dtype: that rewrote every row at the new width, so every
+        block's payload changed.
+        """
+        self._block_nbytes_cache.clear()
+
 
 class PagedObjects:
-    """Sequence facade that faults object blocks through a block pager.
+    """Device-read port of a tiered index: faults object blocks through a pager.
 
-    Integer indexing routes through
-    :meth:`~repro.tier.pager.BlockPager.access` and gathers (the access
-    pattern of ``gather_rows``) through
-    :meth:`~repro.tier.pager.BlockPager.fault_runs`, so hits cost nothing
-    and misses charge the H2D transfer on the simulated device.  The returned
-    objects are the host objects themselves — the simulation only accounts
-    for the staging traffic, it never copies data for real.
+    A device kernel calls :meth:`fault` with the ids it reads, in its read
+    order, before gathering the rows from the host store; hits cost nothing
+    and misses charge the H2D transfer on the simulated device.  The
+    simulation only accounts for the staging traffic, it never copies data
+    for real.  Kernels that gather candidates per query sort them by
+    :attr:`slot_of` first, so consecutive ids of one block collapse into a
+    single pager run.
     """
-
-    #: Gathers fault device blocks, so callers should present each query's
-    #: candidates in physical-slot order (:attr:`slot_of`): consecutive ids
-    #: of one block then collapse into a single pager run.  Callers that
-    #: gather in host chunks fault the whole id list first (:meth:`fault`).
-    coalesced_gather = True
 
     def __init__(self, store: TieredObjectStore, pager):
         self.store = store
         self.pager = pager
 
-    # ------------------------------------------------------------ sequence
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        obj_id = int(index)
-        if obj_id < 0:
-            obj_id += len(self)
-        self.pager.access(self.store.block_of(obj_id))
-        return self.store.raw[obj_id]
-
-    def __iter__(self) -> Iterator:
-        for obj_id in range(len(self)):
-            yield self[obj_id]
-
     def gather(self, obj_ids) -> Sequence:
-        """Columnar block gather: fault the owning blocks, then gather rows.
-
-        The device-side accounting is :meth:`fault`'s; the host-side row
-        materialisation is one columnar gather instead of a per-object
-        Python loop.  This is the fast path ``gather_rows`` rides for every
-        level-wide candidate gather of a tiered index.
-        """
+        """Fault the owning blocks of ``obj_ids``, then gather their host rows."""
         ids = np.asarray(obj_ids, dtype=np.int64)
         self.fault(ids)
         return gather_rows(self.store.raw, ids)
@@ -242,13 +216,13 @@ class PagedObjects:
     def fault(self, obj_ids) -> None:
         """Fault the owning blocks of one kernel's reads, in order.
 
-        Hits and misses are those of indexing the facade once per id — one
-        logical pager access per object — but consecutive ids of one block
-        collapse into a single run, and the misses of the whole call are
-        charged in co-resident waves (:meth:`BlockPager.fault_runs`).  A
-        kernel whose host side gathers rows in chunks faults its whole id
-        list here once and reads the chunks from :attr:`raw`, so the chunking
-        stays invisible to the pager and the simulated clock.
+        Hits and misses are those of one logical pager access per object,
+        but consecutive ids of one block collapse into a single run, and the
+        misses of the whole call are charged in co-resident waves
+        (:meth:`BlockPager.fault_runs`).  A kernel faults its whole id list
+        here once and then reads its rows from the host store in any
+        chunking, so the chunking stays invisible to the pager and the
+        simulated clock.
         """
         ids = np.asarray(obj_ids, dtype=np.int64)
         if len(ids) == 0:
@@ -264,33 +238,8 @@ class PagedObjects:
         run_lengths = np.diff(np.append(run_starts, len(blocks)))
         self.pager.fault_runs(blocks[run_starts].tolist(), run_lengths.tolist())
 
-    # ----------------------------------------------------------- host-side
     @property
     def slot_of(self) -> np.ndarray:
-        """The store's id→physical-slot map: the gather sort key under which
-        each block's candidates form one run."""
+        """The store's id→physical-slot map: the sort key under which each
+        block's candidates form one run."""
         return self.store.slot_of
-
-    @property
-    def raw(self) -> Sequence:
-        """Host-memory view (no device faulting) for host-side readers."""
-        return self.store.raw
-
-    def append(self, obj) -> None:
-        """Append to the host store; stale resident blocks are invalidated.
-
-        Normally only the tail block can be stale, but a columnar store may
-        promote its dtype to hold the new row exactly — a host-side rewrite
-        of *every* row — in which case every resident block's device copy
-        (and its byte accounting) is stale and must be dropped.
-        """
-        row_nbytes_before = getattr(self.store.raw, "row_nbytes", None)
-        tail = self.store.append(obj)
-        if (
-            row_nbytes_before is not None
-            and getattr(self.store.raw, "row_nbytes", None) != row_nbytes_before
-        ):
-            for block_id in list(self.pager.resident_blocks):
-                self.pager.invalidate(block_id)
-        else:
-            self.pager.invalidate(tail)

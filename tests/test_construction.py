@@ -194,13 +194,13 @@ class TestBuildAccounting:
 
 
 def _build_store(points, tiered, device):
-    """The objects a build reads: resident rows, or a view paged through ``device``."""
+    """The host rows a build reads and its read port: None, or one paging through ``device``."""
     objects = make_object_store(points)
     if not tiered:
-        return objects
+        return objects, None
     store = TieredObjectStore(objects, block_bytes=256)
     pager = BlockPager(device, store, TierConfig(memory_budget_bytes=1024, block_bytes=256))
-    return PagedObjects(store, pager)
+    return objects, PagedObjects(store, pager)
 
 
 class TestTreeBuild:
@@ -210,8 +210,9 @@ class TestTreeBuild:
         outcomes = []
         for stepped in (False, True):
             device = Device(DeviceSpec())
-            args = (_build_store(points_2d, tiered, device), ids, EuclideanDistance(), 4, device)
-            options = dict(rng=np.random.default_rng(3), allocate_storage=not tiered)
+            objects, port = _build_store(points_2d, tiered, device)
+            args = (objects, ids, EuclideanDistance(), 4, device)
+            options = dict(rng=np.random.default_rng(3), allocate_storage=not tiered, port=port)
             if stepped:
                 build = TreeBuild(*args, **options)
                 levels = []

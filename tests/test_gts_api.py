@@ -8,6 +8,7 @@ import pytest
 from repro import GTS, EditDistance, EuclideanDistance, ShardedGTS
 from repro.exceptions import IndexError_, QueryError, UpdateError
 from repro.gpusim import Device, DeviceSpec
+from repro.tier import TierConfig
 from tests.conftest import brute_force_knn, brute_force_range
 
 
@@ -278,6 +279,53 @@ class TestUpdateAccounting:
         np.testing.assert_array_equal(index.get_object(8), points_2d[8])
         with pytest.raises(IndexError_):
             index.get_object(10_000_000)
+
+
+def _fifty_points(tiered):
+    """A 2-d L2 index over 50 points, resident or paged through a small pool."""
+    points = np.random.default_rng(4).normal(size=(50, 2))
+    tier = TierConfig(memory_budget_bytes=256, block_bytes=64) if tiered else None
+    return GTS.build(points, EuclideanDistance(), node_capacity=4, seed=2, tier=tier)
+
+
+def _observable_state(index):
+    """Live ids, store length, tombstones, cache, device and pager counters."""
+    return (
+        [i for i in range(len(index._objects)) if index.is_live(i)],
+        len(index._objects),
+        set(index._tombstones),
+        index._cache.object_ids(),
+        index.device.stats.as_dict(),
+        None if index.pager is None else index.pager.stats.as_dict(),
+    )
+
+
+@pytest.mark.parametrize("tiered", [False, True], ids=["resident", "tiered"])
+class TestRejectedUpdatesChangeNothing:
+    """An update the store cannot take is rejected before any state changes."""
+
+    def test_update_with_a_wrong_shape_keeps_the_old_version(self, tiered):
+        index = _fifty_points(tiered)
+        index.insert([0.5, 0.5])
+        before = _observable_state(index)
+        with pytest.raises(IndexError_):
+            index.update(0, [1.0, 2.0, 3.0])
+        assert _observable_state(index) == before
+        assert index.is_live(0) and index.num_objects == 51
+        assert index.insert([0.25, 0.25]) == 51
+        index.close()
+
+    def test_batch_update_with_a_bad_insert_leaves_no_partial_state(self, tiered):
+        index = _fifty_points(tiered)
+        index.insert([0.5, 0.5])
+        before = _observable_state(index)
+        with pytest.raises(IndexError_):
+            index.batch_update(inserts=[[0.1, 0.2], [1.0, 2.0, 3.0]], deletes=[3, 4])
+        assert _observable_state(index) == before
+        assert index.is_live(3) and index.is_live(4)
+        # no orphan row took an id
+        assert index.insert([0.25, 0.25]) == 51
+        index.close()
 
 
 class TestQueryParamValidation:

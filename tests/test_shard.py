@@ -271,6 +271,44 @@ class TestUpdates:
         assert not sharded.is_live(3)
         assert sharded.is_live(new_id)
 
+    def test_update_is_checked_against_the_shard_it_goes_to(self, points_2d):
+        """The replacement is sized by the shard the policy sends it to."""
+        index = ShardedGTS.build(
+            points_2d[:40].astype(np.float32), EuclideanDistance(), num_shards=2,
+            node_capacity=8, cache_capacity_bytes=12, seed=5,
+        )
+        # round-robin: ids 40 and 42 go to shard 0 (exact in float32), 41 to
+        # shard 1, whose store it promotes to float64
+        index.batch_update(inserts=[[0.5, 0.5], [0.1, 2.0], [0.25, 0.5]])
+        assert [shard._objects.row_nbytes for shard in index.shards] == [8, 16]
+        before = (index.num_objects, index.shard_load_bytes, index.device.stats.as_dict())
+        # id 43 goes to shard 1: a 16 B row, beyond its 12 B cache budget
+        with pytest.raises(UpdateError):
+            index.update(0, [1.0, 2.0])
+        assert index.is_live(0)
+        assert (index.num_objects, index.shard_load_bytes, index.device.stats.as_dict()) == before
+        index.close()
+
+    def test_update_with_a_wrong_shape_keeps_the_old_version(self, sharded):
+        live = sharded.num_objects
+        with pytest.raises(IndexError_):
+            sharded.update(0, [1.0, 2.0, 3.0])
+        assert sharded.is_live(0) and sharded.num_objects == live
+
+    def test_batch_update_with_a_bad_insert_changes_nothing(self, sharded, points_2d):
+        before = (
+            sharded.num_objects, sharded.shard_load_bytes, sharded.device.stats.as_dict(),
+            [shard.rebuild_count for shard in sharded.shards],
+        )
+        with pytest.raises(IndexError_):
+            sharded.batch_update(inserts=[[0.1, 0.2], [1.0, 2.0, 3.0]], deletes=[3, 4])
+        assert sharded.is_live(3) and sharded.is_live(4)
+        assert before == (
+            sharded.num_objects, sharded.shard_load_bytes, sharded.device.stats.as_dict(),
+            [shard.rebuild_count for shard in sharded.shards],
+        )
+        assert sharded.insert([0.5, 0.5]) == len(points_2d)  # no id was used up
+
     def test_cache_overflow_rebuilds_only_owning_shard(self, points_2d):
         index = ShardedGTS.build(
             points_2d, EuclideanDistance(), num_shards=3, node_capacity=8,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GTS, EditDistance, EuclideanDistance, ShardedGTS
+from repro import GTS, AngularDistance, EditDistance, EuclideanDistance, ShardedGTS
 from repro.exceptions import MemoryLeakError, TierError
 from repro.gpusim import Device, DeviceSpec
 from repro.core.construction import objects_nbytes
@@ -836,7 +836,7 @@ class TestBlockCoalescedGathers:
         leaf_q = np.repeat(np.arange(8, dtype=np.int64), 5)
         leaf_node = rng.choice(leaves, size=len(leaf_q))
         unique_queries, boundaries, obj_ids = leaf_candidate_segments(
-            tree, leaf_q, leaf_node, None, slot_of=index._objects.slot_of
+            tree, leaf_q, leaf_node, None, slot_of=store.slot_of
         )
         assert len(unique_queries) == 8
         for start, end in zip(boundaries[:-1], boundaries[1:]):
@@ -854,11 +854,11 @@ class TestBlockCoalescedGathers:
         )
         pager = index.pager
         faults: list[list[int]] = []
-        # (transactions, misses) the verification gather charged
+        # (transactions, misses) the verification kernel charged
         charged: list[tuple[int, int]] = []
-        real_stage, real_segmented = pager._stage, search.segmented_distances
+        real_stage, real_verify = pager._stage, search._verify_leaves
 
-        def recording_segmented(*args, **kwargs):
+        def recording_verify(*args, **kwargs):
             faults.append([])
 
             def stage(block_id, nbytes):
@@ -868,14 +868,14 @@ class TestBlockCoalescedGathers:
             before = (pager.stats.transactions, pager.stats.misses)
             monkeypatch.setattr(pager, "_stage", stage)
             try:
-                return real_segmented(*args, **kwargs)
+                return real_verify(*args, **kwargs)
             finally:
                 monkeypatch.setattr(pager, "_stage", real_stage)
                 charged.append(
                     (pager.stats.transactions - before[0], pager.stats.misses - before[1])
                 )
 
-        monkeypatch.setattr(search, "segmented_distances", recording_segmented)
+        monkeypatch.setattr(search, "_verify_leaves", recording_verify)
         for qi in range(0, 600, 60):
             faults.clear()
             charged.clear()
@@ -1041,3 +1041,63 @@ class TestServeSimTiered:
         out = capsys.readouterr().out
         assert "pager" in out
         assert "identical to sequential replay" in out
+
+
+class TestCertifiedFilterOnTieredStore:
+    """A tiered angular index runs the certified leaf filter (DESIGN.md §8).
+
+    Every leaf candidate is faulted before the filter drops any, so the
+    filtered run and the exact run (``distance_bounds`` returning None)
+    must agree on answers, metric pairs, every pager counter and
+    ``ExecutionStats`` — everything but the host wall-clock.
+    """
+
+    @staticmethod
+    def _serve(data, queries):
+        metric = AngularDistance()
+        tier = TierConfig(memory_budget_bytes=objects_nbytes(data) // 4, block_bytes=4096)
+        index = GTS.build(
+            data, metric, node_capacity=10, seed=4, device=Device(DeviceSpec()), tier=tier
+        )
+        answers = [index.range_query_batch(queries, 0.3), index.knn_query_batch(queries, 8)]
+        index.delete(int(index.knn_query(queries[0], 1)[0][0]))
+        index.insert(data[5] + 0.01)
+        answers += [index.range_query_batch(queries, 0.3), index.knn_query_batch(queries, 8)]
+        stats = index.device.stats.as_dict()
+        del stats["host_time"]  # wall clock
+        observed = answers, metric.counter.pairs, index.pager.stats.as_dict(), stats
+        index.close()
+        return observed
+
+    def test_filter_runs_and_changes_nothing_observable(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        basis = rng.normal(size=(6, 32))
+        data = rng.normal(size=(2000, 6)) @ basis + 0.2 * rng.normal(size=(2000, 32))
+        queries = [data[i] + 0.05 for i in range(0, 2000, 125)]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(AngularDistance, "distance_bounds", lambda self, *args, **kwargs: None)
+            exact = self._serve(data, queries)
+
+        calls, settled = [], []
+        bounds = AngularDistance.distance_bounds
+        segmented = AngularDistance.pairwise_segmented
+
+        def spied_bounds(self, *args, **kwargs):
+            calls.append(1)
+            return bounds(self, *args, **kwargs)
+
+        def spied_segmented(self, *args, settled_pairs=0, **kwargs):
+            settled.append(settled_pairs)
+            return segmented(self, *args, settled_pairs=settled_pairs, **kwargs)
+
+        monkeypatch.setattr(AngularDistance, "distance_bounds", spied_bounds)
+        monkeypatch.setattr(AngularDistance, "pairwise_segmented", spied_segmented)
+        certified = self._serve(data, queries)
+        assert calls, "the certified filter did not run on the tiered store"
+        assert sum(settled) > 0, "the filter dropped no candidate pair"
+        assert exact[2]["misses"] > 0  # the pool is smaller than the store
+        assert certified[0] == exact[0]  # answers
+        assert certified[1] == exact[1]  # MetricCounter.pairs
+        assert certified[2] == exact[2]  # every pager counter
+        assert certified[3] == exact[3]  # ExecutionStats without host_time
