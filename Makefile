@@ -14,9 +14,10 @@
 #   make profile-serve WORKLOAD=<name>  cProfile one serving-benchmark
 #                     workload's request serving, index builds excluded
 #                     (top-25 by tottime; default hotkey-vector-mixed)
-#   make lint         byte-compile every source tree and reject unused
-#                     module-level imports in src/ (tools/check_imports.py;
-#                     no linter is vendored)
+#   make lint         byte-compile every source tree, reject unused
+#                     module-level imports in src/ (tools/check_imports.py)
+#                     and private src/ definitions nothing refers to
+#                     (tools/check_dead_private.py); no linter is vendored
 #   make example      run the quickstart end to end
 #   make examples     run every example script (the CI smoke job)
 #
@@ -101,6 +102,7 @@ profile-serve:
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench tools
 	$(PYTHON) tools/check_imports.py src
+	$(PYTHON) tools/check_dead_private.py src --refs tests benchmarks perfbench examples tools
 	$(PYTHON) -c "import repro; print('import ok:', repro.__version__)"
 
 example:

@@ -30,7 +30,7 @@ import numpy as np
 
 import repro.core.gts as gts_module
 import repro.core.search as search_module
-from repro.core.objectstore import gather_rows
+from repro.core.objectstore import ListStore, gather_rows
 from repro.core.searchcommon import RESULT_BYTES
 from repro.metrics.base import Metric
 from repro.metrics.vector import _VectorMetric
@@ -184,7 +184,7 @@ def _legacy_verify(batch, leaf_q, leaf_node) -> None:
 def legacy_engine():
     """Swap the engine's hot paths for the pre-refactor implementations.
 
-    Patches the list-backed object store, per-query pivot distances, the
+    Patches in a list object store, per-query pivot distances, the
     dict answer pools of both query kinds, and the generic per-query
     ``pairwise_segmented`` fallback (no fused passes, no store digest).
     Restores everything on exit.
@@ -197,7 +197,7 @@ def legacy_engine():
         _VectorMetric._pairwise_segmented,
         Metric.store_digest,
     )
-    gts_module.make_object_store = lambda objs: [objs[i] for i in range(len(objs))]
+    gts_module.make_object_store = lambda objs: ListStore(objs[i] for i in range(len(objs)))
     search_module.pivot_distances_per_query = _legacy_pivot_distances
     search_module._verify_leaves = _legacy_verify
     search_module.BoundedTriples = _LegacyBoundedTriples

@@ -15,7 +15,7 @@ from .gts import GTS
 from .maintenance import IncrementalMaintenance, MaintenanceConfig, SliceReport
 from .multimetric import MultiColumnGTS
 from .nodes import TreeStructure, level_size, level_start, total_nodes, tree_height
-from .objectstore import ColumnarStore, make_object_store
+from .objectstore import ColumnarStore, ListStore, make_object_store
 from .persistence import INDEX_FORMAT_VERSION, load_index, save_index
 from .pivots import available_pivot_strategies, get_pivot_selector
 from .search import batch_knn_query, batch_range_query
@@ -25,6 +25,7 @@ __all__ = [
     "GTS",
     "MultiColumnGTS",
     "ColumnarStore",
+    "ListStore",
     "make_object_store",
     "TreeStructure",
     "save_index",

@@ -17,13 +17,15 @@ This module implements the cache table and its brute-force query path; the
 rebuild policy lives in :class:`repro.core.gts.GTS` (blocking) and
 :mod:`repro.core.maintenance` (generation-swap).
 
-The table holds only the ids of the buffered objects and their byte sizes
-(re-sized by :meth:`CacheTable.resize` when an insert promotes a columnar
-store's dtype, which widens every stored row):
+The table holds only the ids of the buffered objects.
 :meth:`GTS.insert <repro.core.gts.GTS.insert>` has already appended each
-payload to the index's object store, so a query batch scans the cache with
-**one** fused ``cache-scan`` kernel (:meth:`CacheTable.range_scan_batch`,
-alias ``knn_scan_batch``) that evaluates the cached ids through
+payload to the index's object store, which owns every row's byte count: the
+table's used bytes are the store's ``nbytes`` of the cached ids, asked for
+with the store (:meth:`CacheTable.used_bytes`), so a columnar dtype promotion
+re-sizes every cached row with nothing to repair here.  A query batch scans
+the cache with **one** fused ``cache-scan`` kernel
+(:meth:`CacheTable.range_scan_batch`, alias ``knn_scan_batch``) that
+evaluates the cached ids through
 :func:`~repro.core.objectstore.segmented_distances` over the host store.
 The scan runs after the tree descent and offers every (query, cached
 object) distance to the batch's :class:`~repro.core.search.BoundedTriples`,
@@ -47,7 +49,7 @@ __all__ = ["CacheTable"]
 
 
 class CacheTable:
-    """Fixed-budget buffer of recently inserted objects, kept as ids and sizes.
+    """Fixed-budget buffer of recently inserted objects, kept as ids.
 
     Parameters
     ----------
@@ -67,33 +69,30 @@ class CacheTable:
             raise UpdateError("cache table capacity must be positive")
         self.capacity_bytes = int(capacity_bytes)
         self._device = device
-        # buffered id -> payload bytes, in insertion order
-        self._sizes: dict[int, int] = {}
-        self._used_bytes = 0
+        # buffered ids (keys, in insertion order)
+        self._ids: dict[int, bool] = {}
         self._allocation: Optional[Allocation] = None
         if device is not None:
             self._allocation = device.allocate(self.capacity_bytes, "gts-cache-table")
 
     # ------------------------------------------------------------ bookkeeping
     def __len__(self) -> int:
-        return len(self._sizes)
+        return len(self._ids)
 
     def __contains__(self, obj_id: int) -> bool:
-        return int(obj_id) in self._sizes
+        return int(obj_id) in self._ids
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes of cached payload currently buffered."""
-        return self._used_bytes
+    def used_bytes(self, store) -> int:
+        """Bytes the buffered objects take in ``store``, the index's object store."""
+        return store.nbytes(self._ids)
 
-    @property
-    def is_full(self) -> bool:
-        """True once the buffered payload exceeds the byte budget."""
-        return self._used_bytes > self.capacity_bytes
+    def is_full(self, store) -> bool:
+        """True once the buffered objects exceed the byte budget."""
+        return self.used_bytes(store) > self.capacity_bytes
 
     def object_ids(self) -> list[int]:
         """Ids of the objects currently buffered (insertion order)."""
-        return list(self._sizes)
+        return list(self._ids)
 
     # ------------------------------------------------------------- mutations
     def ensure_fits(self, nbytes: int) -> None:
@@ -110,43 +109,22 @@ class CacheTable:
                 "or use batch_update() for oversized objects"
             )
 
-    def insert(self, obj_id: int, nbytes: int) -> None:
-        """Buffer a newly inserted object of ``nbytes`` payload bytes (O(1)).
-
-        Raises :class:`~repro.exceptions.UpdateError` when the object alone
-        exceeds ``capacity_bytes`` (see :meth:`ensure_fits`) or the id is
-        already buffered.
-        """
+    def insert(self, obj_id: int) -> None:
+        """Buffer a newly inserted object (O(1)); its size was checked by
+        :meth:`ensure_fits`.  Raises :class:`~repro.exceptions.UpdateError`
+        when the id is already buffered."""
         obj_id = int(obj_id)
-        if obj_id in self._sizes:
+        if obj_id in self._ids:
             raise UpdateError(f"object {obj_id} is already buffered in the cache table")
-        self.ensure_fits(nbytes)
-        self._sizes[obj_id] = int(nbytes)
-        self._used_bytes += int(nbytes)
+        self._ids[obj_id] = True
 
     def remove(self, obj_id: int) -> bool:
         """Remove a buffered object; returns False when it is not buffered."""
-        nbytes = self._sizes.pop(int(obj_id), None)
-        if nbytes is None:
-            return False
-        self._used_bytes -= nbytes
-        return True
-
-    def resize(self, nbytes: int) -> None:
-        """Set every buffered object's size to ``nbytes``.
-
-        For a columnar object store whose dtype an insert promoted: each
-        cached object is one of its rows, and every row now holds
-        ``nbytes``.
-        """
-        nbytes = int(nbytes)
-        self._sizes = dict.fromkeys(self._sizes, nbytes)
-        self._used_bytes = nbytes * len(self._sizes)
+        return self._ids.pop(int(obj_id), False)
 
     def clear(self) -> None:
         """Drop every buffered object (after a rebuild)."""
-        self._sizes.clear()
-        self._used_bytes = 0
+        self._ids.clear()
 
     def release(self) -> None:
         """Free the device allocation backing the cache table."""
@@ -174,9 +152,9 @@ class CacheTable:
         descent, so it applies each query's radius or running k-th bound
         exactly as it does to tree candidates.
         """
-        if not self._sizes or len(queries) == 0:
+        if not self._ids or len(queries) == 0:
             return
-        ids = np.fromiter(self._sizes, count=len(self._sizes), dtype=np.int64)
+        ids = np.fromiter(self._ids, count=len(self._ids), dtype=np.int64)
         num_queries = len(queries)
         flat_ids = np.tile(ids, num_queries)
         boundaries = np.arange(num_queries + 1, dtype=np.int64) * len(ids)

@@ -28,13 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..exceptions import ConstructionError, IndexError_
+from ..exceptions import ConstructionError
 from ..gpusim.device import Allocation, Device
 from ..gpusim.kernels import sort_kernel
 from ..metrics.base import Metric
 from .encoding import encode_distances
 from .nodes import TreeStructure, level_size, level_start
-from .objectstore import ColumnarStore, gather_rows, segmented_distances
+from .objectstore import ColumnarStore, gather_rows, payload_nbytes, segmented_distances
 from .pivots import PivotSelector, get_pivot_selector
 
 __all__ = [
@@ -43,18 +43,8 @@ __all__ = [
     "build_level",
     "BuildResult",
     "objects_nbytes",
-    "stored_nbytes",
-    "object_sizes",
     "concatenated_ranges",
 ]
-
-
-def _item_nbytes(item) -> int:
-    if isinstance(item, str):
-        return len(item)
-    if isinstance(item, np.ndarray):
-        return item.nbytes
-    return 8
 
 
 def objects_nbytes(objects: Sequence, ids=None) -> int:
@@ -70,38 +60,7 @@ def objects_nbytes(objects: Sequence, ids=None) -> int:
         items = objects
     else:
         items = [objects[int(i)] for i in ids]
-    return int(sum(_item_nbytes(item) for item in items))
-
-
-def stored_nbytes(objects: Sequence, obj) -> int:
-    """Bytes (at least 1) ``obj`` occupies once appended to ``objects``.
-
-    An insert is sized as the row the store will hold: a list or tuple
-    appended to a columnar store becomes a row of the store's dtype, so it
-    costs what that row costs, not the size of the Python object.  An
-    object that is no row of the store (the append will reject it) keeps
-    its own size, so an oversized one is still refused by the cache budget
-    first.
-    """
-    if isinstance(objects, ColumnarStore):
-        try:
-            return max(1, objects.stored_row(obj).nbytes)
-        except IndexError_:
-            pass
-    return max(1, _item_nbytes(obj))
-
-
-def object_sizes(objects: Sequence) -> np.ndarray:
-    """Each object's :func:`objects_nbytes` on its own, as one int64 array.
-
-    Constant for columnar stores and numeric matrices (one row size, no
-    per-object work); any other sequence is sized object by object.
-    """
-    if isinstance(objects, ColumnarStore):
-        return np.full(len(objects), objects.row_nbytes, dtype=np.int64)
-    if isinstance(objects, np.ndarray) and objects.ndim == 2:
-        return np.full(len(objects), objects.shape[1] * objects.itemsize, dtype=np.int64)
-    return np.fromiter((_item_nbytes(o) for o in objects), dtype=np.int64, count=len(objects))
+    return int(sum(payload_nbytes(item) for item in items))
 
 
 def concatenated_ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:

@@ -40,14 +40,14 @@ from ..gpusim.specs import DeviceSpec
 from ..metrics.base import Metric
 from ..tier.config import TierConfig
 from .cache_table import CacheTable
-from .construction import BuildResult, TreeBuild, stored_nbytes
+from .construction import BuildResult, TreeBuild
 from .cost_model import (
     DistanceDistribution,
     estimate_distance_distribution,
     recommend_node_capacity,
 )
 from .nodes import TreeStructure
-from .objectstore import ColumnarStore, make_object_store
+from .objectstore import ListStore, make_object_store
 from .search import search
 from .searchcommon import (
     PruneMode,
@@ -241,8 +241,9 @@ class GTS:
         #: device-read port of a tiered index (a ``PagedObjects``), else None
         self._port = None
 
-        #: the host object store: a ColumnarStore or a list, tiered or not
-        self._objects: list = []
+        #: the host object store (a ColumnarStore or a ListStore), tiered or
+        #: not: the one owner of every row and its byte count
+        self._objects = ListStore()
         self._indexed_ids = np.zeros(0, dtype=np.int64)
         self._tombstones: set[int] = set()
         self._tree: Optional[TreeStructure] = None
@@ -283,7 +284,7 @@ class GTS:
             self._pager.release()
             self._pager = self._port = None
         # Vector datasets stay one contiguous matrix end-to-end (a
-        # ColumnarStore); everything else falls back to a plain list.
+        # ColumnarStore); everything else falls back to a ListStore.
         self._objects = make_object_store(objects)
         if self.tier_config is not None:
             self._init_tier()
@@ -440,6 +441,17 @@ class GTS:
     def num_objects(self) -> int:
         """Number of live (visible) objects: indexed - deleted + cached."""
         return len(self._indexed_ids) - len(self._tombstones) + len(self._cache)
+
+    @property
+    def live_nbytes(self) -> int:
+        """Bytes the live objects take in the object store (what a shard's
+        load is): indexed minus tombstoned, plus cached."""
+        store = self._objects
+        return (
+            store.nbytes(self._indexed_ids)
+            - store.nbytes(self._tombstones)
+            + self._cache.used_bytes(store)
+        )
 
     @property
     def num_indexed(self) -> int:
@@ -707,18 +719,15 @@ class GTS:
         # Validate before charging or touching the store: a rejected insert
         # must be stats-neutral and must not consume an object id (the
         # append itself rejects a row the store cannot hold).
-        nbytes = stored_nbytes(self._objects, obj)
+        nbytes = self._objects.stored_nbytes(obj)
         self._cache.ensure_fits(nbytes)
         obj_id = len(self._objects)
-        promoted = self._append(obj, nbytes)
+        self._append(obj)
         # O(1) append: ship the object to the device-resident cache table
         self.device.transfer_to_device(nbytes)
         self.device.launch_kernel(work_items=1, op_cost=1.0, label="cache-append")
-        self._cache.insert(obj_id, nbytes)
-        if promoted:
-            # every cached row is now as wide as the new one
-            self._cache.resize(nbytes)
-        if self._cache.is_full:
+        self._cache.insert(obj_id)
+        if self._cache.is_full(self._objects):
             if self._maintenance is not None:
                 self._maintenance.notify_overflow()
             else:
@@ -731,41 +740,29 @@ class GTS:
 
         Raises what :meth:`insert` would: :class:`~repro.exceptions.UpdateError`
         when the object can never fit the cache budget, then
-        :class:`~repro.exceptions.IndexError_` when it is no row of a
-        columnar store (:meth:`ColumnarStore.stored_row`), so a compound
-        update can check before any state changes.
+        :class:`~repro.exceptions.IndexError_` when the store cannot hold
+        it (``stored_row``), so a compound update can check before any
+        state changes.
         """
-        nbytes = stored_nbytes(self._objects, obj)
+        nbytes = self._objects.stored_nbytes(obj)
         self._cache.ensure_fits(nbytes)
-        self._check_row(obj)
+        self._objects.stored_row(obj)
         return nbytes
 
-    def _check_row(self, obj) -> None:
-        """Raise :class:`~repro.exceptions.IndexError_` unless the store can hold ``obj``."""
-        if isinstance(self._objects, ColumnarStore):
-            self._objects.stored_row(obj)
+    def _append(self, obj) -> None:
+        """Append ``obj`` to the host store and drop the device copies it made stale.
 
-    def _append(self, obj, nbytes: int) -> bool:
-        """Append ``obj`` (``nbytes`` as stored) to the host store.
-
-        Returns whether the append promoted a columnar store's dtype — the
-        stored row is wider than the store's rows were, so every row is
-        now.  A tiered index then drops every resident block and cached
-        block size (every block's contents changed); otherwise only the tail
-        block's device copy is stale.
+        On a tiered index, an append that rewrote the store's rows (a dtype
+        change) leaves every resident block stale; any other leaves only
+        the tail block's.  Byte counts need no repair: the store answers
+        them from its rows.
         """
-        store = self._objects
-        promoted = isinstance(store, ColumnarStore) and nbytes != store.row_nbytes
         if self._pager is None:
-            store.append(obj)
-            return promoted
-        blocks = self._pager.store
-        tail = blocks.append(obj)
-        if promoted:
-            blocks.forget_block_sizes()
-        for block_id in self._pager.resident_blocks if promoted else (tail,):
+            self._objects.append(obj)
+            return
+        tail, rewrote = self._pager.store.append(obj)
+        for block_id in self._pager.resident_blocks if rewrote else (tail,):
             self._pager.invalidate(block_id)
-        return promoted
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by id (streaming update, Section 4.4).
@@ -867,7 +864,7 @@ class GTS:
         if unknown:
             raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
         for obj in inserts:
-            self._check_row(obj)
+            self._objects.stored_row(obj)
         if self._maintenance is not None:
             self._maintenance.abort()
         for obj_id in delete_set:
@@ -878,7 +875,7 @@ class GTS:
         live, _ = self._fold_ids()
         first_new = len(self._objects)
         for obj in inserts:
-            self._append(obj, stored_nbytes(self._objects, obj))
+            self._append(obj)
         new_ids = np.arange(first_new, len(self._objects), dtype=np.int64)
         self._forced_rebuild_count += 1
         return self._rebuild_over(np.concatenate([live, new_ids]))

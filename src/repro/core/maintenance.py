@@ -162,8 +162,8 @@ class IncrementalMaintenance:
         """Called by :meth:`GTS.insert` when the cache exceeds its budget."""
         self._due = True
         factor = self.config.hard_overflow_factor
-        cache = self.index._cache
-        if factor is not None and cache.used_bytes > factor * cache.capacity_bytes:
+        cache, store = self.index._cache, self.index._objects
+        if factor is not None and cache.used_bytes(store) > factor * cache.capacity_bytes:
             self.run_to_completion()
 
     def run_slice(self) -> Optional[SliceReport]:
@@ -237,7 +237,7 @@ class IncrementalMaintenance:
         self.generation = None
         self.swaps_completed += 1
         # post-snapshot inserts may already exceed the budget again
-        self._due = index._cache.is_full
+        self._due = index._cache.is_full(index._objects)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

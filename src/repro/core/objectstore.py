@@ -1,27 +1,31 @@
-"""Columnar object store: one contiguous matrix for vector datasets.
+"""Host object stores: a columnar matrix for vectors, a list for everything else.
 
 The paper's batch algorithms owe their throughput to *layout*: FAISS-style
 engines keep every vector in one contiguous ``(n, d)`` matrix so a level's
 candidate gather is a single strided copy and the distance evaluation is one
-matrix-shaped pass.  The original reproduction listified every dataset at
-``bulk_load`` time, which silently demoted all vector workloads to the slow
-one-Python-object-per-row path.
-
-:class:`ColumnarStore` restores the contiguous layout end-to-end:
+matrix-shaped pass.  :class:`ColumnarStore` keeps that layout end-to-end:
 
 * the primary copy is a C-contiguous NumPy matrix (``float64``/``float32``
   or integer rows, whatever the dataset arrived in);
 * streaming inserts append in amortised O(1) by doubling a capacity buffer,
   so object ids remain row positions forever;
-* :meth:`gather` turns a candidate id list into one fancy-index copy — the
-  host-side analogue of a coalesced device gather — which is what the fused
-  segmented distance kernels consume.
+* :meth:`ColumnarStore.gather` turns a candidate id list into one
+  fancy-index copy — the host-side analogue of a coalesced device gather —
+  which is what the fused segmented distance kernels consume.
 
-Non-vector datasets (strings, sets, ragged point sets) keep the plain list
-representation; :func:`make_object_store` decides which one applies.  Both
-representations expose the same access patterns (``len``, integer indexing,
-``append``) so the rest of the engine does not branch on the storage kind —
-it only probes for the optional fast paths (``gather``, ``matrix``).
+Non-vector datasets (strings, sets, ragged point sets) live in a
+:class:`ListStore`: the Python rows plus one int64 byte cost per row.
+:func:`make_object_store` decides which kind applies.
+
+**One interface.**  Both kinds answer ``len``, integer indexing, iteration
+and ``gather(ids)``, validate a prospective row (``stored_row``) and own
+every byte count: ``nbytes(ids)``, ``stored_nbytes(obj)`` and
+``row_sizes()``, a row costing ``max(1, payload)`` bytes.  ``append``
+reports whether it rewrote the existing rows (a columnar dtype change),
+which makes every device copy of them stale.  The cache table's used
+bytes, a shard's load and a tiered block's size are each ``nbytes`` of
+some ids, asked when needed and never copied; a new store kind implements
+this interface and nothing in the cache, tier or shard code changes.
 
 Every store here is a host store: an index — tiered ones included — keeps
 one as its object store, and :func:`segmented_distances` reads it without
@@ -41,7 +45,9 @@ from ..metrics.base import Metric
 
 __all__ = [
     "ColumnarStore",
+    "ListStore",
     "make_object_store",
+    "payload_nbytes",
     "gather_rows",
     "rows_matrix",
     "segmented_distances",
@@ -55,6 +61,16 @@ __all__ = [
 #: host-side blocking factor — chunking never changes kernel accounting,
 #: pager traffic order, or a single bit of the results.
 GATHER_CHUNK_ELEMENTS = 512 * 1024
+
+
+def payload_nbytes(obj) -> int:
+    """Payload bytes of one object: a string's length, an array's ``nbytes``,
+    8 for anything else (a number, a set, ...)."""
+    if isinstance(obj, str):
+        return len(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    return 8
 
 
 class ColumnarStore:
@@ -99,6 +115,28 @@ class ColumnarStore:
 
     def __len__(self) -> int:
         return self._size
+
+    # ---------------------------------------------------------- byte counts
+    def nbytes(self, ids=None) -> int:
+        """Bytes of the rows ``ids`` (every row when None): arithmetic on a length."""
+        data = self._data
+        return max(1, data.shape[1] * data.itemsize) * (self._size if ids is None else len(ids))
+
+    def row_sizes(self) -> np.ndarray:
+        """Every row's bytes, as one int64 array."""
+        return np.full(self._size, max(1, self.row_nbytes), dtype=np.int64)
+
+    def stored_nbytes(self, obj) -> int:
+        """Bytes ``obj`` takes once appended: its :meth:`stored_row`'s.
+
+        An object that is no row of the store (the append will reject it)
+        keeps its own :func:`payload_nbytes`, so an oversized one is still
+        refused by a byte budget first.
+        """
+        try:
+            return max(1, self.stored_row(obj).nbytes)
+        except IndexError_:
+            return max(1, payload_nbytes(obj))
 
     # -------------------------------------------------------------- access
     def __getitem__(self, index):
@@ -179,15 +217,19 @@ class ColumnarStore:
         return cast if exact else row.astype(np.promote_types(self._data.dtype, row.dtype))
 
     # ------------------------------------------------------------ mutation
-    def append(self, obj) -> None:
+    def append(self, obj) -> bool:
         """Append one object row (streaming insert); amortised O(1).
 
-        The row is :meth:`stored_row`'s; a wider dtype promotes the matrix
-        (and drops the digest cache) first.
+        The row is :meth:`stored_row`'s; a row of another dtype promotes the
+        matrix (and drops the digest cache) first.  Returns whether it did:
+        the dtype changed, so every existing row was rewritten — whether or
+        not its width changed (int64 -> float64 keeps 8 bytes a value).
         """
         row = self.stored_row(obj)
-        if row.dtype != self._data.dtype:
-            self._data = self._data.astype(row.dtype)
+        rewrote = row.dtype != self._data.dtype
+        if rewrote:
+            # only the live rows: the spare capacity is uninitialised memory
+            self._data = self._data[: self._size].astype(row.dtype)
             self._digest_cache.clear()
         if self._size == self._data.shape[0]:
             capacity = max(4, 2 * self._data.shape[0])
@@ -196,9 +238,78 @@ class ColumnarStore:
             self._data = grown
         self._data[self._size] = row
         self._size += 1
+        return rewrote
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ColumnarStore({self._size}x{self._data.shape[1]}, {self._data.dtype})"
+
+
+class ListStore:
+    """Python rows of a non-vector dataset, each with its byte cost.
+
+    Object id ``i`` is row ``i``.  A row's cost — its :func:`payload_nbytes`,
+    at least 1 — is computed once, when the row arrives, into an int64 array
+    grown by doubling like :class:`ColumnarStore`'s matrix.  A Python row
+    never changes, so its cost never goes stale, and :meth:`nbytes` is one
+    NumPy gather-sum.
+    """
+
+    __slots__ = ("_rows", "_costs")
+
+    def __init__(self, rows: Sequence = ()) -> None:
+        self._rows = list(rows)
+        self._costs = np.fromiter(
+            map(self.stored_nbytes, self._rows), dtype=np.int64, count=len(self._rows)
+        )
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._rows)
+
+    def gather(self, ids) -> list:
+        """The rows with the given ids, as a list."""
+        rows = self._rows
+        return [rows[i] for i in np.asarray(ids, dtype=np.int64).tolist()]
+
+    def nbytes(self, ids=None) -> int:
+        """Bytes of the rows ``ids`` (every row when None): one gather-sum."""
+        costs = self._costs[: len(self._rows)]
+        if ids is None:
+            return int(np.add.reduce(costs))
+        if len(ids) == 0:
+            return 0
+        if not isinstance(ids, np.ndarray):
+            ids = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        return int(np.add.reduce(costs.take(ids)))
+
+    def row_sizes(self) -> np.ndarray:
+        """Every row's bytes, as one int64 array."""
+        return self._costs[: len(self._rows)].copy()
+
+    def stored_nbytes(self, obj) -> int:
+        """Bytes ``obj`` takes once appended."""
+        return max(1, payload_nbytes(obj))
+
+    def stored_row(self, obj):
+        """``obj`` itself: a list store holds any object as it is."""
+        return obj
+
+    def append(self, obj) -> bool:
+        """Append one row and its cost; amortised O(1).  Never rewrites the
+        existing rows, so always returns False."""
+        n = len(self._rows)
+        if n == len(self._costs):
+            grown = np.empty(max(4, 2 * n), dtype=np.int64)
+            grown[:n] = self._costs
+            self._costs = grown
+        self._costs[n] = self.stored_nbytes(obj)
+        self._rows.append(obj)
+        return False
 
 
 def make_object_store(objects: Sequence):
@@ -209,18 +320,18 @@ def make_object_store(objects: Sequence):
       becomes a :class:`ColumnarStore` (the fast path every vector metric
       rides) — Python numbers get NumPy's default dtype, as ``np.array``
       gives them;
-    * anything else (strings, sets, ragged data) is copied into a plain list,
-      the fully general representation.
+    * anything else (strings, sets, ragged data) is copied into a
+      :class:`ListStore`, the fully general representation.
     """
     if isinstance(objects, ColumnarStore):
         return ColumnarStore(objects.matrix)
     if isinstance(objects, np.ndarray):
         if objects.ndim == 2 and objects.dtype.kind in "fiu":
             return ColumnarStore(objects)
-        return [objects[i] for i in range(len(objects))]
+        return ListStore(objects[i] for i in range(len(objects)))
     items = [objects[i] for i in range(len(objects))]
     if not items:
-        return items
+        return ListStore()
     if all(isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype.kind in "fiu" for o in items):
         signatures = {(o.shape, o.dtype.str) for o in items}
         if len(signatures) == 1:
@@ -229,10 +340,10 @@ def make_object_store(objects: Sequence):
         try:
             matrix = np.array(items)
         except (TypeError, ValueError):  # ragged nesting below the rows
-            return items
+            return ListStore(items)
         if matrix.ndim == 2 and matrix.dtype.kind in "fiu":
             return ColumnarStore(matrix)
-    return items
+    return ListStore(items)
 
 
 def rows_matrix(objects):

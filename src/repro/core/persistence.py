@@ -37,9 +37,9 @@ from ..exceptions import IndexError_, MetricError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
 from ..metrics.registry import get_metric
-from .construction import BuildResult, stored_nbytes
+from .construction import BuildResult
 from .nodes import TreeStructure
-from .objectstore import ColumnarStore, make_object_store, rows_matrix
+from .objectstore import ColumnarStore, ListStore, make_object_store, rows_matrix
 
 __all__ = ["save_index", "load_index", "INDEX_FORMAT_VERSION"]
 
@@ -182,7 +182,7 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
             # re-create the contiguous columnar store (copies out of the npz)
             objects = make_object_store(archive["objects_array"])
         else:
-            objects = list(archive["objects_pickled"][:-1])
+            objects = ListStore(archive["objects_pickled"][:-1])
         tree = TreeStructure(
             node_capacity=int(meta["node_capacity"]),
             height=int(meta["height"]),
@@ -239,5 +239,5 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
 
     # host-side read: repopulating the cache faults no tiered block
     for obj_id in cache_ids:
-        index._cache.insert(obj_id, stored_nbytes(objects, objects[obj_id]))
+        index._cache.insert(obj_id)
     return index

@@ -109,6 +109,17 @@ class Workload:
     def batch_size(self) -> int:
         return len(self.queries)
 
+    def measure(self, index) -> tuple:
+        """Answer one MRQ batch and one MkNNQ batch on ``index``, timing each
+        on ``index.device``: ``(range answers, MRQ seconds, kNN answers,
+        MkNNQ seconds)``."""
+        before = index.device.stats.sim_time
+        range_answers = index.range_query_batch(self.queries, self.radius)
+        mrq_time = index.device.stats.sim_time - before
+        before = index.device.stats.sim_time
+        knn_answers = index.knn_query_batch(self.queries, self.k)
+        return range_answers, mrq_time, knn_answers, index.device.stats.sim_time - before
+
 
 def make_workload(
     dataset,

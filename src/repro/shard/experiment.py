@@ -34,17 +34,6 @@ from .sharded import ShardedGTS
 __all__ = ["experiment_sharding_scaleout"]
 
 
-def _measure_queries(index, queries, radius, k):
-    """Answer one MRQ batch and one MkNNQ batch, timing each on ``index.device``."""
-    before = index.device.stats.sim_time
-    range_answers = index.range_query_batch(queries, radius)
-    mrq_time = index.device.stats.sim_time - before
-    before = index.device.stats.sim_time
-    knn_answers = index.knn_query_batch(queries, k)
-    knn_time = index.device.stats.sim_time - before
-    return range_answers, mrq_time, knn_answers, knn_time
-
-
 def experiment_sharding_scaleout(
     dataset_name: str = "tloc",
     shard_counts: Sequence[int] = (1, 2, 4),
@@ -94,9 +83,7 @@ def experiment_sharding_scaleout(
         device=Device(device_spec),
         seed=seed,
     )
-    ref_range, ref_mrq_time, ref_knn, ref_knn_time = _measure_queries(
-        reference, workload.queries, workload.radius, workload.k
-    )
+    ref_range, ref_mrq_time, ref_knn, ref_knn_time = workload.measure(reference)
     reference.close()
 
     base_knn_time = None
@@ -111,9 +98,7 @@ def experiment_sharding_scaleout(
             seed=seed,
         )
         build_time = index.device.stats.sim_time
-        range_answers, mrq_time, knn_answers, knn_time = _measure_queries(
-            index, workload.queries, workload.radius, workload.k
-        )
+        range_answers, mrq_time, knn_answers, knn_time = workload.measure(index)
         correct = range_answers == ref_range and knn_answers == ref_knn
         if base_knn_time is None:
             base_knn_time = knn_time
@@ -149,9 +134,7 @@ def experiment_sharding_scaleout(
                 device_spec=device_spec,
                 seed=seed,
             )
-            _, _, _, knn_time = _measure_queries(
-                index, weak_workload.queries, weak_workload.radius, weak_workload.k
-            )
+            _, _, _, knn_time = weak_workload.measure(index)
             if base_weak_time is None:
                 base_weak_time = knn_time
             result.add_row(

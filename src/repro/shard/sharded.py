@@ -41,9 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.construction import object_sizes, objects_nbytes, stored_nbytes
 from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
-from ..core.objectstore import ColumnarStore, gather_rows, make_object_store
+from ..core.objectstore import make_object_store
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
 from ..gpusim.cpu import CPUExecutor
@@ -61,6 +60,20 @@ __all__ = ["ShardedGTS", "ShardedBuildReport", "DEFAULT_HOST_SPEC"]
 #: embarrassingly parallel across queries, so the coordinator uses the
 #: paper's host CPU (i9-10900X) with all ten cores.
 DEFAULT_HOST_SPEC = CPUSpec(name="shard-host", cores=10)
+
+
+class _LiveLoads:
+    """Each shard's :attr:`GTS.live_nbytes`, read only when a policy indexes
+    it (round-robin takes the length alone)."""
+
+    def __init__(self, shards: list) -> None:
+        self._shards = shards
+
+    def __len__(self) -> int:
+        return len(self._shards)
+
+    def __getitem__(self, sid: int) -> int:
+        return self._shards[sid].live_nbytes
 
 
 @dataclass
@@ -157,7 +170,6 @@ class ShardedGTS:
         self._owner: dict[int, tuple[int, int]] = {}
         self._shard_to_global: list[list[int]] = [[] for _ in range(self.num_shards)]
         self._deleted: set[int] = set()
-        self._loads: list[float] = [0.0] * self.num_shards
         self._next_id = 0
         self._built = False
 
@@ -186,12 +198,11 @@ class ShardedGTS:
             raise IndexError_(
                 f"cannot spread {len(objects)} objects over {self.num_shards} shards"
             )
-        if not isinstance(objects, (np.ndarray, ColumnarStore)):
-            # Python rows are sized and partitioned as the shards store them
-            objects = make_object_store(objects)
-        n = len(objects)
-        nbytes = np.maximum(1, object_sizes(objects))
-        owner = np.asarray(self.policy.partition(objects, nbytes, self.num_shards), dtype=np.int64)
+        # objects are sized and partitioned as the shards store them
+        store = make_object_store(objects)
+        n = len(store)
+        nbytes = store.row_sizes()
+        owner = np.asarray(self.policy.partition(store, nbytes, self.num_shards), dtype=np.int64)
         if len(owner) != n or owner.min() < 0 or owner.max() >= self.num_shards:
             raise IndexError_(
                 f"assignment policy {self.policy.name!r} must give each of the {n} "
@@ -210,9 +221,8 @@ class ShardedGTS:
         self._owner = dict(zip(range(n), zip(owner.tolist(), local.tolist())))
         self._shard_to_global = [ids.tolist() for ids in per_shard]
         self._deleted = set()
-        self._loads = np.bincount(owner, weights=nbytes, minlength=self.num_shards).tolist()
         self._next_id = n
-        partitions = [gather_rows(objects, ids) for ids in per_shard]
+        partitions = [store.gather(ids) for ids in per_shard]
         # one partitioning pass over the stream happens on the host
         self._charge_host(n, "shard-partition")
         results = self._shard_round(
@@ -382,33 +392,18 @@ class ShardedGTS:
         """
         self._require_built()
         gid = self._next_id
-        sid = self.policy.assign(gid, obj, self._loads)
+        sid = self.policy.assign(gid, obj, _LiveLoads(self.shards))
         # validate before charging: a rejected insert (object larger than the
         # shard's whole cache budget, or no row of its store) must stay
         # stats-neutral
-        nbytes = self.shards[sid]._insert_nbytes(obj)
+        self.shards[sid]._insert_nbytes(obj)
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
         self._owner[gid] = (sid, lid)
         self._shard_to_global[sid].append(gid)
-        self._loads[sid] += nbytes
-        self._size_columnar_loads([sid])
         self._next_id += 1
         return gid
-
-    def _size_columnar_loads(self, sids) -> None:
-        """Set the load of each columnar shard in ``sids`` from its row size.
-
-        Every row of a columnar store has one size, so such a shard's load
-        is its live objects times that size.  Called once after each round
-        of inserts: an insert that promoted the store's dtype widened every
-        row at once, which the per-insert sums do not see.
-        """
-        for sid in sids:
-            store = self.shards[sid]._objects
-            if isinstance(store, ColumnarStore):
-                self._loads[sid] = float(self.shards[sid].num_objects * store.row_nbytes)
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by global id, routed to its owning shard.
@@ -427,12 +422,7 @@ class ShardedGTS:
         sid, lid = owner
         self._charge_host(1.0, "shard-route")
         self._single_shard(sid, lambda shard: shard.delete(lid))
-        self._loads[sid] -= self._object_load(sid, lid)
         self._deleted.add(gid)
-
-    def _object_load(self, sid: int, lid: int) -> int:
-        """Bytes one stored object adds to its shard's load."""
-        return max(1, objects_nbytes([self.shards[sid].get_object(lid)]))
 
     def update(self, obj_id: int, new_obj) -> int:
         """Modify an object: delete the old version, insert the new one.
@@ -444,10 +434,11 @@ class ShardedGTS:
         store cannot hold, is rejected before the old version is touched.
         """
         self._require_built()
-        loads = list(self._loads)
+        loads = self.shard_load_bytes
         owner = self._owner.get(int(obj_id))
         if owner is not None and int(obj_id) not in self._deleted:
-            loads[owner[0]] -= self._object_load(*owner)
+            sid, lid = owner
+            loads[sid] -= self.shards[sid]._objects.nbytes([lid])
         self.shards[self.policy.assign(self._next_id, new_obj, loads)]._insert_nbytes(new_obj)
         self.delete(obj_id)
         return self.insert(new_obj)
@@ -479,14 +470,14 @@ class ShardedGTS:
         if unknown:
             raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
 
-        # routing is planned on a copy of the loads and committed only once
-        # every insert is known to fit the shard it goes to
-        loads = list(self._loads)
+        # routing is planned on a copy of the shards' loads, as the deletes
+        # and each routed insert change them
+        loads = self.shard_load_bytes
         per_shard_deletes: list[list[int]] = [[] for _ in range(self.num_shards)]
         for gid in sorted(delete_set):
             sid, lid = self._owner[gid]
             per_shard_deletes[sid].append(lid)
-            loads[sid] -= self._object_load(sid, lid)
+            loads[sid] -= self.shards[sid]._objects.nbytes([lid])
 
         per_shard_inserts: list[list] = [[] for _ in range(self.num_shards)]
         # GTS assigns local ids consecutively from its current object count
@@ -494,12 +485,12 @@ class ShardedGTS:
         new_owners: dict[int, tuple[int, int]] = {}
         for gid, obj in enumerate(inserts, start=self._next_id):
             sid = self.policy.assign(gid, obj, loads)
-            self.shards[sid]._check_row(obj)
+            store = self.shards[sid]._objects
+            store.stored_row(obj)
             new_owners[gid] = (sid, next_local[sid])
             next_local[sid] += 1
             per_shard_inserts[sid].append(obj)
-            loads[sid] += stored_nbytes(self.shards[sid]._objects, obj)
-        self._loads = loads
+            loads[sid] += store.stored_nbytes(obj)
         self._next_id += len(inserts)
 
         self._charge_host(len(delete_set) + len(inserts), "shard-route")
@@ -510,9 +501,6 @@ class ShardedGTS:
             return None
 
         results = self._shard_round(run)
-        self._size_columnar_loads(
-            sid for sid in range(self.num_shards) if per_shard_inserts[sid]
-        )
         for gid, (sid, lid) in new_owners.items():
             self._owner[gid] = (sid, lid)
             self._shard_to_global[sid].append(gid)
@@ -636,9 +624,10 @@ class ShardedGTS:
         return [shard.num_objects for shard in self.shards]
 
     @property
-    def shard_load_bytes(self) -> list[float]:
-        """Payload bytes assigned to each shard (what size-balanced evens out)."""
-        return list(self._loads)
+    def shard_load_bytes(self) -> list[int]:
+        """Bytes of each shard's live objects (what size-balanced evens out),
+        read from the shards' object stores."""
+        return [shard.live_nbytes for shard in self.shards]
 
     @property
     def tiered(self) -> bool:

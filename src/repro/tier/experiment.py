@@ -39,17 +39,6 @@ from .pager import H2D_LABEL, PAGER_POOL
 __all__ = ["experiment_memory_tiering"]
 
 
-def _measure_queries(index: GTS, queries, radius, k):
-    """One MRQ batch + one MkNNQ batch, timed on the index's device."""
-    before = index.device.stats.sim_time
-    range_answers = index.range_query_batch(queries, radius)
-    mrq_time = index.device.stats.sim_time - before
-    before = index.device.stats.sim_time
-    knn_answers = index.knn_query_batch(queries, k)
-    knn_time = index.device.stats.sim_time - before
-    return range_answers, mrq_time, knn_answers, knn_time
-
-
 def experiment_memory_tiering(
     dataset_name: str = "tloc",
     cap_fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.1),
@@ -90,9 +79,7 @@ def experiment_memory_tiering(
         seed=seed,
     )
     ref_before = reference.device.snapshot()
-    ref_range, ref_mrq_time, ref_knn, ref_knn_time = _measure_queries(
-        reference, workload.queries, workload.radius, workload.k
-    )
+    ref_range, ref_mrq_time, ref_knn, ref_knn_time = workload.measure(reference)
     ref_delta = reference.device.stats.delta_since(ref_before)
     ref_pools = dict(reference.device.stats.pool_peak_bytes)
     reference.close()
@@ -129,9 +116,7 @@ def experiment_memory_tiering(
         # measure steady-state query traffic, not the build's streaming pass
         query_before = index.device.snapshot()
         index.pager.stats.reset()
-        range_answers, mrq_time, knn_answers, knn_time = _measure_queries(
-            index, workload.queries, workload.radius, workload.k
-        )
+        range_answers, mrq_time, knn_answers, knn_time = workload.measure(index)
         delta = index.device.stats.delta_since(query_before)
         pager = index.pager.stats
         correct = range_answers == ref_range and knn_answers == ref_knn

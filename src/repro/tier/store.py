@@ -1,10 +1,14 @@
 """Host-resident blocked object store and the device-read port over it.
 
-:class:`TieredObjectStore` keeps the primary copy of every indexed object in
-(simulated) host memory and cuts it into fixed-size blocks — ranges of
-*physical slots* sized so one block holds roughly ``TierConfig.block_bytes``
-of payload.  Blocks are the unit the :class:`~repro.tier.pager.BlockPager`
-stages into device memory.  Which object sits in which slot is the store's
+:class:`TieredObjectStore` cuts the index's host object store (a
+:class:`~repro.core.objectstore.ColumnarStore` or
+:class:`~repro.core.objectstore.ListStore`, the primary copy of every
+object) into blocks — ranges of *physical slots* sized so one block holds
+roughly ``TierConfig.block_bytes`` of payload.  Blocks are the unit the
+:class:`~repro.tier.pager.BlockPager` stages into device memory.  A block's
+size is the host store's ``nbytes`` of the ids it holds, asked on each
+fault and never cached, so a layout change or a dtype promotion leaves no
+size to repair.  Which object sits in which slot is the store's
 **layout**: the identity until the owning index installs its first tree,
 then the leaf-clustered order :func:`leaf_clustered_order` derives from that
 tree, so one leaf's objects share a few consecutive blocks (DESIGN.md §7).
@@ -26,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.construction import objects_nbytes
-from ..core.objectstore import gather_rows
 from ..exceptions import TierError
 
 __all__ = ["TieredObjectStore", "PagedObjects", "leaf_clustered_order"]
@@ -60,10 +62,10 @@ def leaf_clustered_order(tree, num_ids: int) -> np.ndarray:
 
 
 class TieredObjectStore:
-    """Blocked view over a host-memory object list.
+    """Blocked view over a host object store.
 
     Blocks are contiguous ranges of physical slots: ``objects_per_block`` is
-    derived from the average payload size of the initial store, so array
+    derived from the average row size of the initial store, so array
     datasets get exactly ``block_bytes``-sized blocks and variable-length
     datasets (strings) get blocks of approximately that size.  An id→slot
     map (:attr:`slot_of`) decides which block owns an object; it is the
@@ -79,10 +81,8 @@ class TieredObjectStore:
             raise TierError(f"block size must be positive, got {block_bytes}")
         self._objects = objects
         self.block_bytes = int(block_bytes)
-        total = max(1, objects_nbytes(objects))
-        per_object = max(1, math.ceil(total / len(objects)))
+        per_object = math.ceil(objects.nbytes() / len(objects))
         self.objects_per_block = max(1, self.block_bytes // per_object)
-        self._block_nbytes_cache: dict[int, int] = {}
         # id -> slot and slot -> id; slots beyond the store length keep the
         # identity so an append lands in the next tail slot with no work
         self._slot_of = np.arange(len(objects), dtype=np.int64)
@@ -90,8 +90,8 @@ class TieredObjectStore:
 
     # ------------------------------------------------------------- geometry
     @property
-    def raw(self) -> Sequence:
-        """The underlying host-memory object sequence."""
+    def raw(self):
+        """The underlying host object store."""
         return self._objects
 
     def __len__(self) -> int:
@@ -123,17 +123,8 @@ class TieredObjectStore:
         return self._id_at[start : min(start + self.objects_per_block, len(self._objects))]
 
     def block_nbytes(self, block_id: int) -> int:
-        """Payload bytes of one block (cached; tail block recomputed on append)."""
-        block_id = int(block_id)
-        cached = self._block_nbytes_cache.get(block_id)
-        if cached is not None:
-            return cached
-        ids = self.block_object_ids(block_id)
-        nbytes = max(1, objects_nbytes(self._objects, ids))
-        # the tail block can still grow; only full blocks are safe to cache
-        if len(ids) == self.objects_per_block:
-            self._block_nbytes_cache[block_id] = nbytes
-        return nbytes
+        """Bytes of one block: the host store's ``nbytes`` of its ids."""
+        return self._objects.nbytes(self.block_object_ids(block_id))
 
     def largest_block_nbytes(self) -> int:
         """Payload bytes of the largest block under the current layout."""
@@ -156,7 +147,7 @@ class TieredObjectStore:
 
         ``order`` must be a permutation of every id in the store.  The
         caller owns the consequences for staged device copies (their block
-        contents changed); block payload sizes are recomputed lazily.
+        contents changed).
         """
         order = np.asarray(order, dtype=np.int64)
         n = len(self._objects)
@@ -164,31 +155,21 @@ class TieredObjectStore:
             raise TierError(f"a layout must place each of the store's {n} ids exactly once")
         self._id_at[:n] = order
         self._slot_of[order] = np.arange(n, dtype=np.int64)
-        self._block_nbytes_cache.clear()
 
-    def append(self, obj) -> int:
-        """Append one object to the host store; returns the tail block id."""
-        if isinstance(self._objects, np.ndarray):
-            raise TierError("cannot append to an array-backed store; use a list store")
-        self._objects.append(obj)
+    def append(self, obj) -> tuple[int, bool]:
+        """Append one object to the host store.
+
+        Returns the tail block's id and whether the host store rewrote its
+        existing rows (a dtype change: every block's contents changed).
+        """
+        rewrote = self._objects.append(obj)
         n = len(self._objects)
         if n > len(self._slot_of):
             # grow both maps geometrically; the new slots start as identity
             extra = np.arange(len(self._slot_of), max(n, 2 * len(self._slot_of)), dtype=np.int64)
             self._slot_of = np.concatenate((self._slot_of, extra))
             self._id_at = np.concatenate((self._id_at, extra))
-        tail = self.block_of(n - 1)
-        self._block_nbytes_cache.pop(tail, None)
-        return tail
-
-    def forget_block_sizes(self) -> None:
-        """Drop every cached block payload size.
-
-        For the owning index to call when an append promoted a columnar
-        store's dtype: that rewrote every row at the new width, so every
-        block's payload changed.
-        """
-        self._block_nbytes_cache.clear()
+        return self.block_of(n - 1), rewrote
 
 
 class PagedObjects:
@@ -211,7 +192,7 @@ class PagedObjects:
         """Fault the owning blocks of ``obj_ids``, then gather their host rows."""
         ids = np.asarray(obj_ids, dtype=np.int64)
         self.fault(ids)
-        return gather_rows(self.store.raw, ids)
+        return self.store.raw.gather(ids)
 
     def fault(self, obj_ids) -> None:
         """Fault the owning blocks of one kernel's reads, in order.

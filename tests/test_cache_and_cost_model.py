@@ -24,43 +24,49 @@ from repro.metrics import EuclideanDistance
 class TestCacheTable:
     def test_insert_and_contains(self):
         cache = CacheTable(1024)
-        cache.insert(1, 5)
+        cache.insert(1)
         assert 1 in cache and len(cache) == 1
         assert cache.object_ids() == [1]
 
     def test_duplicate_insert_rejected(self):
         cache = CacheTable(1024)
-        cache.insert(1, 1)
+        cache.insert(1)
         with pytest.raises(UpdateError):
-            cache.insert(1, 1)
+            cache.insert(1)
 
     def test_remove(self):
         cache = CacheTable(1024)
-        cache.insert(3, 3)
+        cache.insert(3)
         assert cache.remove(3)
         assert not cache.remove(3)
         assert len(cache) == 0
 
     def test_used_bytes_tracks_payload(self):
+        """Used bytes are the store's byte count of the cached ids."""
+        store = make_object_store(["abcd", "x" * 32, ""])
         cache = CacheTable(1024)
-        cache.insert(0, 4)
-        cache.insert(1, 32)
-        assert cache.used_bytes == 4 + 32
+        cache.insert(0)
+        cache.insert(1)
+        assert cache.used_bytes(store) == 4 + 32
         cache.remove(0)
-        assert cache.used_bytes == 32
+        assert cache.used_bytes(store) == 32
+        cache.insert(2)
+        assert cache.used_bytes(store) == 32 + 1  # an empty row costs 1 B
 
     def test_is_full_when_budget_exceeded(self):
+        store = make_object_store(np.zeros((2, 1)))  # 8-byte rows
         cache = CacheTable(10)
-        cache.insert(0, 8)
-        assert not cache.is_full
-        cache.insert(1, 8)
-        assert cache.is_full
+        cache.insert(0)
+        assert not cache.is_full(store)
+        cache.insert(1)
+        assert cache.is_full(store)
 
     def test_clear(self):
+        store = make_object_store(["a"])
         cache = CacheTable(100)
-        cache.insert(0, 1)
+        cache.insert(0)
         cache.clear()
-        assert len(cache) == 0 and cache.used_bytes == 0
+        assert len(cache) == 0 and cache.used_bytes(store) == 0
 
     def test_invalid_capacity_rejected(self):
         with pytest.raises(UpdateError):
@@ -79,7 +85,7 @@ class TestCacheTable:
         store = make_object_store(rng.normal(size=(first_id + count, 2)))
         cache = CacheTable(1 << 20)
         for i in range(first_id, first_id + count):
-            cache.insert(i, store.row_nbytes)
+            cache.insert(i)
         return cache, store
 
     @staticmethod
@@ -121,7 +127,7 @@ class TestCacheTable:
         _, store = self._cached(rng, 10, first_id=0)
         cache = CacheTable(1 << 16, device=device)
         for i in range(10):
-            cache.insert(i, store.row_nbytes)
+            cache.insert(i)
         before = device.stats.kernel_launches
         self._scan(cache, store, np.zeros(2), radius=1.0)
         assert device.stats.kernel_launches == before + 1

@@ -23,7 +23,7 @@ import pytest
 
 import repro.core.gts as gts_module
 from repro import GTS
-from repro.core.objectstore import ColumnarStore, make_object_store
+from repro.core.objectstore import ColumnarStore, ListStore, make_object_store
 from repro.exceptions import IndexError_
 from repro.gpusim import Device, DeviceSpec
 from repro.metrics import AngularDistance, EuclideanDistance
@@ -54,12 +54,12 @@ def _stats_fields(stats):
 def _apply_legacy(mp: pytest.MonkeyPatch) -> None:
     """Force the pre-refactor evaluation strategy.
 
-    * ``bulk_load`` keeps a plain Python list (no columnar matrix);
+    * ``bulk_load`` keeps a list store (no columnar matrix);
     * every metric answers ``pairwise_segmented`` with the generic
       per-query ``pairwise`` loop (no fused pass, no store digest).
     """
     mp.setattr(
-        gts_module, "make_object_store", lambda objs: [objs[i] for i in range(len(objs))]
+        gts_module, "make_object_store", lambda objs: ListStore(objs[i] for i in range(len(objs)))
     )
     mp.setattr(_VectorMetric, "_pairwise_segmented", Metric._pairwise_segmented)
     mp.setattr(Metric, "store_digest", lambda self, matrix: None)
@@ -172,9 +172,9 @@ class TestColumnarStore:
         assert isinstance(make_object_store(matrix), ColumnarStore)
         assert isinstance(make_object_store([matrix[i] for i in range(5)]), ColumnarStore)
         strings = ["ab", "cd", "efg"]
-        assert make_object_store(strings) == strings
+        assert list(make_object_store(strings)) == strings
         ragged = [np.zeros(2), np.zeros(3)]
-        assert isinstance(make_object_store(ragged), list)
+        assert isinstance(make_object_store(ragged), ListStore)
 
     def test_make_object_store_stacks_numeric_lists_and_tuples(self):
         rows = make_object_store([[1.0, 2.5], [3.0, 4.0]])
@@ -190,7 +190,7 @@ class TestColumnarStore:
             [{1, 2}, {3, 4}],  # sets
             [[1.0, 2.0], np.array([3.0, 4.0])],  # mixed row kinds
         ):
-            assert isinstance(make_object_store(kept), list)
+            assert isinstance(make_object_store(kept), ListStore)
 
 
 class TestColumnarIndexBehaviour:
@@ -217,7 +217,7 @@ class TestColumnarIndexBehaviour:
             inserted = [index.insert([1.0, 2.0]), index.insert((0.5, -0.25))]
             queries = [points_2d[0], points_2d[17], np.array([1.0, 2.0])]
             answers = [index.range_query_batch(queries, 0.3), index.knn_query_batch(queries, 5)]
-            caches = [g._cache.used_bytes for g in getattr(index, "shards", [index])]
+            caches = [g._cache.used_bytes(g._objects) for g in getattr(index, "shards", [index])]
             stores = [type(g._objects) for g in getattr(index, "shards", [index])]
             loads.append(getattr(index, "shard_load_bytes", None))
             stats = _stats_fields(index.device.stats.delta_since(before))
@@ -234,7 +234,7 @@ class TestColumnarIndexBehaviour:
 
         words = ["apple", "apply", "angle", "ample", "maple", "staple"]
         index = GTS.build(words, EditDistance(expected_length=6), node_capacity=3)
-        assert isinstance(index._objects, list)
+        assert isinstance(index._objects, ListStore)
         assert index.get_object(2) == "angle"
         index.close()
 
@@ -264,12 +264,12 @@ class TestColumnarIndexBehaviour:
         """A float64 insert into a float32 index widens every cached row."""
         index = GTS.build(points_2d[:100].astype(np.float32), EuclideanDistance(), node_capacity=8)
         index.insert([1.0, 2.0])  # exact in float32: 8 B
-        assert index._cache.used_bytes == 8
+        assert index._cache.used_bytes(index._objects) == 8
         index.insert([0.1, 2.0])  # promotes the store to float64
         assert index._objects.dtype == np.float64
-        assert index._cache.used_bytes == 2 * 16
+        assert index._cache.used_bytes(index._objects) == 2 * 16
         index.insert([0.3, 2.0])
-        assert index._cache.used_bytes == 3 * 16
+        assert index._cache.used_bytes(index._objects) == 3 * 16
         index.close()
 
     def test_dtype_promotion_resizes_shard_loads(self, points_2d):
@@ -283,7 +283,7 @@ class TestColumnarIndexBehaviour:
             for sid, shard in enumerate(index.shards):
                 row_nbytes = shard._objects.row_nbytes
                 assert index.shard_load_bytes[sid] == shard.num_objects * row_nbytes
-                assert shard._cache.used_bytes == len(shard._cache) * row_nbytes
+                assert shard._cache.used_bytes(shard._objects) == len(shard._cache) * row_nbytes
         assert {shard._objects.dtype for shard in index.shards} == {np.dtype(np.float64)}
         index.batch_update(inserts=[[0.2, 0.9]], deletes=[5])
         for sid, shard in enumerate(index.shards):

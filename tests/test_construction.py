@@ -10,9 +10,7 @@ from repro.core.construction import (
     _partition_level,
     _select_pivots,
     build_tree,
-    object_sizes,
     objects_nbytes,
-    stored_nbytes,
 )
 from repro.core.encoding import encode_distances
 from repro.core.nodes import NO_PIVOT, TreeStructure, level_size, level_start, tree_height
@@ -364,16 +362,24 @@ class TestLevelKernels:
 
 class TestHelpers:
     def test_object_sizes_match_objects_nbytes_of_each(self, points_2d, word_list):
+        """A store's row sizes are each row's objects_nbytes, at least 1 B."""
         for objects in (
             points_2d,
-            make_object_store(points_2d),
-            word_list,
+            points_2d.astype(np.float32),
+            word_list + [""],
             [points_2d[0], "ab", 7],
             np.array(word_list[:5]),
         ):
-            sizes = object_sizes(objects)
+            store = make_object_store(objects)
+            sizes = store.row_sizes()
             assert sizes.dtype == np.int64
-            assert sizes.tolist() == [objects_nbytes([objects[i]]) for i in range(len(objects))]
+            expected = [max(1, objects_nbytes([objects[i]])) for i in range(len(objects))]
+            assert sizes.tolist() == expected
+            assert store.nbytes() == sum(expected)
+            ids = np.arange(0, len(objects), 2)
+            assert store.nbytes(ids) == store.nbytes(ids.tolist()) == sum(expected[0::2])
+            assert store.nbytes(set(ids.tolist())) == sum(expected[0::2])
+            assert store.nbytes([]) == 0
 
     def test_gather_rows_array(self, rng):
         pts = rng.normal(size=(10, 2))
@@ -385,14 +391,18 @@ class TestHelpers:
 
     def test_stored_nbytes_sizes_the_row_the_store_holds(self):
         store = make_object_store(np.zeros((3, 2)))
-        assert stored_nbytes(store, [1.0, 2.0]) == 16
-        assert stored_nbytes(store, (1, 2)) == 16
-        assert stored_nbytes(store, np.array([1, 2], dtype=np.int8)) == 16
+        assert store.stored_nbytes([1.0, 2.0]) == 16
+        assert store.stored_nbytes((1, 2)) == 16
+        assert store.stored_nbytes(np.array([1, 2], dtype=np.int8)) == 16
+        assert store.stored_nbytes(np.zeros(100)) == 800  # no row: its own size
         narrow = make_object_store(np.zeros((3, 2), dtype=np.float32))
-        assert stored_nbytes(narrow, [1.0, 2.0]) == 8  # exact in float32
-        assert stored_nbytes(narrow, [0.1, 2.0]) == 16  # promotes the store
-        assert stored_nbytes(["ab"], "cde") == 3
-        assert stored_nbytes(["ab"], "") == 1
+        assert narrow.stored_nbytes([1.0, 2.0]) == 8  # exact in float32
+        assert narrow.stored_nbytes([0.1, 2.0]) == 16  # promotes the store
+        words = make_object_store(["ab"])
+        assert words.stored_nbytes("cde") == 3
+        assert words.stored_nbytes("") == 1
+        assert not words.append("")
+        assert words.nbytes() == 2 + 1
 
     def test_objects_nbytes_vectors(self, rng):
         pts = rng.normal(size=(10, 4))

@@ -16,7 +16,6 @@ from repro import GTS, EditDistance, EuclideanDistance
 from repro.baselines import LinearScan
 from repro.core import MaintenanceConfig
 from repro.core.cache_table import CacheTable
-from repro.core.construction import stored_nbytes
 from repro.core.objectstore import make_object_store
 from repro.core.search import BoundedTriples
 from repro.exceptions import UpdateError
@@ -61,7 +60,7 @@ def _cache_over(objects, cached_ids, device):
     store = make_object_store(objects)
     cache = CacheTable(1 << 20, device=device)
     for i in cached_ids:
-        cache.insert(i, stored_nbytes(store, store[i]))
+        cache.insert(i)
     return cache, store
 
 
@@ -232,9 +231,10 @@ class TestBatchedCacheScans:
 class TestOversizedInsert:
     def test_cache_table_rejects_oversized_object(self, device):
         cache = CacheTable(64, device=device)
+        store = make_object_store(np.zeros((1, 2)))
         with pytest.raises(UpdateError, match="exceeds the whole cache"):
-            cache.insert(0, 800)
-        assert len(cache) == 0 and cache.used_bytes == 0
+            cache.ensure_fits(store.stored_nbytes(np.zeros(100)))
+        assert len(cache) == 0 and cache.used_bytes(store) == 0
 
     def test_gts_insert_rejects_oversized_and_stays_stats_neutral(self, points_2d, l2_metric):
         index = GTS.build(points_2d, l2_metric, cache_capacity_bytes=64)
@@ -294,7 +294,7 @@ class TestInsertSizing:
             for row in rows:
                 index.insert(to_obj(row))
             answers = index.knn_query_batch(rows, 3)
-            runs.append((index._cache.used_bytes, self._stats(index.device), answers))
+            runs.append((index._cache.used_bytes(index._objects), self._stats(index.device), answers))
             index.close()
         assert runs[0][0] == len(rows) * 16  # five float64 2-d rows
         assert runs[1] == runs[0]
@@ -311,8 +311,8 @@ class TestInsertSizing:
             index.delete(ids[0])
             runs.append(
                 (
-                    list(index._loads),
-                    [shard._cache.used_bytes for shard in index.shards],
+                    index.shard_load_bytes,
+                    [shard._cache.used_bytes(shard._objects) for shard in index.shards],
                     [self._stats(shard.device) for shard in index.shards],
                 )
             )

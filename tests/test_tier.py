@@ -15,15 +15,15 @@ from repro import GTS, AngularDistance, EditDistance, EuclideanDistance, Sharded
 from repro.exceptions import MemoryLeakError, TierError
 from repro.gpusim import Device, DeviceSpec
 from repro.core.construction import objects_nbytes
+from repro.core.objectstore import make_object_store
 from repro.tier import BlockPager, TierConfig, TieredObjectStore
 from repro.tier.experiment import experiment_memory_tiering
 
 
 def make_store(n=64, dim=2, block_objects=4, seed=0):
     rng = np.random.default_rng(seed)
-    objects = [row for row in rng.normal(size=(n, dim))]
-    per_object = objects_nbytes(objects) // n
-    return TieredObjectStore(objects, block_bytes=per_object * block_objects)
+    objects = make_object_store([row for row in rng.normal(size=(n, dim))])
+    return TieredObjectStore(objects, block_bytes=objects.row_nbytes * block_objects)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +103,8 @@ class TestTieredObjectStore:
     def test_append_extends_tail_and_recomputes_its_size(self):
         store = make_store(n=8, block_objects=4)
         before = store.block_nbytes(store.num_blocks - 1)
-        tail = store.append(np.zeros(2))
-        assert tail == store.num_blocks - 1
+        tail, rewrote = store.append(np.zeros(2))
+        assert tail == store.num_blocks - 1 and not rewrote
         assert store.block_nbytes(tail) > 0
         assert len(store) == 9
         assert store.block_nbytes(0) >= before  # full blocks unchanged
@@ -144,7 +144,7 @@ class TestTieredObjectStore:
         store = make_store(n=8, block_objects=4)
         store.set_layout(np.arange(8)[::-1])
         for expected_id in range(8, 20):
-            tail = store.append(np.zeros(2))
+            tail, _ = store.append(np.zeros(2))
             assert store.slot_of[expected_id] == expected_id
             assert tail == store.num_blocks - 1 == store.block_of(expected_id)
         assert store.block_object_ids(0).tolist() == [7, 6, 5, 4]
@@ -723,6 +723,34 @@ class TestLeafClusteredLayout:
         tiered.close()
         tiered.device.assert_no_leaks()
 
+    def test_same_width_promotion_invalidates_every_block(self, points_2d):
+        """int64 -> float64 keeps 8 B a value yet rewrites every row, so no
+        staged block may survive it."""
+        data = np.round(points_2d[:400] * 10).astype(np.int64)
+        resident = GTS.build(data, EuclideanDistance(), node_capacity=8, seed=3)
+        tiered = GTS.build(
+            data, EuclideanDistance(), node_capacity=8, seed=3,
+            tier=TierConfig(memory_budget_bytes=1024, block_bytes=128),
+        )
+        for i in range(20):
+            tiered.knn_query(data[i], 5)
+        store, pager = tiered.pager.store, tiered.pager
+        staged = len(pager.resident_blocks)
+        assert staged > 1
+        invalidations = pager.stats.invalidations
+        width = store.block_nbytes(0)
+        new_id = tiered.insert(np.array([0.5, 0.5]))
+        assert resident.insert(np.array([0.5, 0.5])) == new_id
+        assert tiered._objects.dtype == np.float64
+        assert pager.resident_blocks == []
+        assert pager.stats.invalidations == invalidations + staged
+        assert store.block_nbytes(0) == width
+        queries = [np.array([0.5, 0.5])] + [data[i] for i in range(8)]
+        self.assert_same_answers(resident, tiered, queries)
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
     def test_persistence_rederives_the_layout(self, points_2d, tmp_path):
         points = points_2d[:400]
         index = GTS.build(
@@ -762,7 +790,7 @@ class TestLeafClusteredLayout:
         # the leaf-clustered layout groups similar (here: similarly long)
         # words, so its largest block can outgrow every id-range block; the
         # install re-checks the budget instead of failing mid-query
-        budget = TieredObjectStore(word_list, 64).largest_block_nbytes()
+        budget = TieredObjectStore(make_object_store(word_list), 64).largest_block_nbytes()
         with pytest.raises(TierError, match="largest object block"):
             GTS.build(
                 word_list, edit_metric, node_capacity=6,
