@@ -31,7 +31,7 @@ import numpy as np
 import repro.core.gts as gts_module
 import repro.core.search as search_module
 from repro.core.objectstore import ListStore, gather_rows
-from repro.core.searchcommon import RESULT_BYTES
+from repro.core.searchcommon import RESULT_BYTES, leaf_candidate_segments
 from repro.metrics.base import Metric
 from repro.metrics.vector import _VectorMetric
 
@@ -133,31 +133,36 @@ class _LegacyBoundedTriples:
         return out
 
 
-def _legacy_verify(batch, leaf_q, leaf_node) -> None:
-    """Historical leaf verification: per-query pairwise + per-hit dict inserts."""
+def _legacy_verify(batch, leaf_q, leaf_node, parent_dist) -> None:
+    """Historical leaf verification: per-query pairwise + per-hit dict inserts.
+
+    Which candidates reach the exact evaluation is the engine's choice
+    (``leaf_candidate_segments``: tombstones and the table list's
+    ``obj_dis`` test); only how each pair is evaluated and pooled is
+    historical.
+    """
     if len(leaf_q) == 0:
         return
     tree, metric, device, queries = batch.tree, batch.metric, batch.device, batch.queries
     objects, results = _batch_rows(batch), batch.results
-    exclude = _exclude_set(batch.tombstones)
-    order = np.argsort(leaf_q, kind="stable")
-    sorted_q = leaf_q[order]
-    unique_queries, starts = np.unique(sorted_q, return_index=True)
-    boundaries = list(starts) + [len(order)]
-    total_verified = 0
+    filtered = parent_dist is not None and search_module.leaf_pivot_filter(batch)
+    unique_queries, boundaries, candidates = leaf_candidate_segments(
+        tree,
+        leaf_q,
+        leaf_node,
+        batch.tombstones,
+        parent_dist=parent_dist if filtered else None,
+        bounds=results.bounds(leaf_q) if filtered else None,
+        k=results.k,
+        distance_error=metric.distance_error(),
+    )
+    total_verified = len(candidates)
     total_hits = 0
     host_start = time.perf_counter()
     for qi, query_index in enumerate(unique_queries):
-        idx = order[boundaries[qi] : boundaries[qi + 1]]
-        obj_ids = np.concatenate([tree.node_objects(int(n)) for n in leaf_node[idx]])
-        if exclude:
-            obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
-        if len(obj_ids) == 0:
-            continue
-        obj_ids = np.sort(obj_ids)
-        candidates = gather_rows(objects, obj_ids)
-        dists = metric.pairwise(queries[int(query_index)], candidates)
-        total_verified += len(obj_ids)
+        obj_ids = np.sort(candidates[boundaries[qi] : boundaries[qi + 1]])
+        rows = gather_rows(objects, obj_ids)
+        dists = metric.pairwise(queries[int(query_index)], rows)
         total_hits += results.offer(np.full(len(obj_ids), query_index), obj_ids, dists)
     host = time.perf_counter() - host_start
     device.launch_kernel(
@@ -169,7 +174,8 @@ def _legacy_verify(batch, leaf_q, leaf_node) -> None:
     if results.k is None:
         needed = total_hits * RESULT_BYTES
     elif total_verified:
-        slots = sum(min(int(results.k[int(q)]), tree.num_objects) for q in unique_queries)
+        reached = np.unique(leaf_q)
+        slots = sum(min(int(results.k[int(q)]), tree.num_objects) for q in reached)
         needed = max(slots, 1) * RESULT_BYTES
     else:
         needed = 0

@@ -245,6 +245,9 @@ class GTS:
         #: not: the one owner of every row and its byte count
         self._objects = ListStore()
         self._indexed_ids = np.zeros(0, dtype=np.int64)
+        #: store bytes of ``_indexed_ids``, summed at each install and
+        #: after a store rewrite (the only times either changes)
+        self._indexed_nbytes = 0
         self._tombstones: set[int] = set()
         self._tree: Optional[TreeStructure] = None
         self._build_result: Optional[BuildResult] = None
@@ -382,6 +385,7 @@ class GTS:
         self._build_result = result
         self._allocations = result.allocations
         self._indexed_ids = ids
+        self._indexed_nbytes = self._objects.nbytes(ids)
         self._tombstones = tombstones
         return result
 
@@ -448,7 +452,7 @@ class GTS:
         load is): indexed minus tombstoned, plus cached."""
         store = self._objects
         return (
-            store.nbytes(self._indexed_ids)
+            self._indexed_nbytes
             - store.nbytes(self._tombstones)
             + self._cache.used_bytes(store)
         )
@@ -754,15 +758,18 @@ class GTS:
 
         On a tiered index, an append that rewrote the store's rows (a dtype
         change) leaves every resident block stale; any other leaves only
-        the tail block's.  Byte counts need no repair: the store answers
-        them from its rows.
+        the tail block's.  A rewrite may change every row's size, so the
+        indexed rows' byte sum is taken again; every other byte count is
+        answered by the store from its rows.
         """
         if self._pager is None:
-            self._objects.append(obj)
-            return
-        tail, rewrote = self._pager.store.append(obj)
-        for block_id in self._pager.resident_blocks if rewrote else (tail,):
-            self._pager.invalidate(block_id)
+            rewrote = self._objects.append(obj)
+        else:
+            tail, rewrote = self._pager.store.append(obj)
+            for block_id in self._pager.resident_blocks if rewrote else (tail,):
+                self._pager.invalidate(block_id)
+        if rewrote:
+            self._indexed_nbytes = self._objects.nbytes(self._indexed_ids)
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by id (streaming update, Section 4.4).

@@ -15,23 +15,34 @@ tree one level at a time for *all* queries simultaneously:
 3. surviving internal children get their own pivot distance computed (one
    kernel, grouped per query) and become the next level's candidates; every
    pivot is a real indexed object, so it is offered as an answer too;
-   surviving leaves go to verification;
-4. before expanding a level, the projected intermediate-table size is checked
+   surviving leaves go to verification, carrying ``d(q, parent pivot)``;
+4. for kNN, those offers shrink the k-th bounds, so every child is re-tested
+   under its query's new bound and the failures are dropped before the next
+   level is sized (no kernel of its own: the compare rides the next level's
+   k-th bound kernel, which is charged over the survivors);
+5. before expanding a level, the projected intermediate-table size is checked
    against the per-level memory limit; if it does not fit the query batch is
    split into groups processed sequentially (the two-stage strategy).
 
-Verification computes the real distances of every object in the surviving
-leaves and offers them to the :class:`BoundedTriples` accumulator, which
-keeps the triples within each query's bound; where the metric certifies
-distance bounds, candidates provably beyond their query's bound are dropped
-before the exact evaluation (DESIGN.md §8).
+Verification first drops every leaf candidate whose table-list distance
+``obj_dis`` to its leaf's parent pivot puts it beyond its query's bound —
+a kNN bound first tightened to the k-th smallest ``d(q, p) + obj_dis`` —
+without reading a row (the compare rides the verify kernel, which is
+charged over the survivors; skipped on a resident index whose metric
+certifies bounds, see :func:`leaf_pivot_filter`).  It then computes the
+real distances of the rest and offers them to the :class:`BoundedTriples`
+accumulator, which keeps the triples within each query's bound; where the
+metric certifies distance bounds, candidates provably beyond their query's
+bound are dropped before the exact evaluation (DESIGN.md §8).
 
 The descent reads one host object store.  A tiered index also hands the
 search its device-read port (:class:`~repro.tier.store.PagedObjects`), and
 the two kernels that read stored rows — pivot distances and leaf
-verification — fault their whole id list through it first; every candidate
-is faulted before the certified filter drops any, so the filter never
-changes pager traffic (DESIGN.md §7).  Each offer lists a
+verification — fault their id list through it first.  Leaf verification
+runs in this order: the ``obj_dis`` test, the fault of its survivors, the
+certified filter, the exact kernel; so a candidate the ``obj_dis`` test
+drops is never faulted, and the certified filter never changes pager
+traffic (DESIGN.md §7).  Each offer lists a
 ``(query, id)`` at most once, so a kNN offer is culled to the k-th smallest
 distance of each query's own entries, and every refresh of the k-th bounds
 trims the pool to ``k`` plus ties per query.  Range answers are exact; kNN
@@ -58,6 +69,7 @@ from .searchcommon import (
     PruneMode,
     SearchBatch,
     dedupe_min_triples,
+    interval_survivors,
     leaf_candidate_segments,
     level_pair_limit,
     pivot_distances_per_query,
@@ -84,8 +96,9 @@ class BoundedTriples:
     their query's bound; a kNN offer first tightens each offered query's
     bound to the k-th smallest distance of its own entries.  Kept triples
     are appended; compaction — one ``np.lexsort`` keeping the minimum
-    distance per (query, id) pair — runs lazily when a kNN bound or the
-    answers are read.  Refreshing the k-th bounds
+    distance per (query, id) pair, skipped when a query-sorted offer lands
+    in an empty pool — runs lazily when a kNN bound or the answers are
+    read.  Refreshing the k-th bounds
     (:func:`~repro.core.searchcommon.segment_kth_smallest` over the
     compacted pool) also trims every triple beyond its query's new bound, so
     a kNN pool holds at most ``k`` plus ties per query between offers
@@ -106,7 +119,7 @@ class BoundedTriples:
         self.k = k
         #: kernel-label prefix of the query kind
         self.label = "mrq" if k is None else "mknn"
-        # compacted pool: sorted by (query, id), unique per (query, id)
+        # compacted pool: sorted by query, unique per (query, id)
         self._cq = np.zeros(0, dtype=np.int64)
         self._cid = np.zeros(0, dtype=np.int64)
         self._cd = np.zeros(0, dtype=np.float64)
@@ -116,6 +129,14 @@ class BoundedTriples:
     def _compact(self) -> None:
         if not self._pending:
             return
+        if len(self._pending) == 1 and len(self._cq) == 0:
+            qs, ids, dists = self._pending[0]
+            if len(qs) < 2 or (qs[1:] >= qs[:-1]).all():
+                # an offer lists each (query, id) at most once, so a
+                # query-sorted one merged into an empty pool is compact
+                self._pending = []
+                self._cq, self._cid, self._cd = qs, ids, dists
+                return
         qs = np.concatenate([self._cq] + [p[0] for p in self._pending])
         ids = np.concatenate([self._cid] + [p[1] for p in self._pending])
         dists = np.concatenate([self._cd] + [p[2] for p in self._pending])
@@ -229,6 +250,25 @@ def _spans_store(obj_ids: np.ndarray, num_rows: int) -> bool:
     return np.count_nonzero(mark) >= need
 
 
+def _certifies(metric: Metric) -> bool:
+    """Whether ``metric`` certifies distance bounds (overrides ``distance_bounds``)."""
+    return type(metric).distance_bounds is not Metric.distance_bounds
+
+
+def leaf_pivot_filter(batch: SearchBatch) -> bool:
+    """Whether leaf verification runs the table list's ``obj_dis`` test.
+
+    Everywhere except on a resident index whose metric certifies distance
+    bounds.  There :func:`_certified_survivors` bounds every candidate with
+    one BLAS product, a bound far tighter than ``obj_dis`` gives (over
+    2,000 300-d angular rows the ``obj_dis`` test drops 3-4% of the
+    candidates), and no device fault is there to save, so the test would
+    only add host passes.  A tiered index runs it: every candidate it drops
+    is a read the port never faults.
+    """
+    return batch.port is not None or not _certifies(batch.metric)
+
+
 def _certified_survivors(
     metric: Metric,
     objects: Sequence,
@@ -257,7 +297,7 @@ def _certified_survivors(
     Returns None when the filter does not apply: a metric without bounds or
     a list store (generic objects keep the exact path).
     """
-    if type(metric).distance_bounds is Metric.distance_bounds:
+    if not _certifies(metric):
         return None
     if not isinstance(objects, ColumnarStore):
         return None
@@ -271,7 +311,7 @@ def _certified_survivors(
         row_digest = None if digest is None else digest[rows]
     num_rows = len(row_matrix)
     query_matrix = np.asarray(query_objects)
-    counts = np.diff(boundaries)
+    counts = boundaries[1:] - boundaries[:-1]
     knn = results.k is not None
     lo = np.empty(len(obj_ids), dtype=np.float64)
     hi = np.empty(len(obj_ids), dtype=np.float64) if knn else None
@@ -295,29 +335,47 @@ def _certified_survivors(
     return lo <= np.repeat(limit, counts)
 
 
-def _verify_leaves(batch: SearchBatch, leaf_q: np.ndarray, leaf_node: np.ndarray) -> None:
-    """Compute real distances for every object in the surviving leaves.
+def _verify_leaves(
+    batch: SearchBatch,
+    leaf_q: np.ndarray,
+    leaf_node: np.ndarray,
+    parent_dist: Optional[np.ndarray],
+) -> None:
+    """Compute real distances for the candidates of the surviving leaves.
 
     One fused pass: the surviving leaves' table-list slices are expanded into
-    per-query candidate segments (slot-sorted and faulted through the port
-    on tiered indexes).  Where the metric certifies distance bounds
-    (:func:`_certified_survivors`), pairs proven beyond their query's bound
-    are dropped first; the rest are gathered, evaluated with the segmented
-    exact kernel — so every reported distance is bitwise the reference
-    value — and offered to the accumulator in one bulk add.  The verify
-    kernel is charged for every candidate pair either way, and the dropped
-    pairs still count in the metric's pair counter.
+    per-query candidate segments, and — given ``parent_dist``, each pair's
+    ``d(q, p)`` to the pivot of the leaf's parent (None when the root is the
+    only leaf), where :func:`leaf_pivot_filter` applies — every candidate
+    whose table-list distance ``obj_dis`` proves it beyond its query's
+    bound is dropped before any row is read
+    (:func:`~repro.core.searchcommon.leaf_candidate_segments`).  A tiered
+    index faults only the survivors through its port, in slot order.  Where
+    the metric certifies distance bounds (:func:`_certified_survivors`),
+    pairs proven beyond their query's bound are dropped next; the rest are
+    gathered, evaluated with the segmented exact kernel — so every reported
+    distance is bitwise the reference value — and offered to the
+    accumulator in one bulk add.  One verify kernel is charged, over every
+    pair that passed the ``obj_dis`` test (the certified filter's dropped
+    pairs included, which also still count in the metric's pair counter);
+    like a tombstoned candidate, a candidate the test drops is read and
+    compared in that kernel but costs it no distance work.
     """
     if len(leaf_q) == 0:
         return
     tree, metric, device, results = batch.tree, batch.metric, batch.device, batch.results
     host_start = time.perf_counter()
+    filtered = parent_dist is not None and leaf_pivot_filter(batch)
     unique_queries, boundaries, obj_ids = leaf_candidate_segments(
         tree,
         leaf_q,
         leaf_node,
         batch.tombstones,
         slot_of=None if batch.port is None else batch.port.slot_of,
+        parent_dist=parent_dist if filtered else None,
+        bounds=results.bounds(leaf_q) if filtered else None,
+        k=results.k,
+        distance_error=metric.distance_error(),
     )
     total_verified = len(obj_ids)
     total_hits = 0
@@ -328,7 +386,7 @@ def _verify_leaves(batch: SearchBatch, leaf_q: np.ndarray, leaf_node: np.ndarray
         if batch.port is not None:
             batch.port.fault(obj_ids)
         query_objects = gather_rows(batch.queries, unique_queries)
-        owner = np.repeat(unique_queries, np.diff(boundaries))
+        owner = np.repeat(unique_queries, boundaries[1:] - boundaries[:-1])
         keep = _certified_survivors(
             metric, batch.store, query_objects, boundaries, obj_ids, results, unique_queries
         )
@@ -352,10 +410,10 @@ def _verify_leaves(batch: SearchBatch, leaf_q: np.ndarray, leaf_node: np.ndarray
     )
     # Result buffer: a range batch ships its hits, a kNN batch k slots for
     # every query that reached a leaf (``np.unique(leaf_q)`` also counts the
-    # queries whose leaves were all tombstoned), no query more slots than
-    # the tree has objects.  Results are streamed back to the host in
-    # chunks, so the buffer never needs to exceed the memory that is still
-    # available on the device.
+    # queries whose candidates were all tombstoned or filtered), no query
+    # more slots than the tree has objects.  Results are streamed back to
+    # the host in chunks, so the buffer never needs to exceed the memory
+    # that is still available on the device.
     if results.k is None:
         slots = total_hits
     elif total_verified:
@@ -375,14 +433,19 @@ def _descend(
     layer: int,
     cand_q: np.ndarray,
     cand_node: np.ndarray,
-    pivot_dist: np.ndarray,
+    pivot_dist: Optional[np.ndarray],
 ) -> None:
-    """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5)."""
+    """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5).
+
+    ``pivot_dist`` is each pair's ``d(q, pivot)`` of its node at an internal
+    level, and ``d(q, parent pivot)`` at the leaf level (None when the root
+    is the only leaf).
+    """
     if len(cand_q) == 0:
         return
     tree, device, results = batch.tree, batch.device, batch.results
     if tree.is_leaf_level(layer):
-        _verify_leaves(batch, cand_q, cand_node)
+        _verify_leaves(batch, cand_q, cand_node, pivot_dist)
         return
 
     # Two-stage memory strategy: split the batch when the projected
@@ -401,21 +464,33 @@ def _descend(
             # The device sorts the candidate distances per query to locate
             # the k-th bound (Algorithm 5 lines 11-12); charge that selection.
             device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
+        error = batch.metric.distance_error()
         pair_index, child_ids = prune_children(
-            tree, cand_node, pivot_dist, bounds, batch.mode, device, batch.metric.distance_error()
+            tree, cand_node, pivot_dist, bounds, batch.mode, device, error
         )
         next_q = cand_q[pair_index]
+        parent_dist = pivot_dist[pair_index]
 
         if tree.is_leaf_level(layer + 1):
-            next_pivot_dist = np.zeros(len(child_ids), dtype=np.float64)
-        else:
-            pivots = tree.pivot[child_ids]
-            next_pivot_dist = pivot_distances_per_query(batch, next_q, pivots)
-            # A pivot is itself an indexed object: offer it as an answer.
-            # Nothing was offered since ``bounds`` was read, so a kNN offer
-            # reuses the cached k-th bounds.
-            results.offer(next_q, pivots, next_pivot_dist)
-
+            _descend(batch, layer + 1, next_q, child_ids, parent_dist)
+            return
+        pivots = tree.pivot[child_ids]
+        next_pivot_dist = pivot_distances_per_query(batch, next_q, pivots)
+        # A pivot is itself an indexed object: offer it as an answer.
+        # Nothing was offered since ``bounds`` was read, so a kNN offer
+        # reuses the cached k-th bounds.
+        results.offer(next_q, pivots, next_pivot_dist)
+        if results.k is not None:
+            # Those offers shrank the k-th bounds: re-test every child's
+            # interval under them before the next level's table is sized.
+            keep = interval_survivors(
+                tree, child_ids, parent_dist, results.bounds(next_q), batch.mode, error
+            )
+            next_q, child_ids, next_pivot_dist = (
+                next_q[keep],
+                child_ids[keep],
+                next_pivot_dist[keep],
+            )
         _descend(batch, layer + 1, next_q, child_ids, next_pivot_dist)
 
 
@@ -455,8 +530,9 @@ def search(
     cand_node = np.zeros(num_queries, dtype=np.int64)
 
     if tree.height == 0:
-        # Degenerate tree: the root is the single (over-full) leaf.
-        pivot_dist = np.zeros(num_queries, dtype=np.float64)
+        # Degenerate tree: the root is the single (over-full) leaf, and no
+        # pivot distance bounds its objects.
+        pivot_dist = None
     else:
         root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
         pivot_dist = pivot_distances_per_query(batch, cand_q, root_pivots)

@@ -24,7 +24,12 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
   the sharded index ranks its gathered per-shard answers the same way;
 * **segmented k-th selection** (:func:`segment_kth_smallest`): the k-th
   smallest value of every per-query segment, which is the kNN accumulator's
-  bound and the certified filter's kNN limit.
+  bound and the certified filter's kNN limit;
+* the **interval test** of Lemma 5.1 / 5.2 (:func:`pivot_window`, widened
+  for rounding by :func:`distance_slack`), shared by child pruning
+  (:func:`prune_children`), the kNN re-test (:func:`interval_survivors`)
+  and the leaf candidates' ``obj_dis`` test
+  (:func:`leaf_candidate_segments`).
 
 The helpers here are pure functions over NumPy arrays, which keeps the
 behaviour property-testable.  Only the *host* evaluation strategy lives
@@ -66,6 +71,9 @@ __all__ = [
     "split_into_groups",
     "pivot_distances_per_query",
     "leaf_candidate_segments",
+    "distance_slack",
+    "pivot_window",
+    "interval_survivors",
     "prune_children",
     "IntermediateTable",
 ]
@@ -407,7 +415,7 @@ def pivot_distances_per_query(
     metric = batch.metric
     order = np.argsort(cand_query, kind="stable")
     unique_queries, starts = np.unique(cand_query[order], return_index=True)
-    boundaries = np.append(starts, len(order))
+    boundaries = np.concatenate((starts, [len(order)]))
     host_start = time.perf_counter()
     query_objects = gather_rows(batch.queries, unique_queries)
     pivot_ids = pivot_ids[order]
@@ -430,12 +438,27 @@ def leaf_candidate_segments(
     leaf_node: np.ndarray,
     tombstones: Optional[np.ndarray],
     slot_of: Optional[np.ndarray] = None,
+    parent_dist: Optional[np.ndarray] = None,
+    bounds: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+    distance_error: tuple[float, float] = (0.0, 0.0),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query candidate segments of the surviving (query, leaf) pairs.
 
     Expands every pair's leaf slice of the table list and drops tombstoned
-    ids.  With ``slot_of`` — the id→physical-slot map of a tiered index's
-    port, whose faults page device blocks — each query's candidates are
+    ids.  Given ``parent_dist`` — each pair's ``d(q, p)`` to the pivot of
+    the leaf's parent — and ``bounds`` (each pair's radius or k-th bound),
+    the same compaction drops every candidate whose table-list distance
+    ``obj_dis`` to that pivot lies outside :func:`pivot_window`: by the
+    triangle inequality it is beyond its query's bound.  For kNN (``k``,
+    indexed by query) each query's bound is first tightened to the k-th
+    smallest upper bound ``d(q, p) + obj_dis`` (widened by
+    :func:`distance_slack`) among its live candidates: those are distinct
+    live objects, so the final k-th distance cannot exceed it.  No stored
+    row is read.
+
+    With ``slot_of`` — the id→physical-slot map of a tiered index's port,
+    whose faults page device blocks — each query's candidates are
     additionally sorted by slot, so under the tiered store's leaf-clustered
     layout every block a query touches is one run of its fault
     (block-coalesced).
@@ -446,22 +469,37 @@ def leaf_candidate_segments(
     Returns ``(unique_queries, boundaries, obj_ids)``: segment ``i`` of the
     flat ``obj_ids`` — rows ``boundaries[i]:boundaries[i + 1]`` — holds the
     candidates of ``unique_queries[i]``.  Queries whose candidates were all
-    tombstoned produce no segment, exactly like the historical per-query
-    loop's ``continue``.
+    tombstoned or filtered produce no segment, exactly like the historical
+    per-query loop's ``continue``.
     """
-    if len(leaf_q) and np.any(np.diff(leaf_q) < 0):
+    if (leaf_q[1:] < leaf_q[:-1]).any():
         # engine invariants keep pair lists query-sorted; re-sort stably for
         # direct (test) callers that pass arbitrary pair order
         order = np.argsort(leaf_q, kind="stable")
         leaf_q, leaf_node = leaf_q[order], leaf_node[order]
+        if parent_dist is not None:
+            parent_dist, bounds = parent_dist[order], bounds[order]
     sizes = tree.size[leaf_node]
     flat = concatenated_ranges(tree.pos[leaf_node], sizes)
     obj_ids = tree.obj_ids[flat]
     owner = np.repeat(leaf_q, sizes)
     dead = tombstoned_mask(obj_ids, tombstones)
-    if dead is not None and dead.any():
-        live = ~dead
-        obj_ids, owner = obj_ids[live], owner[live]
+    keep = None if dead is None or not dead.any() else ~dead
+    if parent_dist is not None and len(flat):
+        obj_dis = tree.obj_dis[flat]
+        if k is not None:
+            upper = np.repeat(parent_dist, sizes)
+            upper += obj_dis
+            bounds = _tightened_knn_bounds(leaf_q, upper, owner, keep, bounds, k, distance_error)
+        floor, reach = pivot_window(parent_dist, bounds, distance_error)
+        inside = obj_dis >= np.repeat(floor, sizes)
+        inside &= obj_dis <= np.repeat(reach, sizes)
+        if keep is None:
+            keep = inside
+        else:
+            keep &= inside
+    if keep is not None and not keep.all():
+        obj_ids, owner = obj_ids[keep], owner[keep]
     if slot_of is not None and len(obj_ids):
         order = np.lexsort((slot_of[obj_ids], owner))
         obj_ids, owner = obj_ids[order], owner[order]
@@ -471,10 +509,105 @@ def leaf_candidate_segments(
             np.zeros(1, dtype=np.int64),
             obj_ids,
         )
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(owner)) + 1))
+    starts = np.concatenate(([0], np.flatnonzero(owner[1:] != owner[:-1]) + 1))
     unique_queries = owner[starts]
-    boundaries = np.append(starts, len(owner))
+    boundaries = np.concatenate((starts, [len(owner)]))
     return unique_queries, boundaries, obj_ids
+
+
+def _tightened_knn_bounds(
+    leaf_q: np.ndarray,
+    upper: np.ndarray,
+    owner: np.ndarray,
+    live: Optional[np.ndarray],
+    bounds: np.ndarray,
+    k: np.ndarray,
+    distance_error: tuple[float, float],
+) -> np.ndarray:
+    """Each (query, leaf) pair's kNN bound, tightened by the table list.
+
+    ``upper`` holds each candidate's ``d(q, p) + obj_dis >= d(q, o)``, so a
+    query's k-th smallest ``upper`` over its ``live`` candidates (distinct
+    objects) bounds its final k-th distance.  :func:`distance_slack` is
+    monotone, so widening the k-th smallest sum widens every sum.  Pairs
+    and candidates are query-sorted.
+    """
+    if live is not None:
+        upper, owner = upper[live], owner[live]
+    firsts = np.empty(len(leaf_q), dtype=bool)
+    firsts[0] = True
+    np.not_equal(leaf_q[1:], leaf_q[:-1], out=firsts[1:])
+    queries = leaf_q[firsts]
+    edges = np.concatenate((np.searchsorted(owner, queries), [len(owner)]))
+    kth = segment_kth_smallest(upper, edges, k[queries])
+    kth += distance_slack(kth, distance_error)
+    return np.minimum(bounds, kth[np.cumsum(firsts) - 1])
+
+
+def distance_slack(reach, distance_error: tuple[float, float]):
+    """How far a triangle-inequality test at ``reach`` must widen for rounding.
+
+    ``reach`` is a sum of two reported distances — ``d(q, p) + bound`` in an
+    interval test, ``d(q, p) + d(p, o)`` as an upper bound on ``d(q, o)``.
+    ``distance_error`` is the metric's
+    :meth:`~repro.metrics.base.Metric.distance_error` ``(rel, abs)``: every
+    stored and computed distance may be off its exact value by
+    ``rel * d + abs``, so the test widens by
+    ``reach * (G - 1) + (2G + 1) * abs`` with ``G = (1 + rel) / (1 - rel)`` —
+    what the triangle inequality needs when all three distances err against
+    it — plus ``8u`` relative for the rounding of the test itself.  Without
+    it, rounding pruned leaves holding an object at distance exactly ``r``
+    (collinear query, object and pivot).  Exact metrics (``(0, 0)``) get
+    ``0.0``: the raw tests.  Monotone in ``reach``, so the slack of a k-th
+    smallest reach is the k-th smallest widened reach.
+    """
+    rel, absolute = distance_error
+    if not (rel or absolute):
+        return 0.0
+    grow = (1.0 + rel) / (1.0 - rel)
+    slack = reach * ((grow - 1.0) + 8.0 * _UNIT_ROUNDOFF)
+    slack += (2.0 * grow + 1.0) * absolute
+    return slack
+
+
+def pivot_window(
+    pivot_dist: np.ndarray, allowance: np.ndarray, distance_error: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(floor, reach)``: the distances to a pivot that Lemma 5.1 / 5.2 keep.
+
+    An object ``o`` with ``d(p, o)`` outside ``[floor, reach]`` lies beyond
+    ``allowance`` of the query: ``|d(q, p) - d(p, o)| <= d(q, o)`` by the
+    triangle inequality.  Both ends are widened by :func:`distance_slack`.
+    """
+    reach = pivot_dist + allowance
+    floor = pivot_dist - allowance
+    slack = distance_slack(reach, distance_error)
+    return floor - slack, reach + slack
+
+
+def interval_survivors(
+    tree: TreeStructure,
+    node_ids: np.ndarray,
+    pivot_dist: np.ndarray,
+    allowance: np.ndarray,
+    mode: PruneMode,
+    distance_error: tuple[float, float],
+) -> np.ndarray:
+    """Mask of the nodes whose ``[min_dis, max_dis]`` meets the query ball.
+
+    ``pivot_dist`` and ``allowance`` are per row of ``node_ids`` (1-d: one
+    node per row; 2-d: every child of one parent per row), ``pivot_dist``
+    being ``d(q, parent pivot)``.  Both tests are non-strict, so a node
+    whose bound equals the allowance survives; the one-sided mode tests
+    ``min_dis`` only.
+    """
+    floor, reach = pivot_window(pivot_dist, allowance, distance_error)
+    if node_ids.ndim == 2:
+        floor, reach = floor[:, None], reach[:, None]
+    keep = reach >= tree.min_dis[node_ids]
+    if mode.two_sided:
+        keep &= floor <= tree.max_dis[node_ids]
+    return keep
 
 
 def prune_children(
@@ -496,19 +629,11 @@ def prune_children(
         ``d(q, N.pivot)`` for each pair.
     allowance:
         Per-pair slack on both sides of the interval test: the radius ``r``
-        for MRQ, the current k-th bound for MkNNQ.  Both tests are
-        non-strict, so a child whose bound equals the allowance survives.
+        for MRQ, the current k-th bound for MkNNQ
+        (:func:`interval_survivors`).
     distance_error:
         The metric's :meth:`~repro.metrics.base.Metric.distance_error`
-        ``(rel, abs)``.  Every stored and computed distance may be off its
-        exact value by ``rel * d + abs``, so each pair's allowance grows by
-        ``(d + allowance) * (G - 1) + (2G + 1) * abs`` with
-        ``G = (1 + rel) / (1 - rel)`` — what the triangle inequality needs
-        when all three distances err against the test — plus ``8u`` relative
-        for the rounding of the test itself.  Without it, rounding pruned
-        leaves holding an object at distance exactly ``r`` (collinear
-        query, object and pivot).  ``(0, 0)`` (exact metrics) leaves the
-        raw tests.
+        ``(rel, abs)``, which widens the test (:func:`distance_slack`).
 
     Returns
     -------
@@ -521,20 +646,8 @@ def prune_children(
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
     child_ids = cand_node[:, None] * nc + 1 + np.arange(nc, dtype=np.int64)[None, :]
-    sizes = tree.size[child_ids]
-    reach = pivot_dist + allowance
-    floor = pivot_dist - allowance
-    rel, absolute = distance_error
-    if rel or absolute:
-        grow = (1.0 + rel) / (1.0 - rel)
-        slack = reach * ((grow - 1.0) + 8.0 * _UNIT_ROUNDOFF)
-        slack += (2.0 * grow + 1.0) * absolute
-        reach += slack
-        floor -= slack
-    keep = sizes > 0
-    keep &= reach[:, None] >= tree.min_dis[child_ids]
-    if mode.two_sided:
-        keep &= floor[:, None] <= tree.max_dis[child_ids]
+    keep = tree.size[child_ids] > 0
+    keep &= interval_survivors(tree, child_ids, pivot_dist, allowance, mode, distance_error)
     device.launch_kernel(work_items=child_ids.size, op_cost=2.0, label="prune-children")
     pair_index, child_col = np.nonzero(keep)
     return pair_index.astype(np.int64), child_ids[pair_index, child_col].astype(np.int64)

@@ -222,7 +222,7 @@ class Metric:
                 f"{len(objects)}, got [{boundaries[0] if len(boundaries) else ''}, "
                 f"{boundaries[-1] if len(boundaries) else ''}]"
             )
-        if np.any(np.diff(boundaries) < 0):
+        if (boundaries[1:] < boundaries[:-1]).any():
             raise MetricError("segment_boundaries must be non-decreasing")
         n = len(objects)
         if n or settled_pairs:

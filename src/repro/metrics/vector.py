@@ -123,7 +123,7 @@ class _VectorMetric(Metric):
         if mat.shape[1] != qmat.shape[1]:
             raise MetricError(f"dimension mismatch: {qmat.shape[1]} vs {mat.shape[1]}")
         self._observe_dimension(qmat.shape[1])
-        return mat, np.repeat(qmat, np.diff(boundaries), axis=0)
+        return mat, np.repeat(qmat, boundaries[1:] - boundaries[:-1], axis=0)
 
     def validate_objects(self, objects: Sequence) -> None:
         super().validate_objects(objects)
@@ -411,7 +411,7 @@ class AngularDistance(_VectorMetric):
         # digest when available; query norms are computed once per query and
         # repeated as scalars (never as full rows).
         mat, qrep = self._segment_matrices(queries, objects, boundaries)
-        counts = np.diff(boundaries)
+        counts = boundaries[1:] - boundaries[:-1]
         na = object_digest if object_digest is not None else np.linalg.norm(mat, axis=-1)
         nb = np.repeat(np.linalg.norm(_as_matrix(queries), axis=-1), counts)
         cos = self._cosine(np.sum(mat * qrep, axis=-1), na, nb)

@@ -215,8 +215,8 @@ class PagedObjects:
                 f"(size {len(self.store)})"
             )
         blocks = self.store.blocks_of(ids)
-        run_starts = np.concatenate(([0], np.flatnonzero(np.diff(blocks)) + 1))
-        run_lengths = np.diff(np.append(run_starts, len(blocks)))
+        run_starts = np.concatenate(([0], np.flatnonzero(blocks[1:] != blocks[:-1]) + 1))
+        run_lengths = np.concatenate((run_starts[1:], [len(blocks)])) - run_starts
         self.pager.fault_runs(blocks[run_starts].tolist(), run_lengths.tolist())
 
     @property

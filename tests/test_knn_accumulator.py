@@ -235,6 +235,29 @@ def test_pool_holds_k_plus_ties_per_query(points_2d):
     index.close()
 
 
+def test_query_sorted_offer_into_an_empty_pool_skips_the_dedupe(monkeypatch):
+    """An offer lists each ``(query, id)`` once, so a query-sorted offer into
+    an empty pool is already compact; any other compaction dedupes."""
+    calls = []
+    real = search_module.dedupe_min_triples
+    monkeypatch.setattr(
+        search_module, "dedupe_min_triples", lambda *a: calls.append(1) or real(*a)
+    )
+    k = np.array([2, 2])
+    sorted_offer = BoundedTriples(2, None, k=k)
+    sorted_offer.offer([0, 0, 0, 1, 1], [4, 1, 7, 4, 2], [0.5, 0.2, 0.9, 0.1, 0.3])
+    np.testing.assert_array_equal(sorted_offer.bounds(np.array([0, 1])), [0.5, 0.3])
+    assert calls == []
+    assert sorted_offer.answers() == [[(1, 0.2), (4, 0.5)], [(4, 0.1), (2, 0.3)]]
+    unsorted = BoundedTriples(2, None, k=k)
+    unsorted.offer([1, 0, 1, 0], [4, 1, 2, 4], [0.1, 0.2, 0.3, 0.5])
+    np.testing.assert_array_equal(unsorted.bounds(np.array([0, 1])), [0.5, 0.3])
+    assert calls == [1]
+    sorted_offer.offer([0], [1], [0.2])  # a second offer: the pool is not empty
+    sorted_offer.answers()
+    assert calls == [1, 1]
+
+
 class TestSegmentKthSmallest:
     def test_matches_per_segment_sort(self, rng):
         counts = rng.integers(0, 12, size=40)

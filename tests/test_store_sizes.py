@@ -123,3 +123,53 @@ def test_sizes_equal_brute_force(kind, data, word_list):
         assert promotions >= 1
         assert staged_promotions >= 1 or kind != "tiered"
     index.close()
+
+
+@pytest.mark.parametrize("data", ["float32", "words"])
+def test_live_nbytes_is_summed_once_per_install(data, word_list, monkeypatch):
+    """``live_nbytes`` equals the full recount through inserts, deletes, an
+    install and a dtype promotion, and no insert re-sums the indexed rows:
+    they change only at an install, and their sizes only at a rewrite."""
+    rng = np.random.default_rng(31)
+    if data == "words":
+        base, fresh, metric, _ = _words(rng, word_list)
+        promote = None
+    else:
+        base = rng.normal(size=(200, 2)).astype(np.float32)
+        fresh = lambda: rng.normal(size=2).astype(np.float32).tolist()  # noqa: E731
+        promote = [0.1, 0.2]  # not exact in float32: the rows widen to float64
+    index = GTS.build(base, metric if data == "words" else EuclideanDistance(),
+                      node_capacity=8, seed=5, cache_capacity_bytes=4096)
+    store = index._objects
+    indexed = len(index._indexed_ids)
+    sums = []
+    real_nbytes = type(store).nbytes
+
+    def counting(self, ids=None):
+        if ids is not None and len(ids) == indexed:
+            sums.append(len(ids))
+        return real_nbytes(self, ids)
+
+    monkeypatch.setattr(type(store), "nbytes", counting)
+
+    def recount():
+        full = (
+            real_nbytes(store, index._indexed_ids)
+            - real_nbytes(store, index._tombstones)
+            + index._cache.used_bytes(store)
+        )
+        assert index.live_nbytes == full == _row_sizes(index, _live_ids(index))
+
+    for step in range(12):
+        index.insert(fresh())
+        if step % 3 == 0:
+            index.delete(int(rng.choice([i for i in range(len(store)) if index.is_live(i)])))
+        recount()
+    assert sums == []  # the inserts never gathered the indexed rows' sizes
+    index.rebuild()  # an install over the folded ids
+    recount()
+    if promote is not None:
+        index.insert(promote)
+        assert store.dtype == np.float64
+        recount()
+    index.close()
