@@ -48,7 +48,7 @@ from .cost_model import (
 )
 from .nodes import TreeStructure
 from .objectstore import ListStore, make_object_store
-from .search import search
+from .search import BoundedTriples, search
 from .searchcommon import (
     PruneMode,
     query_k,
@@ -244,7 +244,10 @@ class GTS:
         #: the host object store (a ColumnarStore or a ListStore), tiered or
         #: not: the one owner of every row and its byte count
         self._objects = ListStore()
+        #: ids inside the live tree, and their membership over the store's
+        #: ids at install (an id appended later is cached, never indexed)
         self._indexed_ids = np.zeros(0, dtype=np.int64)
+        self._indexed_mask = np.zeros(0, dtype=bool)
         #: store bytes of ``_indexed_ids``, summed at each install and
         #: after a store rewrite (the only times either changes)
         self._indexed_nbytes = 0
@@ -385,6 +388,8 @@ class GTS:
         self._build_result = result
         self._allocations = result.allocations
         self._indexed_ids = ids
+        self._indexed_mask = np.zeros(len(self._objects), dtype=bool)
+        self._indexed_mask[ids] = True
         self._indexed_nbytes = self._objects.nbytes(ids)
         self._tombstones = tombstones
         return result
@@ -418,17 +423,6 @@ class GTS:
         self._cache.release()
 
     # ------------------------------------------------------------ properties
-    @property
-    def _indexed_ids(self) -> np.ndarray:
-        return self.__indexed_ids
-
-    @_indexed_ids.setter
-    def _indexed_ids(self, value: np.ndarray) -> None:
-        # Keep a set view in sync so per-id membership checks (delete,
-        # is_live) stay O(1) instead of rescanning the array every call.
-        self.__indexed_ids = value
-        self._indexed_id_set = set(value.tolist())
-
     @property
     def tree(self) -> TreeStructure:
         """The underlying flat tree structure (read-only use only)."""
@@ -535,15 +529,14 @@ class GTS:
         raise IndexError_(f"unknown object id {obj_id}")
 
     def is_live(self, obj_id: int) -> bool:
-        """True when ``obj_id`` is currently visible to queries."""
+        """True when ``obj_id`` is visible to queries: a known id (below the
+        store's length) that is cached, or indexed and not tombstoned."""
         obj_id = int(obj_id)
         if obj_id in self._cache:
             return True
-        return (
-            0 <= obj_id < len(self._objects)
-            and obj_id in self._indexed_id_set
-            and obj_id not in self._tombstones
-        )
+        if not 0 <= obj_id < len(self._indexed_mask):
+            return False
+        return bool(self._indexed_mask[obj_id]) and obj_id not in self._tombstones
 
     def __len__(self) -> int:
         return self.num_objects
@@ -589,7 +582,7 @@ class GTS:
         cache-table's (Section 4.4) and never contain deleted objects.
         """
         self._require_built()
-        return self._answer(queries, radii=query_radii(radii, len(queries)))
+        return self._accumulate(queries, radii=query_radii(radii, len(queries))).answers()
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Answer a single metric k-nearest-neighbour query ``MkNNQ(query, k)``.
@@ -628,15 +621,16 @@ class GTS:
         tied objects completes the answer.
         """
         self._require_built()
-        return self._answer(queries, k=query_ks(k, len(queries)))
+        return self._accumulate(queries, k=query_ks(k, len(queries))).answers()
 
-    def _answer(
+    def _accumulate(
         self,
         queries: Sequence,
         radii: Optional[np.ndarray] = None,
         k: Optional[np.ndarray] = None,
-    ) -> list[list[tuple[int, float]]]:
-        """Search the tree, then scan the cache table into the same accumulator.
+    ) -> BoundedTriples:
+        """Search the tree under checked ``radii`` or ``k``, then scan the cache
+        table into the same accumulator, and return it.
 
         The cache scan is one fused ``cache-scan`` kernel over the whole
         batch (DESIGN.md §9), launched after the descent; its candidates meet
@@ -655,7 +649,7 @@ class GTS:
             port=self._port,
         )
         self._cache.range_scan_batch(self.metric, self._objects, queries, results, self.device)
-        return results.answers()
+        return results
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.
@@ -777,26 +771,23 @@ class GTS:
         Cached objects are removed immediately; indexed objects are
         tombstoned in the table list in ``O(1)`` and filtered from every
         query answer until the next rebuild physically drops them.  Deleting
-        an unknown or already-deleted id raises
-        :class:`~repro.exceptions.UpdateError`; the id itself is never
-        reused.
+        an unknown id, or a known id that is not live (:meth:`is_live`),
+        raises :class:`~repro.exceptions.UpdateError`; the id itself is
+        never reused.
         """
         self._require_built()
         obj_id = int(obj_id)
         # Validate before charging: a rejected delete must not advance the
         # simulated clock or pollute ExecutionStats.
-        if obj_id in self._cache:
-            # O(1): dropping the cached slot is one device write
-            self.device.launch_kernel(work_items=1, op_cost=1.0, label="tombstone-mark")
-            self._cache.remove(obj_id)
-            return
-        if obj_id in self._tombstones:
-            raise UpdateError(f"object {obj_id} has already been deleted")
-        if obj_id < 0 or obj_id >= len(self._objects) or obj_id not in self._indexed_id_set:
+        if not 0 <= obj_id < len(self._objects):
             raise UpdateError(f"unknown object id {obj_id}")
-        # O(1): locating the slot and flipping the tombstone mark is one device write
+        if not self.is_live(obj_id):
+            raise UpdateError(f"object {obj_id} has already been deleted")
+        # O(1): dropping the cached slot, or locating the indexed slot and
+        # flipping its tombstone mark, is one device write
         self.device.launch_kernel(work_items=1, op_cost=1.0, label="tombstone-mark")
-        self._tombstones.add(obj_id)
+        if not self._cache.remove(obj_id):
+            self._tombstones.add(obj_id)
 
     def update(self, obj_id: int, new_obj) -> int:
         """Modify an object: delete the old version, insert the new one.
@@ -861,15 +852,12 @@ class GTS:
         if not inserts and not delete_set:
             # zero-cost result over the standing tree: no construction ran
             return BuildResult(tree=self._tree)
-        already_deleted = delete_set & self._tombstones
-        if already_deleted:
-            raise UpdateError(
-                f"objects have already been deleted: {sorted(already_deleted)}"
-            )
-        cached_ids = set(self._cache.object_ids())
-        unknown = delete_set - (self._indexed_id_set - self._tombstones) - cached_ids
+        unknown = sorted(d for d in delete_set if not 0 <= d < len(self._objects))
         if unknown:
-            raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
+            raise UpdateError(f"cannot delete unknown object ids: {unknown}")
+        already_deleted = sorted(d for d in delete_set if not self.is_live(d))
+        if already_deleted:
+            raise UpdateError(f"objects have already been deleted: {already_deleted}")
         for obj in inserts:
             self._objects.stored_row(obj)
         if self._maintenance is not None:

@@ -212,17 +212,21 @@ class BoundedTriples:
             self._kth = None
         return len(obj_ids)
 
-    def answers(self) -> list[list[tuple[int, float]]]:
-        """Per-query ``(object_id, distance)`` lists sorted by (distance, id).
-
-        kNN lists are truncated to each query's ``k``, after a last refresh
-        of the bounds trims the pool to ``k`` plus ties per query.
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The compacted pool as ``(query, id, distance)`` arrays, sorted by
+        query; a kNN pool after a last refresh of the bounds trims it to
+        ``k`` plus ties per query (every triple at or under the k-th distance).
         """
         if self.k is None:
             self._compact()
         else:
             self._kth_bounds()
-        return triples_to_answer_lists(self._cq, self._cid, self._cd, self._num_queries, k=self.k)
+        return self._cq, self._cid, self._cd
+
+    def answers(self) -> list[list[tuple[int, float]]]:
+        """Per-query ``(object_id, distance)`` lists sorted by (distance, id),
+        kNN lists truncated to each query's ``k``."""
+        return triples_to_answer_lists(*self.triples(), self._num_queries, k=self.k)
 
 
 #: Element budget of one block of the bound matrices (queries x rows).

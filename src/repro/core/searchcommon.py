@@ -21,7 +21,7 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
   are deduplicated (:func:`dedupe_min_triples`) and turned into the
   per-query sorted answer lists by one global ``np.lexsort``
   (:func:`triples_to_answer_lists`), instead of per-hit Python dict inserts;
-  the sharded index ranks its gathered per-shard answers the same way;
+  the sharded index ranks all its shards' triples with one such call;
 * **segmented k-th selection** (:func:`segment_kth_smallest`): the k-th
   smallest value of every per-query segment, which is the kNN accumulator's
   bound and the certified filter's kNN limit;
@@ -401,27 +401,24 @@ def pivot_distances_per_query(
 ) -> np.ndarray:
     """Distance from each candidate pair's query to the pair's node pivot.
 
-    The pairs are grouped by query index into segments and evaluated with a
-    single fused ``Metric.pairwise_segmented`` call — one gather plus one
-    broadcast pass over all (query, pivot) pairs of the level; device time is
-    charged as one level-wide kernel over all pairs (this is the paper's
-    "compute the distances of all nodes at the level simultaneously").  A
-    tiered batch faults the pivots through its port first, in that
-    query-grouped order.
+    The pairs must be sorted by query index, as the descent's all are, so
+    each query's run is one segment.  All are evaluated with a single fused
+    ``Metric.pairwise_segmented`` call — one gather plus one broadcast pass
+    over all (query, pivot) pairs of the level; device time is charged as
+    one level-wide kernel over all pairs (this is the paper's "compute the
+    distances of all nodes at the level simultaneously").  A tiered batch
+    faults the pivots through its port first, in pair order.
     """
-    out = np.empty(len(cand_query), dtype=np.float64)
     if len(cand_query) == 0:
-        return out
+        return np.empty(0, dtype=np.float64)
     metric = batch.metric
-    order = np.argsort(cand_query, kind="stable")
-    unique_queries, starts = np.unique(cand_query[order], return_index=True)
-    boundaries = np.concatenate((starts, [len(order)]))
+    starts = np.flatnonzero(cand_query[1:] != cand_query[:-1]) + 1
+    boundaries = np.concatenate(([0], starts, [len(cand_query)]))
     host_start = time.perf_counter()
-    query_objects = gather_rows(batch.queries, unique_queries)
-    pivot_ids = pivot_ids[order]
+    query_objects = gather_rows(batch.queries, cand_query[boundaries[:-1]])
     if batch.port is not None:
         batch.port.fault(pivot_ids)
-    out[order] = segmented_distances(metric, batch.store, query_objects, boundaries, pivot_ids)
+    out = segmented_distances(metric, batch.store, query_objects, boundaries, pivot_ids)
     host = time.perf_counter() - host_start
     batch.device.launch_kernel(
         work_items=len(cand_query),

@@ -9,16 +9,19 @@ its own device: its own tree, cache table and rebuild schedule.
 
 **Queries** are answered by scatter-gather: the whole batch is broadcast to
 every shard, each shard runs the paper's batch algorithm (Algorithms 4-5)
-over its partition in parallel, and the host unions (range) or merges-top-k
-(kNN) the per-shard answers.  Because the partitions are disjoint and every
-shard answers exactly over its partition, the merged answers equal a
-single-device GTS over the same data — including the ``(distance, id)``
-tie-breaking, since local-id order within a shard follows global-id order.
+over its partition in parallel, and the host ranks all shards'
+``(query, global id, distance)`` triples at once (union for range, top-k
+for kNN).  Because the partitions are disjoint and every shard answers
+exactly over its partition, the merged answers equal a single-device GTS
+over the same data — including the ``(distance, id)`` tie-breaking, since
+local-id order within a shard follows global-id order.
 
 **Updates** are routed to the owning shard: inserts go to the shard the
-assignment policy picks, deletes to the shard that holds the id.  Cache
-tables and overflow rebuilds stay shard-local, so a hot shard rebuilding
-never blocks the others' (simulated) progress.
+assignment policy picks, deletes to the shard that holds the id.  The
+router keeps no copy of shard state, only each shard's ascending global
+ids; whether an id is live is asked of its shard.  Cache tables and
+overflow rebuilds stay shard-local, so a hot shard rebuilding never blocks
+the others' (simulated) progress.
 
 **Time accounting** is deliberately honest.  The shards' devices run in
 parallel, so each scatter-gather round charges the coordinating timeline
@@ -167,9 +170,9 @@ class ShardedGTS:
             for s in range(self.num_shards)
         ]
         self.tier_config = self.shards[0].tier_config
-        self._owner: dict[int, tuple[int, int]] = {}
-        self._shard_to_global: list[list[int]] = [[] for _ in range(self.num_shards)]
-        self._deleted: set[int] = set()
+        #: per shard, the global id of each local id (ascending); the first
+        #: ``len(shard._objects)`` entries are set, the rest is spare capacity
+        self._to_global = [np.zeros(0, dtype=np.int64) for _ in range(self.num_shards)]
         self._next_id = 0
         self._built = False
 
@@ -214,15 +217,9 @@ class ShardedGTS:
             raise IndexError_(f"assignment left shards {empty} empty")
         # global ids grouped by shard, ascending within each: local id order
         members = np.argsort(owner, kind="stable")
-        first = np.cumsum(counts) - counts
-        local = np.empty(n, dtype=np.int64)
-        local[members] = np.arange(n, dtype=np.int64) - np.repeat(first, counts)
-        per_shard = np.split(members, np.cumsum(counts)[:-1])
-        self._owner = dict(zip(range(n), zip(owner.tolist(), local.tolist())))
-        self._shard_to_global = [ids.tolist() for ids in per_shard]
-        self._deleted = set()
+        self._to_global = np.split(members, np.cumsum(counts)[:-1])
         self._next_id = n
-        partitions = [store.gather(ids) for ids in per_shard]
+        partitions = [store.gather(ids) for ids in self._to_global]
         # one partitioning pass over the stream happens on the host
         self._charge_host(n, "shard-partition")
         results = self._shard_round(
@@ -244,6 +241,29 @@ class ShardedGTS:
             raise IndexError_(
                 "the sharded index has not been built yet; call bulk_load() first"
             )
+
+    # ---------------------------------------------------------------- id maps
+    def _resolve(self, gid: int) -> Optional[tuple[int, int]]:
+        """``(shard, local id)`` of the global id ``gid``; None when it is
+        unknown (outside ``[0, next id)``)."""
+        if 0 <= gid < self._next_id:
+            for sid, shard in enumerate(self.shards):
+                ids = self._to_global[sid][: len(shard._objects)]
+                lid = int(np.searchsorted(ids, gid))
+                if lid < len(ids) and ids[lid] == gid:
+                    return sid, lid
+        return None
+
+    def _record(self, sid: int, first: int, gids) -> None:
+        """Map shard ``sid``'s local ids ``first, first + 1, ...`` to ``gids``,
+        growing its array geometrically (amortised ``O(1)`` appends)."""
+        ids = self._to_global[sid]
+        end = first + len(gids)
+        if end > len(ids):
+            grown = np.empty(max(end, 2 * len(ids)), dtype=np.int64)
+            grown[:first] = ids[:first]
+            self._to_global[sid] = ids = grown
+        ids[first:end] = gids
 
     # ---------------------------------------------------------- time charging
     def _shard_round(self, fn) -> list:
@@ -319,40 +339,30 @@ class ShardedGTS:
         radii: Optional[np.ndarray] = None,
         k: Optional[np.ndarray] = None,
     ) -> list[list[tuple[int, float]]]:
-        """Broadcast the batch to every shard and rank the gathered answers.
+        """Broadcast the checked batch to every shard and rank the gathered triples.
 
-        Each shard's answers are mapped to global-id ``(query, id, distance)``
-        triples and all shards' triples are ranked by one
+        Each shard's accumulator (:meth:`GTS._accumulate`) yields its
+        ``(query, id, distance)`` triples — for kNN every triple at or under
+        the query's k-th distance on that shard — whose ids are mapped to
+        global ids, and all shards' triples are ranked by one
         :func:`triples_to_answer_lists` call (cut to ``k`` for kNN).  The
         partitions are disjoint, so no id appears twice.
         """
 
         def run(sid: int, shard: GTS):
-            if k is None:
-                answers = shard.range_query_batch(queries, radii)
-            else:
-                answers = shard.knn_query_batch(queries, k)
-            # each shard gathers its surviving results back to the host
-            shard.device.transfer_to_host(
-                sum(len(a) for a in answers) * RESULT_BYTES, label="results-d2h"
+            qs, ids, dists = shard._accumulate(queries, radii=radii, k=k).triples()
+            # each shard gathers its answers back to the host: every pooled
+            # triple of a range batch, at most k per query of a kNN batch
+            answered = (
+                len(qs)
+                if k is None
+                else int(np.minimum(np.bincount(qs, minlength=len(queries)), k).sum())
             )
-            return answers
+            shard.device.transfer_to_host(answered * RESULT_BYTES, label="results-d2h")
+            return qs, self._to_global[sid][ids], dists
 
-        per_shard = self._shard_round(run)
-        qs, ids, dists = [], [], []
-        for to_global, answers in zip(self._shard_to_global, per_shard):
-            for qi, answer in enumerate(answers):
-                for oid, dist in answer:
-                    qs.append(qi)
-                    ids.append(to_global[oid])
-                    dists.append(dist)
-        merged = triples_to_answer_lists(
-            np.asarray(qs, dtype=np.int64),
-            np.asarray(ids, dtype=np.int64),
-            np.asarray(dists, dtype=np.float64),
-            len(queries),
-            k=k,
-        )
+        qs, ids, dists = (np.concatenate(parts) for parts in zip(*self._shard_round(run)))
+        merged = triples_to_answer_lists(qs, ids, dists, len(queries), k=k)
         if k is None:
             # The union keeps every gathered hit (partitions are disjoint, so
             # the union size equals the single-device answer size): a K-way
@@ -400,29 +410,28 @@ class ShardedGTS:
         # routing the object to its shard is one host-side table lookup
         self._charge_host(1.0, "shard-route")
         lid = self._single_shard(sid, lambda shard: shard.insert(obj))
-        self._owner[gid] = (sid, lid)
-        self._shard_to_global[sid].append(gid)
+        self._record(sid, lid, [gid])
         self._next_id += 1
         return gid
 
     def delete(self, obj_id: int) -> None:
         """Delete one object by global id, routed to its owning shard.
 
-        Validates before charging any simulated time, like :meth:`GTS.delete`:
-        unknown or already-deleted ids raise
-        :class:`~repro.exceptions.UpdateError` with no device activity.
+        Validates before charging any simulated time, like :meth:`GTS.delete`
+        and with its errors: an id outside ``[0, next id)`` is unknown, and
+        one its shard does not report live has already been deleted; both
+        raise :class:`~repro.exceptions.UpdateError` with no device activity.
         """
         self._require_built()
         gid = int(obj_id)
-        if gid in self._deleted:
-            raise UpdateError(f"object {gid} has already been deleted")
-        owner = self._owner.get(gid)
+        owner = self._resolve(gid)
         if owner is None:
             raise UpdateError(f"unknown object id {gid}")
         sid, lid = owner
+        if not self.shards[sid].is_live(lid):
+            raise UpdateError(f"object {gid} has already been deleted")
         self._charge_host(1.0, "shard-route")
         self._single_shard(sid, lambda shard: shard.delete(lid))
-        self._deleted.add(gid)
 
     def update(self, obj_id: int, new_obj) -> int:
         """Modify an object: delete the old version, insert the new one.
@@ -435,9 +444,8 @@ class ShardedGTS:
         """
         self._require_built()
         loads = self.shard_load_bytes
-        owner = self._owner.get(int(obj_id))
-        if owner is not None and int(obj_id) not in self._deleted:
-            sid, lid = owner
+        if self.is_live(obj_id):
+            sid, lid = self._resolve(int(obj_id))
             loads[sid] -= self.shards[sid]._objects.nbytes([lid])
         self.shards[self.policy.assign(self._next_id, new_obj, loads)]._insert_nbytes(new_obj)
         self.delete(obj_id)
@@ -446,11 +454,11 @@ class ShardedGTS:
     def batch_update(self, inserts: Sequence = (), deletes: Sequence[int] = ()) -> ShardedBuildReport:
         """Apply a bulk update; only the shards it touches rebuild (in parallel).
 
-        Deletes are validated up front against the global id space (unknown
-        and already-deleted ids raise), then grouped per owning shard;
-        inserts are assigned global ids and shards exactly as streaming
-        inserts would be, and each is checked against its shard's store
-        before anything changes.  Each affected shard runs :meth:`GTS.batch_update`
+        Deletes are validated up front as :meth:`delete` validates one
+        (unknown, then already-deleted ids raise), then grouped per owning
+        shard; inserts are assigned global ids and shards exactly as
+        streaming inserts would be, and each is checked against its shard's
+        store before anything changes.  Each affected shard runs :meth:`GTS.batch_update`
         (its full reconstruction), untouched shards do nothing, and the
         reported ``sim_time`` is the makespan of the round.  A call with both
         sequences empty is a free no-op: no round, no host charge, no rebuild
@@ -461,39 +469,37 @@ class ShardedGTS:
         delete_set = {int(d) for d in deletes}
         if not inserts and not delete_set:
             return ShardedBuildReport(per_shard=[], sim_time=0.0)
-        already_deleted = delete_set & self._deleted
-        if already_deleted:
-            raise UpdateError(
-                f"objects have already been deleted: {sorted(already_deleted)}"
-            )
-        unknown = {d for d in delete_set if d not in self._owner}
+        owners = {gid: self._resolve(gid) for gid in sorted(delete_set)}
+        unknown = [gid for gid, owner in owners.items() if owner is None]
         if unknown:
-            raise UpdateError(f"cannot delete unknown object ids: {sorted(unknown)}")
+            raise UpdateError(f"cannot delete unknown object ids: {unknown}")
+        already_deleted = [
+            gid for gid, (sid, lid) in owners.items() if not self.shards[sid].is_live(lid)
+        ]
+        if already_deleted:
+            raise UpdateError(f"objects have already been deleted: {already_deleted}")
 
         # routing is planned on a copy of the shards' loads, as the deletes
         # and each routed insert change them
         loads = self.shard_load_bytes
         per_shard_deletes: list[list[int]] = [[] for _ in range(self.num_shards)]
-        for gid in sorted(delete_set):
-            sid, lid = self._owner[gid]
+        for sid, lid in owners.values():
             per_shard_deletes[sid].append(lid)
             loads[sid] -= self.shards[sid]._objects.nbytes([lid])
 
         per_shard_inserts: list[list] = [[] for _ in range(self.num_shards)]
-        # GTS assigns local ids consecutively from its current object count
-        next_local = [len(shard._objects) for shard in self.shards]
-        new_owners: dict[int, tuple[int, int]] = {}
+        new_gids: list[list[int]] = [[] for _ in range(self.num_shards)]
         for gid, obj in enumerate(inserts, start=self._next_id):
             sid = self.policy.assign(gid, obj, loads)
             store = self.shards[sid]._objects
             store.stored_row(obj)
-            new_owners[gid] = (sid, next_local[sid])
-            next_local[sid] += 1
             per_shard_inserts[sid].append(obj)
+            new_gids[sid].append(gid)
             loads[sid] += store.stored_nbytes(obj)
-        self._next_id += len(inserts)
 
         self._charge_host(len(delete_set) + len(inserts), "shard-route")
+        # GTS assigns local ids consecutively from its current object count
+        first_local = [len(shard._objects) for shard in self.shards]
 
         def run(sid: int, shard: GTS):
             if per_shard_inserts[sid] or per_shard_deletes[sid]:
@@ -501,10 +507,9 @@ class ShardedGTS:
             return None
 
         results = self._shard_round(run)
-        for gid, (sid, lid) in new_owners.items():
-            self._owner[gid] = (sid, lid)
-            self._shard_to_global[sid].append(gid)
-        self._deleted |= delete_set
+        for sid, shard_gids in enumerate(new_gids):
+            self._record(sid, first_local[sid], shard_gids)
+        self._next_id += len(inserts)
         rebuilt = [r for r in results if r is not None]
         return ShardedBuildReport(
             per_shard=rebuilt,
@@ -572,20 +577,16 @@ class ShardedGTS:
     # ------------------------------------------------------------ properties
     def get_object(self, obj_id: int):
         """Return the object registered under the *global* ``obj_id``."""
-        owner = self._owner.get(int(obj_id))
+        owner = self._resolve(int(obj_id))
         if owner is None:
             raise IndexError_(f"unknown object id {int(obj_id)}")
         sid, lid = owner
         return self.shards[sid].get_object(lid)
 
     def is_live(self, obj_id: int) -> bool:
-        """True when the global ``obj_id`` is currently visible to queries."""
-        gid = int(obj_id)
-        owner = self._owner.get(gid)
-        if owner is None or gid in self._deleted:
-            return False
-        sid, lid = owner
-        return self.shards[sid].is_live(lid)
+        """True when the global ``obj_id`` is known and its shard reports it live."""
+        owner = self._resolve(int(obj_id))
+        return owner is not None and self.shards[owner[0]].is_live(owner[1])
 
     @property
     def num_objects(self) -> int:

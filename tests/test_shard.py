@@ -130,8 +130,9 @@ class TestBulkPartition:
         index = ShardedGTS.build(objects, metric, num_shards=3, assignment=assignment,
                                  node_capacity=8, seed=5)
         owner, to_global, loads, parts = _reference_partition(index.policy, objects, 3)
-        assert index._owner == owner
-        assert index._shard_to_global == to_global
+        # the router's id maps: one ascending global-id array per shard
+        assert {gid: index._resolve(gid) for gid in range(len(objects))} == owner
+        assert [index._to_global[sid].tolist() for sid in range(3)] == to_global
         assert index.shard_load_bytes == loads
         assert index._next_id == len(objects)
         for sid, shard in enumerate(index.shards):
