@@ -14,6 +14,8 @@
 #   make profile-serve WORKLOAD=<name>  cProfile one serving-benchmark
 #                     workload's request serving, index builds excluded
 #                     (top-25 by tottime; default hotkey-vector-mixed)
+#   make profile-shards  host us per sharded kNN query at batch 1 and 16,
+#                     1-8 shards, resident and tiered (median and quartiles)
 #   make lint         byte-compile every source tree, reject unused
 #                     module-level imports in src/ (tools/check_imports.py)
 #                     and private src/ definitions nothing refers to
@@ -29,7 +31,7 @@ PYTHON      ?= python
 PYTHONPATH  := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 export PYTHONPATH
 
-.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates profile-build profile-serve lint example examples
+.PHONY: test bench-smoke perfbench-smoke bench profile profile-updates profile-build profile-serve profile-shards lint example examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -98,6 +100,13 @@ profile-build:
 WORKLOAD ?= hotkey-vector-mixed
 profile-serve:
 	$(PYTHON) benchmarks/profile_serve.py $(WORKLOAD)
+
+# Host cost of a sharded kNN query as the shard count grows: ShardedGTS over
+# 40,000 tloc points at 1, 2, 4 and 8 shards, resident and tiered, timed at
+# batch 1 and batch 16; prints the median and quartiles of host us per query
+# (reports, asserts nothing).
+profile-shards:
+	$(PYTHON) benchmarks/profile_shards.py
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples perfbench tools

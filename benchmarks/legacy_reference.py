@@ -45,12 +45,12 @@ def _exclude_set(tombstones: Optional[np.ndarray]) -> Optional[set]:
 
 
 def _batch_rows(batch):
-    """Where the batch's kernels gather rows: the port of a tiered index, else the store."""
+    """Where a tree's kernels gather rows: the port of a tiered index, else the store."""
     return batch.store if batch.port is None else batch.port
 
 
 def _legacy_pivot_distances(batch, cand_query, pivot_ids):
-    """Historical pivot-distance evaluation: one pairwise call per query."""
+    """Historical pivot-distance evaluation of one tree: one pairwise call per query."""
     device, metric, queries = batch.device, batch.metric, batch.queries
     objects = _batch_rows(batch)
     out = np.empty(len(cand_query), dtype=np.float64)
@@ -137,17 +137,16 @@ def _legacy_verify(batch, leaf_q, leaf_node, parent_dist) -> None:
     """Historical leaf verification: per-query pairwise + per-hit dict inserts.
 
     Which candidates reach the exact evaluation is the engine's choice
-    (``leaf_candidate_segments``: tombstones and the table list's
-    ``obj_dis`` test); only how each pair is evaluated and pooled is
-    historical.
+    (``leaf_candidate_segments`` over the batch's forest: tombstones and
+    the table list's ``obj_dis`` test); only how each pair is evaluated and
+    pooled is historical, tree by tree.
     """
     if len(leaf_q) == 0:
         return
-    tree, metric, device, queries = batch.tree, batch.metric, batch.device, batch.queries
-    objects, results = _batch_rows(batch), batch.results
+    forest, metric, results = batch.forest, batch.metric, batch.results
     filtered = parent_dist is not None and search_module.leaf_pivot_filter(batch)
     unique_queries, boundaries, candidates = leaf_candidate_segments(
-        tree,
+        forest,
         leaf_q,
         leaf_node,
         batch.tombstones,
@@ -156,34 +155,43 @@ def _legacy_verify(batch, leaf_q, leaf_node, parent_dist) -> None:
         k=results.k,
         distance_error=metric.distance_error(),
     )
-    total_verified = len(candidates)
-    total_hits = 0
-    host_start = time.perf_counter()
-    for qi, query_index in enumerate(unique_queries):
-        obj_ids = np.sort(candidates[boundaries[qi] : boundaries[qi + 1]])
-        rows = gather_rows(objects, obj_ids)
-        dists = metric.pairwise(queries[int(query_index)], rows)
-        total_hits += results.offer(np.full(len(obj_ids), query_index), obj_ids, dists)
-    host = time.perf_counter() - host_start
-    device.launch_kernel(
-        work_items=total_verified,
-        op_cost=metric.unit_cost,
-        label=f"{results.label}-verify",
-        host_time=host,
-    )
-    if results.k is None:
-        needed = total_hits * RESULT_BYTES
-    elif total_verified:
-        reached = np.unique(leaf_q)
-        slots = sum(min(int(results.k[int(q)]), tree.num_objects) for q in reached)
-        needed = max(slots, 1) * RESULT_BYTES
-    else:
-        needed = 0
-    if needed:
-        buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
-        device.transfer_to_host(needed, label="results-d2h")
-        device.free(alloc)
+    for tree, start, end in batch.parts(leaf_q):
+        member, id_off = batch.members[tree], forest.id_off[tree]
+        first_query = tree * batch.num_queries
+        objects = member.store if member.port is None else member.port
+        total_verified = 0
+        total_hits = 0
+        host_start = time.perf_counter()
+        for qi, query_index in enumerate(unique_queries.tolist()):
+            if not first_query <= query_index < first_query + batch.num_queries:
+                continue
+            obj_ids = np.sort(candidates[boundaries[qi] : boundaries[qi + 1]])
+            total_verified += len(obj_ids)
+            rows = gather_rows(objects, obj_ids - id_off)
+            dists = metric.pairwise(batch.queries[query_index - first_query], rows)
+            total_hits += results.offer(np.full(len(obj_ids), query_index), obj_ids, dists)
+        host = time.perf_counter() - host_start
+        device = member.device
+        device.launch_kernel(
+            work_items=total_verified,
+            op_cost=metric.unit_cost,
+            label=f"{results.label}-verify",
+            host_time=host,
+        )
+        if results.k is None:
+            needed = total_hits * RESULT_BYTES
+        elif total_verified:
+            reached = np.unique(leaf_q[start:end])
+            cap = forest.trees[tree].num_objects
+            slots = sum(min(int(results.k[int(q)]), cap) for q in reached)
+            needed = max(slots, 1) * RESULT_BYTES
+        else:
+            needed = 0
+        if needed:
+            buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
+            alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
+            device.transfer_to_host(needed, label="results-d2h")
+            device.free(alloc)
 
 
 @contextmanager

@@ -140,6 +140,8 @@ class CacheTable:
         queries: Sequence,
         results,
         device: Optional[Device] = None,
+        query_offset: int = 0,
+        id_offset: int = 0,
     ) -> None:
         """Scan the cache for a whole query batch and offer every pair to ``results``.
 
@@ -150,7 +152,11 @@ class CacheTable:
         as one segment of the cached ids per query; ``results`` is the
         batch's :class:`~repro.core.search.BoundedTriples` after the tree
         descent, so it applies each query's radius or running k-th bound
-        exactly as it does to tree candidates.
+        exactly as it does to tree candidates.  When ``results`` serves a
+        forest of trees (:func:`~repro.core.search.search_forest`), query
+        ``q`` is offered as ``query_offset + q`` and cached id ``i`` as
+        ``id_offset + i``: this table's tree's virtual queries and stacked
+        ids.
         """
         if not self._ids or len(queries) == 0:
             return
@@ -169,8 +175,9 @@ class CacheTable:
                 label="cache-scan",
                 host_time=host,
             )
-        owner = np.repeat(np.arange(num_queries, dtype=np.int64), len(ids))
-        results.offer(owner, flat_ids, dists)
+        first = np.arange(query_offset, query_offset + num_queries, dtype=np.int64)
+        owner = np.repeat(first, len(ids))
+        results.offer(owner, flat_ids + id_offset if id_offset else flat_ids, dists)
 
     #: the scan is the same for both query kinds: the accumulator holds the bound
     knn_scan_batch = range_scan_batch

@@ -48,8 +48,9 @@ from .cost_model import (
 )
 from .nodes import TreeStructure
 from .objectstore import ListStore, make_object_store
-from .search import BoundedTriples, search
+from .search import BoundedTriples, search_forest
 from .searchcommon import (
+    Forest,
     PruneMode,
     query_k,
     query_ks,
@@ -59,7 +60,7 @@ from .searchcommon import (
     tombstoned_mask,
 )
 
-__all__ = ["GTS", "execute_operation_batch"]
+__all__ = ["GTS", "execute_operation_batch", "stack_forest", "search_indexes"]
 
 #: Default cache-table budget; the paper recommends ~5 KB (Section 6.2).
 DEFAULT_CACHE_BYTES = 5 * 1024
@@ -187,6 +188,75 @@ def execute_operation_batch(index, ops: Sequence[tuple]) -> list:
     return results
 
 
+def stack_forest(indexes: Sequence["GTS"], id_offsets: Sequence[int] = (0,)) -> Forest:
+    """The forest of ``indexes``' live trees, index ``t``'s ids from ``id_offsets[t]``.
+
+    Tiered indexes stack their ports' id→slot maps too.  The offsets must
+    leave each index room for every id its store will hold while the forest
+    is in use (cached inserts included).
+    """
+    slot_maps = None
+    if indexes[0]._port is not None:
+        slot_maps = [index._port.slot_of for index in indexes]
+    return Forest([index._tree for index in indexes], id_offsets, slot_maps)
+
+
+def search_indexes(
+    indexes: Sequence["GTS"],
+    forest: Forest,
+    queries: Sequence,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> BoundedTriples:
+    """Search the trees of ``indexes`` as one ``forest``, then scan each cache
+    table into the same accumulator, and return it.
+
+    ``forest`` is :func:`stack_forest` of the same indexes, current.  One
+    descent serves every tree (:func:`~repro.core.search.search_forest`):
+    index ``t``'s answers are the accumulator's virtual queries
+    ``t * len(queries) + q`` and its ids are stacked ids, its own plus
+    ``forest.id_off[t]``.  Each cache scan is one fused ``cache-scan``
+    kernel over the whole batch (DESIGN.md §9), launched on its index's
+    device after the descent; its candidates meet the tree's under each
+    query's radius or running k-th bound.  The indexes share a metric and
+    a prune mode.
+    """
+    first = indexes[0]
+    offsets = forest.id_off
+    if len(indexes) == 1:
+        tombstones = tombstone_array(first._tombstones)
+    else:
+        # each index's ids lie in its own range, so the pieces stay sorted
+        dead = [
+            tombstone_array(index._tombstones) + off
+            for index, off in zip(indexes, offsets)
+            if index._tombstones
+        ]
+        tombstones = np.concatenate(dead) if dead else None
+    results = search_forest(
+        forest,
+        [(index._objects, index._port, index.device) for index in indexes],
+        first.metric,
+        queries,
+        tombstones,
+        first.prune_mode,
+        radii=radii,
+        k=k,
+    )
+    num_queries = len(queries)
+    for t, index in enumerate(indexes):
+        index._cache.range_scan_batch(
+            index.metric,
+            index._objects,
+            queries,
+            results,
+            index.device,
+            query_offset=t * num_queries,
+            id_offset=offsets[t],
+        )
+    return results
+
+
 class GTS:
     """GPU-based Tree index for Similarity search (simulated-GPU edition).
 
@@ -253,6 +323,8 @@ class GTS:
         self._indexed_nbytes = 0
         self._tombstones: set[int] = set()
         self._tree: Optional[TreeStructure] = None
+        #: the forest of ``_tree`` alone, which the search descends
+        self._stack: Optional[Forest] = None
         self._build_result: Optional[BuildResult] = None
         self._allocations: list = []
         self._cache = CacheTable(cache_capacity_bytes, device=self.device)
@@ -411,6 +483,7 @@ class GTS:
             self.device.free(alloc)
         self._allocations = []
         self._tree = None
+        self._stack = None
         self._build_result = None
 
     def close(self) -> None:
@@ -630,26 +703,12 @@ class GTS:
         k: Optional[np.ndarray] = None,
     ) -> BoundedTriples:
         """Search the tree under checked ``radii`` or ``k``, then scan the cache
-        table into the same accumulator, and return it.
-
-        The cache scan is one fused ``cache-scan`` kernel over the whole
-        batch (DESIGN.md §9), launched after the descent; its candidates meet
-        the tree's under each query's radius or running k-th bound.
-        """
-        results = search(
-            self._tree,
-            self._objects,
-            self.metric,
-            self.device,
-            queries,
-            self._tombstones or None,
-            self.prune_mode,
-            radii=radii,
-            k=k,
-            port=self._port,
-        )
-        self._cache.range_scan_batch(self.metric, self._objects, queries, results, self.device)
-        return results
+        table into the same accumulator, and return it: the forest descent
+        over this index's one tree (:func:`search_indexes`)."""
+        if self._stack is None or self._stack.trees[0] is not self._tree:
+            # a layout is only installed with a new tree
+            self._stack = stack_forest([self])
+        return search_indexes([self], self._stack, queries, radii=radii, k=k)
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.

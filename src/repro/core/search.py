@@ -4,8 +4,10 @@ tree — Algorithms 4 and 5.
 Both algorithms are one level-synchronous, memory-aware descent that differs
 only in each query's distance bound: a range query keeps its fixed radius,
 a kNN query uses the distance of its current k-th candidate, which only
-shrinks as candidates arrive.  Given a batch of queries the descent walks the
-tree one level at a time for *all* queries simultaneously:
+shrinks as candidates arrive.  The descent walks a **forest** — one tree
+(:func:`search`, a :class:`~repro.core.gts.GTS`) or every shard's tree of a
+:class:`~repro.shard.ShardedGTS` (:func:`search_forest`) — one level at a
+time for *all* queries of *all* trees simultaneously:
 
 1. each live (query, node) pair knows ``d(q, N.pivot)``;
 2. every child of every candidate node is tested against Lemma 5.1 / 5.2 in
@@ -23,6 +25,20 @@ tree one level at a time for *all* queries simultaneously:
 5. before expanding a level, the projected intermediate-table size is checked
    against the per-level memory limit; if it does not fit the query batch is
    split into groups processed sequentially (the two-stage strategy).
+
+Over several trees the node and table arrays are stacked
+(:class:`~repro.core.searchcommon.Forest`) and the accumulator holds one
+virtual query ``t * Q + q`` per tree and query, so every tree keeps its own
+bounds and pruning is exactly a lone tree's.  The pair lists stay sorted by
+virtual query, so each tree's pairs are one slice at every level: the
+bounds, the child test, the offers, the kNN re-test and the leaf
+candidates' expansion run once per level over all trees, while everything
+that reads a tree's store, port or device — pivot and verify kernels,
+faults, the certified filter, allocations and every charge — runs per tree
+on its slice, so each device sees exactly the calls a search of its tree
+alone makes.  A tree whose leaf level comes first verifies there while the
+others descend, and the two-stage split is decided per tree against its
+own device (DESIGN.md §6).
 
 Verification first drops every leaf candidate whose table-list distance
 ``obj_dis`` to its leaf's parent pivot puts it beyond its query's bound —
@@ -65,9 +81,11 @@ from .objectstore import ColumnarStore, gather_rows, segmented_distances
 from .searchcommon import (
     ENTRY_BYTES,
     RESULT_BYTES,
+    Forest,
     IntermediateTable,
     PruneMode,
     SearchBatch,
+    TreeBatch,
     dedupe_min_triples,
     interval_survivors,
     leaf_candidate_segments,
@@ -83,7 +101,7 @@ from .searchcommon import (
     triples_to_answer_lists,
 )
 
-__all__ = ["BoundedTriples", "search", "batch_range_query", "batch_knn_query"]
+__all__ = ["BoundedTriples", "search_forest", "search", "batch_range_query", "batch_knn_query"]
 
 
 class BoundedTriples:
@@ -180,8 +198,9 @@ class BoundedTriples:
         own = segment_kth_smallest(dists, boundaries, np.where(counts > ks, ks, counts + 1))
         return np.minimum(self._kth_bounds()[owners], own).repeat(counts)
 
-    def offer(self, query_indices, obj_ids, dists) -> int:
-        """Keep the live triples with ``dist <= bound``; returns how many.
+    def offer(self, query_indices, obj_ids, dists) -> np.ndarray:
+        """Keep the live triples with ``dist <= bound``; returns the query
+        index of each kept triple, in offer order.
 
         An offer lists each ``(query, id)`` at most once; every source
         (pivot levels, leaf verification, the cache scan) offers that way.
@@ -200,7 +219,7 @@ class BoundedTriples:
             live = ~dead
             query_indices, obj_ids, dists = query_indices[live], obj_ids[live], dists[live]
         if len(obj_ids) == 0:
-            return 0
+            return query_indices
         if self.k is None:
             keep = dists <= self._radii[query_indices]
         else:
@@ -210,7 +229,7 @@ class BoundedTriples:
         if len(obj_ids):
             self._pending.append((query_indices, obj_ids, dists))
             self._kth = None
-        return len(obj_ids)
+        return query_indices
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The compacted pool as ``(query, id, distance)`` arrays, sorted by
@@ -270,7 +289,7 @@ def leaf_pivot_filter(batch: SearchBatch) -> bool:
     only add host passes.  A tiered index runs it: every candidate it drops
     is a read the port never faults.
     """
-    return batch.port is not None or not _certifies(batch.metric)
+    return batch.tiered or not _certifies(batch.metric)
 
 
 def _certified_survivors(
@@ -339,6 +358,67 @@ def _certified_survivors(
     return lo <= np.repeat(limit, counts)
 
 
+#: Candidate budget of one fused leaf expansion over several trees.  Fusing
+#: saves per-call overhead, which dominates small expansions; past this
+#: size the expansion's arrays outgrow the CPU caches and cost more than a
+#: call per tree, so larger ones expand their trees in rounds.
+FUSED_CANDIDATES = 1 << 16
+
+
+def _candidate_rounds(forest: Forest, leaf_node: np.ndarray, parts: list) -> list:
+    """The trees' leaf pairs packed, consecutive trees together, into rounds
+    of at most ``FUSED_CANDIDATES`` candidates (a larger tree is a round of
+    its own)."""
+    ends = np.cumsum(forest.size[leaf_node])[[end - 1 for _, _, end in parts]].tolist()
+    rounds, current, size, before = [], [], 0, 0
+    for part, end in zip(parts, ends):
+        count, before = end - before, end
+        if current and size + count > FUSED_CANDIDATES:
+            rounds.append(current)
+            current, size = [], 0
+        current.append(part)
+        size += count
+    rounds.append(current)
+    return rounds
+
+
+def _cat(arrays: list) -> np.ndarray:
+    """One array from per-tree pieces (the piece itself when there is one)."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _columns(rows: list) -> tuple:
+    """Per-tree ``(query, id, distance)`` pieces as three arrays."""
+    if len(rows) == 1:
+        return rows[0]
+    return tuple(np.concatenate(column) for column in zip(*rows))
+
+
+def _part_rows(parts: list) -> np.ndarray:
+    """Positions of the listed ``(tree, start, end)`` slices of a pair list."""
+    return _cat([np.arange(start, end, dtype=np.int64) for _, start, end in parts])
+
+
+def _rebased(parts: list) -> list:
+    """The listed slices' positions once only they are kept, in order."""
+    out, start = [], 0
+    for tree, lo, hi in parts:
+        out.append((tree, start, start + hi - lo))
+        start += hi - lo
+    return out
+
+
+def _tree_edges(parts: list, num_queries: int) -> list:
+    """The first virtual query of each listed tree, then one past the last
+    tree's: the edges that split a query-sorted array by tree."""
+    return [tree * num_queries for tree, _, _ in parts] + [(parts[-1][0] + 1) * num_queries]
+
+
+def _local(values: np.ndarray, offset: int) -> np.ndarray:
+    """Stacked ids or virtual queries of one tree made its own."""
+    return values - offset if offset else values
+
+
 def _verify_leaves(
     batch: SearchBatch,
     leaf_q: np.ndarray,
@@ -347,89 +427,165 @@ def _verify_leaves(
 ) -> None:
     """Compute real distances for the candidates of the surviving leaves.
 
-    One fused pass: the surviving leaves' table-list slices are expanded into
-    per-query candidate segments, and — given ``parent_dist``, each pair's
-    ``d(q, p)`` to the pivot of the leaf's parent (None when the root is the
-    only leaf), where :func:`leaf_pivot_filter` applies — every candidate
-    whose table-list distance ``obj_dis`` proves it beyond its query's
-    bound is dropped before any row is read
-    (:func:`~repro.core.searchcommon.leaf_candidate_segments`).  A tiered
-    index faults only the survivors through its port, in slot order.  Where
-    the metric certifies distance bounds (:func:`_certified_survivors`),
-    pairs proven beyond their query's bound are dropped next; the rest are
-    gathered, evaluated with the segmented exact kernel — so every reported
-    distance is bitwise the reference value — and offered to the
-    accumulator in one bulk add.  One verify kernel is charged, over every
-    pair that passed the ``obj_dis`` test (the certified filter's dropped
-    pairs included, which also still count in the metric's pair counter);
-    like a tombstoned candidate, a candidate the test drops is read and
-    compared in that kernel but costs it no distance work.
+    ``leaf_q`` are virtual queries sorted by tree, ``leaf_node`` stacked
+    leaf slots.  One fused pass over every tree (over rounds of trees when
+    the leaves hold more than ``FUSED_CANDIDATES`` candidates): the
+    surviving leaves' table-list slices are expanded into per-query
+    candidate segments, and — given ``parent_dist``, each pair's
+    ``d(q, p)`` to the pivot of the leaf's parent (None when the roots are
+    the only leaves), where :func:`leaf_pivot_filter` applies — every
+    candidate whose table-list distance ``obj_dis`` proves it beyond its
+    query's bound is dropped before any row is read
+    (:func:`~repro.core.searchcommon.leaf_candidate_segments`).  Then, per
+    tree: a tiered tree faults only its survivors through its port, in slot
+    order; where the metric certifies distance bounds
+    (:func:`_certified_survivors`), pairs proven beyond their query's bound
+    are dropped next; the rest are gathered and evaluated with the
+    segmented exact kernel — so every reported distance is bitwise the
+    reference value.  All trees' distances are offered to the accumulator
+    in one bulk add.  Each tree's device is charged one verify kernel over
+    every pair of that tree that passed the ``obj_dis`` test (the certified
+    filter's dropped pairs included, which also still count in the
+    metric's pair counter); like a tombstoned candidate, a candidate the
+    test drops is read and compared in that kernel but costs it no
+    distance work.
     """
     if len(leaf_q) == 0:
         return
-    tree, metric, device, results = batch.tree, batch.metric, batch.device, batch.results
-    host_start = time.perf_counter()
+    forest, metric, results = batch.forest, batch.metric, batch.results
+    num_queries = batch.num_queries
     filtered = parent_dist is not None and leaf_pivot_filter(batch)
-    unique_queries, boundaries, obj_ids = leaf_candidate_segments(
-        tree,
-        leaf_q,
-        leaf_node,
-        batch.tombstones,
-        slot_of=None if batch.port is None else batch.port.slot_of,
-        parent_dist=parent_dist if filtered else None,
-        bounds=results.bounds(leaf_q) if filtered else None,
-        k=results.k,
-        distance_error=metric.distance_error(),
-    )
-    total_verified = len(obj_ids)
-    total_hits = 0
-    if total_verified:
-        # tiered indexes get each query's candidates in physical-slot order:
-        # answers are order-insensitive (keyed by id) and a slot-sorted
-        # fault touches each leaf-clustered block as one run
-        if batch.port is not None:
-            batch.port.fault(obj_ids)
-        query_objects = gather_rows(batch.queries, unique_queries)
-        owner = np.repeat(unique_queries, boundaries[1:] - boundaries[:-1])
-        keep = _certified_survivors(
-            metric, batch.store, query_objects, boundaries, obj_ids, results, unique_queries
+    bounds = results.bounds(leaf_q) if filtered else None
+    error = metric.distance_error()
+    parts = batch.parts(leaf_q)
+    verified, host, offers = [], [], []
+    for chunk in (parts,) if len(parts) == 1 else _candidate_rounds(forest, leaf_node, parts):
+        chunk_q, chunk_node, chunk_dist, chunk_bounds = leaf_q, leaf_node, parent_dist, bounds
+        if len(chunk) < len(parts):
+            rows = slice(chunk[0][1], chunk[-1][2])
+            chunk_q, chunk_node = leaf_q[rows], leaf_node[rows]
+            if filtered:
+                chunk_dist, chunk_bounds = parent_dist[rows], bounds[rows]
+        unique_queries, boundaries, obj_ids = leaf_candidate_segments(
+            forest,
+            chunk_q,
+            chunk_node,
+            batch.tombstones,
+            slot_of=forest.slot_of,
+            parent_dist=chunk_dist if filtered else None,
+            bounds=chunk_bounds,
+            k=results.k,
+            distance_error=error,
         )
-        settled = 0
-        if keep is not None:
-            kept = np.flatnonzero(keep)
-            owner, obj_ids = owner[kept], obj_ids[kept]
-            # a segment's new start is the number of survivors before it
-            boundaries = np.searchsorted(kept, boundaries)
-            settled = total_verified - len(obj_ids)
-        dists = segmented_distances(
-            metric, batch.store, query_objects, boundaries, obj_ids, settled_pairs=settled
-        )
-        total_hits = results.offer(owner, obj_ids, dists)
-    host = time.perf_counter() - host_start
-    device.launch_kernel(
-        work_items=total_verified,
-        op_cost=metric.unit_cost,
-        label=f"{results.label}-verify",
-        host_time=host,
-    )
+        if len(chunk) > 1:
+            # each tree's segments are one run of the query-sorted segments
+            segment_edges = np.searchsorted(
+                unique_queries, _tree_edges(chunk, num_queries)
+            ).tolist()
+        for i, (tree, _, _) in enumerate(chunk):
+            if len(chunk) == 1:
+                queries, edges, ids = unique_queries, boundaries, obj_ids
+            else:
+                first, last = segment_edges[i], segment_edges[i + 1]
+                start, end = int(boundaries[first]), int(boundaries[last])
+                queries, edges, ids = (
+                    unique_queries[first:last],
+                    boundaries[first : last + 1] - start,
+                    obj_ids[start:end],
+                )
+            verified.append(len(ids))
+            if len(ids) == 0:
+                host.append(0.0)
+                continue
+            host_start = time.perf_counter()
+            member, id_off = batch.members[tree], forest.id_off[tree]
+            ids = _local(ids, id_off)
+            # tiered trees get each query's candidates in physical-slot
+            # order: answers are order-insensitive (keyed by id) and a
+            # slot-sorted fault touches each leaf-clustered block as one run
+            if member.port is not None:
+                member.port.fault(ids)
+            query_objects = gather_rows(batch.queries, _local(queries, tree * num_queries))
+            owner = np.repeat(queries, edges[1:] - edges[:-1])
+            keep = _certified_survivors(
+                metric, member.store, query_objects, edges, ids, results, queries
+            )
+            settled = 0
+            if keep is not None:
+                kept = np.flatnonzero(keep)
+                owner, ids = owner[kept], ids[kept]
+                # a segment's new start is the number of survivors before it
+                edges = np.searchsorted(kept, edges)
+                settled = verified[-1] - len(ids)
+            dists = segmented_distances(
+                metric, member.store, query_objects, edges, ids, settled_pairs=settled
+            )
+            offers.append((owner, ids + id_off if id_off else ids, dists))
+            host.append(time.perf_counter() - host_start)
+    hits = results.offer(*_columns(offers)) if offers else leaf_q[:0]
     # Result buffer: a range batch ships its hits, a kNN batch k slots for
-    # every query that reached a leaf (``np.unique(leaf_q)`` also counts the
-    # queries whose candidates were all tombstoned or filtered), no query
-    # more slots than the tree has objects.  Results are streamed back to
-    # the host in chunks, so the buffer never needs to exceed the memory
-    # that is still available on the device.
+    # every query that reached a leaf of the tree (counting the queries
+    # whose candidates were all tombstoned or filtered), no query more slots
+    # than the tree has objects.  Results are streamed back to the host in
+    # chunks, so the buffer never needs to exceed the memory that is still
+    # available on the device.
     if results.k is None:
-        slots = total_hits
-    elif total_verified:
-        slots = max(int(np.minimum(results.k[np.unique(leaf_q)], tree.num_objects).sum()), 1)
+        slots = (
+            [len(hits)]
+            if len(parts) == 1
+            else np.diff(np.searchsorted(hits, _tree_edges(parts, num_queries))).tolist()
+        )
     else:
-        slots = 0
-    if slots:
-        needed = slots * RESULT_BYTES
-        buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
-        alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
-        device.transfer_to_host(needed, label="results-d2h")
-        device.free(alloc)
+        # the distinct queries of the query-sorted pairs: one adjacent compare
+        slots = [0] * len(parts)
+        if any(verified):
+            reached = np.empty(len(leaf_q), dtype=bool)
+            reached[0] = True
+            np.not_equal(leaf_q[1:], leaf_q[:-1], out=reached[1:])
+            reached = leaf_q[reached]
+            reached_edges = [0, len(reached)]
+            if len(parts) > 1:
+                reached_edges = np.searchsorted(reached, _tree_edges(parts, num_queries)).tolist()
+            for i, (tree, _, _) in enumerate(parts):
+                if verified[i]:
+                    own = results.k[reached[reached_edges[i] : reached_edges[i + 1]]]
+                    cap = forest.trees[tree].num_objects
+                    slots[i] = max(int(np.minimum(own, cap).sum()), 1)
+    for i, (tree, _, _) in enumerate(parts):
+        device = batch.members[tree].device
+        device.launch_kernel(
+            work_items=verified[i],
+            op_cost=metric.unit_cost,
+            label=f"{results.label}-verify",
+            host_time=host[i],
+        )
+        if slots[i]:
+            needed = slots[i] * RESULT_BYTES
+            buffer_bytes = min(needed, max(RESULT_BYTES, device.available_bytes))
+            alloc = device.allocate(buffer_bytes, f"{results.label}-results", pool="workspace")
+            device.transfer_to_host(needed, label="results-d2h")
+            device.free(alloc)
+
+
+def _pivot_distances(batch: SearchBatch, cand_q: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Each pair's ``d(q, pivot)``: one fused kernel per tree over its slice.
+
+    ``pivots`` are stacked ids; each tree's kernel reads its own store and
+    faults through its own port (:func:`pivot_distances_per_query`).
+    """
+    parts = batch.parts(cand_q)
+    if len(parts) == 1 and parts[0][0] == 0:
+        return pivot_distances_per_query(batch.members[0], cand_q, pivots)
+    out = []
+    for tree, start, end in parts:
+        out.append(
+            pivot_distances_per_query(
+                batch.members[tree],
+                _local(cand_q[start:end], tree * batch.num_queries),
+                _local(pivots[start:end], batch.forest.id_off[tree]),
+            )
+        )
+    return _cat(out)
 
 
 def _descend(
@@ -441,61 +597,219 @@ def _descend(
 ) -> None:
     """Recursive per-level expansion (Range_Q of Algorithm 4, Knn_Q of Algorithm 5).
 
-    ``pivot_dist`` is each pair's ``d(q, pivot)`` of its node at an internal
-    level, and ``d(q, parent pivot)`` at the leaf level (None when the root
-    is the only leaf).
+    ``cand_q`` are virtual queries sorted by tree and ``cand_node`` stacked
+    nodes at ``layer``.  ``pivot_dist`` is each pair's ``d(q, pivot)`` of
+    its node at an internal level, and ``d(q, parent pivot)`` at the leaf
+    level (None when every root is a leaf).  A tree whose leaf level this
+    is verifies here while the others descend.  When a tree's pairs exceed
+    its device's per-level limit it splits them into groups, and round
+    ``g`` re-enters this level with group ``g`` of every tree that has one,
+    so each device sees its groups depth-first, one after the other.
     """
     if len(cand_q) == 0:
         return
-    tree, device, results = batch.tree, batch.device, batch.results
-    if tree.is_leaf_level(layer):
-        _verify_leaves(batch, cand_q, cand_node, pivot_dist)
-        return
+    forest = batch.forest
+    parts = batch.parts(cand_q)
+    if layer >= forest.min_height:
+        # trees end at this level: they verify, the others descend
+        heights = forest.heights
+        inner = [] if layer >= forest.max_height else [p for p in parts if heights[p[0]] > layer]
+        if not inner:
+            _verify_leaves(batch, cand_q, cand_node, pivot_dist if layer else None)
+            return
+        if len(inner) < len(parts):
+            rows = _part_rows([part for part in parts if heights[part[0]] <= layer])
+            leaf_dist = pivot_dist[rows] if layer else None
+            _verify_leaves(batch, cand_q[rows], cand_node[rows], leaf_dist)
+            rows = _part_rows(inner)
+            cand_q, cand_node, pivot_dist = cand_q[rows], cand_node[rows], pivot_dist[rows]
+            parts = _rebased(inner)
 
-    # Two-stage memory strategy: split the batch when the projected
-    # intermediate table would exceed the per-level limit.
-    limit_pairs = level_pair_limit(device, tree.height, layer, tree.node_capacity)
-    if len(cand_q) > limit_pairs:
-        for group in split_into_groups(cand_q, limit_pairs):
-            _descend(batch, layer, cand_q[group], cand_node[group], pivot_dist[group])
+    # Two-stage memory strategy: a tree splits its pairs when the projected
+    # intermediate table would exceed its device's per-level limit.
+    nc = forest.node_capacity
+    limits, split = [], False
+    for tree, start, end in parts:
+        limit = level_pair_limit(batch.members[tree].device, forest.heights[tree], layer, nc)
+        limits.append(limit)
+        split = split or end - start > limit
+    if split:
+        groups = [
+            [group + start for group in split_into_groups(cand_q[start:end], limit)]
+            if end - start > limit
+            else [np.arange(start, end, dtype=np.int64)]
+            for (_, start, end), limit in zip(parts, limits)
+        ]
+        for round_ in range(max(len(tree_groups) for tree_groups in groups)):
+            rows = _cat([tg[round_] for tg in groups if round_ < len(tg)])
+            _descend(batch, layer, cand_q[rows], cand_node[rows], pivot_dist[rows])
         return
+    _expand(batch, layer, cand_q, cand_node, pivot_dist, parts)
 
-    projected = len(cand_q) * tree.node_capacity
-    with IntermediateTable(device, projected, label=f"{results.label}-level-{layer + 1}"):
+
+def _expand(
+    batch: SearchBatch,
+    layer: int,
+    cand_q: np.ndarray,
+    cand_node: np.ndarray,
+    pivot_dist: np.ndarray,
+    parts: list,
+) -> None:
+    """Expand one internal level of every tree in ``parts`` and descend.
+
+    Each tree allocates its own intermediate table and is charged its own
+    kernels over its own pairs; the bounds, the child test, the pivot
+    offers and the kNN re-test are one call over all trees.
+    """
+    forest, results, members = batch.forest, batch.results, batch.members
+    nc = forest.node_capacity
+    label = f"{results.label}-level-{layer + 1}"
+    tables = []
+    try:
+        for tree, start, end in parts:
+            tables.append(IntermediateTable(members[tree].device, (end - start) * nc, label))
         # Per-pair bound: the radius, or the current k-th distance d(q, k_cur).
         bounds = results.bounds(cand_q)
         if results.k is not None:
             # The device sorts the candidate distances per query to locate
             # the k-th bound (Algorithm 5 lines 11-12); charge that selection.
-            device.launch_kernel(work_items=len(cand_q), op_cost=4.0, label="mknn-kth-bound")
+            for tree, start, end in parts:
+                members[tree].device.launch_kernel(
+                    work_items=end - start, op_cost=4.0, label="mknn-kth-bound"
+                )
         error = batch.metric.distance_error()
+        child_base = forest.child_base
+        first_child = cand_node * nc + 1 if child_base is None else child_base[cand_node]
         pair_index, child_ids = prune_children(
-            tree, cand_node, pivot_dist, bounds, batch.mode, device, error
+            forest, first_child, pivot_dist, bounds, batch.mode, error
         )
+        for tree, start, end in parts:
+            members[tree].device.launch_kernel(
+                work_items=(end - start) * nc, op_cost=2.0, label="prune-children"
+            )
         next_q = cand_q[pair_index]
-        parent_dist = pivot_dist[pair_index]
+        next_dist = pivot_dist[pair_index]
+        # Children that are internal nodes get their own pivot distance;
+        # children that are leaves keep d(q, parent pivot) for the table
+        # list's obj_dis test.
+        inner, rows = len(next_q) > 0 and layer + 1 < forest.max_height, None
+        if inner and layer + 1 >= forest.min_height:
+            next_parts = batch.parts(next_q)
+            inner_parts = [p for p in next_parts if forest.heights[p[0]] > layer + 1]
+            inner = bool(inner_parts)
+            if inner and len(inner_parts) < len(next_parts):
+                rows = _part_rows(inner_parts)
+        if inner:
+            if rows is None:
+                sub_q, sub_child, parent_dist = next_q, child_ids, next_dist
+            else:
+                sub_q, sub_child, parent_dist = next_q[rows], child_ids[rows], next_dist[rows]
+            pivots = forest.pivot[sub_child]
+            sub_dist = _pivot_distances(batch, sub_q, pivots)
+            # A pivot is itself an indexed object: offer it as an answer.
+            # Nothing was offered since ``bounds`` was read, so a kNN offer
+            # reuses the cached k-th bounds.
+            results.offer(sub_q, pivots, sub_dist)
+            if rows is None:
+                next_dist = sub_dist
+            else:
+                next_dist = next_dist.copy()
+                next_dist[rows] = sub_dist
+            if results.k is not None:
+                # Those offers shrank the k-th bounds: re-test every child's
+                # interval under them before the next level's table is sized.
+                keep = interval_survivors(
+                    forest, sub_child, parent_dist, results.bounds(sub_q), batch.mode, error
+                )
+                if rows is not None:
+                    full = np.ones(len(next_q), dtype=bool)
+                    full[rows] = keep
+                    keep = full
+                next_q, child_ids, next_dist = next_q[keep], child_ids[keep], next_dist[keep]
+        _descend(batch, layer + 1, next_q, child_ids, next_dist)
+    finally:
+        for table in tables:
+            table.free()
 
-        if tree.is_leaf_level(layer + 1):
-            _descend(batch, layer + 1, next_q, child_ids, parent_dist)
-            return
-        pivots = tree.pivot[child_ids]
-        next_pivot_dist = pivot_distances_per_query(batch, next_q, pivots)
-        # A pivot is itself an indexed object: offer it as an answer.
-        # Nothing was offered since ``bounds`` was read, so a kNN offer
-        # reuses the cached k-th bounds.
-        results.offer(next_q, pivots, next_pivot_dist)
-        if results.k is not None:
-            # Those offers shrank the k-th bounds: re-test every child's
-            # interval under them before the next level's table is sized.
-            keep = interval_survivors(
-                tree, child_ids, parent_dist, results.bounds(next_q), batch.mode, error
-            )
-            next_q, child_ids, next_pivot_dist = (
-                next_q[keep],
-                child_ids[keep],
-                next_pivot_dist[keep],
-            )
-        _descend(batch, layer + 1, next_q, child_ids, next_pivot_dist)
+
+def search_forest(
+    forest: Forest,
+    members: Sequence[tuple],
+    metric: Metric,
+    queries: Sequence,
+    tombstones: Optional[np.ndarray],
+    prune_mode: str | PruneMode,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> BoundedTriples:
+    """Search every tree of ``forest`` for a batch under validated ``radii`` or ``k``.
+
+    ``members`` gives each tree's ``(host store, device-read port or None,
+    device)``; ``tombstones`` are stacked ids (sorted).  The batch runs one
+    level-synchronous descent over all trees.  Every tree answers the whole
+    batch under its own bounds: the accumulator's virtual query
+    ``t * len(queries) + q`` is query ``q`` on tree ``t``, and its ids are
+    stacked ids.  Each tree's device is charged exactly what a search of
+    that tree alone charges it, call for call.  Returns the accumulator
+    before :meth:`BoundedTriples.answers` is read, so further candidate
+    sources (the cache tables) can still offer to it; an empty batch or
+    forest returns an empty accumulator.
+    """
+    num_queries = len(queries)
+    num_trees = forest.num_trees
+    mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
+    if num_trees > 1:
+        radii = None if radii is None else np.tile(radii, num_trees)
+        k = None if k is None else np.tile(k, num_trees)
+    results = BoundedTriples(num_trees * num_queries, tombstones, radii=radii, k=k)
+    live = [t for t, tree in enumerate(forest.trees) if tree.num_objects]
+    if num_queries == 0 or not live:
+        return results
+    trees = [TreeBatch(store, port, device, metric, queries) for store, port, device in members]
+    batch = SearchBatch(
+        forest,
+        trees,
+        metric,
+        queries,
+        num_queries,
+        tombstones,
+        mode,
+        results,
+        tiered=trees[0].port is not None,
+        query_edges=(
+            None if num_trees == 1 else np.arange(num_trees + 1, dtype=np.int64) * num_queries
+        ),
+    )
+
+    query_ids = np.arange(num_queries, dtype=np.int64)
+    cand_q, cand_node, pivot_dist, roots = [], [], [], []
+    for t in live:
+        tree, member = forest.trees[t], batch.members[t]
+        # Load the queries onto the device (Section 5.1: queries are copied
+        # from the CPU to the GPU before processing).
+        member.device.transfer_to_device(num_queries * ENTRY_BYTES)
+        tree_q = query_ids + t * num_queries if t else query_ids
+        cand_q.append(tree_q)
+        node_off = forest.node_off[t]
+        cand_node.append(
+            np.full(num_queries, node_off, dtype=np.int64)
+            if node_off
+            else np.zeros(num_queries, dtype=np.int64)
+        )
+        if tree.height == 0:
+            # Degenerate tree: the root is the single (over-full) leaf, and
+            # no pivot distance bounds its objects.
+            pivot_dist.append(np.zeros(num_queries))
+            continue
+        root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
+        dist = pivot_distances_per_query(member, query_ids, root_pivots)
+        pivot_dist.append(dist)
+        id_off = forest.id_off[t]
+        roots.append((tree_q, root_pivots + id_off if id_off else root_pivots, dist))
+    if roots:
+        results.offer(*_columns(roots))
+    _descend(batch, 0, _cat(cand_q), _cat(cand_node), _cat(pivot_dist) if roots else None)
+    return results
 
 
 def search(
@@ -510,40 +824,26 @@ def search(
     k: Optional[np.ndarray] = None,
     port=None,
 ) -> BoundedTriples:
-    """Search the tree for a batch under validated ``radii`` or ``k``.
+    """Search one tree for a batch under validated ``radii`` or ``k``.
 
+    The forest descent (:func:`search_forest`) over a forest of one tree:
     ``objects`` is the host object store; a tiered index passes its
     device-read ``port`` too.  Returns the batch's accumulator before
     :meth:`BoundedTriples.answers` is read, so further candidate sources
     (the cache table) can still offer to it; an empty batch or tree returns
     an empty accumulator.
     """
-    num_queries = len(queries)
-    mode = prune_mode if isinstance(prune_mode, PruneMode) else PruneMode.from_name(prune_mode)
-    tombstones = tombstone_array(exclude)
-    results = BoundedTriples(num_queries, tombstones, radii=radii, k=k)
-    if num_queries == 0 or tree.num_objects == 0:
-        return results
-    batch = SearchBatch(tree, objects, port, metric, device, queries, tombstones, mode, results)
-
-    # Load the queries onto the device (Section 5.1: queries are copied from
-    # the CPU to the GPU before processing).
-    device.transfer_to_device(num_queries * ENTRY_BYTES)
-
-    cand_q = np.arange(num_queries, dtype=np.int64)
-    cand_node = np.zeros(num_queries, dtype=np.int64)
-
-    if tree.height == 0:
-        # Degenerate tree: the root is the single (over-full) leaf, and no
-        # pivot distance bounds its objects.
-        pivot_dist = None
-    else:
-        root_pivots = np.full(num_queries, tree.pivot[0], dtype=np.int64)
-        pivot_dist = pivot_distances_per_query(batch, cand_q, root_pivots)
-        results.offer(cand_q, root_pivots, pivot_dist)
-
-    _descend(batch, 0, cand_q, cand_node, pivot_dist)
-    return results
+    forest = Forest([tree], slot_maps=None if port is None else [port.slot_of])
+    return search_forest(
+        forest,
+        [(objects, port, device)],
+        metric,
+        queries,
+        tombstone_array(exclude),
+        prune_mode,
+        radii=radii,
+        k=k,
+    )
 
 
 def batch_range_query(

@@ -4,9 +4,12 @@ Both query algorithms (Sections 5.1 and 5.2) share these ingredients:
 
 * validating the per-query parameters (:func:`query_radii`,
   :func:`query_ks`) — the one place every entry point checks them;
-* the per-batch invariants of one descent (:class:`SearchBatch`): tree,
-  host store, device-read port, metric, device, queries, tombstones,
-  prune mode and accumulator;
+* the **forest** one descent walks (:class:`Forest`): the node and table
+  arrays of one or more trees stacked with per-tree offsets, so each fused
+  step of a level is one NumPy call over every tree's pairs;
+* the per-batch invariants of one descent (:class:`SearchBatch`): forest,
+  each tree's device side (:class:`TreeBatch`: host store, device-read
+  port, device), metric, queries, tombstones, prune mode and accumulator;
 * computing the distances from each query to the pivots of its candidate
   nodes — evaluated as **one fused segmented pass** over all (query, pivot)
   pairs of the level (:func:`pivot_distances_per_query` builds per-query
@@ -56,6 +59,8 @@ from .objectstore import gather_rows, segmented_distances
 __all__ = [
     "ENTRY_BYTES",
     "PruneMode",
+    "Forest",
+    "TreeBatch",
     "SearchBatch",
     "broadcast_query_param",
     "query_radius",
@@ -309,27 +314,151 @@ class PruneMode:
         raise QueryError(f"unknown prune mode {name!r}")
 
 
-@dataclass(frozen=True)
-class SearchBatch:
-    """The invariants of one query batch's descent, passed as one value.
+def _stacked(arrays: list, offsets: list) -> np.ndarray:
+    """``arrays`` concatenated, each shifted by its offset."""
+    return np.concatenate([a + off if off else a for a, off in zip(arrays, offsets)])
 
-    ``store`` is the index's host object store; ``port`` is the device-read
-    port (:class:`~repro.tier.store.PagedObjects`) of a tiered index, None
-    for a resident one.  Each device kernel that reads stored rows faults
-    its id list through the port before reading them from the store.
-    ``results`` is the batch's accumulator
-    (:class:`~repro.core.search.BoundedTriples`).
+
+class Forest:
+    """The node list and table list of one or more trees, stacked.
+
+    One descent walks every tree of a forest level by level, so each fused
+    step of a level is one NumPy call over all trees' pairs.  The arrays
+    carry :class:`~repro.core.nodes.TreeStructure`'s names, so the helpers
+    below read a forest as they read a tree:
+
+    * tree ``t``'s node ``n`` is stacked node ``node_off[t] + n``, and its
+      ``j``-th child slot is ``node_off[t] + n * Nc + 1 + j`` (over
+      several trees ``child_base`` holds every stacked node's first child
+      slot; for one tree it is None and the slot is ``n * Nc + 1``);
+    * its table-list entry ``i`` is stacked entry ``table_off + i``, and
+      ``pos`` points into the stacked table list;
+    * its object id ``i`` is stacked id ``id_off[t] + i`` — ``pivot`` and
+      ``obj_ids`` hold stacked ids, and the caller picks offsets that keep
+      every tree's ids (cached ones included) inside its own range;
+    * ``slot_of`` (tiered trees only) is every tree's id→physical-slot map,
+      indexed by stacked id.
+
+    A forest of one tree is that tree's own arrays, not a copy, with every
+    offset 0.  A forest is never changed in place; whoever caches one
+    rebuilds it when a tree, a slot map or an id range changes.  Every tree
+    has the same node capacity.
     """
 
-    tree: TreeStructure
+    def __init__(
+        self,
+        trees: Sequence[TreeStructure],
+        id_offsets: Sequence[int] = (0,),
+        slot_maps: Optional[Sequence[np.ndarray]] = None,
+    ):
+        self.trees = tuple(trees)
+        self.num_trees = len(self.trees)
+        if len(id_offsets) != self.num_trees or id_offsets[0] != 0:
+            raise QueryError("a forest needs one id offset per tree, the first 0")
+        if self.num_trees == 1:
+            (tree,) = self.trees
+            self.node_capacity = tree.node_capacity
+            self.heights = [tree.height]
+            self.min_height = self.max_height = tree.height
+            self.id_off = self.node_off = [0]
+            self.pivot, self.pos, self.size = tree.pivot, tree.pos, tree.size
+            self.min_dis, self.max_dis = tree.min_dis, tree.max_dis
+            self.obj_ids, self.obj_dis = tree.obj_ids, tree.obj_dis
+            self.child_base = None
+            self.slot_of = None if slot_maps is None else slot_maps[0]
+            return
+        self.node_capacity = nc = self.trees[0].node_capacity
+        if any(tree.node_capacity != nc for tree in self.trees):
+            raise QueryError("every tree of a forest must have the same node capacity")
+        self.heights = [tree.height for tree in self.trees]
+        self.min_height, self.max_height = min(self.heights), max(self.heights)
+        self.id_off = [int(off) for off in id_offsets]
+        node_counts = [tree.num_nodes for tree in self.trees]
+        self.node_off = np.concatenate(([0], np.cumsum(node_counts)[:-1])).tolist()
+        table_off = np.concatenate(
+            ([0], np.cumsum([len(tree.obj_ids) for tree in self.trees])[:-1])
+        ).tolist()
+        # leaves and empty slots keep their NO_PIVOT sentinel
+        self.pivot = np.concatenate(
+            [
+                np.where(tree.pivot >= 0, tree.pivot + off, tree.pivot)
+                for tree, off in zip(self.trees, self.id_off)
+            ]
+        )
+        self.pos = _stacked([tree.pos for tree in self.trees], table_off)
+        self.size = np.concatenate([tree.size for tree in self.trees])
+        self.min_dis = np.concatenate([tree.min_dis for tree in self.trees])
+        self.max_dis = np.concatenate([tree.max_dis for tree in self.trees])
+        self.obj_ids = _stacked([tree.obj_ids for tree in self.trees], self.id_off)
+        self.obj_dis = np.concatenate([tree.obj_dis for tree in self.trees])
+        self.child_base = _stacked(
+            [np.arange(count, dtype=np.int64) * nc + 1 for count in node_counts], self.node_off
+        )
+        self.slot_of = None
+        if slot_maps is not None:
+            ends = self.id_off[1:] + [self.id_off[-1] + len(slot_maps[-1])]
+            self.slot_of = np.zeros(ends[-1], dtype=np.int64)
+            for start, end, slots in zip(self.id_off, ends, slot_maps):
+                count = min(len(slots), end - start)
+                self.slot_of[start : start + count] = slots[:count]
+
+
+@dataclass
+class TreeBatch:
+    """One tree's device side in a batch's descent.
+
+    ``store`` is the tree's host object store; ``port`` is the device-read
+    port (:class:`~repro.tier.store.PagedObjects`) of a tiered index, None
+    for a resident one; ``device`` is charged the tree's kernels.  Each
+    device kernel that reads stored rows faults its id list through the
+    port before reading them from the store.  ``metric`` and ``queries``
+    are the batch's; ids and query indices handed to this tree's kernels
+    are its own (local), not stacked.
+    """
+
     store: Sequence
     port: object
-    metric: Metric
     device: Device
+    metric: Metric
     queries: Sequence
+
+
+@dataclass
+class SearchBatch:
+    """The invariants of one query batch's descent over a forest.
+
+    ``members`` holds each tree's :class:`TreeBatch`.  The accumulator
+    ``results`` (:class:`~repro.core.search.BoundedTriples`) holds
+    ``num_trees * num_queries`` virtual queries: query ``q`` on tree ``t``
+    is ``t * num_queries + q``, so every tree keeps its own bounds, and the
+    descent's pair lists, sorted by virtual query, hold each tree's pairs
+    as one slice.  ``tombstones`` are stacked ids; ``tiered`` tells whether
+    the trees read their rows through ports.
+    """
+
+    forest: Forest
+    members: list
+    metric: Metric
+    queries: Sequence
+    num_queries: int
     tombstones: Optional[np.ndarray]
     mode: PruneMode
     results: object
+    tiered: bool
+    #: first virtual query of every tree and one past the last (None for one tree)
+    query_edges: Optional[np.ndarray]
+
+    def parts(self, virtual_queries: np.ndarray) -> list[tuple[int, int, int]]:
+        """``(tree, start, end)`` of every tree's slice of a sorted pair list."""
+        if self.query_edges is None:
+            count = len(virtual_queries)
+            return [(0, 0, count)] if count else []
+        edges = np.searchsorted(virtual_queries, self.query_edges).tolist()
+        return [
+            (tree, start, end)
+            for tree, (start, end) in enumerate(zip(edges, edges[1:]))
+            if end > start
+        ]
 
 
 def level_pair_limit(device: Device, height: int, layer: int, node_capacity: int) -> int:
@@ -397,16 +526,17 @@ def split_into_groups(
 
 
 def pivot_distances_per_query(
-    batch: SearchBatch, cand_query: np.ndarray, pivot_ids: np.ndarray
+    batch: TreeBatch, cand_query: np.ndarray, pivot_ids: np.ndarray
 ) -> np.ndarray:
     """Distance from each candidate pair's query to the pair's node pivot.
 
-    The pairs must be sorted by query index, as the descent's all are, so
-    each query's run is one segment.  All are evaluated with a single fused
+    One tree's pairs, with its own query indices and object ids.  The pairs
+    must be sorted by query index, as the descent's all are, so each
+    query's run is one segment.  All are evaluated with a single fused
     ``Metric.pairwise_segmented`` call — one gather plus one broadcast pass
-    over all (query, pivot) pairs of the level; device time is charged as
+    over all (query, pivot) pairs of the level; the tree's device is charged
     one level-wide kernel over all pairs (this is the paper's "compute the
-    distances of all nodes at the level simultaneously").  A tiered batch
+    distances of all nodes at the level simultaneously").  A tiered tree
     faults the pivots through its port first, in pair order.
     """
     if len(cand_query) == 0:
@@ -430,7 +560,7 @@ def pivot_distances_per_query(
 
 
 def leaf_candidate_segments(
-    tree: TreeStructure,
+    tree,
     leaf_q: np.ndarray,
     leaf_node: np.ndarray,
     tombstones: Optional[np.ndarray],
@@ -583,7 +713,7 @@ def pivot_window(
 
 
 def interval_survivors(
-    tree: TreeStructure,
+    tree,
     node_ids: np.ndarray,
     pivot_dist: np.ndarray,
     allowance: np.ndarray,
@@ -608,20 +738,23 @@ def interval_survivors(
 
 
 def prune_children(
-    tree: TreeStructure,
-    cand_node: np.ndarray,
+    tree,
+    first_child: np.ndarray,
     pivot_dist: np.ndarray,
     allowance: np.ndarray,
     mode: PruneMode,
-    device: Device,
     distance_error: tuple[float, float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply Lemma 5.1 / 5.2 to every child of every candidate node at once.
 
     Parameters
     ----------
-    cand_node:
-        Candidate node ids (all at the same level), one per pair.
+    tree:
+        A :class:`~repro.core.nodes.TreeStructure` or a :class:`Forest`.
+    first_child:
+        Each pair's first child slot (``node * Nc + 1`` in one tree, the
+        node's ``Forest.child_base`` entry in a stack); a node's ``Nc``
+        children are consecutive slots.
     pivot_dist:
         ``d(q, N.pivot)`` for each pair.
     allowance:
@@ -636,16 +769,16 @@ def prune_children(
     -------
     (pair_index, child_id):
         Arrays describing the surviving (pair, child) combinations; the pair
-        index refers back to the positions in ``cand_node``.
+        index refers back to the positions in ``first_child``.  The caller
+        charges the ``prune-children`` kernel (``Nc`` items per pair).
     """
     nc = tree.node_capacity
-    if len(cand_node) == 0:
+    if len(first_child) == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    child_ids = cand_node[:, None] * nc + 1 + np.arange(nc, dtype=np.int64)[None, :]
+    child_ids = first_child[:, None] + np.arange(nc, dtype=np.int64)[None, :]
     keep = tree.size[child_ids] > 0
     keep &= interval_survivors(tree, child_ids, pivot_dist, allowance, mode, distance_error)
-    device.launch_kernel(work_items=child_ids.size, op_cost=2.0, label="prune-children")
     pair_index, child_col = np.nonzero(keep)
     return pair_index.astype(np.int64), child_ids[pair_index, child_col].astype(np.int64)
 
@@ -669,8 +802,12 @@ class IntermediateTable:
                 f"cannot allocate intermediate table of {entries} entries: {exc}"
             ) from exc
 
+    def free(self) -> None:
+        """Release the table (idempotent)."""
+        self._device.free(self._allocation)
+
     def __enter__(self) -> "IntermediateTable":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._device.free(self._allocation)
+        self.free()

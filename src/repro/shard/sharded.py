@@ -11,15 +11,22 @@ its own device: its own tree, cache table and rebuild schedule.
 every shard, each shard runs the paper's batch algorithm (Algorithms 4-5)
 over its partition in parallel, and the host ranks all shards'
 ``(query, global id, distance)`` triples at once (union for range, top-k
-for kNN).  Because the partitions are disjoint and every shard answers
-exactly over its partition, the merged answers equal a single-device GTS
-over the same data — including the ``(distance, id)`` tie-breaking, since
-local-id order within a shard follows global-id order.
+for kNN).  On the host, the shards' searches are one level-synchronous
+descent over the stacked shard trees
+(:func:`~repro.core.search.search_forest`), so a batch pays each level's
+fixed host cost once rather than once per shard, while every shard keeps
+its own bounds and its device is charged exactly its own search.  Because
+the partitions are disjoint and every shard answers exactly over its
+partition, the merged answers equal a single-device GTS over the same
+data — including the ``(distance, id)`` tie-breaking, since local-id order
+within a shard follows global-id order.
 
 **Updates** are routed to the owning shard: inserts go to the shard the
 assignment policy picks, deletes to the shard that holds the id.  The
 router keeps no copy of shard state, only each shard's ascending global
-ids; whether an id is live is asked of its shard.  Cache tables and
+ids (regions of one array, which is also the stacked forest's id space)
+and the stacked forest itself, rebuilt when a shard's tree changes;
+whether an id is live is asked of its shard.  Cache tables and
 overflow rebuilds stay shard-local, so a hot shard rebuilding never blocks
 the others' (simulated) progress.
 
@@ -44,7 +51,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.gts import DEFAULT_CACHE_BYTES, GTS, execute_operation_batch
+from ..core.gts import (
+    DEFAULT_CACHE_BYTES,
+    GTS,
+    execute_operation_batch,
+    search_indexes,
+    stack_forest,
+)
 from ..core.objectstore import make_object_store
 from ..core.searchcommon import RESULT_BYTES, query_ks, query_radii, triples_to_answer_lists
 from ..exceptions import IndexError_, UpdateError
@@ -170,11 +183,12 @@ class ShardedGTS:
             for s in range(self.num_shards)
         ]
         self.tier_config = self.shards[0].tier_config
-        #: per shard, the global id of each local id (ascending); the first
-        #: ``len(shard._objects)`` entries are set, the rest is spare capacity
-        self._to_global = [np.zeros(0, dtype=np.int64) for _ in range(self.num_shards)]
+        self._set_regions([np.zeros(0, dtype=np.int64)] * self.num_shards, [0] * self.num_shards)
         self._next_id = 0
         self._built = False
+        #: the shards' stacked forest, and the objects it was stacked from
+        self._stack = None
+        self._stack_key: list = []
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -217,13 +231,13 @@ class ShardedGTS:
             raise IndexError_(f"assignment left shards {empty} empty")
         # global ids grouped by shard, ascending within each: local id order
         members = np.argsort(owner, kind="stable")
-        self._to_global = np.split(members, np.cumsum(counts)[:-1])
+        self._set_regions(np.split(members, np.cumsum(counts)[:-1]), counts.tolist())
         self._next_id = n
         partitions = [store.gather(ids) for ids in self._to_global]
         # one partitioning pass over the stream happens on the host
         self._charge_host(n, "shard-partition")
         results = self._shard_round(
-            lambda sid, shard: shard.bulk_load(partitions[sid])
+            lambda: [shard.bulk_load(part) for shard, part in zip(self.shards, partitions)]
         )
         self._built = True
         return ShardedBuildReport(
@@ -232,9 +246,10 @@ class ShardedGTS:
         )
 
     def close(self) -> None:
-        """Free every device allocation held by the shards."""
+        """Free every device allocation held by the shards (and the stack)."""
         for shard in self.shards:
             shard.close()
+        self._stack = None
 
     def _require_built(self) -> None:
         if not self._built:
@@ -243,6 +258,24 @@ class ShardedGTS:
             )
 
     # ---------------------------------------------------------------- id maps
+    def _set_regions(self, arrays: list, capacities: list) -> None:
+        """Lay the shards' global-id arrays out as regions of one array.
+
+        Shard ``sid``'s local id ``lid`` sits at ``_global_of[_region[sid] +
+        lid]``: the stacked id space of the shards' forest, so the router
+        maps a stacked id to its global id with one fancy index.
+        ``_to_global[sid]`` is shard ``sid``'s region, a view whose first
+        ``len(shard._objects)`` entries are set and the rest spare capacity.
+        """
+        starts = np.concatenate(([0], np.cumsum(capacities, dtype=np.int64)))
+        self._global_of = np.zeros(int(starts[-1]), dtype=np.int64)
+        for start, ids in zip(starts.tolist(), arrays):
+            self._global_of[start : start + len(ids)] = ids
+        self._region = starts.tolist()
+        self._to_global = [
+            self._global_of[start:end] for start, end in zip(self._region, self._region[1:])
+        ]
+
     def _resolve(self, gid: int) -> Optional[tuple[int, int]]:
         """``(shard, local id)`` of the global id ``gid``; None when it is
         unknown (outside ``[0, next id)``)."""
@@ -256,25 +289,26 @@ class ShardedGTS:
 
     def _record(self, sid: int, first: int, gids) -> None:
         """Map shard ``sid``'s local ids ``first, first + 1, ...`` to ``gids``,
-        growing its array geometrically (amortised ``O(1)`` appends)."""
-        ids = self._to_global[sid]
+        growing its region geometrically (amortised ``O(1)`` appends; a
+        growth moves every region, so the next query batch re-stacks the
+        forest)."""
         end = first + len(gids)
-        if end > len(ids):
-            grown = np.empty(max(end, 2 * len(ids)), dtype=np.int64)
-            grown[:first] = ids[:first]
-            self._to_global[sid] = ids = grown
-        ids[first:end] = gids
+        if end > len(self._to_global[sid]):
+            capacities = [len(ids) for ids in self._to_global]
+            capacities[sid] = max(end, 2 * capacities[sid])
+            self._set_regions(self._to_global, capacities)
+        self._to_global[sid][first:end] = gids
 
     # ---------------------------------------------------------- time charging
-    def _shard_round(self, fn) -> list:
-        """Run ``fn(sid, shard)`` on every shard as one parallel round.
+    def _shard_round(self, fn):
+        """Run ``fn()`` — work on every shard — as one parallel round.
 
         The shards' devices advance independently; the coordinating timeline
         is charged the round's makespan while the additive work counters keep
         their cross-shard totals (see :meth:`Device.absorb`).
         """
         befores = [shard.device.snapshot() for shard in self.shards]
-        outs = [fn(sid, shard) for sid, shard in enumerate(self.shards)]
+        out = fn()
         deltas = [
             shard.device.stats.delta_since(before)
             for shard, before in zip(self.shards, befores)
@@ -283,7 +317,7 @@ class ShardedGTS:
         for delta in deltas:
             merged = merged.merge(delta)
         self.device.absorb(merged, sim_time=max(d.sim_time for d in deltas))
-        return outs
+        return out
 
     def _single_shard(self, sid: int, fn):
         """Run ``fn(shard)`` on one shard, charging its delta to the timeline."""
@@ -333,36 +367,63 @@ class ShardedGTS:
         self._require_built()
         return self._scatter(queries, k=query_ks(k, len(queries)))
 
+    def _forest(self):
+        """The shards' trees stacked as one forest (:func:`stack_forest`).
+
+        Shard ``sid``'s ids start at its region of the global-id array, so
+        a stacked id is a position in ``_global_of``.  The stack is rebuilt
+        only when a shard's tree, a tiered shard's slot map or the regions
+        are no longer the objects it was stacked from, checked by identity
+        once per batch; it is never changed in place.
+        """
+        key = [shard._tree for shard in self.shards]
+        if self.tiered:
+            key += [shard._port.store.slot_map for shard in self.shards]
+        key.append(self._global_of)
+        if self._stack is None or any(a is not b for a, b in zip(self._stack_key, key)):
+            self._stack, self._stack_key = stack_forest(self.shards, self._region[:-1]), key
+        return self._stack
+
     def _scatter(
         self,
         queries: Sequence,
         radii: Optional[np.ndarray] = None,
         k: Optional[np.ndarray] = None,
     ) -> list[list[tuple[int, float]]]:
-        """Broadcast the checked batch to every shard and rank the gathered triples.
+        """Search every shard's tree in one forest descent and rank the triples.
 
-        Each shard's accumulator (:meth:`GTS._accumulate`) yields its
-        ``(query, id, distance)`` triples — for kNN every triple at or under
-        the query's k-th distance on that shard — whose ids are mapped to
-        global ids, and all shards' triples are ranked by one
+        :func:`search_indexes` runs one level-synchronous descent over the
+        stacked shard trees, each under its own bounds, then each shard's
+        cache scan.  Its accumulator's ``(query, id, distance)`` triples —
+        for kNN every triple at or under the query's k-th distance on its
+        shard — carry virtual queries ``sid * len(queries) + q`` and stacked
+        ids, which one fancy index of ``_global_of`` maps to global ids;
+        all shards' triples are ranked by one
         :func:`triples_to_answer_lists` call (cut to ``k`` for kNN).  The
         partitions are disjoint, so no id appears twice.
         """
+        num_queries = len(queries)
+        forest = self._forest()
 
-        def run(sid: int, shard: GTS):
-            qs, ids, dists = shard._accumulate(queries, radii=radii, k=k).triples()
+        def run():
+            results = search_indexes(self.shards, forest, queries, radii=radii, k=k)
+            qs, ids, dists = results.triples()
             # each shard gathers its answers back to the host: every pooled
             # triple of a range batch, at most k per query of a kNN batch
-            answered = (
-                len(qs)
-                if k is None
-                else int(np.minimum(np.bincount(qs, minlength=len(queries)), k).sum())
-            )
-            shard.device.transfer_to_host(answered * RESULT_BYTES, label="results-d2h")
-            return qs, self._to_global[sid][ids], dists
+            if k is None:
+                edges = np.arange(self.num_shards + 1, dtype=np.int64) * num_queries
+                answered = np.diff(np.searchsorted(qs, edges))
+            else:
+                per_query = np.bincount(qs, minlength=self.num_shards * num_queries)
+                answered = np.minimum(per_query, results.k).reshape(self.num_shards, -1).sum(axis=1)
+            for shard, count in zip(self.shards, answered.tolist()):
+                shard.device.transfer_to_host(count * RESULT_BYTES, label="results-d2h")
+            return qs, ids, dists
 
-        qs, ids, dists = (np.concatenate(parts) for parts in zip(*self._shard_round(run)))
-        merged = triples_to_answer_lists(qs, ids, dists, len(queries), k=k)
+        qs, ids, dists = self._shard_round(run)
+        if num_queries:
+            qs = qs % num_queries
+        merged = triples_to_answer_lists(qs, self._global_of[ids], dists, num_queries, k=k)
         if k is None:
             # The union keeps every gathered hit (partitions are disjoint, so
             # the union size equals the single-device answer size): a K-way
@@ -501,10 +562,13 @@ class ShardedGTS:
         # GTS assigns local ids consecutively from its current object count
         first_local = [len(shard._objects) for shard in self.shards]
 
-        def run(sid: int, shard: GTS):
-            if per_shard_inserts[sid] or per_shard_deletes[sid]:
-                return shard.batch_update(per_shard_inserts[sid], per_shard_deletes[sid])
-            return None
+        def run():
+            return [
+                shard.batch_update(per_shard_inserts[sid], per_shard_deletes[sid])
+                if per_shard_inserts[sid] or per_shard_deletes[sid]
+                else None
+                for sid, shard in enumerate(self.shards)
+            ]
 
         results = self._shard_round(run)
         for sid, shard_gids in enumerate(new_gids):
@@ -519,7 +583,7 @@ class ShardedGTS:
     def rebuild(self) -> ShardedBuildReport:
         """Force every shard to rebuild (one parallel round)."""
         self._require_built()
-        results = self._shard_round(lambda sid, shard: shard.rebuild())
+        results = self._shard_round(lambda: [shard.rebuild() for shard in self.shards])
         return ShardedBuildReport(
             per_shard=list(results),
             sim_time=max(r.sim_time for r in results),

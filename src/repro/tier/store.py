@@ -107,6 +107,14 @@ class TieredObjectStore:
         """The id→physical-slot map (read-only view, one entry per id)."""
         return self._slot_of[: len(self._objects)]
 
+    @property
+    def slot_map(self) -> np.ndarray:
+        """The whole id→slot array, spare tail included.  A new array
+        whenever a layout is installed or the store outgrows it, so a copy
+        taken from it (a stacked forest's) is current while this is the
+        same object."""
+        return self._slot_of
+
     def block_of(self, obj_id: int) -> int:
         """Block that owns ``obj_id``."""
         obj_id = int(obj_id)
@@ -154,6 +162,8 @@ class TieredObjectStore:
         if len(order) != n or not np.array_equal(np.sort(order), np.arange(n)):
             raise TierError(f"a layout must place each of the store's {n} ids exactly once")
         self._id_at[:n] = order
+        # a fresh map, never written in place: see :attr:`slot_map`
+        self._slot_of = self._slot_of.copy()
         self._slot_of[order] = np.arange(n, dtype=np.int64)
 
     def append(self, obj) -> tuple[int, bool]:
