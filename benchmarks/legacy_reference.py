@@ -133,7 +133,7 @@ class _LegacyBoundedTriples:
         return out
 
 
-def _legacy_verify(batch, leaf_q, leaf_node, parent_dist) -> None:
+def _legacy_verify(batch, leaf_q, leaf_node, parent_dist=None) -> None:
     """Historical leaf verification: per-query pairwise + per-hit dict inserts.
 
     Which candidates reach the exact evaluation is the engine's choice
@@ -206,14 +206,14 @@ def legacy_engine():
     saved = (
         gts_module.make_object_store,
         search_module.pivot_distances_per_query,
-        search_module._verify_leaves,
+        search_module.verify_leaves,
         search_module.BoundedTriples,
         _VectorMetric._pairwise_segmented,
         Metric.store_digest,
     )
     gts_module.make_object_store = lambda objs: ListStore(objs[i] for i in range(len(objs)))
     search_module.pivot_distances_per_query = _legacy_pivot_distances
-    search_module._verify_leaves = _legacy_verify
+    search_module.verify_leaves = _legacy_verify
     search_module.BoundedTriples = _LegacyBoundedTriples
     _VectorMetric._pairwise_segmented = Metric._pairwise_segmented
     Metric.store_digest = lambda self, matrix: None
@@ -223,7 +223,7 @@ def legacy_engine():
         (
             gts_module.make_object_store,
             search_module.pivot_distances_per_query,
-            search_module._verify_leaves,
+            search_module.verify_leaves,
             search_module.BoundedTriples,
             _VectorMetric._pairwise_segmented,
             Metric.store_digest,

@@ -14,10 +14,15 @@ provides that extension on the same simulated substrate:
 * :mod:`~repro.approx.recall` — recall / precision utilities for comparing
   approximate answers with exact ones.
 
-Both approximate strategies only ever *verify* candidates with real distance
-computations, so they never report false positives for range queries and
-their kNN answers are always real objects at their true distances — only
-completeness (recall) is traded away.
+Both strategies only choose (query, node) pairs: the pivot distances, leaf
+verification, cache-table scan and answer accumulator are the exact
+search's (:mod:`repro.core.search`), so their kernels are the exact
+``pivot-distances`` and verify kernels with their result buffers, plus
+``approx-beam-select`` and ``learned-rank``.  Answers include cached
+objects and drop deleted ones exactly as the exact search does.  Only
+verified candidates are reported, so the strategies never report false
+positives for range queries and their kNN answers are always real objects
+at their true distances — only completeness (recall) is traded away.
 """
 
 from .beam import ApproximateGTS

@@ -14,16 +14,23 @@ stored distance interval.  The descent therefore touches at most
 ``beam_width`` nodes per level per query and verifies at most
 ``beam_width * Nc`` leaf objects, independent of how selective the query is.
 
-Only candidates whose real distance has been computed are ever reported, so
+The beam only chooses (query, node) pairs; everything else is the exact
+search's (:mod:`repro.core.search`).  The batch descends level-synchronously:
+per level one ``pivot-distances`` kernel over every query's beam, whose
+pivots are offered as answers, and one ``approx-beam-select`` kernel for
+the child bounds and the selection.  The chosen leaves go through the exact
+leaf verification (its verify kernel and result buffer), the cache table is
+scanned like the exact search's, and the answers come from the same
+accumulator: cached objects are included, tombstoned ones dropped, and a
+tiered index faults its blocks through its read port.  Only candidates
+whose real distance has been computed are ever reported, so
 
 * approximate range answers are a *subset* of the exact answers (perfect
   precision, recall <= 1);
 * approximate kNN answers contain real objects at their true distances, but
   may miss some of the true k nearest (recall <= 1).
 
-The class runs on the same simulated device as the exact search and charges
-kernels for pivot distances, pruning, beam selection and leaf verification,
-so its simulated cost is directly comparable with the exact cost.
+Its simulated cost is therefore directly comparable with the exact cost.
 """
 
 from __future__ import annotations
@@ -32,10 +39,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.gts import GTS
+from ..core.gts import GTS, open_index_batch, scan_caches
 from ..core.nodes import TreeStructure
-from ..core.objectstore import gather_rows
-from ..core.searchcommon import query_ks, query_radii
+from ..core.search import BoundedTriples, verify_leaves
+from ..core.searchcommon import SearchBatch, pivot_distances_per_query, query_ks, query_radii
 from ..exceptions import QueryError
 from ..gpusim.device import Device
 from ..metrics.base import Metric
@@ -83,13 +90,7 @@ class ApproximateGTS:
 
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
         """Approximate batch kNN: per query, the best k candidates the beam saw."""
-        k_arr = query_ks(k, len(queries))
-        pools = self._descend(queries, radii=None)
-        results = []
-        for qi in range(len(queries)):
-            ranked = sorted(pools[qi].items(), key=lambda item: (item[1], item[0]))
-            results.append([(int(o), float(d)) for o, d in ranked[: int(k_arr[qi])]])
-        return results
+        return self._search(queries, k=query_ks(k, len(queries))).answers()
 
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Approximate single range query (subset of the exact answer)."""
@@ -97,15 +98,7 @@ class ApproximateGTS:
 
     def range_query_batch(self, queries: Sequence, radii) -> list[list[tuple[int, float]]]:
         """Approximate batch range query: verified hits within the beam only."""
-        radii_arr = query_radii(radii, len(queries))
-        pools = self._descend(queries, radii=radii_arr)
-        results = []
-        for qi in range(len(queries)):
-            hits = [
-                (int(o), float(d)) for o, d in pools[qi].items() if d <= float(radii_arr[qi])
-            ]
-            results.append(sorted(hits, key=lambda p: (p[1], p[0])))
-        return results
+        return self._search(queries, radii=query_radii(radii, len(queries))).answers()
 
     def cost_ratio_estimate(self) -> float:
         """Rough fraction of the exact leaf work the beam can touch.
@@ -117,127 +110,56 @@ class ApproximateGTS:
         num_leaves = max(1, len(self.tree.leaves()))
         return min(1.0, self.beam_width / num_leaves)
 
-    # ---------------------------------------------------------------- descent
-    def _descend(self, queries: Sequence, radii: Optional[np.ndarray]) -> list[dict[int, float]]:
-        """Shared beam descent; returns one candidate pool per query."""
+    # ---------------------------------------------------------------- search
+    def _search(
+        self, queries: Sequence, radii: Optional[np.ndarray] = None, k: Optional[np.ndarray] = None
+    ) -> BoundedTriples:
+        """Beam descent, exact verification of the chosen leaves, cache scan."""
+        index = self.index
         tree = self.tree
-        objects = self.index._kernel_rows
-        exclude = self.index._tombstones
-        num_queries = len(queries)
-        pools: list[dict[int, float]] = [dict() for _ in range(num_queries)]
-        if num_queries == 0 or tree.num_objects == 0:
-            return pools
+        batch = open_index_batch([index], index._forest(), queries, radii=radii, k=k)
+        if len(queries) and tree.num_objects:
+            verify_leaves(batch, *self._descend(batch, tree, radii))
+        scan_caches([index], batch)
+        return batch.results
 
-        # current frontier: per query, the node ids of the beam at this level
-        frontier: list[np.ndarray] = [np.zeros(1, dtype=np.int64) for _ in range(num_queries)]
+    def _descend(
+        self, batch: SearchBatch, tree: TreeStructure, radii: Optional[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The (query, leaf) pairs of every query's beam, sorted by query.
 
-        for level in tree.iter_levels():
-            if tree.is_leaf_level(level):
-                break
-            new_frontier: list[np.ndarray] = []
-            total_children = 0
-            for qi in range(num_queries):
-                nodes = frontier[qi]
-                if len(nodes) == 0:
-                    new_frontier.append(nodes)
-                    continue
-                kept, children_seen = self._expand_query(
-                    tree, objects, queries[qi], qi, nodes, pools[qi], radii, exclude
-                )
-                total_children += children_seen
-                new_frontier.append(kept)
-            # one level-wide kernel: pruning + beam selection over all children
+        Per internal level: the beam's pivot distances (one kernel) are
+        offered as answers; every child with objects — for a range query,
+        whose lower bound is within the radius — is a candidate, and one
+        lexsort by (query, lower bound) keeps each query's ``beam_width``
+        smallest, ties in frontier-then-child-slot order.
+        """
+        results, nc = batch.results, tree.node_capacity
+        slots = np.arange(nc, dtype=np.int64)
+        beam_q = np.arange(batch.num_queries, dtype=np.int64)
+        beam = np.zeros(batch.num_queries, dtype=np.int64)
+        for _ in range(tree.height):
+            pivots = tree.pivot[beam]
+            dists = pivot_distances_per_query(batch.members[0], beam_q, pivots)
+            results.offer(beam_q, pivots, dists)
+            children = beam[:, None] * nc + 1 + slots
+            d = dists[:, None]
+            lb = np.maximum(0.0, np.maximum(tree.min_dis[children] - d, d - tree.max_dis[children]))
+            keep = tree.size[children] > 0
+            if radii is not None:
+                keep &= lb <= radii[beam_q][:, None]
             self.device.launch_kernel(
-                work_items=max(1, total_children), op_cost=3.0, label="approx-beam-select"
+                work_items=max(1, children.size), op_cost=3.0, label="approx-beam-select"
             )
-            frontier = new_frontier
-
-        self._verify_leaves(queries, frontier, pools, radii, exclude)
-        return pools
-
-    def _expand_query(
-        self,
-        tree: TreeStructure,
-        objects: Sequence,
-        query,
-        query_index: int,
-        nodes: np.ndarray,
-        pool: dict[int, float],
-        radii: Optional[np.ndarray],
-        exclude: set,
-    ) -> tuple[np.ndarray, int]:
-        """Expand one query's beam by one level; returns (kept children, #children)."""
-        pivots = tree.pivot[nodes]
-        valid = pivots >= 0
-        if not np.any(valid):
-            return np.zeros(0, dtype=np.int64), 0
-        nodes = nodes[valid]
-        pivots = pivots[valid]
-        pivot_objs = gather_rows(objects, pivots)
-        dists = self.metric.pairwise(query, pivot_objs)
-        self.device.launch_kernel(
-            work_items=len(pivots), op_cost=self.metric.unit_cost, label="approx-pivot-dist"
-        )
-        for pid, dist in zip(pivots, dists):
-            self._offer(pool, int(pid), float(dist), exclude)
-
-        nc = tree.node_capacity
-        child_ids = nodes[:, None] * nc + 1 + np.arange(nc, dtype=np.int64)[None, :]
-        lb = np.maximum(
-            0.0,
-            np.maximum(
-                tree.min_dis[child_ids] - dists[:, None],
-                dists[:, None] - tree.max_dis[child_ids],
-            ),
-        )
-        flat_children = child_ids.ravel()
-        flat_lb = lb.ravel()
-        keep = tree.size[flat_children] > 0
-        if radii is not None:
-            keep &= flat_lb <= float(radii[query_index])
-        flat_children = flat_children[keep]
-        flat_lb = flat_lb[keep]
-        if len(flat_children) == 0:
-            return np.zeros(0, dtype=np.int64), int(child_ids.size)
-        order = np.argsort(flat_lb, kind="stable")[: self.beam_width]
-        return flat_children[order].astype(np.int64), int(child_ids.size)
-
-    def _verify_leaves(
-        self,
-        queries: Sequence,
-        frontier: list[np.ndarray],
-        pools: list[dict[int, float]],
-        radii: Optional[np.ndarray],
-        exclude: set,
-    ) -> None:
-        """Compute the real distances of every object in the surviving leaves."""
-        tree = self.tree
-        objects = self.index._kernel_rows
-        total = 0
-        for qi, nodes in enumerate(frontier):
-            if len(nodes) == 0:
-                continue
-            obj_ids = np.concatenate([tree.node_objects(int(n)) for n in nodes])
-            if exclude:
-                obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
-            if len(obj_ids) == 0:
-                continue
-            candidates = gather_rows(objects, obj_ids)
-            dists = self.metric.pairwise(queries[qi], candidates)
-            total += len(obj_ids)
-            for oid, dist in zip(obj_ids, dists):
-                self._offer(pools[qi], int(oid), float(dist), exclude)
-        self.device.launch_kernel(
-            work_items=max(1, total), op_cost=self.metric.unit_cost, label="approx-verify"
-        )
-
-    @staticmethod
-    def _offer(pool: dict[int, float], obj_id: int, dist: float, exclude: set) -> None:
-        if exclude and obj_id in exclude:
-            return
-        prev = pool.get(obj_id)
-        if prev is None or dist < prev:
-            pool[obj_id] = dist
+            # row-major: each query's children in frontier-then-slot order
+            child_q = np.broadcast_to(beam_q[:, None], children.shape)[keep]
+            children = children[keep]
+            order = np.lexsort((lb[keep], child_q))
+            beam_q = child_q[order]
+            rank = np.arange(len(beam_q)) - np.searchsorted(beam_q, beam_q)
+            order = order[rank < self.beam_width]
+            beam_q, beam = child_q[order], children[order]
+        return beam_q, beam
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ApproximateGTS(beam_width={self.beam_width}, index={self.index!r})"

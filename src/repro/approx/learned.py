@@ -15,42 +15,44 @@ credible version of that idea on the simulated substrate:
   only the ``leaf_budget`` best-ranked leaves are verified with real distance
   computations.
 
-Exactly like :class:`~repro.approx.beam.ApproximateGTS`, reported candidates
-always carry their true distance, so precision is perfect and only recall is
-traded.  The fit happens on the host; ranking and verification are charged to
-the simulated device.
+The router only chooses (query, leaf) pairs; everything else is the exact
+search's (:mod:`repro.core.search`).  A batch's pivot distances are one
+``pivot-distances`` kernel, each query's ranking one ``learned-rank``
+kernel, and every query's chosen leaves go through the exact leaf
+verification in one call (its verify kernel and result buffer).  The cache
+table is scanned like the exact search's and the answers come from the same
+accumulator: cached objects are included, tombstoned ones dropped, and a
+tiered index faults its blocks through its read port.  Exactly like
+:class:`~repro.approx.beam.ApproximateGTS`, reported candidates always carry
+their true distance, so precision is perfect and only recall is traded.
+
+The fit runs on the host: it reads the host object store, launches no
+kernel and faults no block.  The features do not depend on the tree's
+shape, so when the index's live tree changes (a rebuild, a generation swap,
+``batch_update``) the router re-describes the new tree's leaves and keeps
+its fitted weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.gts import GTS
+from ..core.gts import GTS, open_index_batch, scan_caches
+from ..core.nodes import TreeStructure
 from ..core.objectstore import gather_rows
-from ..core.searchcommon import query_ks, query_radii
+from ..core.search import BoundedTriples, verify_leaves
+from ..core.searchcommon import TreeBatch, pivot_distances_per_query, query_ks, query_radii
 from ..exceptions import QueryError
 from ..metrics.base import Metric
 
 __all__ = ["LearnedLeafRouter"]
 
 
-@dataclass
-class _LeafDescriptor:
-    """Static description of one leaf used to build query features."""
-
-    leaf_id: int
-    #: pivot object ids of the leaf's ancestors, root first
-    ancestor_pivots: list[int]
-    #: stored distance interval of the leaf (to its parent's pivot)
-    min_dis: float
-    max_dis: float
-    #: the root-to-leaf chain of (pivot id, min_dis, max_dis) triples: for every
-    #: node on the path below the root, the pivot of its parent and the node's
-    #: stored distance interval to that pivot
-    chain: list[tuple[int, float, float]] = None
+def _finite(value) -> float:
+    """``value`` as a float, an infinite one as 0."""
+    return float(value) if np.isfinite(value) else 0.0
 
 
 class LearnedLeafRouter:
@@ -84,9 +86,10 @@ class LearnedLeafRouter:
         self.leaf_budget = int(leaf_budget)
         self.ridge = float(ridge)
         self._rng = np.random.default_rng(seed)
-        self._leaves = self._describe_leaves()
+        #: the tree ``_leaf_ids``, ``_chains`` and ``_pivot_ids`` describe
+        self._tree: Optional[TreeStructure] = None
         self._weights: Optional[np.ndarray] = None
-        self._pivot_ids = self._collect_pivot_ids()
+        self._describe()
         if training_queries is not None:
             self.fit(training_queries)
 
@@ -100,57 +103,32 @@ class LearnedLeafRouter:
         """Whether the routing model has been fitted."""
         return self._weights is not None
 
-    def _describe_leaves(self) -> list[_LeafDescriptor]:
+    def _describe(self) -> None:
+        """Describe the leaves of the index's live tree, unless already done.
+
+        Per leaf (``_leaf_ids``), its root-to-leaf chain of ``(pivot id,
+        min_dis, max_dis)`` triples (``_chains``): for every node on the
+        path below the root, the pivot of its parent and the node's stored
+        distance interval to that pivot, an infinite end read as 0.
+        ``_pivot_ids`` lists the chains' pivots in first-seen order.
+        """
         tree = self.index.tree
-        descriptors = []
-        for leaf_id in tree.leaves():
-            ancestors = []
-            chain = []
-            node = int(leaf_id)
+        if tree is self._tree:
+            return
+        leaf_ids, chains = tree.leaves(), []
+        for leaf_id in leaf_ids.tolist():
+            chain, node = [], leaf_id
             while node > 0:
                 parent = tree.parent_of(node)
                 pivot = int(tree.pivot[parent])
                 if pivot >= 0:
-                    ancestors.append(pivot)
-                    lo = float(tree.min_dis[node]) if np.isfinite(tree.min_dis[node]) else 0.0
-                    hi = float(tree.max_dis[node]) if np.isfinite(tree.max_dis[node]) else 0.0
-                    chain.append((pivot, lo, hi))
+                    chain.append((pivot, _finite(tree.min_dis[node]), _finite(tree.max_dis[node])))
                 node = parent
-            ancestors.reverse()
-            chain.reverse()
-            descriptors.append(
-                _LeafDescriptor(
-                    leaf_id=int(leaf_id),
-                    ancestor_pivots=ancestors,
-                    min_dis=float(tree.min_dis[leaf_id]) if np.isfinite(tree.min_dis[leaf_id]) else 0.0,
-                    max_dis=float(tree.max_dis[leaf_id]) if np.isfinite(tree.max_dis[leaf_id]) else 0.0,
-                    chain=chain,
-                )
-            )
-        return descriptors
+            chains.append(chain[::-1])
+        self._tree, self._leaf_ids, self._chains = tree, leaf_ids, chains
+        self._pivot_ids = list(dict.fromkeys(p for chain in chains for p, _, _ in chain))
 
-    def _collect_pivot_ids(self) -> list[int]:
-        ids = []
-        seen = set()
-        for leaf in self._leaves:
-            for pid in leaf.ancestor_pivots:
-                if pid not in seen:
-                    seen.add(pid)
-                    ids.append(pid)
-        return ids
-
-    def _pivot_distances(self, query) -> dict[int, float]:
-        if not self._pivot_ids:
-            return {}
-        pivot_ids = np.asarray(self._pivot_ids, dtype=np.int64)
-        pivot_objs = gather_rows(self.index._kernel_rows, pivot_ids)
-        dists = self.metric.pairwise(query, pivot_objs)
-        self.index.device.launch_kernel(
-            work_items=len(self._pivot_ids), op_cost=self.metric.unit_cost, label="learned-pivot-dist"
-        )
-        return {pid: float(d) for pid, d in zip(self._pivot_ids, dists)}
-
-    def _features(self, query, pivot_dists: dict[int, float]) -> np.ndarray:
+    def _features(self, pivot_dists: dict[int, float]) -> np.ndarray:
         """Feature matrix with one row per leaf.
 
         Features per leaf (all derived from pivot-space quantities that cost
@@ -168,19 +146,18 @@ class LearnedLeafRouter:
         4. mean distance from the query to the leaf's ancestor pivots;
         5. minimum distance from the query to the leaf's ancestor pivots.
         """
-        rows = np.zeros((len(self._leaves), 6), dtype=np.float64)
-        for i, leaf in enumerate(self._leaves):
-            ancestor_d = [pivot_dists[p] for p in leaf.ancestor_pivots] or [0.0]
-            parent_d = ancestor_d[-1]
+        rows = np.zeros((len(self._chains), 6), dtype=np.float64)
+        for i, chain in enumerate(self._chains):
+            ancestor_d = [pivot_dists[p] for p, _, _ in chain] or [0.0]
             chain_lb = 0.0
             ring_dev = []
-            for pivot, lo, hi in leaf.chain or []:
+            for pivot, lo, hi in chain:
                 d = pivot_dists[pivot]
                 chain_lb = max(chain_lb, lo - d, d - hi)
                 ring_dev.append(abs(d - 0.5 * (lo + hi)))
             rows[i] = (
                 1.0,
-                parent_d,
+                ancestor_d[-1],
                 max(0.0, chain_lb),
                 float(np.mean(ring_dev)) if ring_dev else 0.0,
                 float(np.mean(ancestor_d)),
@@ -193,19 +170,22 @@ class LearnedLeafRouter:
         """Fit the leaf-distance model on the given training queries.
 
         The regression target for (query, leaf) is the true distance from the
-        query to the leaf's nearest object, computed exactly on the host.
+        query to the leaf's nearest object.  Everything is computed on the
+        host from the host object store: no kernel, no block fault.
         """
         if len(training_queries) == 0:
             raise QueryError("cannot fit the learned router on an empty training set")
-        tree = self.index.tree
+        self._describe()
+        tree = self._tree
         objects = self.index._objects
+        pivot_rows = gather_rows(objects, np.asarray(self._pivot_ids, dtype=np.int64))
         features = []
         targets = []
         for query in training_queries:
-            pivot_dists = self._pivot_distances(query)
-            rows = self._features(query, pivot_dists)
-            for i, leaf in enumerate(self._leaves):
-                obj_ids = tree.node_objects(leaf.leaf_id)
+            dists = self.metric.pairwise(query, pivot_rows).tolist() if self._pivot_ids else []
+            rows = self._features(dict(zip(self._pivot_ids, dists)))
+            for i, leaf_id in enumerate(self._leaf_ids.tolist()):
+                obj_ids = tree.node_objects(leaf_id)
                 if len(obj_ids) == 0:
                     continue
                 dists = self.metric.pairwise(query, gather_rows(objects, obj_ids))
@@ -222,70 +202,63 @@ class LearnedLeafRouter:
         if not self.is_fitted:
             raise QueryError("the learned router has not been fitted; call fit() first")
 
+    def _rank(self, member: TreeBatch) -> list[np.ndarray]:
+        """Every query's leaf ids ranked by predicted distance (closest first).
+
+        One ``pivot-distances`` kernel over every (query, pivot) pair of the
+        batch, then per query one ``learned-rank`` kernel.
+        """
+        self._require_fitted()
+        self._describe()
+        num_queries, num_pivots = len(member.queries), len(self._pivot_ids)
+        pivots = np.tile(np.asarray(self._pivot_ids, dtype=np.int64), num_queries)
+        pair_q = np.repeat(np.arange(num_queries, dtype=np.int64), num_pivots)
+        dists = pivot_distances_per_query(member, pair_q, pivots).reshape(num_queries, num_pivots)
+        ranked = []
+        for row in dists.tolist():
+            predicted = self._features(dict(zip(self._pivot_ids, row))) @ self._weights
+            self.index.device.launch_kernel(
+                work_items=len(self._leaf_ids), op_cost=2.0, label="learned-rank"
+            )
+            ranked.append(self._leaf_ids[np.argsort(predicted, kind="stable")])
+        return ranked
+
     def rank_leaves(self, query) -> np.ndarray:
         """Return leaf ids ranked by predicted distance (closest first)."""
-        self._require_fitted()
-        pivot_dists = self._pivot_distances(query)
-        rows = self._features(query, pivot_dists)
-        predicted = rows @ self._weights
-        self.index.device.launch_kernel(
-            work_items=len(self._leaves), op_cost=2.0, label="learned-rank"
-        )
-        order = np.argsort(predicted, kind="stable")
-        return np.asarray([self._leaves[i].leaf_id for i in order], dtype=np.int64)
+        index = self.index
+        member = TreeBatch(index._objects, index._port, index.device, self.metric, [query])
+        return self._rank(member)[0]
 
     def knn_query(self, query, k: int) -> list[tuple[int, float]]:
         """Approximate kNN: verify the ``leaf_budget`` best-ranked leaves."""
         return self.knn_query_batch([query], k)[0]
 
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
-        """Approximate kNN for each query of the batch, one after another."""
-        k_arr = query_ks(k, len(queries))
-        out = []
-        for query, kk in zip(queries, k_arr):
-            ranked = sorted(self._pool(query).items(), key=lambda item: (item[1], item[0]))
-            out.append([(int(o), float(d)) for o, d in ranked[: int(kk)]])
-        return out
+        """Approximate kNN for each query of the batch."""
+        return self._search(queries, k=query_ks(k, len(queries))).answers()
 
     def range_query(self, query, radius: float) -> list[tuple[int, float]]:
         """Approximate range query over the ``leaf_budget`` best-ranked leaves."""
         return self.range_query_batch([query], radius)[0]
 
     def range_query_batch(self, queries: Sequence, radii) -> list[list[tuple[int, float]]]:
-        """Approximate range query for each query of the batch, one after another."""
-        radii_arr = query_radii(radii, len(queries))
-        out = []
-        for query, radius in zip(queries, radii_arr):
-            hits = [(int(o), float(d)) for o, d in self._pool(query).items() if d <= radius]
-            out.append(sorted(hits, key=lambda p: (p[1], p[0])))
-        return out
+        """Approximate range query for each query of the batch."""
+        return self._search(queries, radii=query_radii(radii, len(queries))).answers()
 
-    def _pool(self, query) -> dict[int, float]:
-        return self._verify(query, self.rank_leaves(query)[: self.leaf_budget])
-
-    def _verify(self, query, leaf_ids: np.ndarray) -> dict[int, float]:
-        tree = self.index.tree
-        objects = self.index._kernel_rows
-        exclude = self.index._tombstones
-        pool: dict[int, float] = {}
-        total = 0
-        for leaf_id in leaf_ids:
-            obj_ids = tree.node_objects(int(leaf_id))
-            if exclude:
-                obj_ids = obj_ids[~np.isin(obj_ids, list(exclude))]
-            if len(obj_ids) == 0:
-                continue
-            dists = self.metric.pairwise(query, gather_rows(objects, obj_ids))
-            total += len(obj_ids)
-            for oid, dist in zip(obj_ids, dists):
-                prev = pool.get(int(oid))
-                if prev is None or float(dist) < prev:
-                    pool[int(oid)] = float(dist)
-        self.index.device.launch_kernel(
-            work_items=max(1, total), op_cost=self.metric.unit_cost, label="learned-verify"
-        )
-        return pool
+    def _search(
+        self, queries: Sequence, radii: Optional[np.ndarray] = None, k: Optional[np.ndarray] = None
+    ) -> BoundedTriples:
+        """Rank, verify every query's chosen leaves in one call, scan the cache."""
+        index = self.index
+        batch = open_index_batch([index], index._forest(), queries, radii=radii, k=k)
+        if len(queries):
+            chosen = [ranked[: self.leaf_budget] for ranked in self._rank(batch.members[0])]
+            leaf_q = np.repeat(np.arange(len(queries), dtype=np.int64), [len(c) for c in chosen])
+            verify_leaves(batch, leaf_q, np.concatenate(chosen))
+        scan_caches([index], batch)
+        return batch.results
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fitted = "fitted" if self.is_fitted else "unfitted"
-        return f"LearnedLeafRouter({fitted}, leaf_budget={self.leaf_budget}, leaves={len(self._leaves)})"
+        leaves = len(self._chains)
+        return f"LearnedLeafRouter({fitted}, leaf_budget={self.leaf_budget}, leaves={leaves})"

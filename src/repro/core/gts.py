@@ -48,10 +48,11 @@ from .cost_model import (
 )
 from .nodes import TreeStructure
 from .objectstore import ListStore, make_object_store
-from .search import BoundedTriples, search_forest
+from .search import BoundedTriples, descend_forest, open_batch
 from .searchcommon import (
     Forest,
     PruneMode,
+    SearchBatch,
     query_k,
     query_ks,
     query_radii,
@@ -60,7 +61,14 @@ from .searchcommon import (
     tombstoned_mask,
 )
 
-__all__ = ["GTS", "execute_operation_batch", "stack_forest", "search_indexes"]
+__all__ = [
+    "GTS",
+    "execute_operation_batch",
+    "stack_forest",
+    "open_index_batch",
+    "scan_caches",
+    "search_indexes",
+]
 
 #: Default cache-table budget; the paper recommends ~5 KB (Section 6.2).
 DEFAULT_CACHE_BYTES = 5 * 1024
@@ -201,25 +209,19 @@ def stack_forest(indexes: Sequence["GTS"], id_offsets: Sequence[int] = (0,)) -> 
     return Forest([index._tree for index in indexes], id_offsets, slot_maps)
 
 
-def search_indexes(
+def open_index_batch(
     indexes: Sequence["GTS"],
     forest: Forest,
     queries: Sequence,
     radii: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
-) -> BoundedTriples:
-    """Search the trees of ``indexes`` as one ``forest``, then scan each cache
-    table into the same accumulator, and return it.
+) -> SearchBatch:
+    """Open a query batch over the trees of ``indexes`` as one ``forest``.
 
-    ``forest`` is :func:`stack_forest` of the same indexes, current.  One
-    descent serves every tree (:func:`~repro.core.search.search_forest`):
-    index ``t``'s answers are the accumulator's virtual queries
-    ``t * len(queries) + q`` and its ids are stacked ids, its own plus
-    ``forest.id_off[t]``.  Each cache scan is one fused ``cache-scan``
-    kernel over the whole batch (DESIGN.md §9), launched on its index's
-    device after the descent; its candidates meet the tree's under each
-    query's radius or running k-th bound.  The indexes share a metric and
-    a prune mode.
+    ``forest`` is :func:`stack_forest` of the same indexes, current.  Each
+    index's tombstones are stacked by its id offset and each tree reads its
+    own store, port and device (:func:`~repro.core.search.open_batch`).
+    The indexes share a metric and a prune mode.
     """
     first = indexes[0]
     offsets = forest.id_off
@@ -233,7 +235,7 @@ def search_indexes(
             if index._tombstones
         ]
         tombstones = np.concatenate(dead) if dead else None
-    results = search_forest(
+    return open_batch(
         forest,
         [(index._objects, index._port, index.device) for index in indexes],
         first.metric,
@@ -243,18 +245,50 @@ def search_indexes(
         radii=radii,
         k=k,
     )
-    num_queries = len(queries)
+
+
+def scan_caches(indexes: Sequence["GTS"], batch: SearchBatch) -> None:
+    """Scan each index's cache table into the batch's accumulator.
+
+    Each scan is one fused ``cache-scan`` kernel over the whole batch
+    (DESIGN.md §9), launched on its index's device; index ``t``'s cached
+    candidates are offered as its virtual queries and stacked ids, so they
+    meet its tree candidates under each query's radius or running k-th
+    bound.  Every search of an index — exact or approximate — ends here.
+    """
+    num_queries = batch.num_queries
     for t, index in enumerate(indexes):
         index._cache.range_scan_batch(
             index.metric,
             index._objects,
-            queries,
-            results,
+            batch.queries,
+            batch.results,
             index.device,
             query_offset=t * num_queries,
-            id_offset=offsets[t],
+            id_offset=batch.forest.id_off[t],
         )
-    return results
+
+
+def search_indexes(
+    indexes: Sequence["GTS"],
+    forest: Forest,
+    queries: Sequence,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> BoundedTriples:
+    """Search the trees of ``indexes`` as one ``forest``, then scan each cache
+    table into the same accumulator, and return it.
+
+    One descent serves every tree (:func:`~repro.core.search.descend_forest`
+    over :func:`open_index_batch`): index ``t``'s answers are the
+    accumulator's virtual queries ``t * len(queries) + q`` and its ids are
+    stacked ids, its own plus ``forest.id_off[t]``.  The cache scans
+    (:func:`scan_caches`) run after the descent.
+    """
+    batch = open_index_batch(indexes, forest, queries, radii=radii, k=k)
+    descend_forest(batch)
+    scan_caches(indexes, batch)
+    return batch.results
 
 
 class GTS:
@@ -569,15 +603,6 @@ class GTS:
         return self._pager
 
     @property
-    def _kernel_rows(self):
-        """What a device kernel outside the search gathers rows from.
-
-        A tiered index's read port, whose ``gather`` faults the owning
-        blocks first; the host store on a resident index.
-        """
-        return self._objects if self._port is None else self._port
-
-    @property
     def storage_bytes(self) -> int:
         """Bytes of index storage (node list + table list)."""
         self._require_built()
@@ -705,10 +730,14 @@ class GTS:
         """Search the tree under checked ``radii`` or ``k``, then scan the cache
         table into the same accumulator, and return it: the forest descent
         over this index's one tree (:func:`search_indexes`)."""
+        return search_indexes([self], self._forest(), queries, radii=radii, k=k)
+
+    def _forest(self) -> Forest:
+        """The forest of the live tree alone, restacked when the tree changed."""
         if self._stack is None or self._stack.trees[0] is not self._tree:
             # a layout is only installed with a new tree
             self._stack = stack_forest([self])
-        return search_indexes([self], self._stack, queries, radii=radii, k=k)
+        return self._stack
 
     def execute_batch(self, ops: Sequence[tuple]) -> list:
         """Execute a heterogeneous batch of operations in submission order.

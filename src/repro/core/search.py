@@ -40,6 +40,12 @@ alone makes.  A tree whose leaf level comes first verifies there while the
 others descend, and the two-stage split is decided per tree against its
 own device (DESIGN.md §6).
 
+A batch is opened by :func:`open_batch` and descended by
+:func:`descend_forest`.  The approximate searches (:mod:`repro.approx`)
+open their batches the same way, choose their own (query, node) pairs and
+hand the chosen leaves to :func:`verify_leaves`, so they share the exact
+search's kernels, tombstone handling and accumulator.
+
 Verification first drops every leaf candidate whose table-list distance
 ``obj_dis`` to its leaf's parent pivot puts it beyond its query's bound —
 a kNN bound first tightened to the k-th smallest ``d(q, p) + obj_dis`` —
@@ -101,7 +107,16 @@ from .searchcommon import (
     triples_to_answer_lists,
 )
 
-__all__ = ["BoundedTriples", "search_forest", "search", "batch_range_query", "batch_knn_query"]
+__all__ = [
+    "BoundedTriples",
+    "open_batch",
+    "descend_forest",
+    "verify_leaves",
+    "search_forest",
+    "search",
+    "batch_range_query",
+    "batch_knn_query",
+]
 
 
 class BoundedTriples:
@@ -419,19 +434,22 @@ def _local(values: np.ndarray, offset: int) -> np.ndarray:
     return values - offset if offset else values
 
 
-def _verify_leaves(
+def verify_leaves(
     batch: SearchBatch,
     leaf_q: np.ndarray,
     leaf_node: np.ndarray,
-    parent_dist: Optional[np.ndarray],
+    parent_dist: Optional[np.ndarray] = None,
 ) -> None:
     """Compute real distances for the candidates of the surviving leaves.
 
-    ``leaf_q`` are virtual queries sorted by tree, ``leaf_node`` stacked
-    leaf slots.  One fused pass over every tree (over rounds of trees when
-    the leaves hold more than ``FUSED_CANDIDATES`` candidates): the
-    surviving leaves' table-list slices are expanded into per-query
-    candidate segments, and — given ``parent_dist``, each pair's
+    ``leaf_q`` are virtual queries in ascending order (so sorted by tree)
+    and ``leaf_node`` stacked leaf slots, a query listing each leaf at most
+    once: the descent's leaf pairs, or the (query, leaf) pairs an
+    approximate search chose (:mod:`repro.approx`).  One fused pass over
+    every tree (over rounds of trees when the leaves hold more than
+    ``FUSED_CANDIDATES`` candidates): the surviving leaves' table-list
+    slices are expanded into per-query candidate segments, and — given
+    ``parent_dist`` (None for an approximate search), each pair's
     ``d(q, p)`` to the pivot of the leaf's parent (None when the roots are
     the only leaves), where :func:`leaf_pivot_filter` applies — every
     candidate whose table-list distance ``obj_dis`` proves it beyond its
@@ -615,12 +633,12 @@ def _descend(
         heights = forest.heights
         inner = [] if layer >= forest.max_height else [p for p in parts if heights[p[0]] > layer]
         if not inner:
-            _verify_leaves(batch, cand_q, cand_node, pivot_dist if layer else None)
+            verify_leaves(batch, cand_q, cand_node, pivot_dist if layer else None)
             return
         if len(inner) < len(parts):
             rows = _part_rows([part for part in parts if heights[part[0]] <= layer])
             leaf_dist = pivot_dist[rows] if layer else None
-            _verify_leaves(batch, cand_q[rows], cand_node[rows], leaf_dist)
+            verify_leaves(batch, cand_q[rows], cand_node[rows], leaf_dist)
             rows = _part_rows(inner)
             cand_q, cand_node, pivot_dist = cand_q[rows], cand_node[rows], pivot_dist[rows]
             parts = _rebased(inner)
@@ -732,7 +750,7 @@ def _expand(
             table.free()
 
 
-def search_forest(
+def open_batch(
     forest: Forest,
     members: Sequence[tuple],
     metric: Metric,
@@ -741,19 +759,18 @@ def search_forest(
     prune_mode: str | PruneMode,
     radii: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
-) -> BoundedTriples:
-    """Search every tree of ``forest`` for a batch under validated ``radii`` or ``k``.
+) -> SearchBatch:
+    """Open one query batch over every tree of ``forest`` under validated ``radii`` or ``k``.
 
     ``members`` gives each tree's ``(host store, device-read port or None,
-    device)``; ``tombstones`` are stacked ids (sorted).  The batch runs one
-    level-synchronous descent over all trees.  Every tree answers the whole
-    batch under its own bounds: the accumulator's virtual query
-    ``t * len(queries) + q`` is query ``q`` on tree ``t``, and its ids are
-    stacked ids.  Each tree's device is charged exactly what a search of
-    that tree alone charges it, call for call.  Returns the accumulator
-    before :meth:`BoundedTriples.answers` is read, so further candidate
-    sources (the cache tables) can still offer to it; an empty batch or
-    forest returns an empty accumulator.
+    device)``; ``tombstones`` are stacked ids (sorted).  Builds the
+    batch's :class:`BoundedTriples` accumulator — virtual query
+    ``t * len(queries) + q`` is query ``q`` on tree ``t``, under that
+    query's radius or ``k`` — and the :class:`SearchBatch` that carries it
+    with each tree's :class:`TreeBatch`.  Nothing is charged.  The exact
+    descent (:func:`search_forest`) and the approximate searches
+    (:mod:`repro.approx`), which pick their own (query, node) pairs and
+    hand the leaves to :func:`verify_leaves`, open their batches here.
     """
     num_queries = len(queries)
     num_trees = forest.num_trees
@@ -762,11 +779,8 @@ def search_forest(
         radii = None if radii is None else np.tile(radii, num_trees)
         k = None if k is None else np.tile(k, num_trees)
     results = BoundedTriples(num_trees * num_queries, tombstones, radii=radii, k=k)
-    live = [t for t, tree in enumerate(forest.trees) if tree.num_objects]
-    if num_queries == 0 or not live:
-        return results
     trees = [TreeBatch(store, port, device, metric, queries) for store, port, device in members]
-    batch = SearchBatch(
+    return SearchBatch(
         forest,
         trees,
         metric,
@@ -781,6 +795,19 @@ def search_forest(
         ),
     )
 
+
+def descend_forest(batch: SearchBatch) -> None:
+    """Run the exact level-synchronous descent of an opened batch.
+
+    Every tree answers the whole batch under its own bounds, offering its
+    pivots and verified leaf candidates to ``batch.results``; each tree's
+    device is charged exactly what a search of that tree alone charges it,
+    call for call.  An empty batch or forest does nothing.
+    """
+    forest, num_queries = batch.forest, batch.num_queries
+    live = [t for t, tree in enumerate(forest.trees) if tree.num_objects]
+    if num_queries == 0 or not live:
+        return
     query_ids = np.arange(num_queries, dtype=np.int64)
     cand_q, cand_node, pivot_dist, roots = [], [], [], []
     for t in live:
@@ -807,9 +834,32 @@ def search_forest(
         id_off = forest.id_off[t]
         roots.append((tree_q, root_pivots + id_off if id_off else root_pivots, dist))
     if roots:
-        results.offer(*_columns(roots))
+        batch.results.offer(*_columns(roots))
     _descend(batch, 0, _cat(cand_q), _cat(cand_node), _cat(pivot_dist) if roots else None)
-    return results
+
+
+def search_forest(
+    forest: Forest,
+    members: Sequence[tuple],
+    metric: Metric,
+    queries: Sequence,
+    tombstones: Optional[np.ndarray],
+    prune_mode: str | PruneMode,
+    radii: Optional[np.ndarray] = None,
+    k: Optional[np.ndarray] = None,
+) -> BoundedTriples:
+    """Search every tree of ``forest`` for a batch under validated ``radii`` or ``k``.
+
+    :func:`open_batch`, then :func:`descend_forest`: one level-synchronous
+    descent over all trees, whose answers are the accumulator's virtual
+    queries and stacked ids.  Returns the accumulator before
+    :meth:`BoundedTriples.answers` is read, so further candidate sources
+    (the cache tables) can still offer to it; an empty batch or forest
+    returns an empty accumulator.
+    """
+    batch = open_batch(forest, members, metric, queries, tombstones, prune_mode, radii, k)
+    descend_forest(batch)
+    return batch.results
 
 
 def search(

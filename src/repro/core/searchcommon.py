@@ -572,7 +572,9 @@ def leaf_candidate_segments(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-query candidate segments of the surviving (query, leaf) pairs.
 
-    Expands every pair's leaf slice of the table list and drops tombstoned
+    The pairs must be sorted by query (``leaf_q`` ascending), as every
+    caller's are; the segments are cut where the query changes.  Expands
+    every pair's leaf slice of the table list and drops tombstoned
     ids.  Given ``parent_dist`` — each pair's ``d(q, p)`` to the pivot of
     the leaf's parent — and ``bounds`` (each pair's radius or k-th bound),
     the same compaction drops every candidate whose table-list distance
@@ -599,13 +601,6 @@ def leaf_candidate_segments(
     tombstoned or filtered produce no segment, exactly like the historical
     per-query loop's ``continue``.
     """
-    if (leaf_q[1:] < leaf_q[:-1]).any():
-        # engine invariants keep pair lists query-sorted; re-sort stably for
-        # direct (test) callers that pass arbitrary pair order
-        order = np.argsort(leaf_q, kind="stable")
-        leaf_q, leaf_node = leaf_q[order], leaf_node[order]
-        if parent_dist is not None:
-            parent_dist, bounds = parent_dist[order], bounds[order]
     sizes = tree.size[leaf_node]
     flat = concatenated_ranges(tree.pos[leaf_node], sizes)
     obj_ids = tree.obj_ids[flat]

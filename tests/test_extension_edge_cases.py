@@ -94,9 +94,12 @@ class TestApproxAfterUpdates:
         fresh = LearnedLeafRouter(index, leaf_budget=2, training_queries=points_2d[:8])
         got = fresh.knn_query(np.array([1000.0, 1000.0]), 1)
         assert got[0][1] == pytest.approx(0.0, abs=1e-9)
-        # the stale router still answers (its leaves reference the old tree is
-        # not guaranteed), so the supported contract is: recreate after rebuilds
+        # a fresh router is no longer required: the old one re-describes the
+        # rebuilt tree's leaves, keeping its fitted weights
         assert router.leaf_budget == 2
+        assert sorted(router.rank_leaves(points_2d[0]).tolist()) == sorted(
+            index.tree.leaves().tolist()
+        )
 
 
 # --------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_tiered_knn_faults_no_block_whose_candidates_all_failed(monkeypatch):
     error = metric.distance_error()
     verify_faults: list = []
     expected: list = []
-    real_verify, real_fault = search_module._verify_leaves, port.fault
+    real_verify, real_fault = search_module.verify_leaves, port.fault
 
     def recording_verify(batch, leaf_q, leaf_node, parent_dist):
         # the bound each query has when its leaves are expanded
@@ -253,7 +253,7 @@ def test_tiered_knn_faults_no_block_whose_candidates_all_failed(monkeypatch):
         finally:
             monkeypatch.setattr(port, "fault", real_fault)
 
-    monkeypatch.setattr(search_module, "_verify_leaves", recording_verify)
+    monkeypatch.setattr(search_module, "verify_leaves", recording_verify)
     live = _Live(objects)
     skipped_blocks = 0
     for query in queries:

@@ -891,7 +891,7 @@ class TestBlockCoalescedGathers:
         faults: list[list[int]] = []
         # (transactions, misses) the verification kernel charged
         charged: list[tuple[int, int]] = []
-        real_stage, real_verify = pager._stage, search._verify_leaves
+        real_stage, real_verify = pager._stage, search.verify_leaves
 
         def recording_verify(*args, **kwargs):
             faults.append([])
@@ -910,7 +910,7 @@ class TestBlockCoalescedGathers:
                     (pager.stats.transactions - before[0], pager.stats.misses - before[1])
                 )
 
-        monkeypatch.setattr(search, "_verify_leaves", recording_verify)
+        monkeypatch.setattr(search, "verify_leaves", recording_verify)
         for qi in range(0, 600, 60):
             faults.clear()
             charged.clear()
