@@ -50,11 +50,6 @@ from ..metrics.base import Metric
 __all__ = ["LearnedLeafRouter"]
 
 
-def _finite(value) -> float:
-    """``value`` as a float, an infinite one as 0."""
-    return float(value) if np.isfinite(value) else 0.0
-
-
 class LearnedLeafRouter:
     """Learned approximate kNN / range search over the leaves of a GTS tree.
 
@@ -106,30 +101,56 @@ class LearnedLeafRouter:
     def _describe(self) -> None:
         """Describe the leaves of the index's live tree, unless already done.
 
-        Per leaf (``_leaf_ids``), its root-to-leaf chain of ``(pivot id,
-        min_dis, max_dis)`` triples (``_chains``): for every node on the
-        path below the root, the pivot of its parent and the node's stored
-        distance interval to that pivot, an infinite end read as 0.
-        ``_pivot_ids`` lists the chains' pivots in first-seen order.
+        Per leaf (``_leaf_ids``), its root-to-leaf chain of ``(pivot,
+        min_dis, max_dis)`` triples: for every node on the path below the
+        root, the pivot of its parent and the node's stored distance
+        interval to that pivot, an infinite end read as 0.  ``_pivot_ids``
+        lists the chains' pivots in first-seen order (leaf by leaf, root
+        first).  ``_chains`` holds the chains as matrices, one group per
+        chain length: ``(leaf rows, pivot columns, min_dis, max_dis)``, each
+        matrix (leaves of the group × chain length), the pivot columns
+        indexing ``_pivot_ids``.
         """
         tree = self.index.tree
         if tree is self._tree:
             return
-        leaf_ids, chains = tree.leaves(), []
-        for leaf_id in leaf_ids.tolist():
-            chain, node = [], leaf_id
-            while node > 0:
-                parent = tree.parent_of(node)
-                pivot = int(tree.pivot[parent])
-                if pivot >= 0:
-                    chain.append((pivot, _finite(tree.min_dis[node]), _finite(tree.max_dis[node])))
-                node = parent
-            chains.append(chain[::-1])
+        leaf_ids = tree.leaves()
+        # walk every leaf up to the root at once: column j of the
+        # (leaves × height) matrices is the level-(j + 1) node on the path
+        height, nc = tree.height, tree.node_capacity
+        pivots = np.empty((len(leaf_ids), height), dtype=np.int64)
+        lo = np.empty((len(leaf_ids), height), dtype=np.float64)
+        hi = np.empty((len(leaf_ids), height), dtype=np.float64)
+        node = leaf_ids
+        for level in range(height - 1, -1, -1):
+            parent = (node - 1) // nc
+            pivots[:, level] = tree.pivot[parent]
+            lo[:, level], hi[:, level] = tree.min_dis[node], tree.max_dis[node]
+            node = parent
+        lo[~np.isfinite(lo)] = 0.0
+        hi[~np.isfinite(hi)] = 0.0
+        valid = pivots >= 0
+        flat = pivots[valid]  # row-major: leaf by leaf, root first
+        distinct, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        seen = np.argsort(first)  # the distinct pivots in first-seen order
+        pivot_ids = distinct[seen]
+        columns = np.zeros_like(pivots)
+        columns[valid] = np.argsort(seen)[inverse]
+        lengths = valid.sum(axis=1)
+        chains = []
+        for length in np.unique(lengths).tolist():
+            rows = np.flatnonzero(lengths == length)
+            keep = valid[rows]
+            chains.append(
+                (rows,)
+                + tuple(m[rows][keep].reshape(len(rows), length) for m in (columns, lo, hi))
+            )
         self._tree, self._leaf_ids, self._chains = tree, leaf_ids, chains
-        self._pivot_ids = list(dict.fromkeys(p for chain in chains for p, _, _ in chain))
+        self._pivot_ids = pivot_ids
 
-    def _features(self, pivot_dists: dict[int, float]) -> np.ndarray:
-        """Feature matrix with one row per leaf.
+    def _features(self, pivot_dists: np.ndarray) -> np.ndarray:
+        """Feature tensor (queries × leaves × 6) from each query's distances
+        to ``_pivot_ids`` (a queries × pivots matrix).
 
         Features per leaf (all derived from pivot-space quantities that cost
         only the ancestor-pivot distances already computed once per query):
@@ -145,24 +166,26 @@ class LearnedLeafRouter:
            the leaf's rings even when the lower bounds are all zero);
         4. mean distance from the query to the leaf's ancestor pivots;
         5. minimum distance from the query to the leaf's ancestor pivots.
+
+        A leaf without a chain has every feature but the intercept 0.  The
+        means reduce each chain in path order, as ``np.mean`` of the chain
+        alone does, so the features are bitwise those of one leaf at a time.
         """
-        rows = np.zeros((len(self._chains), 6), dtype=np.float64)
-        for i, chain in enumerate(self._chains):
-            ancestor_d = [pivot_dists[p] for p, _, _ in chain] or [0.0]
-            chain_lb = 0.0
-            ring_dev = []
-            for pivot, lo, hi in chain:
-                d = pivot_dists[pivot]
-                chain_lb = max(chain_lb, lo - d, d - hi)
-                ring_dev.append(abs(d - 0.5 * (lo + hi)))
-            rows[i] = (
-                1.0,
-                ancestor_d[-1],
-                max(0.0, chain_lb),
-                float(np.mean(ring_dev)) if ring_dev else 0.0,
-                float(np.mean(ancestor_d)),
-                float(np.min(ancestor_d)),
-            )
+        rows = np.zeros((len(pivot_dists), len(self._leaf_ids), 6), dtype=np.float64)
+        rows[:, :, 0] = 1.0
+        for leaves, columns, lo, hi in self._chains:
+            if columns.shape[1] == 0:
+                continue
+            # queries × leaves of the group × chain, C-ordered: each chain is
+            # then one contiguous run, which np.mean reduces pairwise exactly
+            # as it reduces the chain alone
+            d = np.ascontiguousarray(pivot_dists[:, columns])
+            bound = np.maximum(lo - d, d - hi).max(axis=-1)
+            rows[:, leaves, 1] = d[:, :, -1]
+            rows[:, leaves, 2] = np.maximum(0.0, bound)
+            rows[:, leaves, 3] = np.mean(np.abs(d - 0.5 * (lo + hi)), axis=-1)
+            rows[:, leaves, 4] = np.mean(d, axis=-1)
+            rows[:, leaves, 5] = d.min(axis=-1)
         return rows
 
     # -------------------------------------------------------------- training
@@ -178,12 +201,14 @@ class LearnedLeafRouter:
         self._describe()
         tree = self._tree
         objects = self.index._objects
-        pivot_rows = gather_rows(objects, np.asarray(self._pivot_ids, dtype=np.int64))
+        pivot_rows = gather_rows(objects, self._pivot_ids)
+        pivot_dists = np.zeros((len(training_queries), len(self._pivot_ids)), dtype=np.float64)
+        if len(self._pivot_ids):
+            for row, query in enumerate(training_queries):
+                pivot_dists[row] = self.metric.pairwise(query, pivot_rows)
         features = []
         targets = []
-        for query in training_queries:
-            dists = self.metric.pairwise(query, pivot_rows).tolist() if self._pivot_ids else []
-            rows = self._features(dict(zip(self._pivot_ids, dists)))
+        for query, rows in zip(training_queries, self._features(pivot_dists)):
             for i, leaf_id in enumerate(self._leaf_ids.tolist()):
                 obj_ids = tree.node_objects(leaf_id)
                 if len(obj_ids) == 0:
@@ -211,12 +236,12 @@ class LearnedLeafRouter:
         self._require_fitted()
         self._describe()
         num_queries, num_pivots = len(member.queries), len(self._pivot_ids)
-        pivots = np.tile(np.asarray(self._pivot_ids, dtype=np.int64), num_queries)
+        pivots = np.tile(self._pivot_ids, num_queries)
         pair_q = np.repeat(np.arange(num_queries, dtype=np.int64), num_pivots)
         dists = pivot_distances_per_query(member, pair_q, pivots).reshape(num_queries, num_pivots)
         ranked = []
-        for row in dists.tolist():
-            predicted = self._features(dict(zip(self._pivot_ids, row))) @ self._weights
+        for rows in self._features(dists):
+            predicted = rows @ self._weights
             self.index.device.launch_kernel(
                 work_items=len(self._leaf_ids), op_cost=2.0, label="learned-rank"
             )
@@ -260,5 +285,5 @@ class LearnedLeafRouter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         fitted = "fitted" if self.is_fitted else "unfitted"
-        leaves = len(self._chains)
+        leaves = len(self._leaf_ids)
         return f"LearnedLeafRouter({fitted}, leaf_budget={self.leaf_budget}, leaves={leaves})"

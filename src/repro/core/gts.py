@@ -344,6 +344,8 @@ class GTS:
         self._pager = None
         #: device-read port of a tiered index (a ``PagedObjects``), else None
         self._port = None
+        #: device allocation of a tiered store's pinned pivot rows, else None
+        self._pinned_rows = None
 
         #: the host object store (a ColumnarStore or a ListStore), tiered or
         #: not: the one owner of every row and its byte count
@@ -392,9 +394,7 @@ class GTS:
         if self._maintenance is not None:
             self._maintenance.abort()
         self._release_index()
-        if self._pager is not None:
-            self._pager.release()
-            self._pager = self._port = None
+        self._release_tier()
         # Vector datasets stay one contiguous matrix end-to-end (a
         # ColumnarStore); everything else falls back to a ListStore.
         self._objects = make_object_store(objects)
@@ -437,24 +437,54 @@ class GTS:
                 "memory_budget_bytes or shrink block_bytes"
             )
 
-    def _install_layout(self, tree: TreeStructure, warm: bool = True) -> None:
+    def _install_layout(self, tree: TreeStructure) -> None:
         """Page the tiered store in ``tree``'s leaf-clustered block layout.
 
         Resident blocks hold the previous layout's slot ranges, so every one
-        is invalidated; when ``warm``, the pivot blocks (the leading blocks
-        of the new layout) are faulted back in as one gather — every descent
-        starts by touching them.
+        is invalidated.  The tree's distinct internal-node pivots become the
+        store's pinned prefix and are staged on the device here, so no
+        descent level ever pages them (DESIGN.md §7).
         """
         from ..tier.store import leaf_clustered_order
 
         store = self._pager.store
         for block_id in self._pager.resident_blocks:
             self._pager.invalidate(block_id)
-        store.set_layout(leaf_clustered_order(tree, len(store)))
+        store.set_layout(*leaf_clustered_order(tree, len(store)))
         self._check_block_budget(store)
-        if warm:
-            pivot_blocks = store.blocks_for(tree.pivot[tree.pivot >= 0]).tolist()
-            self._pager.fault_runs(pivot_blocks, [1] * len(pivot_blocks))
+        self._stage_pinned()
+
+    def _stage_pinned(self) -> None:
+        """Stage the store's pinned rows on the device: one H2D transfer.
+
+        The pinned table is one allocation in the ``"tree"`` pool, outside
+        the pager's budget and its counters, charged under
+        :data:`~repro.tier.pager.PINNED_H2D_LABEL` with one
+        ``fault_latency``.  A table of the same size is rewritten in place;
+        any other replaces the one held.
+        """
+        from ..tier.pager import PINNED_H2D_LABEL
+
+        store = self._pager.store
+        nbytes = self._objects.nbytes(store.pinned_ids) if store.pinned else 0
+        if self._pinned_rows is not None and self._pinned_rows.nbytes != nbytes:
+            self.device.free(self._pinned_rows)
+            self._pinned_rows = None
+        if nbytes == 0:
+            return
+        if self._pinned_rows is None:
+            self._pinned_rows = self.device.allocate(nbytes, "tier-pinned-rows", pool="tree")
+        self.device.transfer_to_device(
+            nbytes, label=PINNED_H2D_LABEL, latency=self.tier_config.fault_latency
+        )
+
+    def _release_tier(self) -> None:
+        """Free the staged blocks and the pinned table (index close or reload)."""
+        if self._pager is not None:
+            self._pager.release()
+        if self._pinned_rows is not None:
+            self.device.free(self._pinned_rows)
+            self._pinned_rows = None
 
     def _tree_build(self, ids: np.ndarray) -> TreeBuild:
         """A construction of a tree over ``ids`` with this index's settings."""
@@ -473,20 +503,18 @@ class GTS:
             port=self._port,
         )
 
-    def _install(
-        self, result: BuildResult, ids: np.ndarray, tombstones: set, warm: bool = True
-    ) -> BuildResult:
+    def _install(self, result: BuildResult, ids: np.ndarray, tombstones: set) -> BuildResult:
         """Make ``result``'s tree the live tree over ``ids`` and ``tombstones``.
 
         The one place the live tree changes — builds, rebuilds, generation
         swaps and index loads all end here.  The previous tree's device
         storage is freed first.  Tiered indexes then re-page the store in the
-        new tree's layout (faulting the pivot blocks back in when ``warm``)
-        and allocate the tree storage, which their construction did not stage.
+        new tree's layout (staging its pinned pivot rows) and allocate the
+        tree storage, which their construction did not stage.
         """
         self._release_index()
         if self.tier_config is not None:
-            self._install_layout(result.tree, warm)
+            self._install_layout(result.tree)
             result.allocations.append(
                 self.device.allocate(result.tree.storage_bytes(), "gts-index", pool="tree")
             )
@@ -525,8 +553,7 @@ class GTS:
         if self._maintenance is not None:
             self._maintenance.abort()
         self._release_index()
-        if self._pager is not None:
-            self._pager.release()
+        self._release_tier()
         self._cache.release()
 
     # ------------------------------------------------------------ properties
@@ -839,8 +866,9 @@ class GTS:
         """Append ``obj`` to the host store and drop the device copies it made stale.
 
         On a tiered index, an append that rewrote the store's rows (a dtype
-        change) leaves every resident block stale; any other leaves only
-        the tail block's.  A rewrite may change every row's size, so the
+        change) leaves every resident block and the pinned rows stale, so
+        the pinned rows are staged again; any other leaves only the tail
+        block's.  A rewrite may change every row's size, so the
         indexed rows' byte sum is taken again; every other byte count is
         answered by the store from its rows.
         """
@@ -850,6 +878,8 @@ class GTS:
             tail, rewrote = self._pager.store.append(obj)
             for block_id in self._pager.resident_blocks if rewrote else (tail,):
                 self._pager.invalidate(block_id)
+            if rewrote:
+                self._stage_pinned()
         if rewrote:
             self._indexed_nbytes = self._objects.nbytes(self._indexed_ids)
 

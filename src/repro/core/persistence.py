@@ -229,13 +229,13 @@ def load_index(path, metric: Optional[Metric] = None, device: Optional[Device] =
 
     # register the storage on the device exactly as a build over the same
     # ids would, upload the saved tree in place of constructing it, and
-    # install it cold: the tiered layout is a pure function of the tree and
-    # the store length, so a load stages no object block
+    # install it: the tiered layout is a pure function of the tree and the
+    # store length, so a load stages the pinned pivot rows and no block
     build = index._tree_build(indexed_ids)
     build.stage()
     index.device.transfer_to_device(tree.storage_bytes())
     result = BuildResult(tree=tree, allocations=build.allocations)
-    index._install(result, indexed_ids, tombstones, warm=False)
+    index._install(result, indexed_ids, tombstones)
 
     # host-side read: repopulating the cache faults no tiered block
     for obj_id in cache_ids:

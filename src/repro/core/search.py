@@ -59,8 +59,9 @@ bound are dropped before the exact evaluation (DESIGN.md §8).
 
 The descent reads one host object store.  A tiered index also hands the
 search its device-read port (:class:`~repro.tier.store.PagedObjects`), and
-the two kernels that read stored rows — pivot distances and leaf
-verification — fault their id list through it first.  Leaf verification
+leaf verification faults its id list through it first; the pivot-distance
+kernels fault nothing, since a tiered tree's internal-node pivots are its
+store's pinned prefix, staged on the device at install.  Leaf verification
 runs in this order: the ``obj_dis`` test, the fault of its survivors, the
 certified filter, the exact kernel; so a candidate the ``obj_dis`` test
 drops is never faulted, and the certified filter never changes pager
@@ -588,8 +589,8 @@ def verify_leaves(
 def _pivot_distances(batch: SearchBatch, cand_q: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """Each pair's ``d(q, pivot)``: one fused kernel per tree over its slice.
 
-    ``pivots`` are stacked ids; each tree's kernel reads its own store and
-    faults through its own port (:func:`pivot_distances_per_query`).
+    ``pivots`` are stacked ids; each tree's kernel reads its own store
+    (:func:`pivot_distances_per_query`).
     """
     parts = batch.parts(cand_q)
     if len(parts) == 1 and parts[0][0] == 0:
@@ -767,10 +768,13 @@ def open_batch(
     batch's :class:`BoundedTriples` accumulator — virtual query
     ``t * len(queries) + q`` is query ``q`` on tree ``t``, under that
     query's radius or ``k`` — and the :class:`SearchBatch` that carries it
-    with each tree's :class:`TreeBatch`.  Nothing is charged.  The exact
-    descent (:func:`search_forest`) and the approximate searches
-    (:mod:`repro.approx`), which pick their own (query, node) pairs and
-    hand the leaves to :func:`verify_leaves`, open their batches here.
+    with each tree's :class:`TreeBatch`.  Every tree with objects is
+    charged the upload of the query batch to its device (Section 5.1:
+    queries are copied from the CPU to the GPU before processing); an empty
+    batch charges nothing.  The exact descent (:func:`search_forest`) and
+    the approximate searches (:mod:`repro.approx`), which pick their own
+    (query, node) pairs and hand the leaves to :func:`verify_leaves`, open
+    their batches here.
     """
     num_queries = len(queries)
     num_trees = forest.num_trees
@@ -780,6 +784,10 @@ def open_batch(
         k = None if k is None else np.tile(k, num_trees)
     results = BoundedTriples(num_trees * num_queries, tombstones, radii=radii, k=k)
     trees = [TreeBatch(store, port, device, metric, queries) for store, port, device in members]
+    if num_queries:
+        for tree, member in zip(forest.trees, trees):
+            if tree.num_objects:
+                member.device.transfer_to_device(num_queries * ENTRY_BYTES)
     return SearchBatch(
         forest,
         trees,
@@ -812,9 +820,6 @@ def descend_forest(batch: SearchBatch) -> None:
     cand_q, cand_node, pivot_dist, roots = [], [], [], []
     for t in live:
         tree, member = forest.trees[t], batch.members[t]
-        # Load the queries onto the device (Section 5.1: queries are copied
-        # from the CPU to the GPU before processing).
-        member.device.transfer_to_device(num_queries * ENTRY_BYTES)
         tree_q = query_ids + t * num_queries if t else query_ids
         cand_q.append(tree_q)
         node_off = forest.node_off[t]

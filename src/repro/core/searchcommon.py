@@ -409,11 +409,11 @@ class TreeBatch:
 
     ``store`` is the tree's host object store; ``port`` is the device-read
     port (:class:`~repro.tier.store.PagedObjects`) of a tiered index, None
-    for a resident one; ``device`` is charged the tree's kernels.  Each
-    device kernel that reads stored rows faults its id list through the
-    port before reading them from the store.  ``metric`` and ``queries``
-    are the batch's; ids and query indices handed to this tree's kernels
-    are its own (local), not stacked.
+    for a resident one; ``device`` is charged the tree's kernels.  Leaf
+    verification faults its id list through the port before reading the
+    rows from the store; pivot rows are pinned on the device and fault
+    nothing.  ``metric`` and ``queries`` are the batch's; ids and query
+    indices handed to this tree's kernels are its own (local), not stacked.
     """
 
     store: Sequence
@@ -536,8 +536,9 @@ def pivot_distances_per_query(
     ``Metric.pairwise_segmented`` call — one gather plus one broadcast pass
     over all (query, pivot) pairs of the level; the tree's device is charged
     one level-wide kernel over all pairs (this is the paper's "compute the
-    distances of all nodes at the level simultaneously").  A tiered tree
-    faults the pivots through its port first, in pair order.
+    distances of all nodes at the level simultaneously").  The kernel
+    makes no pager access: the pivots of a tiered index's live tree are the
+    store's pinned prefix, staged on the device at install (DESIGN.md §7).
     """
     if len(cand_query) == 0:
         return np.empty(0, dtype=np.float64)
@@ -546,8 +547,6 @@ def pivot_distances_per_query(
     boundaries = np.concatenate(([0], starts, [len(cand_query)]))
     host_start = time.perf_counter()
     query_objects = gather_rows(batch.queries, cand_query[boundaries[:-1]])
-    if batch.port is not None:
-        batch.port.fault(pivot_ids)
     out = segmented_distances(metric, batch.store, query_objects, boundaries, pivot_ids)
     host = time.perf_counter() - host_start
     batch.device.launch_kernel(

@@ -3,7 +3,8 @@
 A :class:`TierConfig` is the single knob bundle that turns a fully-resident
 GTS index into an out-of-core one: the object store stays in (simulated)
 host memory, partitioned into fixed-size blocks, and a bounded device-memory
-pool stages blocks on demand (see DESIGN.md §7).  The config round-trips
+pool stages blocks on demand, while the live tree's pivot rows stay staged
+outside the pool (see DESIGN.md §7).  The config round-trips
 through :meth:`as_dict` / :meth:`from_dict` so persisted indexes remember
 how they were tiered.
 """
@@ -36,7 +37,9 @@ class TierConfig:
     ----------
     memory_budget_bytes:
         Byte budget of the device-resident block pool.  Must fit at least
-        one block.
+        one block.  The pinned pivot rows of the live tree (the store's
+        pinned prefix, DESIGN.md §7) live outside it, in the ``"tree"``
+        pool beside the node and table lists.
     block_bytes:
         Target size of one host-memory object block.
     fault_latency:

@@ -33,13 +33,17 @@ from ..gpusim.device import Allocation, Device
 from .config import TierConfig
 from .store import TieredObjectStore
 
-__all__ = ["BlockPager", "PagerStats", "PAGER_POOL", "H2D_LABEL"]
+__all__ = ["BlockPager", "PagerStats", "PAGER_POOL", "H2D_LABEL", "PINNED_H2D_LABEL"]
 
 #: Device memory pool the pager's block allocations are charged under.
 PAGER_POOL = "pager"
 
 #: ``ExecutionStats.transfer_seconds`` key the pager attributes traffic to.
 H2D_LABEL = "pager-h2d"
+
+#: ``ExecutionStats.transfer_seconds`` key of staging a store's pinned rows,
+#: which the pager never holds (``TieredObjectStore.pinned``).
+PINNED_H2D_LABEL = "pinned-h2d"
 
 
 @dataclass

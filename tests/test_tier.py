@@ -8,6 +8,8 @@ correctness one.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,49 @@ class TestTieredObjectStore:
             assert store.slot_of[expected_id] == expected_id
             assert tail == store.num_blocks - 1 == store.block_of(expected_id)
         assert store.block_object_ids(0).tolist() == [7, 6, 5, 4]
+
+
+    def test_a_pinned_prefix_belongs_to_no_block(self):
+        store = make_store(n=10, block_objects=4)
+        order = np.array([9, 2, 5, 0, 7, 1, 8, 3, 6, 4])
+        store.set_layout(order, pinned=3)
+        assert store.pinned_ids.tolist() == [9, 2, 5]
+        assert store.num_blocks == 2
+        assert store.block_object_ids(0).tolist() == [0, 7, 1, 8]
+        assert store.block_object_ids(1).tolist() == [3, 6, 4]
+        assert store.blocks_of([9, 0, 4, 2]).tolist() == [-1, 0, 1, -1]
+        assert store.blocks_for([9, 2, 6]).tolist() == [1]
+        assert store.block_of(6) == 1
+        with pytest.raises(TierError, match="pinned"):
+            store.block_of(5)
+        with pytest.raises(TierError, match="pinned prefix"):
+            store.set_layout(order, pinned=11)
+        tail, _ = store.append(np.zeros(2))  # the tail block grows
+        assert tail == 1 and store.block_object_ids(1).tolist() == [3, 6, 4, 10]
+        store.append(np.zeros(2))
+        assert store.num_blocks == 3 and store.block_of(11) == 2
+
+    def test_fault_skips_pinned_ids_with_per_object_counters(self, guarded_device):
+        from repro.tier import PagedObjects
+
+        store = make_store(n=32, block_objects=4)
+        store.set_layout(np.arange(32), pinned=6)  # block b holds 6 + 4b ..
+        config = TierConfig(
+            memory_budget_bytes=4 * store.block_nbytes(0), block_bytes=store.block_bytes
+        )
+        pager = BlockPager(guarded_device, store, config)
+        port = PagedObjects(store, pager)
+        # reads of block 0 on either side of a pinned id are one access
+        # each, exactly as with the pinned id left out
+        port.fault([0, 6, 1, 7, 2, 10, 3, 11, 12])
+        assert (pager.stats.hits, pager.stats.misses) == (3, 2)
+        port.fault([4, 5])  # pinned only: no access
+        port.fault(np.array([], dtype=np.int64))
+        assert pager.stats.accesses == 5 and pager.stats.transactions == 1
+        for bad in ([3, -1], [32]):
+            with pytest.raises(TierError, match="outside the store"):
+                port.fault(bad)
+        pager.release()
 
 
 # ---------------------------------------------------------------------------
@@ -432,28 +477,35 @@ class TestTieredGTS:
         tiered.close()
         tiered.device.assert_no_leaks()
 
-    def test_lru_pager_counters_match_recorded_values(self, points_2d):
+    def test_lru_pager_counters_match_recorded_values(self, monkeypatch, points_2d):
         """Lock the pager's LRU order: the counters and the resident set of
-        one fixed tiered mixed workload (build warm-up excluded).
+        one fixed tiered mixed workload (build excluded).
 
         First recorded when eviction was a pluggable ``LRUPolicy``:
         ``(5903, 441, 434)``, 70 transactions, 112,752 bytes.  Re-recorded
         when leaf verification began dropping candidates by the table
         list's ``obj_dis`` before faulting them, and the kNN descent began
-        re-testing children under their pivots' bound: the workload requests
-        fewer blocks, so every count fell.
+        re-testing children under their pivots' bound: ``(1795, 151, 144)``,
+        27 transactions, 38,512 bytes, resident ``[0, 17, 22, 27, 28, 29,
+        30, 31]``.  Re-recorded when the pivots became the store's pinned
+        prefix: pivot kernels page nothing and block 0 now starts after the
+        pivots, so every count fell; the values are those of an independent
+        LRU replay of the workload's fault lists (:class:`PagerTrace`).
         """
         points, holdout = points_2d[:500], points_2d[500:]
         tier = TierConfig(memory_budget_bytes=objects_nbytes(points) // 4, block_bytes=256)
+        trace = PagerTrace(monkeypatch)
         index = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=11, tier=tier)
-        assert index.pager.resident_blocks == [0]  # the warmed pivot block
+        assert index.pager.resident_blocks == []  # the install staged no block
+        trace.events.clear()
         index.pager.stats.reset()
         for batch in mixed_batches(points, holdout):
             index.execute_batch(batch)
         stats = index.pager.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (1795, 151, 144)
-        assert (stats.transactions, stats.bytes_h2d) == (27, 38512)
-        assert index.pager.resident_blocks == [0, 17, 22, 27, 28, 29, 30, 31]
+        assert (stats.hits, stats.misses, stats.evictions) == (1611, 143, 136)
+        assert (stats.transactions, stats.bytes_h2d) == (24, 36576)
+        assert index.pager.resident_blocks == [21, 22, 26, 27, 28, 29, 30]
+        trace.assert_matches(index.pager)
         index.close()
         index.device.assert_no_leaks()
 
@@ -525,7 +577,9 @@ class TestTieredGTS:
         index = GTS.build(
             points_2d[:300], EuclideanDistance(), node_capacity=8, device=device, tier=tier
         )
+        index.knn_query(points_2d[0], 5)
         assert device.pool_used_bytes("pager") > 0
+        assert pinned_tables(index)
         index.close()
         device.assert_no_leaks()
 
@@ -609,11 +663,15 @@ def assert_leaf_clustered(index):
     store, tree = index.pager.store, index.tree
     per_block = store.objects_per_block
     pivots = distinct_pivots(tree)
-    # pivots occupy the leading slots, in node-list order, hence the
-    # leading blocks
+    # pivots occupy the leading slots, in node-list order: the pinned
+    # prefix, in no block; block 0 starts right after it
     np.testing.assert_array_equal(store.slot_of[pivots], np.arange(len(pivots)))
+    assert store.pinned == len(pivots)
+    assert len(store.blocks_for(pivots)) == 0
+    assert set(store.blocks_of(pivots).tolist()) == {-1}
     np.testing.assert_array_equal(
-        store.blocks_for(pivots), np.arange(-(-len(pivots) // per_block))
+        store.slot_of[store.block_object_ids(0)],
+        np.arange(len(pivots), len(pivots) + len(store.block_object_ids(0))),
     )
     is_pivot = np.zeros(len(store), dtype=bool)
     is_pivot[pivots] = True
@@ -655,9 +713,9 @@ class TestLeafClusteredLayout:
         assert_leaf_clustered(tiered)
         store = tiered.pager.store
         assert not np.array_equal(store.slot_of, np.arange(len(store)))
-        # the warm-up staged exactly the pivot blocks
-        pivot_blocks = store.blocks_for(tiered.tree.pivot[tiered.tree.pivot >= 0])
-        assert tiered.pager.resident_blocks == pivot_blocks.tolist()
+        # the install staged the pinned pivot rows and no block
+        assert tiered.pager.resident_blocks == []
+        assert_pinned_current(tiered)
         self.assert_same_answers(resident, tiered, [points_2d[i] for i in range(10)])
         resident.close()
         tiered.close()
@@ -713,7 +771,9 @@ class TestLeafClusteredLayout:
             tier=TierConfig(memory_budget_bytes=1024, block_bytes=128),
         )
         store, pager = tiered.pager.store, tiered.pager
-        assert pager.resident_bytes > 0  # the pivot-block warm-up
+        for i in range(10):
+            tiered.knn_query(data[i], 5)
+        assert pager.resident_bytes > 0
         narrow = store.block_nbytes(0)
         invalidations = pager.stats.invalidations
         new_id = tiered.insert(np.array([0.5, 0.5]))  # int32 -> float64
@@ -805,6 +865,332 @@ class TestLeafClusteredLayout:
             )
 
 
+# ---------------------------------------------------------------------------
+# Pinned prefix: the live tree's pivot rows stay on the device, unpaged
+# ---------------------------------------------------------------------------
+class ReferenceLRU:
+    """An LRU pool of blocks fed one access at a time, budget in bytes.
+
+    Knows nothing of runs, waves or the pinned-slot test of
+    ``PagedObjects.fault``: :class:`PagerTrace` feeds it one access per
+    object read by a kernel, pinned objects removed.
+    """
+
+    def __init__(self, budget_bytes):
+        self.budget_bytes = budget_bytes
+        self.resident = OrderedDict()  # block -> bytes staged
+        self.hits = self.misses = self.evictions = self.bytes_h2d = 0
+
+    def access(self, block, nbytes):
+        if block in self.resident:
+            self.hits += 1
+            self.resident.move_to_end(block)
+            return
+        self.misses += 1
+        while sum(self.resident.values()) + nbytes > self.budget_bytes:
+            self.resident.popitem(last=False)
+            self.evictions += 1
+        self.resident[block] = nbytes
+        self.bytes_h2d += nbytes
+
+    def counters(self):
+        return self.hits, self.misses, self.evictions, self.bytes_h2d
+
+
+class PagerTrace:
+    """Every kernel's fault list and every invalidation of the tiered ports
+    and pagers, recorded from before the first build.
+
+    Each fault list is taken apart as the layout of that moment defines it:
+    the ids whose slot lies in the pinned prefix are removed, the rest go to
+    block ``(slot - pinned) // objects_per_block``, and each block's size is
+    the host store's bytes of the ids at its slots.  :meth:`replay` runs the
+    recorded accesses through a :class:`ReferenceLRU`.
+    """
+
+    def __init__(self, monkeypatch):
+        from repro.tier import PagedObjects
+
+        self.events = []
+        real_fault, real_invalidate = PagedObjects.fault, BlockPager.invalidate
+        trace = self
+
+        def fault(port, obj_ids):
+            trace._record(port, obj_ids)
+            return real_fault(port, obj_ids)
+
+        def invalidate(pager, block_id):
+            trace.events.append((pager, None, int(block_id)))
+            return real_invalidate(pager, block_id)
+
+        monkeypatch.setattr(PagedObjects, "fault", fault)
+        monkeypatch.setattr(BlockPager, "invalidate", invalidate)
+
+    def _record(self, port, obj_ids):
+        store = port.store
+        slot_of = np.asarray(store.slot_of)
+        pinned, per_block, n = store.pinned, store.objects_per_block, len(store)
+        at_slot = np.argsort(slot_of)
+        slots = slot_of[np.asarray(obj_ids, dtype=np.int64)]
+        blocks = ((slots[slots >= pinned] - pinned) // per_block).tolist()
+        sizes = {
+            block: store.raw.nbytes(
+                at_slot[pinned + block * per_block : min(pinned + (block + 1) * per_block, n)]
+            )
+            for block in set(blocks)
+        }
+        self.events.append((port.pager, blocks, sizes))
+
+    def replay(self, pager):
+        reference = ReferenceLRU(pager.budget_bytes)
+        for owner, blocks, detail in self.events:
+            if owner is not pager:
+                continue
+            if blocks is None:
+                reference.resident.pop(detail, None)
+                continue
+            for block in blocks:
+                reference.access(block, detail[block])
+        return reference
+
+    def assert_matches(self, pager):
+        reference = self.replay(pager)
+        stats = pager.stats
+        assert reference.counters() == (stats.hits, stats.misses, stats.evictions, stats.bytes_h2d)
+        assert sorted(reference.resident) == pager.resident_blocks
+        return reference
+
+
+def pinned_tables(index):
+    """The live pinned-row allocations of ``index``'s device."""
+    return [a for a in index.device.live_allocations() if a.label == "tier-pinned-rows"]
+
+
+def assert_pinned_current(index):
+    """The store pins exactly the live tree's distinct pivots, and the
+    device holds one table of their current bytes in the tree pool."""
+    store, pivots = index.pager.store, distinct_pivots(index.tree)
+    assert store.pinned == len(pivots) > 0
+    np.testing.assert_array_equal(store.pinned_ids, pivots)
+    (table,) = pinned_tables(index)
+    assert table.pool == "tree"
+    assert table.nbytes == index._objects.nbytes(pivots)
+    return table
+
+
+def pinned_h2d(index):
+    from repro.tier import PINNED_H2D_LABEL
+
+    return index.device.stats.transfer_seconds.get(PINNED_H2D_LABEL, 0.0)
+
+
+def pinned_charge(index):
+    """Simulated seconds of staging ``index``'s pinned rows once."""
+    nbytes = index._objects.nbytes(index.pager.store.pinned_ids)
+    return index.tier_config.fault_latency + nbytes / index.device.spec.transfer_bandwidth
+
+
+def tiered_datasets():
+    from repro.datasets import get_dataset
+
+    return {
+        "tloc": (get_dataset("tloc", cardinality=800, seed=5), 8, 256),
+        "vector": (get_dataset("vector", cardinality=300, seed=5), 6, 4096),
+        "words": (get_dataset("words", cardinality=300, seed=5), 6, 128),
+    }
+
+
+class TestPinnedPrefix:
+    CAPS = (0.5, 0.25, 0.1)
+
+    @pytest.mark.parametrize("cap", CAPS)
+    @pytest.mark.parametrize("name", ["tloc", "vector", "words"])
+    def test_pager_counters_match_a_reference_lru_and_answers_stay_exact(
+        self, monkeypatch, name, cap
+    ):
+        from repro.approx import ApproximateGTS, LearnedLeafRouter
+
+        data, node_capacity, block_bytes = tiered_datasets()[name]
+        objects, metric = data.objects, data.metric
+        indexed, holdout = objects[:-20], objects[-20:]
+        budget = max(2 * block_bytes, int(objects_nbytes(indexed) * cap))
+        tier = TierConfig(memory_budget_bytes=budget, block_bytes=block_bytes)
+        trace = PagerTrace(monkeypatch)
+        # a cache of about two rows: the inserts below overflow it
+        cache = max(64, 2 * objects_nbytes(holdout[:1]))
+        options = dict(node_capacity=node_capacity, seed=3, cache_capacity_bytes=cache)
+        resident = GTS.build(indexed, metric, **options)
+        tiered = GTS.build(indexed, metric, tier=tier, **options)
+        assert_pinned_current(tiered)
+        queries = [objects[i] for i in range(0, len(indexed), len(indexed) // 8)][:8]
+        radius = {"tloc": 0.2, "vector": 0.3, "words": 2.0}[name]
+        for step in range(3):
+            for index in (resident, tiered):
+                index.insert(holdout[step])
+                index.delete(3 * step + 1)
+            answers = [
+                (index.knn_query_batch(queries, 5), index.range_query_batch(queries, radius))
+                for index in (resident, tiered)
+            ]
+            assert answers[1] == answers[0]
+            trace.assert_matches(tiered.pager)
+        approx = [
+            (ApproximateGTS(index, beam_width=2).knn_query_batch(queries, 5),
+             LearnedLeafRouter(index, leaf_budget=3, training_queries=queries[:4])
+             .range_query_batch(queries, radius))
+            for index in (resident, tiered)
+        ]
+        assert approx[1] == approx[0]
+        for index in (resident, tiered):
+            index.batch_update(inserts=holdout[3:8], deletes=[40])
+            index.rebuild()
+        assert tiered.knn_query_batch(queries, 6) == resident.knn_query_batch(queries, 6)
+        reference = trace.assert_matches(tiered.pager)
+        assert reference.misses > 0 and reference.hits > 0
+        if cap < 0.5:
+            assert reference.evictions > 0
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_pivot_kernels_make_no_pager_access(self, monkeypatch):
+        from repro.approx import ApproximateGTS, LearnedLeafRouter
+        from repro.gpusim import Device as DeviceClass
+
+        data, node_capacity, block_bytes = tiered_datasets()["tloc"]
+        tier = TierConfig(
+            memory_budget_bytes=objects_nbytes(data.objects) // 4, block_bytes=block_bytes
+        )
+        index = GTS.build(data.objects, data.metric, node_capacity=node_capacity, seed=3, tier=tier)
+        router = LearnedLeafRouter(index, leaf_budget=3, training_queries=data.objects[:8])
+        # the pager accesses charged since the device's previous kernel
+        # belong to the kernel launched next: a kernel faults, then launches
+        launches = []
+        real_launch = DeviceClass.launch_kernel
+        last = [index.pager.stats.accesses]
+
+        def launch(device, *args, **kwargs):
+            if device is index.device:
+                accesses = index.pager.stats.accesses
+                launches.append((kwargs.get("label"), accesses - last[0]))
+                last[0] = accesses
+            return real_launch(device, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceClass, "launch_kernel", launch)
+        queries = [data.objects[i] for i in range(0, 800, 100)]
+        index.knn_query_batch(queries, 8)
+        index.range_query_batch(queries, 0.3)
+        ApproximateGTS(index, beam_width=3).knn_query_batch(queries, 8)
+        router.knn_query_batch(queries, 8)
+        pivot = [accesses for label, accesses in launches if label == "pivot-distances"]
+        verify = [accesses for label, accesses in launches if label.endswith("-verify")]
+        assert len(pivot) >= 10 and set(pivot) == {0}
+        assert sum(verify) > 0
+        index.close()
+
+    def test_table_is_replaced_at_every_install_and_freed_on_close(self, points_2d):
+        points, holdout = points_2d[:450], points_2d[450:]
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256)
+        index = GTS.build(
+            points, EuclideanDistance(), node_capacity=8, seed=11, tier=tier,
+            cache_capacity_bytes=128,
+        )
+        installs = [(index.tree, assert_pinned_current(index), pinned_h2d(index))]
+        assert installs[0][2] == pytest.approx(pinned_charge(index))
+
+        def installed():
+            table = assert_pinned_current(index)
+            tree, _, seconds = installs[-1]
+            assert index.tree is not tree
+            assert pinned_h2d(index) == pytest.approx(seconds + pinned_charge(index))
+            installs.append((index.tree, table, pinned_h2d(index)))
+
+        index.rebuild()
+        installed()
+        index.batch_update(inserts=holdout[:10], deletes=[2, 3])
+        installed()
+        index.enable_incremental_maintenance()
+        for obj in holdout[10:40]:
+            index.insert(obj)
+            index.run_maintenance_slice()
+            if index.tree is not installs[-1][0]:
+                installed()  # a generation swap
+        assert index.maintenance.swaps_completed >= 1
+        assert len(installs) >= 4
+        queries = [points[i] for i in range(8)]
+        resident = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=11)
+        resident.rebuild()
+        resident.batch_update(inserts=holdout[:10], deletes=[2, 3])
+        for obj in holdout[10:40]:
+            resident.insert(obj)
+        assert index.knn_query_batch(queries, 5) == resident.knn_query_batch(queries, 5)
+        index.close()
+        assert pinned_tables(index) == []
+        index.device.assert_no_leaks()
+        resident.close()
+
+    def test_bulk_load_frees_the_previous_table(self, points_2d):
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256)
+        index = GTS.build(points_2d[:300], EuclideanDistance(), node_capacity=8, tier=tier)
+        index.bulk_load(points_2d[300:])
+        assert_pinned_current(index)
+        index.close()
+        index.device.assert_no_leaks()
+
+    @pytest.mark.parametrize("dtype, widened", [(np.int32, True), (np.int64, False)])
+    def test_a_dtype_promotion_restages_the_pinned_rows(self, points_2d, dtype, widened):
+        data = np.round(points_2d[:400] * 10).astype(dtype)
+        resident = GTS.build(data, EuclideanDistance(), node_capacity=8, seed=3)
+        tiered = GTS.build(
+            data, EuclideanDistance(), node_capacity=8, seed=3,
+            tier=TierConfig(memory_budget_bytes=1024, block_bytes=128),
+        )
+        before = assert_pinned_current(tiered)
+        seconds = pinned_h2d(tiered)
+        tiered.insert(np.array([0.5, 0.5]))  # promotes the store to float64
+        resident.insert(np.array([0.5, 0.5]))
+        after = assert_pinned_current(tiered)
+        assert (after.nbytes == 2 * before.nbytes) if widened else (after is before)
+        assert pinned_h2d(tiered) == pytest.approx(seconds + pinned_charge(tiered))
+        # a plain append leaves the pinned rows as they are
+        seconds = pinned_h2d(tiered)
+        tiered.insert(np.array([1.5, 0.5]))
+        resident.insert(np.array([1.5, 0.5]))
+        assert pinned_h2d(tiered) == seconds and assert_pinned_current(tiered) is after
+        queries = [np.array([0.5, 0.5])] + [data[i] for i in range(8)]
+        assert tiered.knn_query_batch(queries, 6) == resident.knn_query_batch(queries, 6)
+        resident.close()
+        tiered.close()
+        tiered.device.assert_no_leaks()
+
+    def test_persistence_round_trip_stages_the_table_and_serves_identically(
+        self, points_2d, tmp_path
+    ):
+        points = points_2d[:400]
+        tier = TierConfig(memory_budget_bytes=2048, block_bytes=256)
+        index = GTS.build(points, EuclideanDistance(), node_capacity=8, seed=5, tier=tier)
+        index.insert(points_2d[500])
+        index.delete(9)
+        loaded = GTS.load(index.save(tmp_path / "pinned.npz"))
+        assert loaded.pager.store.pinned == index.pager.store.pinned
+        np.testing.assert_array_equal(loaded.pager.store.pinned_ids, index.pager.store.pinned_ids)
+        assert_pinned_current(loaded)
+        assert pinned_h2d(loaded) == pytest.approx(pinned_charge(loaded))
+        assert loaded.pager.stats.accesses == 0  # the load paged no block
+        queries = [points[i] for i in range(12)] + [points_2d[500]]
+        index.pager.release()  # both serve from a cold pool
+        index.pager.stats.reset()
+        answers = [
+            (copy.knn_query_batch(queries, 5), copy.range_query_batch(queries, 0.6))
+            for copy in (index, loaded)
+        ]
+        assert answers[1] == answers[0]
+        assert loaded.pager.stats.as_dict() == index.pager.stats.as_dict()
+        for copy in (index, loaded):
+            copy.close()
+            copy.device.assert_no_leaks()
+
+
 class TestSlotOrderedBuilds:
     """Construction faults each level's reads once, in physical-slot order."""
 
@@ -831,17 +1217,18 @@ class TestSlotOrderedBuilds:
     def test_tiered_build_pages_each_block_once_per_level(self):
         rng = np.random.default_rng(11)
         points = rng.normal(size=(2000, 2))
-        # 64 points per 1 KiB block; the 21 pivots share the leading block
+        # 64 points per 1 KiB block under the build's identity layout; the
+        # install then pins the 21 pivots and stages no block
         index = GTS.build(
             points, EuclideanDistance(), node_capacity=20, seed=3,
             tier=TierConfig(memory_budget_bytes=8 * 1024, block_bytes=1024),
         )
         store, stats = index.pager.store, index.pager.stats
-        assert len(store.blocks_for(index.tree.pivot[index.tree.pivot >= 0])) == 1
-        # every mapped level faults each block once, then the install warms
-        # the pivot block
-        assert stats.misses <= index.tree.height * store.num_blocks + 1
-        assert stats.transactions <= index.tree.height * store.num_blocks + 1
+        assert store.pinned == 21
+        build_blocks = -(-len(store) // store.objects_per_block)
+        # every mapped level faults each block once
+        assert stats.misses <= index.tree.height * build_blocks
+        assert stats.transactions <= index.tree.height * build_blocks
         index.close()
 
     def test_sharded_tiered_build_misses_stay_within_levels_times_blocks(self):
@@ -851,8 +1238,10 @@ class TestSlotOrderedBuilds:
             points, EuclideanDistance(), num_shards=2, node_capacity=20, seed=3,
             tier=TierConfig(memory_budget_bytes=8 * 1024, block_bytes=1024),
         )
+        # every shard's build maps its store in the identity layout
         bound = sum(
-            shard.tree.height * shard.pager.store.num_blocks + 1 for shard in index.shards
+            shard.tree.height * -(-len(shard.pager.store) // shard.pager.store.objects_per_block)
+            for shard in index.shards
         )
         assert index.pager_stats()["misses"] <= bound
         index.close()
