@@ -41,7 +41,8 @@ import numpy as np
 
 from ..core.gts import GTS, open_index_batch, scan_caches
 from ..core.nodes import TreeStructure
-from ..core.objectstore import gather_rows
+from ..core.construction import concatenated_ranges
+from ..core.objectstore import gather_rows, segmented_distances
 from ..core.search import BoundedTriples, verify_leaves
 from ..core.searchcommon import TreeBatch, pivot_distances_per_query, query_ks, query_radii
 from ..exceptions import QueryError
@@ -193,8 +194,10 @@ class LearnedLeafRouter:
         """Fit the leaf-distance model on the given training queries.
 
         The regression target for (query, leaf) is the true distance from the
-        query to the leaf's nearest object.  Everything is computed on the
-        host from the host object store: no kernel, no block fault.
+        query to the leaf's nearest object: per training query, one
+        segmented evaluation over every non-empty leaf's objects (a segment
+        each) and one ``np.minimum.reduceat``.  Everything is computed on
+        the host from the host object store: no kernel, no block fault.
         """
         if len(training_queries) == 0:
             raise QueryError("cannot fit the learned router on an empty training set")
@@ -206,18 +209,19 @@ class LearnedLeafRouter:
         if len(self._pivot_ids):
             for row, query in enumerate(training_queries):
                 pivot_dists[row] = self.metric.pairwise(query, pivot_rows)
+        # the non-empty leaves' objects as one segment each, in leaf order
+        sizes = tree.size[self._leaf_ids]
+        filled = np.flatnonzero(sizes > 0)
+        edges = np.concatenate(([0], np.cumsum(sizes[filled])))
+        obj_ids = tree.obj_ids[concatenated_ranges(tree.pos[self._leaf_ids[filled]], sizes[filled])]
         features = []
         targets = []
         for query, rows in zip(training_queries, self._features(pivot_dists)):
-            for i, leaf_id in enumerate(self._leaf_ids.tolist()):
-                obj_ids = tree.node_objects(leaf_id)
-                if len(obj_ids) == 0:
-                    continue
-                dists = self.metric.pairwise(query, gather_rows(objects, obj_ids))
-                features.append(rows[i])
-                targets.append(float(np.min(dists)))
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(targets, dtype=np.float64)
+            dists = segmented_distances(self.metric, objects, [query] * len(filled), edges, obj_ids)
+            features.append(rows[filled])
+            targets.append(np.minimum.reduceat(dists, edges[:-1]))
+        x = np.concatenate(features)
+        y = np.concatenate(targets)
         gram = x.T @ x + self.ridge * np.eye(x.shape[1])
         self._weights = np.linalg.solve(gram, x.T @ y)
         return self

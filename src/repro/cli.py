@@ -405,6 +405,11 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
           f"max wait {args.max_wait * 1e6:.0f} us"
           f"{', non-blocking maintenance' if args.maintenance else ''})")
     print(report.to_text(title=f"{args.policy} policy on {dataset.name}"))
+    plans = index.plan_counts
+    print("plans      : " + "; ".join(
+        f"{kind} descent {plans[kind]['descent']} / flat {plans[kind]['flat']}"
+        for kind in ("range", "knn")
+    ) + " batches")
     if args.maintenance:
         print(f"maintenance: {report.num_maintenance_slices} slices, "
               f"{report.rebuilds_completed} generation swaps, "

@@ -30,7 +30,7 @@ requests through; see DESIGN.md §4.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .cost_model import (
 )
 from .nodes import TreeStructure
 from .objectstore import ListStore, make_object_store
-from .search import BoundedTriples, descend_forest, open_batch
+from .search import BoundedTriples, descend_forest, open_batch, verify_flat
 from .searchcommon import (
     Forest,
     PruneMode,
@@ -63,6 +63,7 @@ from .searchcommon import (
 
 __all__ = [
     "GTS",
+    "PlanChooser",
     "execute_operation_batch",
     "stack_forest",
     "open_index_batch",
@@ -275,20 +276,99 @@ def search_indexes(
     queries: Sequence,
     radii: Optional[np.ndarray] = None,
     k: Optional[np.ndarray] = None,
+    run: Callable[[SearchBatch], None] = descend_forest,
 ) -> BoundedTriples:
     """Search the trees of ``indexes`` as one ``forest``, then scan each cache
     table into the same accumulator, and return it.
 
-    One descent serves every tree (:func:`~repro.core.search.descend_forest`
-    over :func:`open_index_batch`): index ``t``'s answers are the
-    accumulator's virtual queries ``t * len(queries) + q`` and its ids are
-    stacked ids, its own plus ``forest.id_off[t]``.  The cache scans
-    (:func:`scan_caches`) run after the descent.
+    ``run`` answers the trees of the batch :func:`open_index_batch` opened:
+    by default one descent serves every tree
+    (:func:`~repro.core.search.descend_forest`); a single resident index
+    passes its plan choice (:meth:`PlanChooser.run`).  Index ``t``'s
+    answers are the accumulator's virtual queries ``t * len(queries) + q``
+    and its ids are stacked ids, its own plus ``forest.id_off[t]``.  The
+    cache scans (:func:`scan_caches`) run after the trees.
     """
     batch = open_index_batch(indexes, forest, queries, radii=radii, k=k)
-    descend_forest(batch)
+    run(batch)
     scan_caches(indexes, batch)
     return batch.results
+
+
+#: Evaluated share of the tree's objects per query (the last descent's
+#: metric pairs over queries x tree objects) at or above which a kind's
+#: batches skip the descent for the flat pass (DESIGN.md §8, "Plan choice").
+FLAT_SHARE = 0.5
+
+#: Flat batches of one kind after which one descent runs again, so a change
+#: of radius or ``k`` that lets the tree prune brings the descent back.
+FLAT_RUN = 15
+
+#: The plans :class:`PlanChooser` chooses between.
+PLANS = ("descent", "flat")
+
+
+class PlanChooser:
+    """Per query kind, the plan of a resident single-tree index's next batch.
+
+    The plan is the level-synchronous descent
+    (:func:`~repro.core.search.descend_forest`) or the flat pass
+    (:func:`~repro.core.search.verify_flat`), which verifies every indexed
+    object for every query.  Their answers are identical; the choice is made
+    from counts alone, never from a clock, so a repeated request stream
+    repeats its plans and its simulated accounting.  Each descent records
+    its *evaluated share*: the metric's pairs during the descent over
+    (queries x tree objects).  A kind runs flat while its last share is at
+    least :data:`FLAT_SHARE`, and descends again after :data:`FLAT_RUN`
+    flat batches in a row to re-measure.  Without a share — the first batch
+    of a kind, and the first after :meth:`reset`, which every tree install
+    calls — it descends.  A tiered batch always descends: the flat pass
+    would fault every block.  :attr:`counts` holds, per kind, how many
+    batches each plan served.
+    """
+
+    def __init__(self) -> None:
+        #: batches served per kind and plan (plain counters, no effect)
+        self.counts = {kind: dict.fromkeys(PLANS, 0) for kind in ("range", "knn")}
+        #: a plan every resident batch runs, for tests only; None chooses
+        self.forced: Optional[str] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every share: the next batch of each kind descends."""
+        self._share = {"range": None, "knn": None}
+        self._flat_run = {"range": 0, "knn": 0}
+
+    def choose(self, kind: str, tiered: bool) -> str:
+        """The plan of the next batch of ``kind`` (``"range"`` or ``"knn"``)."""
+        if tiered:
+            return "descent"
+        if self.forced is not None:
+            return self.forced
+        share = self._share[kind]
+        if share is None or share < FLAT_SHARE or self._flat_run[kind] >= FLAT_RUN:
+            return "descent"
+        return "flat"
+
+    def run(self, batch: SearchBatch) -> None:
+        """Answer the tree part of an opened single-tree batch under the
+        chosen plan, and record what it showed.  An empty batch runs
+        nothing and is not counted."""
+        num_queries = batch.num_queries
+        if num_queries == 0:
+            return
+        kind = "range" if batch.results.k is None else "knn"
+        plan = self.choose(kind, batch.tiered)
+        if plan == "flat":
+            verify_flat(batch)
+            self._flat_run[kind] += 1
+        else:
+            before = batch.metric.pair_count
+            descend_forest(batch)
+            pairs = batch.metric.pair_count - before
+            self._share[kind] = pairs / (num_queries * batch.forest.trees[0].num_objects)
+            self._flat_run[kind] = 0
+        self.counts[kind][plan] += 1
 
 
 class GTS:
@@ -367,6 +447,8 @@ class GTS:
         self._automatic_rebuild_count = 0
         self._forced_rebuild_count = 0
         self._maintenance = None
+        #: the per-batch choice between the descent and the flat pass
+        self._planner = PlanChooser()
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -510,9 +592,12 @@ class GTS:
         swaps and index loads all end here.  The previous tree's device
         storage is freed first.  Tiered indexes then re-page the store in the
         new tree's layout (staging its pinned pivot rows) and allocate the
-        tree storage, which their construction did not stage.
+        tree storage, which their construction did not stage.  The plan
+        choice forgets what the old tree showed, so the new tree's first
+        batch of each kind descends.
         """
         self._release_index()
+        self._planner.reset()
         if self.tier_config is not None:
             self._install_layout(result.tree)
             result.allocations.append(
@@ -620,6 +705,16 @@ class GTS:
         return self._forced_rebuild_count
 
     @property
+    def plan_counts(self) -> dict:
+        """Query batches served per kind and plan, as
+        ``{"range": {"descent": n, "flat": m}, "knn": {...}}`` (a copy).
+
+        The flat plan verifies every indexed object; a resident index runs
+        it for a kind while its tree cannot prune (:class:`PlanChooser`).
+        """
+        return {kind: dict(plans) for kind, plans in self._planner.counts.items()}
+
+    @property
     def tiered(self) -> bool:
         """True when the index pages its object store (tiered mode)."""
         return self.tier_config is not None
@@ -688,7 +783,10 @@ class GTS:
         The batch descends the tree level-synchronously with Lemma 5.1
         pruning; when a level's projected intermediate table would overflow
         device memory the batch is split into sequentially processed groups
-        (the two-stage strategy of Section 5.2).
+        (the two-stage strategy of Section 5.2).  While the last descent of
+        a range batch evaluated at least half of the indexed objects per
+        query, a resident index verifies every indexed object in one flat
+        pass instead, with identical answers (:class:`PlanChooser`).
 
         Parameters
         ----------
@@ -721,11 +819,12 @@ class GTS:
     def knn_query_batch(self, queries: Sequence, k) -> list[list[tuple[int, float]]]:
         """Answer a batch of metric kNN queries concurrently (Algorithm 5).
 
-        The very descent of :meth:`range_query_batch`, with each query's
-        fixed radius replaced by a bound that only shrinks: the distance of
-        its current k-th candidate (Lemma 5.2 pruning).  The cache table's
-        objects are then offered to the same per-query candidate pool, and
-        each query keeps its ``k`` smallest by ``(distance, object_id)``.
+        The very descent of :meth:`range_query_batch` (or its flat pass),
+        with each query's fixed radius replaced by a bound that only
+        shrinks: the distance of its current k-th candidate (Lemma 5.2
+        pruning).  The cache table's objects are then offered to the same
+        per-query candidate pool, and each query keeps its ``k`` smallest
+        by ``(distance, object_id)``.
 
         Parameters
         ----------
@@ -756,8 +855,11 @@ class GTS:
     ) -> BoundedTriples:
         """Search the tree under checked ``radii`` or ``k``, then scan the cache
         table into the same accumulator, and return it: the forest descent
-        over this index's one tree (:func:`search_indexes`)."""
-        return search_indexes([self], self._forest(), queries, radii=radii, k=k)
+        over this index's one tree or the flat pass, whichever the plan
+        choice picks for the kind (:class:`PlanChooser`)."""
+        return search_indexes(
+            [self], self._forest(), queries, radii=radii, k=k, run=self._planner.run
+        )
 
     def _forest(self) -> Forest:
         """The forest of the live tree alone, restacked when the tree changed."""

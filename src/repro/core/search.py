@@ -44,7 +44,10 @@ A batch is opened by :func:`open_batch` and descended by
 :func:`descend_forest`.  The approximate searches (:mod:`repro.approx`)
 open their batches the same way, choose their own (query, node) pairs and
 hand the chosen leaves to :func:`verify_leaves`, so they share the exact
-search's kernels, tombstone handling and accumulator.
+search's kernels, tombstone handling and accumulator.  So does the flat
+plan (:func:`verify_flat`), which a resident single-tree index runs instead
+of the descent when its tree cannot prune: one verification of the root's
+table-list span, every indexed object, for every query (DESIGN.md §8).
 
 Verification first drops every leaf candidate whose table-list distance
 ``obj_dis`` to its leaf's parent pivot puts it beyond its query's bound —
@@ -113,6 +116,7 @@ __all__ = [
     "open_batch",
     "descend_forest",
     "verify_leaves",
+    "verify_flat",
     "search_forest",
     "search",
     "batch_range_query",
@@ -841,6 +845,35 @@ def descend_forest(batch: SearchBatch) -> None:
     if roots:
         batch.results.offer(*_columns(roots))
     _descend(batch, 0, _cat(cand_q), _cat(cand_node), _cat(pivot_dist) if roots else None)
+
+
+def verify_flat(batch: SearchBatch) -> None:
+    """Answer an opened single-tree batch with one flat pass: the flat plan.
+
+    Every query verifies the root's table-list span — ``pos[0] = 0``,
+    ``size[0] = n``, which holds every object the tree indexes, pivots
+    included — in one :func:`verify_leaves` call without a parent pivot
+    distance (so no ``obj_dis`` test runs).  Tombstones, the certified
+    filter, the exact segmented kernel and the accumulator are the ones the
+    descent ends in, so the answers are the descent's.  The device is
+    charged that call's verify kernel over the ``Q * n`` live candidates
+    and its result buffer and, for kNN, one ``mknn-kth-bound`` selection
+    kernel over the ``Q * n`` candidates; no level runs, so no pivot kernel,
+    child test or intermediate table is charged.  An empty batch does
+    nothing.
+    """
+    num_queries = batch.num_queries
+    if num_queries == 0:
+        return
+    if batch.results.k is not None:
+        batch.members[0].device.launch_kernel(
+            work_items=num_queries * batch.forest.trees[0].num_objects,
+            op_cost=4.0,
+            label="mknn-kth-bound",
+        )
+    verify_leaves(
+        batch, np.arange(num_queries, dtype=np.int64), np.zeros(num_queries, dtype=np.int64)
+    )
 
 
 def search_forest(

@@ -54,6 +54,7 @@ import numpy as np
 from ..core.gts import (
     DEFAULT_CACHE_BYTES,
     GTS,
+    PLANS,
     execute_operation_batch,
     search_indexes,
     stack_forest,
@@ -189,6 +190,9 @@ class ShardedGTS:
         #: the shards' stacked forest, and the objects it was stacked from
         self._stack = None
         self._stack_key: list = []
+        #: query batches served per kind and plan; a sharded batch is always
+        #: the forest descent
+        self._plan_counts = {kind: dict.fromkeys(PLANS, 0) for kind in ("range", "knn")}
 
     # ------------------------------------------------------------ lifecycle
     @classmethod
@@ -404,6 +408,8 @@ class ShardedGTS:
         """
         num_queries = len(queries)
         forest = self._forest()
+        if num_queries:
+            self._plan_counts["range" if k is None else "knn"]["descent"] += 1
 
         def run():
             results = search_indexes(self.shards, forest, queries, radii=radii, k=k)
@@ -682,6 +688,13 @@ class ShardedGTS:
         """Explicit :meth:`rebuild` / :meth:`batch_update` reconstructions
         across all shards."""
         return sum(shard.forced_rebuild_count for shard in self.shards)
+
+    @property
+    def plan_counts(self) -> dict:
+        """Query batches served per kind and plan, shaped like
+        :attr:`GTS.plan_counts` (a copy).  Every sharded batch is one forest
+        descent; the flat plan is a single-tree index's."""
+        return {kind: dict(plans) for kind, plans in self._plan_counts.items()}
 
     @property
     def shard_sizes(self) -> list[int]:

@@ -107,6 +107,10 @@ def _churn(index, live: _Live, metric, queries):
 def test_resident_answers_equal_brute_force(name, k):
     objects, metric, queries = _dataset(name)
     index = GTS.build(objects, metric, node_capacity=6, seed=3, cache_capacity_bytes=1 << 20)
+    # the bounds under test are the descent's: on vector and Words data the
+    # tree cannot prune, and the plan choice would verify the later batches
+    # in one flat pass (tests/test_planner.py covers that pass)
+    index._planner.forced = "descent"
     assert index.height >= 2  # internal levels to re-test, a parent pivot at the leaves
     live = _Live(objects)
     _check_knn(index, live, metric, queries, k)
